@@ -9,6 +9,8 @@ well separated so rotating-wave comparisons stay meaningful.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,6 +19,8 @@ from .hilbert import SystemParams
 __all__ = ["ConfigError", "ScenarioConfig", "parse_config", "SCENARIOS"]
 
 SCENARIOS = ("fig2a", "fig2b", "fig2c", "fig2d", "fig4", "readout", "custom")
+# scenarios whose pulse length is T = |alpha| / |epsilon|, so epsilon must be nonzero
+_PULSE_FROM_EPSILON = ("fig2a", "fig2b", "fig2c", "custom")
 
 
 class ConfigError(ValueError):
@@ -93,9 +97,10 @@ def _parse_choice(value: str, key: str, line: int, choices: tuple[str, ...]) -> 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse key=value lines into a typed ScenarioConfig.
 
-    Unknown keys, unparsable values and inconsistent derived quantities (an
-    omega_q that contradicts the given lambda) are errors carrying the line
-    number.  An empty file yields all defaults.
+    Unknown keys, unparsable or non-finite values, an empty sweep, a zero
+    drive where the pulse length is derived from it, and inconsistent derived
+    quantities (an omega_q that contradicts the given lambda) are errors
+    carrying the line number.  An empty file yields all defaults.
     """
     values: dict = {}
     seen: dict[str, int] = {}
@@ -113,6 +118,12 @@ def parse_config(text: str) -> ScenarioConfig:
         seen[key] = lineno
 
     cfg = ScenarioConfig(**values)
+    if cfg.epsilon == 0 and cfg.scenario in _PULSE_FROM_EPSILON:
+        raise ConfigError(
+            f"epsilon must be nonzero for scenario={cfg.scenario}: "
+            "the pulse length is |alpha| / |epsilon|",
+            seen["epsilon"],
+        )
     if cfg.omega_q is not None and "lambda" in seen:
         derived = cfg.g / (cfg.omega_q - cfg.omega_c)
         if abs(derived - cfg.lam) > 1e-9 * max(1.0, abs(cfg.lam)):
@@ -127,9 +138,12 @@ def parse_config(text: str) -> ScenarioConfig:
 def _apply_key(values: dict, key: str, value: str, line: int) -> None:
     def as_float(v=value):
         try:
-            return float(v)
+            x = float(v)
         except ValueError:
             raise ConfigError(f"{key} must be a number, got {v!r}", line) from None
+        if not math.isfinite(x):
+            raise ConfigError(f"{key} must be finite, got {v!r}", line)
+        return x
 
     def as_int(v=value):
         try:
@@ -152,9 +166,12 @@ def _apply_key(values: dict, key: str, value: str, line: int) -> None:
         values["omega_q"] = as_float()
     elif key == "epsilon":
         try:
-            values["epsilon"] = complex(value)
+            eps = complex(value)
         except ValueError:
             raise ConfigError(f"epsilon must be a (complex) number, got {value!r}", line) from None
+        if not cmath.isfinite(eps):
+            raise ConfigError(f"epsilon must be finite, got {value!r}", line)
+        values["epsilon"] = eps
     elif key == "drive_form":
         values["drive_form"] = _parse_choice(value, key, line, ("rwa", "cosine"))
     elif key == "phase_correction":
@@ -173,14 +190,17 @@ def _apply_key(values: dict, key: str, value: str, line: int) -> None:
             raise ConfigError("sweep_points must be >= 2", line)
         values["sweep_points"] = n
     elif key == "sweep_values":
-        try:
-            values["sweep_values"] = tuple(float(v) for v in value.split(",") if v.strip())
-        except ValueError:
-            raise ConfigError(f"sweep_values must be comma-separated numbers, got {value!r}", line) from None
+        sweep = tuple(as_float(v.strip()) for v in value.split(",") if v.strip())
+        if not sweep:
+            raise ConfigError("sweep_values must list at least one number", line)
+        values["sweep_values"] = sweep
     elif key == "alpha_sq":
         values["alpha_sq"] = as_float()
     elif key == "eta_abs":
-        values["eta_abs"] = as_float()
+        eta_abs = as_float()
+        if eta_abs <= 0:
+            raise ConfigError("eta_abs must be positive", line)
+        values["eta_abs"] = eta_abs
     elif key == "eta_phase":
         values["eta_phase"] = as_float()
     elif key == "omega_drive":

@@ -19,11 +19,22 @@ not).  Two execution paths produce the identical product of step unitaries:
 
 The fast path is verified against the declared rotation at runtime and falls
 back to the generic loop if the structure does not hold.
+
+No bookkeeping scales with the step count.  The run splits into segments
+with one set of active drive terms each; their boundaries come from the
+drive windows by bisection over the step midpoints, so a window edge that
+falls on a midpoint counts as inside, as in hamiltonian_at.  A static
+segment is one eigendecomposition of H_0.  On the fast paths, all stored
+snapshots of a segment and its final state are computed together, as one
+matrix of eigenphase powers times one fixed matrix, with R(t) applied
+elementwise.  convergence_check needs only final states, so its reruns
+store no intermediate snapshots.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -248,29 +259,17 @@ def integrate(
 
     if store_every is None:
         store_every = max(1, math.ceil(steps / 1000))
-    stored = sorted({0, steps} | set(range(store_every, steps, store_every)))
-
-    t_mid = grid.t0 + (np.arange(steps) + 0.5) * dt
-    signatures = [_active_signature(ham, t) for t in t_mid]
+    stored = np.concatenate(([0], np.arange(store_every, steps, store_every), [steps]))
 
     out_states = np.empty((len(stored), dim), dtype=complex)
-    out_index = {k: i for i, k in enumerate(stored)}
-    psi = psi0.astype(complex).copy()
-    if 0 in out_index:
-        out_states[out_index[0]] = psi
-
-    k = 0
-    while k < steps:
-        k_end = k + 1
-        while k_end < steps and signatures[k_end] == signatures[k]:
-            k_end += 1
-        snaps = [s for s in stored if k < s <= k_end]
-        psi = _advance_segment(
-            ham, psi, t_mid, k, k_end, dt, signatures[k], snaps, out_states, out_index,
-            force_generic,
-        )
-        k = k_end
-    return Trajectory(times=grid.t0 + np.asarray(stored, dtype=float) * dt, states=out_states)
+    psi = out_states[0] = psi0.astype(complex)
+    for k0, k1, signature in _segments(ham, grid.t0, dt, steps):
+        lo, hi = np.searchsorted(stored, (k0, k1), side="right")
+        ends = np.append(stored[lo:hi], k1) - k0  # steps into the segment to report
+        states = _advance_segment(ham, psi, grid.t0, dt, k0, ends, signature, force_generic)
+        out_states[lo:hi] = states[:-1]
+        psi = states[-1]
+    return Trajectory(times=grid.t0 + stored * dt, states=out_states)
 
 
 def _check_guard(ham, grid, dt, guard_limit):
@@ -291,32 +290,59 @@ def _active_signature(ham, t):
     return tuple(i for i, term in enumerate(ham.drive_terms) if term.window[0] <= t <= term.window[1])
 
 
-def _advance_segment(ham, psi, t_mid, k0, k1, dt, signature, snaps, out, out_index, force_generic):
+def _segments(ham, t0, dt, steps):
+    """Maximal runs [k0, k1) of steps that share one set of active drive terms.
+
+    Step k is driven by a term when t_on <= t0 + (k + 0.5) dt <= t_off, the
+    rule hamiltonian_at applies.  The midpoint expression never decreases in
+    k, so each window covers one contiguous run of steps, whose ends are found
+    by bisection on that same expression.
+    """
+    def first_step(pred):
+        return bisect_left(range(steps), True, key=lambda k: pred(t0 + (k + 0.5) * dt))
+
+    cuts = {0, steps}
+    for term in ham.drive_terms:
+        t_on, t_off = term.window
+        cuts.add(first_step(lambda t: t >= t_on))
+        cuts.add(first_step(lambda t: t > t_off))
+    cuts = sorted(cuts)
+    segments: list[list] = []
+    for k0, k1 in zip(cuts, cuts[1:]):
+        signature = _active_signature(ham, t0 + (k0 + 0.5) * dt)
+        if segments and segments[-1][2] == signature:
+            segments[-1][1] = k1
+        else:
+            segments.append([k0, k1, signature])
+    return segments
+
+
+def _advance_segment(ham, psi, t0, dt, k0, ends, signature, force_generic):
+    """States after each of ``ends`` steps (ascending, >= 1) of the segment from step k0."""
     if not force_generic:
         if not signature:
-            return _advance_static(ham.static_part, psi, k0, k1, dt, snaps, out, out_index)
+            return _advance_static(ham.static_part, psi, dt, ends)
         if ham.rotating_frame is not None:
-            res = _advance_rotating(ham, psi, t_mid, k0, k1, dt, signature, snaps, out, out_index)
-            if res is not None:
-                return res
-    return _advance_sequential(ham, psi, t_mid, k0, k1, dt, snaps, out, out_index)
+            states = _advance_rotating(ham, psi, t0, dt, k0, ends, signature)
+            if states is not None:
+                return states
+    return _advance_sequential(ham, psi, t0, dt, k0, ends)
 
 
-def _advance_static(h_static, psi, k0, k1, dt, snaps, out, out_index):
+def _advance_static(h_static, psi, dt, ends):
     evals, vecs = eigh(h_static)
     c = vecs.conj().T @ psi
-    for s in snaps:
-        out[out_index[s]] = vecs @ (np.exp(-1j * evals * (s - k0) * dt) * c)
-    return vecs @ (np.exp(-1j * evals * (k1 - k0) * dt) * c)
+    return (np.exp(-1j * evals * ends[:, None] * dt) * c) @ vecs.T
 
 
-def _advance_rotating(ham, psi, t_mid, k0, k1, dt, signature, snaps, out, out_index):
+def _advance_rotating(ham, psi, t0, dt, k0, ends, signature):
     """Closed evaluation of the midpoint-step product for uniformly rotating drives.
 
     Every step unitary is R(t_m) W R(t_m)^dag with the same W, so the chain is
     R(t_last) W (D W)^{L-1} R(t_first)^dag with one constant diagonal
     D = exp(i omega dt C).  Powers of D W come from its (renormalized) Schur
-    form.  Returns None when the declared rotation fails verification.
+    form; all requested step counts are evaluated together.  Returns None
+    when the declared rotation fails verification.
     """
     frame = ham.rotating_frame
     w = frame.charge
@@ -326,7 +352,9 @@ def _advance_rotating(ham, psi, t_mid, k0, k1, dt, signature, snaps, out, out_in
         term = ham.drive_terms[i]
         h0 = h0 + term.envelope(0.0) * term.operator
     scale = max(1.0, float(np.max(np.abs(h0))))
-    for t_probe in (t_mid[k0], t_mid[(k0 + k1 - 1) // 2 if k1 - 1 > k0 else k0]):
+    k1 = k0 + int(ends[-1])
+    for k in (k0, (k0 + k1 - 1) // 2 if k1 - 1 > k0 else k0):
+        t_probe = t0 + (k + 0.5) * dt
         r = np.exp(-1j * omega * t_probe * w)
         recon = (h0 * r[:, None]) * np.conj(r)[None, :]
         if float(np.max(np.abs(recon - hamiltonian_at(ham, t_probe)))) > 1e-10 * scale:
@@ -342,29 +370,27 @@ def _advance_rotating(ham, psi, t_mid, k0, k1, dt, signature, snaps, out, out_in
     if float(np.max(np.abs((q * tvec) @ q.conj().T - m))) > 1e-10:
         return None  # Schur form not effectively diagonal; unitary structure broken
 
-    r_first = np.exp(-1j * omega * t_mid[k0] * w)
+    r_first = np.exp(-1j * omega * (t0 + (k0 + 0.5) * dt) * w)
     c0 = q.conj().T @ (np.conj(r_first) * psi)
     log_t = np.angle(tvec)
-
-    def state_after(j):  # j >= 1 steps into the segment
-        v = q @ (np.exp(1j * log_t * (j - 1)) * c0)
-        r_last = np.exp(-1j * omega * t_mid[k0 + j - 1] * w)
-        return r_last * (big_w @ v)
-
-    for s in snaps:
-        out[out_index[s]] = state_after(s - k0)
-    return state_after(k1 - k0)
+    # after j steps: R(t_{k0+j-1}) W Q exp(i log_t (j-1)) c0, one row per j
+    states = (np.exp(1j * log_t * (ends - 1)[:, None]) * c0) @ (big_w @ q).T
+    t_last = t0 + (k0 + ends - 1 + 0.5) * dt
+    states *= np.exp(-1j * omega * t_last[:, None] * w)
+    return states
 
 
-def _advance_sequential(ham, psi, t_mid, k0, k1, dt, snaps, out, out_index):
-    snapset = set(snaps)
-    for k in range(k0, k1):
-        h = hamiltonian_at(ham, t_mid[k])
-        evals, vecs = eigh(h)
-        psi = vecs @ (np.exp(-1j * evals * dt) * (vecs.conj().T @ psi))
-        if k + 1 in snapset:
-            out[out_index[k + 1]] = psi
-    return psi
+def _advance_sequential(ham, psi, t0, dt, k0, ends):
+    t_mid = t0 + (np.arange(k0, k0 + ends[-1]) + 0.5) * dt
+    states = np.empty((len(ends), psi.shape[0]), dtype=complex)
+    j = 0
+    for i, end in enumerate(ends):
+        for t in t_mid[j:end]:
+            evals, vecs = eigh(hamiltonian_at(ham, t))
+            psi = vecs @ (np.exp(-1j * evals * dt) * (vecs.conj().T @ psi))
+        states[i] = psi
+        j = end
+    return states
 
 
 @dataclass(frozen=True)
@@ -415,14 +441,15 @@ def convergence_check(
     """
     if ham.remake is None:
         raise ValueError("Hamiltonian has no remake recipe; cannot double the cutoff")
-    base = integrate(ham, psi0, grid).final
-    fine = integrate(ham, psi0, grid.halved()).final
+    base = integrate(ham, psi0, grid, store_every=grid.steps).final
+    fine_grid = grid.halved()
+    fine = integrate(ham, psi0, fine_grid, store_every=fine_grid.steps).final
     fid_dt = float(abs(np.vdot(base, fine)) ** 2)
 
     big_cutoff = FockCutoff(2 * ham.cutoff.n_max)
     ham_big = ham.remake(big_cutoff)
     psi0_big = embed_state(psi0, big_cutoff.n_max)
-    big = integrate(ham_big, psi0_big, grid, guard_limit=0.25).final
+    big = integrate(ham_big, psi0_big, grid, store_every=grid.steps, guard_limit=0.25).final
     fid_cut = float(abs(np.vdot(embed_state(base, big_cutoff.n_max), big)) ** 2)
     dt = (grid.t1 - grid.t0) / grid.steps
     return ConvergenceReport(

@@ -32,7 +32,6 @@ __all__ = [
     "ModeOperators",
     "CutoffError",
     "DispersiveRegimeWarning",
-    "TruncationWarning",
     "required_cutoff",
     "build_mode_operators",
     "jc_hamiltonian",
@@ -62,10 +61,6 @@ class CutoffError(ValueError):
 
 class DispersiveRegimeWarning(UserWarning):
     """|g/Delta| large enough that dispersive-regime results are questionable."""
-
-
-class TruncationWarning(UserWarning):
-    """A state carries non-negligible weight on the top retained Fock level."""
 
 
 @dataclass(frozen=True)
@@ -282,16 +277,6 @@ def edge_weight(psi: np.ndarray) -> float:
     """Probability on the top retained Fock level (both qubit branches)."""
     n_max = psi.shape[0] // 2
     return float(abs(psi[n_max - 1]) ** 2 + abs(psi[2 * n_max - 1]) ** 2)
-
-
-def warn_if_edge_weight(psi: np.ndarray, threshold: float = 1e-8, context: str = "") -> None:
-    w = edge_weight(psi)
-    if w > threshold:
-        warnings.warn(
-            f"truncation leak: weight {w:.2e} on the top Fock level{' in ' + context if context else ''}",
-            TruncationWarning,
-            stacklevel=2,
-        )
 
 
 def fix_global_phase(psi: np.ndarray) -> np.ndarray:

@@ -66,6 +66,55 @@ class TestParseConfig:
         assert cfg.sweep_grid(()) == (1.0, 2.0, 3.0)
 
 
+class TestConfigFaults:
+    """Values the numerics cannot use stop at the config: exit 1, naming the line."""
+
+    def _run(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        out = tmp_path / "out.csv"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert not out.exists()
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, line", [
+        ("g=nan\n", 1),
+        ("scenario=fig2b\nlambda=inf\n", 2),
+        ("# drive\nepsilon=nan+0.1j\n", 2),
+        ("scenario=fig4\neta_phase=-inf\n", 2),
+    ])
+    def test_non_finite_value(self, tmp_path, capsys, text, line):
+        code, err = self._run(tmp_path, capsys, text)
+        assert code == 1
+        assert f"line {line}:" in err and "finite" in err
+
+    def test_non_finite_sweep_value(self, tmp_path, capsys):
+        code, err = self._run(tmp_path, capsys, "scenario=fig2b\nsweep_values=1,inf\n")
+        assert code == 1
+        assert "line 2:" in err and "finite" in err
+
+    def test_empty_sweep_values(self, tmp_path, capsys):
+        code, err = self._run(tmp_path, capsys, "scenario=fig2b\n\nsweep_values=,\n")
+        assert code == 1
+        assert "line 3:" in err and "sweep_values" in err
+
+    @pytest.mark.parametrize("scenario", ["fig2a", "fig2b", "fig2c", "custom"])
+    def test_zero_epsilon_where_pulse_length_derives_from_it(self, tmp_path, capsys, scenario):
+        code, err = self._run(tmp_path, capsys, f"epsilon=0\nscenario={scenario}\n")
+        assert code == 1
+        assert "line 1:" in err and "epsilon" in err
+
+    def test_zero_epsilon_accepted_by_fig2d(self):
+        # fig2d sweeps |epsilon| itself and reads only arg(epsilon)
+        assert parse_config("scenario=fig2d\nepsilon=0\n").epsilon == 0
+
+    @pytest.mark.parametrize("value", ["0", "-1.1"])
+    def test_nonpositive_eta_abs(self, tmp_path, capsys, value):
+        code, err = self._run(tmp_path, capsys, f"scenario=fig4\ncheck_convergence=off\neta_abs={value}\n")
+        assert code == 1
+        assert "line 3:" in err and "eta_abs" in err
+
+
 class TestEmitCsv:
     def test_empty_result(self, tmp_path):
         res = ScenarioResult("fig2b", ("a", "b"), (), {"g": "1"})

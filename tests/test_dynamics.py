@@ -1,6 +1,7 @@
 """The midpoint-exponential integrator: exactness, fast path, convergence."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -143,9 +144,9 @@ class TestFastPath:
         drive = DriveParams(0.04 + 0.03j, params.omega_c - params.chi, 0.6)
         ham = lab_drive_hamiltonian(params, drive, cut, "rwa")
         grid = TimeGrid.for_duration(0.6, dt_bound(params, cut, 0.05))
-        fast = integrate(ham, basis_state(cut, "g", 0), grid).final
-        slow = integrate(ham, basis_state(cut, "g", 0), grid, force_generic=True).final
-        assert np.max(np.abs(fast - slow)) < 1e-10
+        fast = integrate(ham, basis_state(cut, "g", 0), grid)
+        slow = integrate(ham, basis_state(cut, "g", 0), grid, force_generic=True)
+        assert_same_trajectory(fast, slow)
 
     def test_fast_path_equals_sequential_qubit_drive(self, params):
         cut = FockCutoff(8)
@@ -153,9 +154,9 @@ class TestFastPath:
         ham = qubit_drive_lab_hamiltonian(params, qd, cut)
         grid = TimeGrid.for_duration(0.11, dt_bound(params, cut, 0.0, eta_abs=0.3))
         psi0 = basis_state(cut, "g", 1)
-        fast = integrate(ham, psi0, grid).final
-        slow = integrate(ham, psi0, grid, force_generic=True).final
-        assert np.max(np.abs(fast - slow)) < 1e-10
+        fast = integrate(ham, psi0, grid)
+        slow = integrate(ham, psi0, grid, force_generic=True)
+        assert_same_trajectory(fast, slow)
 
     def test_against_rotating_frame_closed_solution(self, params):
         # independent oracle: in the frame of the total excitation number the
@@ -187,9 +188,52 @@ class TestFastPath:
         ham = lab_drive_hamiltonian(params, drive, cut, "rwa")
         grid = TimeGrid.for_duration(4.0, dt_bound(params, cut, 0.05))
         psi0 = basis_state(cut, "g", 0)
-        fast = integrate(ham, psi0, grid).final
-        slow = integrate(ham, psi0, grid, force_generic=True).final
-        assert np.max(np.abs(fast - slow)) < 1e-10
+        fast = integrate(ham, psi0, grid, store_every=97)
+        slow = integrate(ham, psi0, grid, store_every=97, force_generic=True)
+        assert_same_trajectory(fast, slow)
+
+    def test_window_edges_on_step_midpoints_are_inclusive(self, params):
+        # dt = 2^-14 and t0 = -1000.5 dt make every midpoint exact: step 1000
+        # sits on t_on = 0 and step 2000 on t_off = T, and both are driven
+        cut = FockCutoff(8)
+        dt = 2.0**-14
+        t0 = -1000.5 * dt
+        grid = TimeGrid(t0, t0 + 3000 * dt, dt)
+        T = 1000 * dt
+        assert t0 + (1000 + 0.5) * dt == 0.0 and t0 + (2000 + 0.5) * dt == T
+        psi0 = basis_state(cut, "g", 0)
+
+        def run(pulse, **kw):
+            drive = DriveParams(0.05, params.omega_c - params.chi, pulse)
+            ham = lab_drive_hamiltonian(params, drive, cut, "rwa")
+            return integrate(ham, psi0, grid, store_every=250, **kw)
+
+        fast = run(T)
+        assert_same_trajectory(fast, run(T, force_generic=True))
+        # the edge step matters: a window one ulp short of it gives another state
+        assert np.max(np.abs(fast.final - run(np.nextafter(T, 0.0)).final)) > 1e-8
+
+    def test_runtime_independent_of_step_count(self, params):
+        # 5 M midpoint steps: the fast path costs a few eigendecompositions
+        # and ~1000 snapshots, not per-step Python work
+        cut = FockCutoff(4)
+        qd = QubitDriveParams(0.3, params.omega_q + 0.5, 500.0)
+        ham = qubit_drive_lab_hamiltonian(params, qd, cut)
+        grid = TimeGrid(0.0, 1000.0, 1000.0 / 5_000_000)
+        assert grid.steps == 5_000_000
+        start = time.perf_counter()
+        traj = integrate(ham, basis_state(cut, "g", 1), grid)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 3.0, f"{grid.steps} steps took {elapsed:.2f} s"
+        assert len(traj.times) == 1001 and traj.times[-1] == pytest.approx(1000.0)
+        assert np.max(np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)) < 1e-10
+
+
+def assert_same_trajectory(fast, slow):
+    """Every stored state, not only the final one, matches literal stepping."""
+    np.testing.assert_array_equal(fast.times, slow.times)
+    assert fast.states.shape == slow.states.shape
+    assert np.max(np.abs(fast.states - slow.states)) < 1e-10
 
 
 class TestRwaVersusCosine:
