@@ -53,41 +53,27 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _load_config(args)
+        outcome = run_scenario(config) if args.command == "run" else convergence_probe(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-
-    if args.command == "run":
-        try:
-            result = run_scenario(config)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
-        except Exception as exc:  # truncation, guard, linear-algebra failures
-            print(f"numerical failure: {exc}", file=sys.stderr)
-            return 2
-        out = args.out or config.out or f"{config.scenario}.csv"
-        try:
-            emit_csv(result, out)
-        except OSError as exc:
-            print(f"cannot write {out!r}: {exc}", file=sys.stderr)
-            return 2
-        flagged = sum(1 for row in result.rows if False in [c for c in row if isinstance(c, bool)])
-        print(f"{config.scenario}: {len(result.rows)} rows -> {out}"
-              + (f" ({flagged} rows flagged not converged)" if flagged else ""))
-        return 0
-
-    # sim check
-    try:
-        report = convergence_probe(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:
+    except Exception as exc:  # truncation, guard, linear-algebra failures
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    print(f"{config.scenario}: {report}")
-    return 0 if report.passed else 2
+
+    if args.command == "check":
+        print(f"{config.scenario}: {outcome}")
+        return 0 if outcome.passed else 2
+    out = args.out or config.out or f"{config.scenario}.csv"
+    try:
+        emit_csv(outcome, out)
+    except OSError as exc:
+        print(f"cannot write {out!r}: {exc}", file=sys.stderr)
+        return 2
+    flagged = sum(1 for row in outcome.rows if False in [c for c in row if isinstance(c, bool)])
+    print(f"{config.scenario}: {len(outcome.rows)} rows -> {out}"
+          + (f" ({flagged} rows flagged not converged)" if flagged else ""))
+    return 0
 
 
 def entry() -> None:

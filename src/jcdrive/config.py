@@ -16,11 +16,19 @@ from typing import Optional
 
 from .hilbert import SystemParams
 
-__all__ = ["ConfigError", "ScenarioConfig", "parse_config", "SCENARIOS"]
+__all__ = ["ConfigError", "ScenarioConfig", "parse_config", "SCENARIOS", "SWEEP_AXES"]
 
 SCENARIOS = ("fig2a", "fig2b", "fig2c", "fig2d", "fig4", "readout", "custom")
-# scenarios whose pulse length is T = |alpha| / |epsilon|, so epsilon must be nonzero
-_PULSE_FROM_EPSILON = ("fig2a", "fig2b", "fig2c", "custom")
+# the quantity each sweep scenario varies; fig4 and readout sweep nothing
+SWEEP_AXES = {
+    "fig2a": "alpha_sq", "fig2b": "alpha_sq", "custom": "alpha_sq",
+    "fig2c": "lambda", "fig2d": "epsilon_abs",
+}
+_DEFAULT_GRIDS = {
+    "alpha_sq": (1.0, 2.0, 4.0, 6.0, 9.0),
+    "lambda": (0.05, 0.075, 0.1, 0.15, 0.2),
+    "epsilon_abs": (0.02, 0.04, 0.06, 0.08, 0.10),
+}
 
 
 class ConfigError(ValueError):
@@ -65,7 +73,13 @@ class ScenarioConfig:
             return SystemParams(omega_c=self.omega_c, omega_q=self.omega_q, g=self.g)
         return SystemParams.from_lambda(g=self.g, lam=lam, omega_c=self.omega_c)
 
-    def sweep_grid(self, default: tuple[float, ...]) -> tuple[float, ...]:
+    @property
+    def sweep_axis(self) -> Optional[str]:
+        """The swept quantity (alpha_sq, lambda or epsilon_abs); None for fig4 and readout."""
+        return SWEEP_AXES.get(self.scenario)
+
+    def sweep_grid(self) -> tuple[float, ...]:
+        """Values of the swept quantity: sweep_values, else the linear sweep, else the default."""
         if self.sweep_values is not None:
             return self.sweep_values
         if self.sweep_start is not None or self.sweep_stop is not None:
@@ -74,7 +88,7 @@ class ScenarioConfig:
             n = self.sweep_points
             step = (self.sweep_stop - self.sweep_start) / (n - 1)
             return tuple(self.sweep_start + i * step for i in range(n))
-        return default
+        return _DEFAULT_GRIDS[self.sweep_axis]
 
 
 _BOOL = {"on": True, "true": True, "1": True, "yes": True,
@@ -97,10 +111,12 @@ def _parse_choice(value: str, key: str, line: int, choices: tuple[str, ...]) -> 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse key=value lines into a typed ScenarioConfig.
 
-    Unknown keys, unparsable or non-finite values, an empty sweep, a zero
-    drive where the pulse length is derived from it, and inconsistent derived
-    quantities (an omega_q that contradicts the given lambda) are errors
-    carrying the line number.  An empty file yields all defaults.
+    Unknown keys, unparsable or non-finite values, an empty sweep, sweep
+    values the numerics cannot use (alpha_sq or epsilon_abs <= 0, lambda = 0),
+    a zero drive or alpha_sq where the pulse length is derived from it, and
+    inconsistent derived quantities (an omega_q that contradicts the given
+    lambda) are errors carrying the line number.  An empty file yields all
+    defaults.
     """
     values: dict = {}
     seen: dict[str, int] = {}
@@ -118,12 +134,23 @@ def parse_config(text: str) -> ScenarioConfig:
         seen[key] = lineno
 
     cfg = ScenarioConfig(**values)
-    if cfg.epsilon == 0 and cfg.scenario in _PULSE_FROM_EPSILON:
-        raise ConfigError(
-            f"epsilon must be nonzero for scenario={cfg.scenario}: "
-            "the pulse length is |alpha| / |epsilon|",
-            seen["epsilon"],
-        )
+    axis = cfg.sweep_axis
+    if axis is not None:
+        # every sweep point has pulse length T = |alpha| / |epsilon|
+        for key, swept in (("epsilon", "epsilon_abs"), ("alpha_sq", "alpha_sq")):
+            if axis != swept and getattr(cfg, key) == 0:
+                raise ConfigError(
+                    f"{key} must be nonzero for scenario={cfg.scenario}: "
+                    "the pulse length is |alpha| / |epsilon|",
+                    seen[key],
+                )
+        grid = cfg.sweep_grid()
+        for i, v in enumerate(grid):
+            if v == 0 if axis == "lambda" else v <= 0:
+                key = ("sweep_values" if cfg.sweep_values is not None
+                       else "sweep_stop" if i == len(grid) - 1 else "sweep_start")
+                rule = "nonzero" if axis == "lambda" else "positive"
+                raise ConfigError(f"swept {axis} must be {rule}, got {v:g}", seen[key])
     if cfg.omega_q is not None and "lambda" in seen:
         derived = cfg.g / (cfg.omega_q - cfg.omega_c)
         if abs(derived - cfg.lam) > 1e-9 * max(1.0, abs(cfg.lam)):
@@ -195,7 +222,10 @@ def _apply_key(values: dict, key: str, value: str, line: int) -> None:
             raise ConfigError("sweep_values must list at least one number", line)
         values["sweep_values"] = sweep
     elif key == "alpha_sq":
-        values["alpha_sq"] = as_float()
+        alpha_sq = as_float()
+        if alpha_sq < 0:
+            raise ConfigError("alpha_sq must be >= 0", line)
+        values["alpha_sq"] = alpha_sq
     elif key == "eta_abs":
         eta_abs = as_float()
         if eta_abs <= 0:

@@ -50,10 +50,14 @@ def dressed_vs_bare_gap(
     return FidelityGap(f_d, f_b, f_d - f_b)
 
 
-def excited_probability(psi: np.ndarray) -> float:
-    """Population of the excited qubit branch, summed over all photon numbers."""
-    n_max = psi.shape[0] // 2
-    return float(np.sum(np.abs(psi[n_max:]) ** 2))
+def excited_probability(psi: np.ndarray):
+    """Population of the excited qubit branch, summed over all photon numbers.
+
+    A stack of states (states along the last axis) gives an array of populations.
+    """
+    n_max = psi.shape[-1] // 2
+    p_e = np.sum(np.abs(psi[..., n_max:]) ** 2, axis=-1)
+    return float(p_e) if p_e.ndim == 0 else p_e
 
 
 def photon_number(psi: np.ndarray) -> float:

@@ -1,11 +1,19 @@
 """Scenario runner: figure sweeps, qubit-drive phase traces, readout contrast.
 
 Each scenario drives the full lab-frame dynamics (no dispersive approximation)
-and compares against the closed-form dressed-coherent-state predictions.  The
-sweeps are embarrassingly parallel over points; every input a worker touches
-is immutable, so points may be dispatched to a process pool and are collected
-back in sweep order.  Runs are deterministic: identical configs produce
-identical physics columns (wall-time bookkeeping aside).
+and compares against the closed-form dressed-coherent-state predictions.
+There are three kinds of point, each with one builder that returns its runs
+(Hamiltonian, initial state, time grid, drive): a cavity-drive fidelity
+point (fig2a-d, custom), the fig4 qubit-drive point and the readout point.
+``sim run`` scores every run of every point; ``sim check``
+(``convergence_probe``) builds the first point with the same builder and
+checks its first run.  The five sweep scenarios share one runner, driven by
+the swept quantity (``config.SWEEP_AXES``) and a table of CSV columns.
+
+The sweeps are embarrassingly parallel over points; every input a worker
+touches is immutable, so points may be dispatched to a process pool and are
+collected back in sweep order.  Runs are deterministic: identical configs
+produce identical physics columns (wall-time bookkeeping aside).
 """
 
 from __future__ import annotations
@@ -15,14 +23,15 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import metrics
-from .config import ConfigError, ScenarioConfig
+from .config import SWEEP_AXES, ConfigError, ScenarioConfig
 from .dressed import dressed_basis, dressed_coherent_state, dressed_state
 from .dynamics import (
+    TimeDependentHamiltonian,
     TimeGrid,
     convergence_check,
     integrate,
@@ -33,10 +42,6 @@ from .hilbert import FockCutoff, SystemParams, basis_state, required_cutoff
 from .propagators import DriveParams, QubitDriveParams, alpha_ge, phase_corrected_amplitudes
 
 __all__ = ["ScenarioResult", "run_scenario", "emit_csv", "convergence_probe", "dt_bound"]
-
-ALPHA_SQ_GRID = (1.0, 2.0, 4.0, 6.0, 9.0)
-LAMBDA_GRID = (0.05, 0.075, 0.1, 0.15, 0.2)
-EPSILON_GRID = (0.02, 0.04, 0.06, 0.08, 0.10)
 
 
 @dataclass(frozen=True)
@@ -126,50 +131,170 @@ def _branch_targets(drive: DriveParams, params: SystemParams, phase_correction: 
     )
 
 
-def _fidelity_point(config: ScenarioConfig, lam: float, eps_abs: float, alpha_sq: float) -> dict:
-    """Drive both qubit branches to the target photon number and score the overlaps.
+class Run(NamedTuple):
+    """One lab-frame evolution of a point: integrate(ham, psi0, grid) under ``drive``."""
+
+    ham: TimeDependentHamiltonian
+    psi0: np.ndarray
+    grid: TimeGrid
+    drive: DriveParams | QubitDriveParams
+
+
+def _final(run: Run) -> np.ndarray:
+    return integrate(run.ham, run.psi0, run.grid, store_every=run.grid.steps).final
+
+
+def _converged(run: Run) -> bool:
+    return convergence_check(run.ham, run.psi0, run.grid).passed
+
+
+# ---------------------------------------------------------------------------
+# point builders, shared by sim run and sim check: each returns the system
+# parameters and the point's runs by label; convergence_probe checks the first
+
+def _cavity_point(config: ScenarioConfig, lam: float, eps_abs: float, alpha_sq: float):
+    """Runs of one fidelity point: the ground branch, then the excited branch.
 
     Ground branch: start |g,0>, drive at omega_c - chi.  Excited branch: start
     from the dressed (or bare, per config) excited state, drive at
     omega_c + chi.  At these branch resonances |alpha(T)| = |eps| T, so the
     pulse length for a target amplitude is simply T = |alpha| / |eps|.
     """
-    t_start = time.perf_counter()
-    params = config.system_params(lam_override=lam if lam != config.lam else None)
+    params = config.system_params()
+    if lam != params.lam:  # a swept lambda is the simulated one, even with omega_q given
+        params = config.system_params(lam_override=lam)
     alpha_abs = math.sqrt(alpha_sq)
     T = alpha_abs / eps_abs
     epsilon = eps_abs * np.exp(1j * np.angle(complex(config.epsilon))) if config.epsilon else eps_abs
     cutoff = _cutoff_for(alpha_abs, config.n_max)
-    basis = dressed_basis(params, cutoff, config.basis)
-    prep_basis = dressed_basis(params, cutoff, "exact")
     dt_cap = config.dt or dt_bound(params, cutoff, eps_abs, cosine=config.drive_form == "cosine")
     grid = TimeGrid.for_duration(T, dt_cap)
-
-    out: dict = {"alpha_sq": alpha_sq, "lambda": lam, "eps_abs": eps_abs, "converged": True}
-    for branch in ("g", "e"):
-        omega_d = params.omega_c - params.chi if branch == "g" else params.omega_c + params.chi
+    if (config.initial or "dressed") == "dressed":
+        psi0_e = dressed_state("e", 0, dressed_basis(params, cutoff, "exact"))
+    else:
+        psi0_e = basis_state(cutoff, "e", 0)
+    runs = {}
+    for branch, omega_d, psi0 in (
+        ("g", params.omega_c - params.chi, basis_state(cutoff, "g", 0)),
+        ("e", params.omega_c + params.chi, psi0_e),
+    ):
         drive = DriveParams(epsilon, omega_d, T)
-        if branch == "g":
-            psi0 = basis_state(cutoff, "g", 0)
-        elif (config.initial or "dressed") == "dressed":
-            psi0 = dressed_state("e", 0, prep_basis)
-        else:
-            psi0 = basis_state(cutoff, "e", 0)
         ham = lab_drive_hamiltonian(params, drive, cutoff, config.drive_form)
-        psi = integrate(ham, psi0, grid, store_every=grid.steps).final
-        ag_t, ae_t = _branch_targets(drive, params, config.phase_correction)
-        target = ag_t if branch == "g" else ae_t
+        runs[branch] = Run(ham, psi0, grid, drive)
+    return params, runs
+
+
+def _point_args(config: ScenarioConfig, value: float) -> tuple[float, float, float]:
+    """(lam, eps_abs, alpha_sq) of the sweep point whose swept quantity is ``value``."""
+    args = {
+        "lambda": config.system_params().lam,
+        "epsilon_abs": abs(complex(config.epsilon)),
+        "alpha_sq": config.alpha_sq,
+        config.sweep_axis: value,
+    }
+    return args["lambda"], args["epsilon_abs"], args["alpha_sq"]
+
+
+def _eta_abs(config: ScenarioConfig, params: SystemParams) -> float:
+    return config.eta_abs if config.eta_abs is not None else 0.05 * params.omega_q
+
+
+def _qubit_drive_point(config: ScenarioConfig):
+    """fig4's runs: the dressed coherent state with beta real, then imaginary.
+
+    The initial cavity+qubit state is the dressed coherent state itself (the
+    exact-basis construction), which pins the phase of beta exactly; the
+    qubit drive then runs for one full period of its strength.
+    """
+    params = config.system_params()
+    beta_abs = math.sqrt(config.alpha_sq)
+    eta_abs = _eta_abs(config, params)
+    omega = (
+        config.omega_drive
+        if config.omega_drive is not None
+        else params.omega_q + params.chi * (2.0 * config.alpha_sq + 2.0)
+    )
+    tau_max = 2.0 * math.pi / eta_abs
+    cutoff = _cutoff_for(beta_abs, config.n_max)
+    basis = dressed_basis(params, cutoff, "exact")
+    drive = QubitDriveParams(eta_abs * np.exp(1j * config.eta_phase), omega, tau_max)
+    ham = qubit_drive_lab_hamiltonian(params, drive, cutoff)
+    dt_cap = config.dt or dt_bound(params, cutoff, 0.0, eta_abs=eta_abs)
+    grid = TimeGrid.for_duration(tau_max, dt_cap)
+    return params, {
+        label: Run(ham, dressed_coherent_state("g", beta, basis), grid, drive)
+        for label, beta in (("real", beta_abs + 0j), ("imag", 1j * beta_abs))
+    }
+
+
+def _readout_point(config: ScenarioConfig):
+    """Readout runs: drive at omega_c - chi for T = pi/chi from |g,0>, then from |e>.
+
+    The excited start is the bare |e,0> unless config.initial says dressed.
+    """
+    params = config.system_params()
+    eps = complex(config.epsilon)
+    drive = DriveParams(eps, params.omega_c - params.chi, math.pi / params.chi)
+    ag, _ = alpha_ge(drive, params)
+    cutoff = _cutoff_for(abs(ag), config.n_max)
+    dt_cap = config.dt or dt_bound(params, cutoff, abs(eps), cosine=config.drive_form == "cosine")
+    grid = TimeGrid.for_duration(drive.T, dt_cap)
+    ham = lab_drive_hamiltonian(params, drive, cutoff, config.drive_form)
+    if (config.initial or "bare") == "bare":
+        psi0_e = basis_state(cutoff, "e", 0)
+    else:
+        psi0_e = dressed_state("e", 0, dressed_basis(params, cutoff, "exact"))
+    return params, {
+        "g": Run(ham, basis_state(cutoff, "g", 0), grid, drive),
+        "e": Run(ham, psi0_e, grid, drive),
+    }
+
+
+def convergence_probe(config: ScenarioConfig):
+    """Convergence report for sim check: the first run of the scenario's first point.
+
+    The point is built by the same builder as in sim run; the run checked is
+    the |g,0> start for the cavity-drive scenarios and readout, and real beta
+    for fig4.
+    """
+    if config.scenario == "fig4":
+        _, runs = _qubit_drive_point(config)
+    elif config.scenario == "readout":
+        _, runs = _readout_point(config)
+    else:
+        _, runs = _cavity_point(config, *_point_args(config, config.sweep_grid()[0]))
+    run = next(iter(runs.values()))
+    return convergence_check(run.ham, run.psi0, run.grid)
+
+
+# ---------------------------------------------------------------------------
+# runners
+
+def _fidelity_point(config: ScenarioConfig, lam: float, eps_abs: float, alpha_sq: float) -> dict:
+    """Drive both qubit branches to the target photon number and score the overlaps."""
+    t_start = time.perf_counter()
+    params, runs = _cavity_point(config, lam, eps_abs, alpha_sq)
+    basis = dressed_basis(params, runs["g"].ham.cutoff, config.basis)
+    out: dict = {"alpha_sq": alpha_sq, "lambda": lam, "epsilon_abs": eps_abs, "converged": True}
+    for branch, run in runs.items():
+        psi = _final(run)
+        target = _branch_targets(run.drive, params, config.phase_correction)["ge".index(branch)]
         f_d, f_b, gap = metrics.dressed_vs_bare_gap(psi, target, branch, basis)
         out[f"F_D_{branch}"] = f_d
+        out[f"one_minus_F_D_{branch}"] = 1.0 - f_d
         out[f"F_{branch}"] = f_b
         out[f"gap_{branch}"] = gap
         out[f"P_e_{branch}"] = metrics.excited_probability(psi)
         out[f"n_{branch}"] = metrics.photon_number(psi)
         out[f"entropy_{branch}"] = metrics.entanglement_entropy(psi)
         if config.check_convergence:
-            out["converged"] &= convergence_check(ham, psi0, grid).passed
+            out["converged"] &= _converged(run)
     out["wall_time_s"] = time.perf_counter() - t_start
     return out
+
+
+def _sweep_point(config: ScenarioConfig, value: float) -> dict:
+    return _fidelity_point(config, *_point_args(config, value))
 
 
 def _map_points(fn, items: Sequence, workers: int) -> list:
@@ -195,162 +320,56 @@ def _meta(config: ScenarioConfig, params: SystemParams, **extra) -> dict:
     return meta
 
 
-# ---------------------------------------------------------------------------
-# figure-style sweeps
-
-def _run_fig2a(config: ScenarioConfig) -> ScenarioResult:
-    grid = config.sweep_grid(ALPHA_SQ_GRID)
-    eps_abs = abs(complex(config.epsilon))
-    fn = partial(_fidelity_point, config, config.lam, eps_abs)
-    points = _map_points(fn, grid, config.workers)
-    columns = (
-        "alpha_sq", "one_minus_F_D_g", "one_minus_F_D_e", "F_D_g", "F_D_e",
-        "gap_g", "gap_e", "P_e_g", "P_e_e", "n_g", "n_e", "entropy_g",
-        "entropy_e", "converged", "wall_time_s",
-    )
-    rows = tuple(
-        (
-            p["alpha_sq"], 1.0 - p["F_D_g"], 1.0 - p["F_D_e"], p["F_D_g"], p["F_D_e"],
-            p["gap_g"], p["gap_e"], p["P_e_g"], p["P_e_e"], p["n_g"], p["n_e"],
-            p["entropy_g"], p["entropy_e"], p["converged"], p["wall_time_s"],
-        )
-        for p in points
-    )
-    return ScenarioResult("fig2a", columns, rows, _meta(config, config.system_params()))
+_FIDELITY = ("one_minus_F_D_g", "one_minus_F_D_e", "F_D_g", "F_D_e")
+# CSV columns of each sweep after the swept quantity; converged and wall_time_s close a row
+_SWEEP_COLUMNS = {
+    "fig2a": (*_FIDELITY, "gap_g", "gap_e", "P_e_g", "P_e_e", "n_g", "n_e",
+              "entropy_g", "entropy_e"),
+    "fig2b": ("F_D_g", "F_g", "gap_g", "F_D_e", "F_e", "gap_e"),
+    "fig2c": _FIDELITY,
+    "fig2d": _FIDELITY,
+}
+_SWEEP_COLUMNS["custom"] = _SWEEP_COLUMNS["fig2a"]
 
 
-def _run_fig2b(config: ScenarioConfig) -> ScenarioResult:
-    grid = config.sweep_grid(ALPHA_SQ_GRID)
-    eps_abs = abs(complex(config.epsilon))
-    fn = partial(_fidelity_point, config, config.lam, eps_abs)
-    points = _map_points(fn, grid, config.workers)
-    columns = (
-        "alpha_sq", "F_D_g", "F_g", "gap_g", "F_D_e", "F_e", "gap_e",
-        "converged", "wall_time_s",
-    )
-    rows = tuple(
-        (
-            p["alpha_sq"], p["F_D_g"], p["F_g"], p["gap_g"],
-            p["F_D_e"], p["F_e"], p["gap_e"], p["converged"], p["wall_time_s"],
-        )
-        for p in points
-    )
-    return ScenarioResult("fig2b", columns, rows, _meta(config, config.system_params()))
-
-
-def _run_fig2c(config: ScenarioConfig) -> ScenarioResult:
-    grid = config.sweep_grid(LAMBDA_GRID)
-    eps_abs = abs(complex(config.epsilon))
-    fn = partial(_lambda_point, config, eps_abs, config.alpha_sq)
-    points = _map_points(fn, grid, config.workers)
-    columns = (
-        "lambda", "one_minus_F_D_g", "one_minus_F_D_e", "F_D_g", "F_D_e",
-        "converged", "wall_time_s",
-    )
-    rows = tuple(
-        (
-            p["lambda"], 1.0 - p["F_D_g"], 1.0 - p["F_D_e"], p["F_D_g"], p["F_D_e"],
-            p["converged"], p["wall_time_s"],
-        )
-        for p in points
-    )
+def _run_sweep(config: ScenarioConfig) -> ScenarioResult:
+    """One row per swept value; the metadata names alpha_sq where it is held fixed."""
+    axis = config.sweep_axis
+    points = _map_points(partial(_sweep_point, config), config.sweep_grid(), config.workers)
+    columns = (axis, *_SWEEP_COLUMNS[config.scenario], "converged", "wall_time_s")
+    rows = tuple(tuple(p[c] for c in columns) for p in points)
+    extra = {} if axis == "alpha_sq" else {"alpha_sq": f"{config.alpha_sq:g}"}
     return ScenarioResult(
-        "fig2c", columns, rows,
-        _meta(config, config.system_params(), alpha_sq=f"{config.alpha_sq:g}"),
+        config.scenario, columns, rows, _meta(config, config.system_params(), **extra)
     )
 
-
-def _lambda_point(config: ScenarioConfig, eps_abs: float, alpha_sq: float, lam: float) -> dict:
-    return _fidelity_point(config, lam, eps_abs, alpha_sq)
-
-
-def _run_fig2d(config: ScenarioConfig) -> ScenarioResult:
-    grid = config.sweep_grid(EPSILON_GRID)
-    fn = partial(_epsilon_point, config, config.alpha_sq)
-    points = _map_points(fn, grid, config.workers)
-    columns = (
-        "epsilon_abs", "one_minus_F_D_g", "one_minus_F_D_e", "F_D_g", "F_D_e",
-        "converged", "wall_time_s",
-    )
-    rows = tuple(
-        (
-            p["eps_abs"], 1.0 - p["F_D_g"], 1.0 - p["F_D_e"], p["F_D_g"], p["F_D_e"],
-            p["converged"], p["wall_time_s"],
-        )
-        for p in points
-    )
-    return ScenarioResult(
-        "fig2d", columns, rows,
-        _meta(config, config.system_params(), alpha_sq=f"{config.alpha_sq:g}"),
-    )
-
-
-def _epsilon_point(config: ScenarioConfig, alpha_sq: float, eps_abs: float) -> dict:
-    return _fidelity_point(config, config.lam, eps_abs, alpha_sq)
-
-
-def _run_custom(config: ScenarioConfig) -> ScenarioResult:
-    result = _run_fig2a(config)
-    return ScenarioResult("custom", result.columns, result.rows, result.meta)
-
-
-# ---------------------------------------------------------------------------
-# qubit-drive phase dependence
 
 def _run_fig4(config: ScenarioConfig) -> ScenarioResult:
-    """Excited-state probability vs time for beta purely real vs purely imaginary.
-
-    The initial cavity+qubit state is the dressed coherent state itself (the
-    exact-basis construction), which pins the phase of beta exactly; the
-    qubit drive then runs for one full period of its strength.
-    """
+    """Excited-state probability vs time for beta purely real vs purely imaginary."""
     t_start = time.perf_counter()
-    params = config.system_params()
-    beta_abs = math.sqrt(config.alpha_sq)
-    eta_abs = config.eta_abs if config.eta_abs is not None else 0.05 * params.omega_q
-    eta = eta_abs * np.exp(1j * config.eta_phase)
-    omega = (
-        config.omega_drive
-        if config.omega_drive is not None
-        else params.omega_q + params.chi * (2.0 * config.alpha_sq + 2.0)
-    )
-    tau_max = 2.0 * math.pi / eta_abs
-    cutoff = _cutoff_for(beta_abs, config.n_max)
-    basis = dressed_basis(params, cutoff, "exact")
-    qd = QubitDriveParams(eta, omega, tau_max)
-    ham = qubit_drive_lab_hamiltonian(params, qd, cutoff)
-    dt_cap = config.dt or dt_bound(params, cutoff, 0.0, eta_abs=eta_abs)
-    grid = TimeGrid.for_duration(tau_max, dt_cap)
-    store_every = max(1, grid.steps // max(2, config.time_points))
+    params, runs = _qubit_drive_point(config)
+    real = runs["real"]
+    store_every = max(1, real.grid.steps // max(2, config.time_points))
+    pe = {}
+    for label, run in runs.items():
+        traj = integrate(run.ham, run.psi0, run.grid, store_every=store_every)
+        pe[label] = metrics.excited_probability(traj.states)
+    converged = not config.check_convergence or _converged(real)
 
-    curves = {}
-    for label, beta in (("real", beta_abs + 0j), ("imag", 1j * beta_abs)):
-        psi0 = dressed_coherent_state("g", beta, basis)
-        traj = integrate(ham, psi0, grid, store_every=store_every)
-        curves[label] = (traj.times, np.array([metrics.excited_probability(s) for s in traj.states]))
-
-    converged = True
-    if config.check_convergence:
-        psi0 = dressed_coherent_state("g", beta_abs + 0j, basis)
-        converged = convergence_check(ham, psi0, grid).passed
-
-    times = curves["real"][0]
-    pe_r, pe_i = curves["real"][1], curves["imag"][1]
+    pe_r, pe_i = pe["real"], pe["imag"]
     columns = ("t", "P_e_beta_real", "P_e_beta_imag", "abs_diff", "converged")
     rows = tuple(
-        (t, pr, pi, abs(pr - pi), converged) for t, pr, pi in zip(times, pe_r, pe_i)
+        (t, pr, pi, abs(pr - pi), converged) for t, pr, pi in zip(traj.times, pe_r, pe_i)
     )
     meta = _meta(
         config, params,
-        beta_sq=f"{config.alpha_sq:g}", eta_abs=f"{eta_abs:g}", omega_drive=f"{omega:g}",
+        beta_sq=f"{config.alpha_sq:g}", eta_abs=f"{_eta_abs(config, params):g}",
+        omega_drive=f"{real.drive.omega:g}",
         max_abs_diff=f"{float(np.max(np.abs(pe_r - pe_i))):.6f}",
         wall_time_s=f"{time.perf_counter() - t_start:.3f}",
     )
     return ScenarioResult("fig4", columns, rows, meta)
 
-
-# ---------------------------------------------------------------------------
-# dispersive readout contrast
 
 def _run_readout(config: ScenarioConfig) -> ScenarioResult:
     """Conditional cavity occupation at the readout operating point.
@@ -361,41 +380,19 @@ def _run_readout(config: ScenarioConfig) -> ScenarioResult:
     from the bare excited state is the spurious population that limits the
     measurement contrast; it is compared against the closed-form prediction
     sin^2(lam) (cos^2(lam) + 1 + |alpha_g|^2) evaluated with the simulated
-    ground-branch photon number.
+    ground-branch photon number.  (The dressed eigenstate start leaves only
+    the ~lam^2 dressing background.)
     """
     t_start = time.perf_counter()
-    params = config.system_params()
-    eps = complex(config.epsilon)
-    T = math.pi / params.chi
-    drive = DriveParams(eps, params.omega_c - params.chi, T)
+    params, runs = _readout_point(config)
+    n_g, n_e = (metrics.photon_number(_final(run)) for run in runs.values())
+    drive = runs["g"].drive
     ag, ae = alpha_ge(drive, params)
-    cutoff = _cutoff_for(abs(ag), config.n_max)
-    dt_cap = config.dt or dt_bound(params, cutoff, abs(eps), cosine=config.drive_form == "cosine")
-    grid = TimeGrid.for_duration(T, dt_cap)
-    ham = lab_drive_hamiltonian(params, drive, cutoff, config.drive_form)
-
-    psi0_g = basis_state(cutoff, "g", 0)
-    n_g = metrics.photon_number(integrate(ham, psi0_g, grid, store_every=grid.steps).final)
-
-    # spurious population exists for the *bare* excited start; the dressed
-    # eigenstate start leaves only the ~lam^2 dressing background
-    initial = config.initial or "bare"
-    if initial == "bare":
-        psi0_e = basis_state(cutoff, "e", 0)
-    else:
-        psi0_e = dressed_state("e", 0, dressed_basis(params, cutoff, "exact"))
-    n_e = metrics.photon_number(integrate(ham, psi0_e, grid, store_every=grid.steps).final)
 
     lam = params.lam
     predicted = math.sin(lam) ** 2 * (math.cos(lam) ** 2 + 1.0 + n_g)
     rel_error = abs(n_e - predicted) / predicted if predicted > 0 else float("nan")
-
-    converged = True
-    if config.check_convergence:
-        converged = (
-            convergence_check(ham, psi0_g, grid).passed
-            and convergence_check(ham, psi0_e, grid).passed
-        )
+    converged = not config.check_convergence or all(_converged(r) for r in runs.values())
 
     columns = (
         "alpha_g_abs_analytic", "alpha_e_abs_analytic", "n_g_sim", "n_e_sim",
@@ -404,68 +401,10 @@ def _run_readout(config: ScenarioConfig) -> ScenarioResult:
     rows = ((abs(ag), abs(ae), n_g, n_e, predicted, rel_error, converged,
              time.perf_counter() - t_start),)
     meta = _meta(
-        config, params, T=f"{T:g}", omega_d=f"{params.omega_c - params.chi:g}",
-        initial=initial,
+        config, params, T=f"{drive.T:g}", omega_d=f"{drive.omega_d:g}",
+        initial=config.initial or "bare",
     )
     return ScenarioResult("readout", columns, rows, meta)
 
 
-def convergence_probe(config: ScenarioConfig):
-    """Convergence report for the first point of the configured scenario (sim check)."""
-    params = config.system_params()
-    if config.scenario == "fig4":
-        beta_abs = math.sqrt(config.alpha_sq)
-        eta_abs = config.eta_abs if config.eta_abs is not None else 0.05 * params.omega_q
-        omega = (
-            config.omega_drive
-            if config.omega_drive is not None
-            else params.omega_q + params.chi * (2.0 * config.alpha_sq + 2.0)
-        )
-        tau_max = 2.0 * math.pi / eta_abs
-        cutoff = _cutoff_for(beta_abs, config.n_max)
-        qd = QubitDriveParams(eta_abs * np.exp(1j * config.eta_phase), omega, tau_max)
-        ham = qubit_drive_lab_hamiltonian(params, qd, cutoff)
-        psi0 = dressed_coherent_state("g", beta_abs + 0j, dressed_basis(params, cutoff, "exact"))
-        dt_cap = config.dt or dt_bound(params, cutoff, 0.0, eta_abs=eta_abs)
-        grid = TimeGrid.for_duration(tau_max, dt_cap)
-        return convergence_check(ham, psi0, grid)
-
-    eps_abs = abs(complex(config.epsilon))
-    if config.scenario == "readout":
-        T = math.pi / params.chi
-        alpha_abs = eps_abs * T
-        omega_d = params.omega_c - params.chi
-    else:
-        first = config.sweep_grid(
-            ALPHA_SQ_GRID if config.scenario in ("fig2a", "fig2b", "custom") else
-            LAMBDA_GRID if config.scenario == "fig2c" else EPSILON_GRID
-        )[0]
-        if config.scenario == "fig2c":
-            params = config.system_params(lam_override=first)
-            alpha_abs = math.sqrt(config.alpha_sq)
-        elif config.scenario == "fig2d":
-            eps_abs = first
-            alpha_abs = math.sqrt(config.alpha_sq)
-        else:
-            alpha_abs = math.sqrt(first)
-        T = alpha_abs / eps_abs
-        omega_d = params.omega_c - params.chi
-    eps = eps_abs * np.exp(1j * np.angle(complex(config.epsilon))) if config.epsilon else eps_abs
-    drive = DriveParams(eps, omega_d, T)
-    cutoff = _cutoff_for(alpha_abs, config.n_max)
-    ham = lab_drive_hamiltonian(params, drive, cutoff, config.drive_form)
-    psi0 = basis_state(cutoff, "g", 0)
-    dt_cap = config.dt or dt_bound(params, cutoff, eps_abs, cosine=config.drive_form == "cosine")
-    grid = TimeGrid.for_duration(T, dt_cap)
-    return convergence_check(ham, psi0, grid)
-
-
-_RUNNERS = {
-    "fig2a": _run_fig2a,
-    "fig2b": _run_fig2b,
-    "fig2c": _run_fig2c,
-    "fig2d": _run_fig2d,
-    "fig4": _run_fig4,
-    "readout": _run_readout,
-    "custom": _run_custom,
-}
+_RUNNERS = {"fig4": _run_fig4, "readout": _run_readout, **dict.fromkeys(SWEEP_AXES, _run_sweep)}

@@ -53,17 +53,16 @@ class TestParseConfig:
     def test_bool_and_sweep_values(self):
         cfg = parse_config("phase_correction=off\nsweep_values=1,2,4\nworkers=2\n")
         assert cfg.phase_correction is False
-        assert cfg.sweep_grid((9.0,)) == (1.0, 2.0, 4.0)
+        assert cfg.sweep_grid() == (1.0, 2.0, 4.0)
         assert cfg.workers == 2
 
     def test_incomplete_sweep_rejected(self):
-        cfg = parse_config("sweep_start=1\nsweep_stop=2\n")
         with pytest.raises(ConfigError, match="sweep_points"):
-            cfg.sweep_grid((1.0,))
+            parse_config("sweep_start=1\nsweep_stop=2\n")
 
     def test_linear_sweep(self):
         cfg = parse_config("sweep_start=1\nsweep_stop=3\nsweep_points=3\n")
-        assert cfg.sweep_grid(()) == (1.0, 2.0, 3.0)
+        assert cfg.sweep_grid() == (1.0, 2.0, 3.0)
 
 
 class TestConfigFaults:
@@ -108,6 +107,30 @@ class TestConfigFaults:
         # fig2d sweeps |epsilon| itself and reads only arg(epsilon)
         assert parse_config("scenario=fig2d\nepsilon=0\n").epsilon == 0
 
+    @pytest.mark.parametrize("text, line, key", [
+        ("scenario=fig2b\nsweep_values=-1\n", 2, "alpha_sq"),
+        ("scenario=fig2a\nsweep_start=-1\nsweep_stop=4\nsweep_points=3\n", 2, "alpha_sq"),
+        ("scenario=custom\n\nsweep_values=1,0\n", 3, "alpha_sq"),
+        ("scenario=fig2a\nsweep_start=4\nsweep_stop=0\nsweep_points=2\n", 3, "alpha_sq"),
+        ("scenario=fig4\nalpha_sq=-1\n", 2, "alpha_sq"),
+        ("alpha_sq=-0.5\nscenario=fig2c\n", 1, "alpha_sq"),
+        ("scenario=fig2c\nalpha_sq=0\n", 2, "alpha_sq"),
+        ("alpha_sq=0\nscenario=fig2d\n", 1, "alpha_sq"),
+        ("scenario=fig2c\nsweep_values=0.1,0\n", 2, "lambda"),
+        ("scenario=fig2c\nsweep_start=-0.1\nsweep_stop=0.1\nsweep_points=3\n", 2, "lambda"),
+        ("scenario=fig2d\nsweep_values=0\n", 2, "epsilon_abs"),
+        ("scenario=fig2d\nsweep_values=0.02,-0.01\n", 2, "epsilon_abs"),
+        ("scenario=fig2d\nsweep_start=0\nsweep_stop=0.1\nsweep_points=3\n", 2, "epsilon_abs"),
+    ])
+    def test_sweep_value_the_numerics_cannot_use(self, tmp_path, capsys, text, line, key):
+        code, err = self._run(tmp_path, capsys, text)
+        assert code == 1
+        assert f"line {line}:" in err and key in err
+
+    def test_zero_beta_sq_accepted_by_fig4(self):
+        # fig4's drive length is set by eta, not by the amplitude
+        assert parse_config("scenario=fig4\nalpha_sq=0\n").alpha_sq == 0
+
     @pytest.mark.parametrize("value", ["0", "-1.1"])
     def test_nonpositive_eta_abs(self, tmp_path, capsys, value):
         code, err = self._run(tmp_path, capsys, f"scenario=fig4\ncheck_convergence=off\neta_abs={value}\n")
@@ -148,7 +171,49 @@ check_convergence=off
 """
 
 
+_FIDELITY = "one_minus_F_D_g,one_minus_F_D_e,F_D_g,F_D_e"
+_FIG2A = f"alpha_sq,{_FIDELITY},gap_g,gap_e,P_e_g,P_e_e,n_g,n_e,entropy_g,entropy_e"
+_META = "g lambda omega_c omega_q chi epsilon drive_form phase_correction basis"
+# scenario -> (fast config, CSV header, keys of the '# scenario=' line)
+SCHEMAS = {
+    "fig2a": ("sweep_values=1", f"{_FIG2A},converged,wall_time_s", _META),
+    "fig2b": ("sweep_values=1", "alpha_sq,F_D_g,F_g,gap_g,F_D_e,F_e,gap_e,converged,wall_time_s",
+              _META),
+    "fig2c": ("sweep_values=0.1\nalpha_sq=1", f"lambda,{_FIDELITY},converged,wall_time_s",
+              f"{_META} alpha_sq"),
+    "fig2d": ("sweep_values=0.1\nalpha_sq=1", f"epsilon_abs,{_FIDELITY},converged,wall_time_s",
+              f"{_META} alpha_sq"),
+    "custom": ("sweep_values=1", f"{_FIG2A},converged,wall_time_s", _META),
+    "fig4": ("time_points=10", "t,P_e_beta_real,P_e_beta_imag,abs_diff,converged",
+             f"{_META} beta_sq eta_abs omega_drive max_abs_diff wall_time_s"),
+    "readout": ("", "alpha_g_abs_analytic,alpha_e_abs_analytic,n_g_sim,n_e_sim,"
+                "predicted_spurious_n,rel_error,converged,wall_time_s",
+                f"{_META} T omega_d initial"),
+}
+
+
 class TestRunScenario:
+    @pytest.mark.parametrize("scenario", list(SCHEMAS))
+    def test_csv_schema(self, tmp_path, scenario):
+        text, header, keys = SCHEMAS[scenario]
+        cfg = parse_config(f"scenario={scenario}\ncheck_convergence=off\n{text}\n")
+        path = tmp_path / "out.csv"
+        emit_csv(run_scenario(cfg), path)
+        meta, columns = path.read_text().splitlines()[:2]
+        assert meta.startswith(f"# scenario={scenario}, params=")
+        params = meta.split("params=", 1)[1].split(", ")
+        assert [kv.split("=", 1)[0] for kv in params] == keys.split()
+        assert columns == header
+
+    def test_swept_lambda_is_simulated_lambda(self):
+        # omega_q=105 means lambda=0.2; the row labelled lambda=0.1 must still simulate 0.1
+        sweep = "scenario=fig2c\nsweep_values=0.1,0.2\nalpha_sq=1\ncheck_convergence=off\n"
+        given = run_scenario(parse_config(sweep + "omega_q=105\n"))
+        plain = run_scenario(parse_config(sweep))
+        drop = given.columns.index("wall_time_s")
+        assert [r[:drop] for r in given.rows] == [r[:drop] for r in plain.rows]
+        assert given.rows[0][1] != given.rows[1][1]
+
     def test_fig2b_schema(self, tmp_path):
         cfg = parse_config(FAST_SCENARIO)
         result = run_scenario(cfg)
@@ -225,10 +290,11 @@ class TestCli:
         assert code == 0
         assert "# scenario=readout" in (tmp_path / "r.csv").read_text().splitlines()[0]
 
-    def test_check_subcommand(self, tmp_path, capsys):
-        cfg = self._write(tmp_path, FAST_SCENARIO)
+    @pytest.mark.parametrize("scenario", list(SCHEMAS))
+    def test_check_subcommand(self, tmp_path, capsys, scenario):
+        cfg = self._write(tmp_path, f"scenario={scenario}\n")
         assert main(["check", "--config", cfg]) == 0
-        assert "converged" in capsys.readouterr().out
+        assert capsys.readouterr().out.startswith(f"{scenario}: converged: ")
 
     def test_installed_entry_point(self, tmp_path):
         cfg = self._write(tmp_path, "scenario=fig9\n")

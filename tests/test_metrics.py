@@ -80,6 +80,14 @@ class TestPopulations:
         ground = float(np.sum(np.abs(psi[: cut.n_max]) ** 2))
         assert ground + excited_probability(psi) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n_max", [12, 28, 60])
+    def test_stack_matches_per_state(self, n_max):
+        rng = np.random.default_rng(n_max)
+        stack = rng.normal(size=(7, 2 * n_max)) + 1j * rng.normal(size=(7, 2 * n_max))
+        stack /= np.linalg.norm(stack, axis=1, keepdims=True)
+        per_state = [excited_probability(psi) for psi in stack]
+        np.testing.assert_array_equal(excited_probability(stack), per_state)
+
 
 class TestPhotonNumber:
     def test_vacuum(self, cutoff12):
