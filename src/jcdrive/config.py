@@ -113,7 +113,9 @@ def parse_config(text: str) -> ScenarioConfig:
 
     Unknown keys, unparsable or non-finite values, an empty sweep, sweep
     values the numerics cannot use (alpha_sq or epsilon_abs <= 0, lambda = 0),
-    a zero drive or alpha_sq where the pulse length is derived from it, and
+    an incomplete linear sweep, a zero drive or alpha_sq where the pulse
+    length is derived from it, a system outside the dispersive regime
+    (omega_q = omega_c, g = 0 with omega_q derived, |lambda| >= 1) and
     inconsistent derived quantities (an omega_q that contradicts the given
     lambda) are errors carrying the line number.  An empty file yields all
     defaults.
@@ -134,6 +136,11 @@ def parse_config(text: str) -> ScenarioConfig:
         seen[key] = lineno
 
     cfg = ScenarioConfig(**values)
+    try:
+        cfg.system_params()
+    except ValueError as exc:  # omega_q == omega_c (g = 0 derives it so), or |lambda| >= 1
+        key = "omega_q" if cfg.omega_q is not None else "g" if cfg.g == 0 else "lambda"
+        raise ConfigError(f"{key} gives no dispersive system: {exc}", seen.get(key)) from None
     axis = cfg.sweep_axis
     if axis is not None:
         # every sweep point has pulse length T = |alpha| / |epsilon|
@@ -144,7 +151,10 @@ def parse_config(text: str) -> ScenarioConfig:
                     "the pulse length is |alpha| / |epsilon|",
                     seen[key],
                 )
-        grid = cfg.sweep_grid()
+        try:
+            grid = cfg.sweep_grid()
+        except ConfigError as exc:  # an incomplete linear sweep
+            raise ConfigError(str(exc), seen.get("sweep_start", seen.get("sweep_stop"))) from None
         for i, v in enumerate(grid):
             if v == 0 if axis == "lambda" else v <= 0:
                 key = ("sweep_values" if cfg.sweep_values is not None

@@ -1,34 +1,29 @@
 """Full numerical time evolution of the driven lab-frame Hamiltonians.
 
-The integrator is a midpoint-exponential stepper,
+The run splits into segments with one set of active drive terms each.  Their
+boundaries come from the drive windows by bisection over the step midpoints
+t_k + dt/2, so a window edge that falls on a midpoint counts as inside, as
+in hamiltonian_at.  Each segment takes one of two paths:
 
-    psi_{k+1} = exp(-i dt H(t_k + dt/2)) psi_k,
+* exact: a segment with no active drive, or one whose drive terms rotate
+  uniformly, H(t) = R(t) H_0 R(t)^dag with R(t) = exp(-i omega t C) for a
+  diagonal conserved charge C (true for the single-tone cavity and qubit
+  drives here, which declare a RotatingFrame), is solved in closed form,
 
-second order in dt and exactly unitary per step, which keeps norms and
-fidelities trustworthy over millions of steps (explicit Runge-Kutta would
-not).  Two execution paths produce the identical product of step unitaries:
+      psi(t) = R(t) exp(-i (H_0 - omega C)(t - t_s)) R(t_s)^dag psi(t_s),
 
-* generic: one Hermitian eigendecomposition per step;
-* uniform-rotation fast path: when every active drive term rotates as
-  H(t) = R(t) H(0) R(t)^dag with R(t) = exp(-i omega t C) for a diagonal
-  conserved charge C (true for the single-tone cavity and qubit drives
-  here), the step unitaries differ only by diagonal phase sandwiches, and
-  the whole chain collapses to powers of one fixed unitary.  Those powers
-  are evaluated through a Schur form with the eigenphases renormalized to
-  unit modulus, so the result stays exactly unitary for any step count.
+  from one eigendecomposition; an undriven segment is the case omega = 0.
+  The frame is checked when the Hamiltonian is built, not here.
+* stepped: any other drive goes through the midpoint-exponential stepper,
 
-The fast path is verified against the declared rotation at runtime and falls
-back to the generic loop if the structure does not hold.
+      psi_{k+1} = exp(-i dt H(t_k + dt/2)) psi_k,
 
-No bookkeeping scales with the step count.  The run splits into segments
-with one set of active drive terms each; their boundaries come from the
-drive windows by bisection over the step midpoints, so a window edge that
-falls on a midpoint counts as inside, as in hamiltonian_at.  A static
-segment is one eigendecomposition of H_0.  On the fast paths, all stored
-snapshots of a segment and its final state are computed together, as one
-matrix of eigenphase powers times one fixed matrix, with R(t) applied
-elementwise.  convergence_check needs only final states, so its reruns
-store no intermediate snapshots.
+  second order in dt and exactly unitary per step, with one Hermitian
+  eigendecomposition per step.  force_generic sends every segment this way.
+
+On the exact path all stored snapshots of a segment come out of one matrix
+product, so no work scales with the step count.  convergence_check reruns
+store only final states, and a run with no stepped segment gets no dt/2 rerun.
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eigh, schur
+from scipy.linalg import eigh
 
 from .hilbert import (
     FockCutoff,
@@ -111,7 +106,7 @@ class RotatingFrame:
 
     Holds whenever the static part commutes with the charge and each drive
     operator shifts it by exactly one unit per factor of e^{+/- i omega t} in
-    its envelope.  integrate() verifies the claim numerically before using it.
+    its envelope.  TimeDependentHamiltonian checks the claim when it is built.
     """
 
     charge: np.ndarray
@@ -120,7 +115,12 @@ class RotatingFrame:
 
 @dataclass(frozen=True, eq=False)
 class TimeDependentHamiltonian:
-    """Static part plus windowed drive terms; Hermitian at every time."""
+    """Static part plus windowed drive terms; Hermitian at every time.
+
+    Construction samples H(t) at t = 0 and at three points of each drive
+    window, and raises ValueError unless every sample is Hermitian and, when
+    a rotating frame is declared, equals R(t) H_active(0) R(t)^dag.
+    """
 
     static_part: np.ndarray
     drive_terms: tuple[DriveTerm, ...]
@@ -138,9 +138,17 @@ class TimeDependentHamiltonian:
         for term in self.drive_terms:
             t_on, t_off = term.window
             samples.update((t_on, 0.5 * (t_on + t_off), t_on + 0.731 * (t_off - t_on)))
+        frame = self.rotating_frame
         for t in samples:
-            if not is_hermitian(hamiltonian_at(self, t)):
+            h = hamiltonian_at(self, t)
+            if not is_hermitian(h):
                 raise ValueError(f"H(t={t:g}) is not Hermitian")
+            if frame is not None:
+                h0 = _frame_hamiltonian(self, _active_signature(self, t))
+                r = np.exp(-1j * frame.omega * t * frame.charge)
+                recon = r[:, None] * h0 * np.conj(r)
+                if np.max(np.abs(recon - h)) > 1e-10 * max(1.0, np.max(np.abs(h0))):
+                    raise ValueError(f"H(t={t:g}) does not rotate as the declared frame")
 
 
 def hamiltonian_at(ham: TimeDependentHamiltonian, t: float) -> np.ndarray:
@@ -240,7 +248,7 @@ def integrate(
     guard_limit: float = 0.1,
     force_generic: bool = False,
 ) -> Trajectory:
-    """Propagate i d/dt psi = H(t) psi with the midpoint-exponential stepper.
+    """Propagate i d/dt psi = H(t) psi: exactly per segment where possible, else stepped.
 
     Raises if dt * max|eigenvalue(H)| >= guard_limit (accuracy guard: the
     step must resolve every phase in the problem) or if psi0 is not
@@ -266,7 +274,10 @@ def integrate(
     for k0, k1, signature in _segments(ham, grid.t0, dt, steps):
         lo, hi = np.searchsorted(stored, (k0, k1), side="right")
         ends = np.append(stored[lo:hi], k1) - k0  # steps into the segment to report
-        states = _advance_segment(ham, psi, grid.t0, dt, k0, ends, signature, force_generic)
+        if force_generic or not _is_exact(ham, signature):
+            states = _advance_sequential(ham, psi, grid.t0, dt, k0, ends)
+        else:
+            states = _advance_exact(ham, psi, grid.t0 + k0 * dt, ends * dt, signature)
         out_states[lo:hi] = states[:-1]
         psi = states[-1]
     return Trajectory(times=grid.t0 + stored * dt, states=out_states)
@@ -317,70 +328,36 @@ def _segments(ham, t0, dt, steps):
     return segments
 
 
-def _advance_segment(ham, psi, t0, dt, k0, ends, signature, force_generic):
-    """States after each of ``ends`` steps (ascending, >= 1) of the segment from step k0."""
-    if not force_generic:
-        if not signature:
-            return _advance_static(ham.static_part, psi, dt, ends)
-        if ham.rotating_frame is not None:
-            states = _advance_rotating(ham, psi, t0, dt, k0, ends, signature)
-            if states is not None:
-                return states
-    return _advance_sequential(ham, psi, t0, dt, k0, ends)
+def _is_exact(ham, signature):
+    """A segment has a closed solution when it is undriven or the frame is declared."""
+    return not signature or ham.rotating_frame is not None
 
 
-def _advance_static(h_static, psi, dt, ends):
-    evals, vecs = eigh(h_static)
-    c = vecs.conj().T @ psi
-    return (np.exp(-1j * evals * ends[:, None] * dt) * c) @ vecs.T
-
-
-def _advance_rotating(ham, psi, t0, dt, k0, ends, signature):
-    """Closed evaluation of the midpoint-step product for uniformly rotating drives.
-
-    Every step unitary is R(t_m) W R(t_m)^dag with the same W, so the chain is
-    R(t_last) W (D W)^{L-1} R(t_first)^dag with one constant diagonal
-    D = exp(i omega dt C).  Powers of D W come from its (renormalized) Schur
-    form; all requested step counts are evaluated together.  Returns None
-    when the declared rotation fails verification.
-    """
-    frame = ham.rotating_frame
-    w = frame.charge
-    omega = frame.omega
-    h0 = ham.static_part.copy()
+def _frame_hamiltonian(ham, signature):
+    """Static part plus the drive terms in ``signature`` evaluated at t = 0."""
+    h = ham.static_part.copy()
     for i in signature:
         term = ham.drive_terms[i]
-        h0 = h0 + term.envelope(0.0) * term.operator
-    scale = max(1.0, float(np.max(np.abs(h0))))
-    k1 = k0 + int(ends[-1])
-    for k in (k0, (k0 + k1 - 1) // 2 if k1 - 1 > k0 else k0):
-        t_probe = t0 + (k + 0.5) * dt
-        r = np.exp(-1j * omega * t_probe * w)
-        recon = (h0 * r[:, None]) * np.conj(r)[None, :]
-        if float(np.max(np.abs(recon - hamiltonian_at(ham, t_probe)))) > 1e-10 * scale:
-            return None
+        h = h + term.envelope(0.0) * term.operator
+    return h
 
-    evals, vecs = eigh(h0)
-    big_w = (vecs * np.exp(-1j * dt * evals)) @ vecs.conj().T
-    d = np.exp(1j * omega * dt * w)
-    m = d[:, None] * big_w  # diag(d) @ W
-    tmat, q = schur(m, output="complex")
-    tvec = np.diag(tmat)
-    tvec = tvec / np.abs(tvec)
-    if float(np.max(np.abs((q * tvec) @ q.conj().T - m))) > 1e-10:
-        return None  # Schur form not effectively diagonal; unitary structure broken
 
-    r_first = np.exp(-1j * omega * (t0 + (k0 + 0.5) * dt) * w)
-    c0 = q.conj().T @ (np.conj(r_first) * psi)
-    log_t = np.angle(tvec)
-    # after j steps: R(t_{k0+j-1}) W Q exp(i log_t (j-1)) c0, one row per j
-    states = (np.exp(1j * log_t * (ends - 1)[:, None]) * c0) @ (big_w @ q).T
-    t_last = t0 + (k0 + ends - 1 + 0.5) * dt
-    states *= np.exp(-1j * omega * t_last[:, None] * w)
-    return states
+def _advance_exact(ham, psi, t_start, elapsed, signature):
+    """psi(t) = R(t) exp(-i (H_0 - omega C)(t - t_s)) R(t_s)^dag psi(t_s) at t = t_s + elapsed.
+
+    R(t) = exp(-i omega t C) is the declared frame; an undriven segment takes
+    omega = 0.  All requested times come from one eigendecomposition.
+    """
+    frame = ham.rotating_frame
+    rate = frame.omega * frame.charge if signature else np.zeros(psi.shape[0])
+    evals, vecs = eigh(_frame_hamiltonian(ham, signature) - np.diag(rate))
+    c = vecs.conj().T @ (np.exp(1j * t_start * rate) * psi)
+    states = (np.exp(-1j * evals * elapsed[:, None]) * c) @ vecs.T
+    return states * np.exp(-1j * (t_start + elapsed)[:, None] * rate)
 
 
 def _advance_sequential(ham, psi, t0, dt, k0, ends):
+    """States after each of ``ends`` steps (ascending, >= 1) of the segment from step k0."""
     t_mid = t0 + (np.arange(k0, k0 + ends[-1]) + 0.5) * dt
     states = np.empty((len(ends), psi.shape[0]), dtype=complex)
     j = 0
@@ -395,13 +372,18 @@ def _advance_sequential(ham, psi, t0, dt, k0, ends):
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Self-convergence of a run: fidelity against dt/2 and doubled-cutoff reruns."""
+    """Self-convergence of a run: fidelity against dt/2 and doubled-cutoff reruns.
+
+    ``dt_exact`` marks a run with no stepped segment: it has no dt/2 rerun,
+    and ``fidelity_dt`` is 1.0.
+    """
 
     fidelity_dt: float
     fidelity_cutoff: float
     dt: float
     n_max: int
     threshold: float = CONVERGENCE_THRESHOLD
+    dt_exact: bool = False
 
     @property
     def passed(self) -> bool:
@@ -412,8 +394,9 @@ class ConvergenceReport:
 
     def __str__(self):
         mark = "converged" if self.passed else "NOT converged"
+        dt_axis = "dt: exact" if self.dt_exact else f"F(dt vs dt/2) = {self.fidelity_dt:.12f}"
         return (
-            f"{mark}: F(dt vs dt/2) = {self.fidelity_dt:.12f}, "
+            f"{mark}: {dt_axis}, "
             f"F(n_max={self.n_max} vs {2 * self.n_max}) = {self.fidelity_cutoff:.12f} "
             f"(threshold 1 - {self.threshold:g})"
         )
@@ -435,23 +418,29 @@ def convergence_check(
 ) -> ConvergenceReport:
     """Rerun with dt/2 and with doubled n_max; report final-state fidelities.
 
-    The doubled-cutoff rerun keeps the same dt (it isolates truncation error),
-    so the dt*max|eig| guard is relaxed for that run only: the added spectral
-    radius lives entirely on unoccupied levels.
+    A run whose segments are all exact (undriven, or in a declared frame) has
+    no stepping error, so it gets no dt/2 rerun and reports the dt axis as
+    exact.  The doubled-cutoff rerun keeps the same dt (it isolates
+    truncation error), so the dt*max|eig| guard is relaxed for that run
+    only: the added spectral radius lives entirely on unoccupied levels.
     """
     if ham.remake is None:
         raise ValueError("Hamiltonian has no remake recipe; cannot double the cutoff")
+    dt = (grid.t1 - grid.t0) / grid.steps
+    dt_exact = all(_is_exact(ham, sig) for _, _, sig in _segments(ham, grid.t0, dt, grid.steps))
     base = integrate(ham, psi0, grid, store_every=grid.steps).final
-    fine_grid = grid.halved()
-    fine = integrate(ham, psi0, fine_grid, store_every=fine_grid.steps).final
-    fid_dt = float(abs(np.vdot(base, fine)) ** 2)
+    fid_dt = 1.0
+    if not dt_exact:
+        fine_grid = grid.halved()
+        fine = integrate(ham, psi0, fine_grid, store_every=fine_grid.steps).final
+        fid_dt = float(abs(np.vdot(base, fine)) ** 2)
 
     big_cutoff = FockCutoff(2 * ham.cutoff.n_max)
     ham_big = ham.remake(big_cutoff)
     psi0_big = embed_state(psi0, big_cutoff.n_max)
     big = integrate(ham_big, psi0_big, grid, store_every=grid.steps, guard_limit=0.25).final
     fid_cut = float(abs(np.vdot(embed_state(base, big_cutoff.n_max), big)) ** 2)
-    dt = (grid.t1 - grid.t0) / grid.steps
     return ConvergenceReport(
-        fidelity_dt=fid_dt, fidelity_cutoff=fid_cut, dt=dt, n_max=ham.cutoff.n_max
+        fidelity_dt=fid_dt, fidelity_cutoff=fid_cut, dt=dt, n_max=ham.cutoff.n_max,
+        dt_exact=dt_exact,
     )

@@ -57,8 +57,11 @@ class TestParseConfig:
         assert cfg.workers == 2
 
     def test_incomplete_sweep_rejected(self):
-        with pytest.raises(ConfigError, match="sweep_points"):
-            parse_config("sweep_start=1\nsweep_stop=2\n")
+        # the error names the line of sweep_start, else of sweep_stop
+        with pytest.raises(ConfigError, match="^line 2: .*sweep_points"):
+            parse_config("scenario=fig2b\nsweep_start=1\nsweep_stop=2\n")
+        with pytest.raises(ConfigError, match="^line 1: .*sweep_points"):
+            parse_config("sweep_stop=2\nsweep_points=3\n")
 
     def test_linear_sweep(self):
         cfg = parse_config("sweep_start=1\nsweep_stop=3\nsweep_points=3\n")
@@ -126,6 +129,17 @@ class TestConfigFaults:
         code, err = self._run(tmp_path, capsys, text)
         assert code == 1
         assert f"line {line}:" in err and key in err
+
+    @pytest.mark.parametrize("text, line, key", [
+        ("omega_q=100\nlambda=0.1\n", 1, "omega_q"),
+        ("# resonant\nomega_q=100\n", 2, "omega_q"),
+        ("scenario=fig2b\ng=0\n", 2, "g"),
+        ("lambda=1.5\n", 1, "lambda"),
+    ])
+    def test_no_dispersive_system(self, tmp_path, capsys, text, line, key):
+        code, err = self._run(tmp_path, capsys, text)
+        assert code == 1
+        assert f"line {line}: {key} gives no dispersive system" in err
 
     def test_zero_beta_sq_accepted_by_fig4(self):
         # fig4's drive length is set by eta, not by the amplitude
@@ -294,7 +308,10 @@ class TestCli:
     def test_check_subcommand(self, tmp_path, capsys, scenario):
         cfg = self._write(tmp_path, f"scenario={scenario}\n")
         assert main(["check", "--config", cfg]) == 0
-        assert capsys.readouterr().out.startswith(f"{scenario}: converged: ")
+        out = capsys.readouterr().out
+        assert out.startswith(f"{scenario}: converged: ")
+        # every default drive declares its rotating frame, so nothing is stepped
+        assert "dt: exact" in out and "dt/2" not in out
 
     def test_installed_entry_point(self, tmp_path):
         cfg = self._write(tmp_path, "scenario=fig9\n")

@@ -1,5 +1,6 @@
-"""The midpoint-exponential integrator: exactness, fast path, convergence."""
+"""The integrator: exactness, the exact segment path, convergence."""
 
+import dataclasses
 import math
 import time
 
@@ -10,6 +11,7 @@ from scipy.linalg import eigh
 from jcdrive.dressed import dressed_basis, dressed_coherent_state
 from jcdrive.dynamics import (
     DriveTerm,
+    RotatingFrame,
     TimeDependentHamiltonian,
     TimeGrid,
     convergence_check,
@@ -34,7 +36,7 @@ from jcdrive.hilbert import (
 from jcdrive.propagators import DriveParams, QubitDriveParams
 from jcdrive.scenarios import dt_bound
 
-from conftest import fid
+from conftest import fid, ode_final
 
 
 def static_hamiltonian(params, cutoff):
@@ -139,24 +141,21 @@ class TestWindowSemantics:
 
 
 class TestFastPath:
+    """The exact segment propagator, against literal stepping and against oracles."""
+
     def test_fast_path_equals_sequential(self, params):
         cut = FockCutoff(10)
         drive = DriveParams(0.04 + 0.03j, params.omega_c - params.chi, 0.6)
         ham = lab_drive_hamiltonian(params, drive, cut, "rwa")
         grid = TimeGrid.for_duration(0.6, dt_bound(params, cut, 0.05))
-        fast = integrate(ham, basis_state(cut, "g", 0), grid)
-        slow = integrate(ham, basis_state(cut, "g", 0), grid, force_generic=True)
-        assert_same_trajectory(fast, slow)
+        assert_stepping_converges_at_second_order(ham, basis_state(cut, "g", 0), grid)
 
     def test_fast_path_equals_sequential_qubit_drive(self, params):
         cut = FockCutoff(8)
         qd = QubitDriveParams(0.3, params.omega_q + 0.5, 0.11)
         ham = qubit_drive_lab_hamiltonian(params, qd, cut)
         grid = TimeGrid.for_duration(0.11, dt_bound(params, cut, 0.0, eta_abs=0.3))
-        psi0 = basis_state(cut, "g", 1)
-        fast = integrate(ham, psi0, grid)
-        slow = integrate(ham, psi0, grid, force_generic=True)
-        assert_same_trajectory(fast, slow)
+        assert_stepping_converges_at_second_order(ham, basis_state(cut, "g", 1), grid)
 
     def test_against_rotating_frame_closed_solution(self, params):
         # independent oracle: in the frame of the total excitation number the
@@ -184,13 +183,10 @@ class TestFastPath:
     def test_window_boundary_inside_run(self, params):
         # pulse ends mid-run: driven segment then free segment
         cut = FockCutoff(12)
-        drive = DriveParams(0.05, params.omega_c - params.chi, 2.0)
+        drive = DriveParams(0.05, params.omega_c - params.chi, 1.0)
         ham = lab_drive_hamiltonian(params, drive, cut, "rwa")
-        grid = TimeGrid.for_duration(4.0, dt_bound(params, cut, 0.05))
-        psi0 = basis_state(cut, "g", 0)
-        fast = integrate(ham, psi0, grid, store_every=97)
-        slow = integrate(ham, psi0, grid, store_every=97, force_generic=True)
-        assert_same_trajectory(fast, slow)
+        grid = TimeGrid.for_duration(2.0, dt_bound(params, cut, 0.05))
+        assert_stepping_converges_at_second_order(ham, basis_state(cut, "g", 0), grid, 97)
 
     def test_window_edges_on_step_midpoints_are_inclusive(self, params):
         # dt = 2^-14 and t0 = -1000.5 dt make every midpoint exact: step 1000
@@ -208,13 +204,46 @@ class TestFastPath:
             ham = lab_drive_hamiltonian(params, drive, cut, "rwa")
             return integrate(ham, psi0, grid, store_every=250, **kw)
 
-        fast = run(T)
-        assert_same_trajectory(fast, run(T, force_generic=True))
+        exact = run(T)
+        # literal stepping at this dt is within ~5e-9; a flipped edge rule moves ~3e-6
+        assert max_state_error(exact, run(T, force_generic=True)) < 1e-7
         # the edge step matters: a window one ulp short of it gives another state
-        assert np.max(np.abs(fast.final - run(np.nextafter(T, 0.0)).final)) > 1e-8
+        assert np.max(np.abs(exact.final - run(np.nextafter(T, 0.0)).final)) > 1e-6
+
+    @pytest.mark.parametrize("drive_kind", ["cavity", "qubit"])
+    def test_exact_path_against_ode_oracle(self, params, drive_kind):
+        # each run is driven for its first half, whose end falls on a step
+        # boundary, then evolves freely; ending the cavity pulse one step early
+        # costs ~2e-8 infidelity.  The qubit run starts inside its window at
+        # t0 = 0.4 from a superposition of two charges, so R(t_s) matters.
+        cut = FockCutoff(8)
+        if drive_kind == "qubit":
+            qd = QubitDriveParams(0.3, params.omega_q + 0.5, 0.8)
+            ham = qubit_drive_lab_hamiltonian(params, qd, cut)
+            t0, dt_cap = 0.4, dt_bound(params, cut, 0.0, eta_abs=0.3)
+            psi0 = (basis_state(cut, "g", 1) + basis_state(cut, "e", 1)) / math.sqrt(2)
+        else:
+            drive = DriveParams(0.4 + 0.3j, params.omega_c - params.chi, 0.5)
+            ham = lab_drive_hamiltonian(params, drive, cut, "rwa")
+            t0, dt_cap = 0.0, dt_bound(params, cut, 0.5)
+            psi0 = basis_state(cut, "g", 0)
+        half = TimeGrid.for_duration(ham.drive_terms[0].window[1] - t0, dt_cap, t0)
+        grid = TimeGrid(t0, 2 * half.t1 - t0, half.dt)
+        assert grid.steps == 2 * half.steps
+        exact = integrate(ham, psi0, grid).final
+        oracle = ode_final(lambda t: hamiltonian_at(ham, t0 + t), psi0, grid.t1 - t0)
+        assert 1.0 - fid(exact, oracle) < 1e-10
+
+    def test_misdeclared_frame_rejected(self, params):
+        cut = FockCutoff(6)
+        drive = DriveParams(0.05, params.omega_c - params.chi, 3.0)
+        ham = lab_drive_hamiltonian(params, drive, cut, "rwa")
+        wrong = RotatingFrame(ham.rotating_frame.charge, drive.omega_d + 0.3)
+        with pytest.raises(ValueError, match="declared frame"):
+            dataclasses.replace(ham, rotating_frame=wrong)
 
     def test_runtime_independent_of_step_count(self, params):
-        # 5 M midpoint steps: the fast path costs a few eigendecompositions
+        # 5 M midpoint steps: the exact path costs a few eigendecompositions
         # and ~1000 snapshots, not per-step Python work
         cut = FockCutoff(4)
         qd = QubitDriveParams(0.3, params.omega_q + 0.5, 500.0)
@@ -229,11 +258,23 @@ class TestFastPath:
         assert np.max(np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)) < 1e-10
 
 
-def assert_same_trajectory(fast, slow):
-    """Every stored state, not only the final one, matches literal stepping."""
-    np.testing.assert_array_equal(fast.times, slow.times)
-    assert fast.states.shape == slow.states.shape
-    assert np.max(np.abs(fast.states - slow.states)) < 1e-10
+def max_state_error(exact, stepped):
+    """Largest elementwise gap over every stored state, not only the final one."""
+    np.testing.assert_array_equal(exact.times, stepped.times)
+    assert exact.states.shape == stepped.states.shape
+    return float(np.max(np.abs(exact.states - stepped.states)))
+
+
+def assert_stepping_converges_at_second_order(ham, psi0, grid, store_every=None):
+    """Literal stepping approaches the exact path as dt^2: halving dt quarters the error."""
+    store_every = store_every or max(1, grid.steps // 100)
+    errors = []
+    for g, every in ((grid, store_every), (grid.halved(), 2 * store_every)):
+        exact = integrate(ham, psi0, g, store_every=every)
+        stepped = integrate(ham, psi0, g, store_every=every, force_generic=True)
+        errors.append(max_state_error(exact, stepped))
+    assert errors[0] < 1e-6
+    assert 3.9 < errors[0] / errors[1] < 4.1, errors
 
 
 class TestRwaVersusCosine:
@@ -297,8 +338,8 @@ class TestConvergence:
         psi0 = basis_state(cutoff12, "g", 0)
         grid = TimeGrid.for_duration(1.0, dt_bound(params, cutoff12, 0.0))
         report = convergence_check(ham, psi0, grid)
-        assert report.passed
-        assert "converged" in str(report)
+        assert report.passed and report.dt_exact and report.fidelity_dt == 1.0
+        assert "converged" in str(report) and "dt: exact" in str(report)
 
     def test_default_scenario_point_converges(self, params):
         # guard-chosen dt on the photon-number-4 operating point
@@ -330,8 +371,9 @@ class TestConvergence:
         ham = build(cut)
         psi0 = basis_state(cut, "g", 0)
         report = convergence_check(ham, psi0, TimeGrid(0.0, 8.0, 0.25))
-        assert not report.passed
+        assert not report.passed and not report.dt_exact
         assert report.fidelity_dt < 1.0 - 1e-8
+        assert "F(dt vs dt/2)" in str(report)
 
     def test_embed_state(self):
         psi = np.array([1.0, 2.0, 3.0, 4.0]) / math.sqrt(30)
