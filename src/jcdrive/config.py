@@ -112,9 +112,10 @@ def parse_config(text: str) -> ScenarioConfig:
     """Parse key=value lines into a typed ScenarioConfig.
 
     Unknown keys, unparsable or non-finite values, an empty sweep, sweep
-    values the numerics cannot use (alpha_sq or epsilon_abs <= 0, lambda = 0),
-    an incomplete linear sweep, a zero drive or alpha_sq where the pulse
-    length is derived from it, a system outside the dispersive regime
+    values the numerics cannot use (alpha_sq or epsilon_abs <= 0, a lambda
+    that gives no dispersive system), time_points < 2, an incomplete linear
+    sweep, a zero drive or alpha_sq where the pulse length is derived from
+    it, a system outside the dispersive regime
     (omega_q = omega_c, g = 0 with omega_q derived, |lambda| >= 1) and
     inconsistent derived quantities (an omega_q that contradicts the given
     lambda) are errors carrying the line number.  An empty file yields all
@@ -156,11 +157,11 @@ def parse_config(text: str) -> ScenarioConfig:
         except ConfigError as exc:  # an incomplete linear sweep
             raise ConfigError(str(exc), seen.get("sweep_start", seen.get("sweep_stop"))) from None
         for i, v in enumerate(grid):
-            if v == 0 if axis == "lambda" else v <= 0:
+            fault = _sweep_fault(cfg, axis, v)
+            if fault is not None:
                 key = ("sweep_values" if cfg.sweep_values is not None
                        else "sweep_stop" if i == len(grid) - 1 else "sweep_start")
-                rule = "nonzero" if axis == "lambda" else "positive"
-                raise ConfigError(f"swept {axis} must be {rule}, got {v:g}", seen[key])
+                raise ConfigError(fault, seen[key])
     if cfg.omega_q is not None and "lambda" in seen:
         derived = cfg.g / (cfg.omega_q - cfg.omega_c)
         if abs(derived - cfg.lam) > 1e-9 * max(1.0, abs(cfg.lam)):
@@ -170,6 +171,17 @@ def parse_config(text: str) -> ScenarioConfig:
                 seen["omega_q"],
             )
     return cfg
+
+
+def _sweep_fault(cfg: ScenarioConfig, axis: str, value: float) -> Optional[str]:
+    """Why the sweep point at ``value`` cannot be simulated, or None if it can."""
+    if axis != "lambda":
+        return None if value > 0 else f"swept {axis} must be positive, got {value:g}"
+    try:  # the system the point simulates: SystemParams.from_lambda(g, value, omega_c)
+        cfg.system_params(lam_override=value)
+    except ValueError as exc:  # lambda = 0, |lambda| >= 1, or g = 0
+        return f"swept lambda={value:g} gives no dispersive system: {exc}"
+    return None
 
 
 def _apply_key(values: dict, key: str, value: str, line: int) -> None:
@@ -246,7 +258,10 @@ def _apply_key(values: dict, key: str, value: str, line: int) -> None:
     elif key == "omega_drive":
         values["omega_drive"] = as_float()
     elif key == "time_points":
-        values["time_points"] = as_int()
+        n = as_int()
+        if n < 2:
+            raise ConfigError("time_points must be >= 2", line)
+        values["time_points"] = n
     elif key == "n_max":
         values["n_max"] = as_int()
     elif key == "dt":

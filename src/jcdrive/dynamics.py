@@ -1,25 +1,29 @@
 """Full numerical time evolution of the driven lab-frame Hamiltonians.
 
-The run splits into segments with one set of active drive terms each.  Their
-boundaries come from the drive windows by bisection over the step midpoints
-t_k + dt/2, so a window edge that falls on a midpoint counts as inside, as
-in hamiltonian_at.  Each segment takes one of two paths:
+Every drive here is one rectangular pulse: all drive terms of a Hamiltonian
+share one window [t_on, t_off].  A run therefore splits into at most three
+segments, free, driven, free, whose boundaries come from the window by
+bisection over the step midpoints t_k + dt/2, so a window edge that falls on
+a midpoint counts as inside, as in hamiltonian_at.  Each segment takes one of
+two paths:
 
-* exact: a segment with no active drive, or one whose drive terms rotate
-  uniformly, H(t) = R(t) H_0 R(t)^dag with R(t) = exp(-i omega t C) for a
-  diagonal conserved charge C (true for the single-tone cavity and qubit
-  drives here, which declare a RotatingFrame), is solved in closed form,
+* exact: a free segment, or a driven one whose Hamiltonian rotates uniformly,
+  H(t) = R(t) H_0 R(t)^dag with R(t) = exp(-i omega t C), C the excitation
+  number a'a + (1 - sigma_z)/2 (true for the single-tone cavity and qubit
+  drives here, which declare frame_omega = omega), is solved in closed form,
 
       psi(t) = R(t) exp(-i (H_0 - omega C)(t - t_s)) R(t_s)^dag psi(t_s),
 
-  from one eigendecomposition; an undriven segment is the case omega = 0.
-  The frame is checked when the Hamiltonian is built, not here.
-* stepped: any other drive goes through the midpoint-exponential stepper,
+  from one eigendecomposition; a free segment is the case omega = 0.  The
+  frame is checked when the Hamiltonian is built, not here.
+* stepped: a driven segment with no frame goes through the midpoint-
+  exponential stepper,
 
       psi_{k+1} = exp(-i dt H(t_k + dt/2)) psi_k,
 
   second order in dt and exactly unitary per step, with one Hermitian
   eigendecomposition per step.  force_generic sends every segment this way.
+  Only a stepped segment is held to the dt*max|eig H| guard.
 
 On the exact path all stored snapshots of a segment come out of one matrix
 product, so no work scales with the step count.  convergence_check reruns
@@ -48,7 +52,6 @@ from .propagators import DriveParams, QubitDriveParams
 __all__ = [
     "TimeGrid",
     "DriveTerm",
-    "RotatingFrame",
     "TimeDependentHamiltonian",
     "Trajectory",
     "ConvergenceReport",
@@ -93,39 +96,29 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class DriveTerm:
-    """One drive contribution envelope(t) * operator, active on window=[t_on, t_off]."""
+    """One drive contribution envelope(t) * operator."""
 
     operator: np.ndarray
     envelope: Callable[[float], complex]
-    window: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class RotatingFrame:
-    """Declares H(t) = R(t) H(0) R(t)^dag with R(t) = exp(-i omega t diag(charge)).
-
-    Holds whenever the static part commutes with the charge and each drive
-    operator shifts it by exactly one unit per factor of e^{+/- i omega t} in
-    its envelope.  TimeDependentHamiltonian checks the claim when it is built.
-    """
-
-    charge: np.ndarray
-    omega: float
 
 
 @dataclass(frozen=True, eq=False)
 class TimeDependentHamiltonian:
-    """Static part plus windowed drive terms; Hermitian at every time.
+    """Static part plus drive terms that are all on during window=[t_on, t_off].
 
-    Construction samples H(t) at t = 0 and at three points of each drive
-    window, and raises ValueError unless every sample is Hermitian and, when
-    a rotating frame is declared, equals R(t) H_active(0) R(t)^dag.
+    ``window`` is required when there are drive terms.  ``frame_omega``, when
+    given, declares H(t) = R(t) H(0) R(t)^dag inside the window, with
+    R(t) = exp(-i frame_omega t C) and C = excitation_charge(cutoff).
+    Construction samples H(t) at t = 0 and at three points of the window, and
+    raises ValueError unless every sample is Hermitian and, when a frame is
+    declared, equals R(t) H_active(0) R(t)^dag.
     """
 
     static_part: np.ndarray
     drive_terms: tuple[DriveTerm, ...]
     cutoff: FockCutoff
-    rotating_frame: Optional[RotatingFrame] = None
+    window: Optional[tuple[float, float]] = None
+    frame_omega: Optional[float] = None
     remake: Optional[Callable[[FockCutoff], "TimeDependentHamiltonian"]] = field(
         default=None, repr=False
     )
@@ -133,31 +126,32 @@ class TimeDependentHamiltonian:
     def __post_init__(self):
         if not is_hermitian(self.static_part):
             raise ValueError("static part is not Hermitian")
-        # drive terms typically come in adjoint pairs; only the sum must be Hermitian
         samples = {0.0}
-        for term in self.drive_terms:
-            t_on, t_off = term.window
+        if self.drive_terms:
+            if self.window is None or not self.window[0] <= self.window[1]:
+                raise ValueError(f"drive terms need a window t_on <= t_off, got {self.window}")
+            t_on, t_off = self.window
             samples.update((t_on, 0.5 * (t_on + t_off), t_on + 0.731 * (t_off - t_on)))
-        frame = self.rotating_frame
+        # drive terms typically come in adjoint pairs; only the sum must be Hermitian
         for t in samples:
             h = hamiltonian_at(self, t)
             if not is_hermitian(h):
                 raise ValueError(f"H(t={t:g}) is not Hermitian")
-            if frame is not None:
-                h0 = _frame_hamiltonian(self, _active_signature(self, t))
-                r = np.exp(-1j * frame.omega * t * frame.charge)
+            if self.frame_omega is not None:
+                h0 = _frame_hamiltonian(self, _driven_at(self, t))
+                r = np.exp(-1j * self.frame_omega * t * excitation_charge(self.cutoff))
                 recon = r[:, None] * h0 * np.conj(r)
                 if np.max(np.abs(recon - h)) > 1e-10 * max(1.0, np.max(np.abs(h0))):
                     raise ValueError(f"H(t={t:g}) does not rotate as the declared frame")
 
 
+def _driven_at(ham, t):
+    return bool(ham.drive_terms) and ham.window[0] <= t <= ham.window[1]
+
+
 def hamiltonian_at(ham: TimeDependentHamiltonian, t: float) -> np.ndarray:
-    """H(t) = static + sum of active windowed drive terms (Hermitized pairwise)."""
-    h = ham.static_part.copy()
-    for term in ham.drive_terms:
-        if term.window[0] <= t <= term.window[1]:
-            h = h + term.envelope(t) * term.operator
-    return h
+    """H(t) = static + the drive terms when t is in the window (Hermitized pairwise)."""
+    return _frame_hamiltonian(ham, _driven_at(ham, t), t)
 
 
 def excitation_charge(cutoff: FockCutoff) -> np.ndarray:
@@ -184,24 +178,24 @@ def lab_drive_hamiltonian(
     ops = build_mode_operators(cutoff)
     h_jc = jc_hamiltonian(params, cutoff)
     eps, wd = complex(drive.epsilon), drive.omega_d
-    window = (0.0, drive.T)
     if form == "rwa":
         terms = (
-            DriveTerm(ops.a, lambda t: eps * np.exp(1j * wd * t), window),
-            DriveTerm(ops.a_dag, lambda t: np.conj(eps) * np.exp(-1j * wd * t), window),
+            DriveTerm(ops.a, lambda t: eps * np.exp(1j * wd * t)),
+            DriveTerm(ops.a_dag, lambda t: np.conj(eps) * np.exp(-1j * wd * t)),
         )
-        frame = RotatingFrame(excitation_charge(cutoff), wd)
+        frame_omega = wd
     elif form == "cosine":
         op = eps * ops.a + np.conj(eps) * ops.a_dag
-        terms = (DriveTerm(op, lambda t: 2.0 * math.cos(wd * t), window),)
-        frame = None
+        terms = (DriveTerm(op, lambda t: 2.0 * math.cos(wd * t)),)
+        frame_omega = None
     else:
         raise ValueError(f"form must be 'rwa' or 'cosine', got {form!r}")
     return TimeDependentHamiltonian(
         static_part=h_jc,
         drive_terms=terms,
         cutoff=cutoff,
-        rotating_frame=frame,
+        window=(0.0, drive.T),
+        frame_omega=frame_omega,
         remake=lambda c: lab_drive_hamiltonian(params, drive, c, form),
     )
 
@@ -214,16 +208,16 @@ def qubit_drive_lab_hamiltonian(
     ops = build_mode_operators(cutoff)
     h_jc = jc_hamiltonian(params, cutoff)
     eta, w = complex(qd.eta), qd.omega
-    window = (0.0, qd.tau)
     terms = (
-        DriveTerm(ops.sp, lambda t: eta * np.exp(-1j * w * t), window),
-        DriveTerm(ops.sm, lambda t: np.conj(eta) * np.exp(1j * w * t), window),
+        DriveTerm(ops.sp, lambda t: eta * np.exp(-1j * w * t)),
+        DriveTerm(ops.sm, lambda t: np.conj(eta) * np.exp(1j * w * t)),
     )
     return TimeDependentHamiltonian(
         static_part=h_jc,
         drive_terms=terms,
         cutoff=cutoff,
-        rotating_frame=RotatingFrame(excitation_charge(cutoff), w),
+        window=(0.0, qd.tau),
+        frame_omega=w,
         remake=lambda c: qubit_drive_lab_hamiltonian(params, qd, c),
     )
 
@@ -248,12 +242,15 @@ def integrate(
     guard_limit: float = 0.1,
     force_generic: bool = False,
 ) -> Trajectory:
-    """Propagate i d/dt psi = H(t) psi: exactly per segment where possible, else stepped.
+    """Propagate i d/dt psi = H(t) psi over the free, driven and free segments.
 
-    Raises if dt * max|eigenvalue(H)| >= guard_limit (accuracy guard: the
-    step must resolve every phase in the problem) or if psi0 is not
-    normalized.  Snapshots are stored every ``store_every`` steps (default:
-    about 1000 over the run); the final state is stored exactly regardless.
+    Each segment is solved exactly where it can be (free, or driven in the
+    declared frame) and stepped otherwise.  Raises if psi0 is not normalized,
+    or if some segment is stepped and dt * max|eigenvalue(H)| >= guard_limit
+    (accuracy guard: the step must resolve every phase in the problem; on
+    the exact path dt only sets where the window edges fall).  Snapshots are
+    stored every ``store_every`` steps (default: about 1000 over the run);
+    the final state is stored exactly regardless.
     """
     dim = ham.static_part.shape[0]
     if psi0.shape != (dim,):
@@ -263,7 +260,12 @@ def integrate(
 
     steps = grid.steps
     dt = (grid.t1 - grid.t0) / steps
-    _check_guard(ham, grid, dt, guard_limit)
+    segments = [
+        (k0, k1, driven, force_generic or not _is_exact(ham, driven))
+        for k0, k1, driven in _segments(ham, grid.t0, dt, steps)
+    ]
+    if any(stepped for *_, stepped in segments):
+        _check_guard(ham, grid, dt, guard_limit)
 
     if store_every is None:
         store_every = max(1, math.ceil(steps / 1000))
@@ -271,13 +273,13 @@ def integrate(
 
     out_states = np.empty((len(stored), dim), dtype=complex)
     psi = out_states[0] = psi0.astype(complex)
-    for k0, k1, signature in _segments(ham, grid.t0, dt, steps):
+    for k0, k1, driven, stepped in segments:
         lo, hi = np.searchsorted(stored, (k0, k1), side="right")
         ends = np.append(stored[lo:hi], k1) - k0  # steps into the segment to report
-        if force_generic or not _is_exact(ham, signature):
+        if stepped:
             states = _advance_sequential(ham, psi, grid.t0, dt, k0, ends)
         else:
-            states = _advance_exact(ham, psi, grid.t0 + k0 * dt, ends * dt, signature)
+            states = _advance_exact(ham, psi, grid.t0 + k0 * dt, ends * dt, driven)
         out_states[lo:hi] = states[:-1]
         psi = states[-1]
     return Trajectory(times=grid.t0 + stored * dt, states=out_states)
@@ -285,8 +287,8 @@ def integrate(
 
 def _check_guard(ham, grid, dt, guard_limit):
     probes = {grid.t0 + 0.5 * dt, grid.t1 - 0.5 * dt}
-    for term in ham.drive_terms:
-        mid = 0.5 * (term.window[0] + term.window[1])
+    if ham.drive_terms:
+        mid = 0.5 * (ham.window[0] + ham.window[1])
         if grid.t0 <= mid <= grid.t1:
             probes.add(mid)
     rho = max(float(np.max(np.abs(np.linalg.eigvalsh(hamiltonian_at(ham, t))))) for t in probes)
@@ -297,60 +299,48 @@ def _check_guard(ham, grid, dt, guard_limit):
         )
 
 
-def _active_signature(ham, t):
-    return tuple(i for i, term in enumerate(ham.drive_terms) if term.window[0] <= t <= term.window[1])
-
-
 def _segments(ham, t0, dt, steps):
-    """Maximal runs [k0, k1) of steps that share one set of active drive terms.
+    """The free, driven and free runs [k0, k1) of the steps, as (k0, k1, driven).
 
-    Step k is driven by a term when t_on <= t0 + (k + 0.5) dt <= t_off, the
-    rule hamiltonian_at applies.  The midpoint expression never decreases in
-    k, so each window covers one contiguous run of steps, whose ends are found
-    by bisection on that same expression.
+    Step k is driven when t_on <= t0 + (k + 0.5) dt <= t_off, the rule
+    hamiltonian_at applies.  The midpoint expression never decreases in k, so
+    the window covers one contiguous run of steps, whose ends are found by
+    bisection on that same expression.  Empty runs are left out.
     """
-    def first_step(pred):
-        return bisect_left(range(steps), True, key=lambda k: pred(t0 + (k + 0.5) * dt))
-
-    cuts = {0, steps}
-    for term in ham.drive_terms:
-        t_on, t_off = term.window
-        cuts.add(first_step(lambda t: t >= t_on))
-        cuts.add(first_step(lambda t: t > t_off))
-    cuts = sorted(cuts)
-    segments: list[list] = []
-    for k0, k1 in zip(cuts, cuts[1:]):
-        signature = _active_signature(ham, t0 + (k0 + 0.5) * dt)
-        if segments and segments[-1][2] == signature:
-            segments[-1][1] = k1
-        else:
-            segments.append([k0, k1, signature])
-    return segments
+    k_on = k_off = 0
+    if ham.drive_terms:
+        t_on, t_off = ham.window
+        mids = range(steps)
+        k_on = bisect_left(mids, True, key=lambda k: t0 + (k + 0.5) * dt >= t_on)
+        k_off = bisect_left(mids, True, key=lambda k: t0 + (k + 0.5) * dt > t_off)
+    if k_on == k_off:  # no step is driven
+        return [(0, steps, False)]
+    runs = ((0, k_on, False), (k_on, k_off, True), (k_off, steps, False))
+    return [run for run in runs if run[0] < run[1]]
 
 
-def _is_exact(ham, signature):
-    """A segment has a closed solution when it is undriven or the frame is declared."""
-    return not signature or ham.rotating_frame is not None
+def _is_exact(ham, driven):
+    """A segment has a closed solution when it is free or the frame is declared."""
+    return not driven or ham.frame_omega is not None
 
 
-def _frame_hamiltonian(ham, signature):
-    """Static part plus the drive terms in ``signature`` evaluated at t = 0."""
+def _frame_hamiltonian(ham, driven, t=0.0):
+    """Static part plus, when ``driven``, the drive terms evaluated at t."""
     h = ham.static_part.copy()
-    for i in signature:
-        term = ham.drive_terms[i]
-        h = h + term.envelope(0.0) * term.operator
+    if driven:
+        for term in ham.drive_terms:
+            h = h + term.envelope(t) * term.operator
     return h
 
 
-def _advance_exact(ham, psi, t_start, elapsed, signature):
+def _advance_exact(ham, psi, t_start, elapsed, driven):
     """psi(t) = R(t) exp(-i (H_0 - omega C)(t - t_s)) R(t_s)^dag psi(t_s) at t = t_s + elapsed.
 
-    R(t) = exp(-i omega t C) is the declared frame; an undriven segment takes
+    R(t) = exp(-i omega t C) is the declared frame; a free segment takes
     omega = 0.  All requested times come from one eigendecomposition.
     """
-    frame = ham.rotating_frame
-    rate = frame.omega * frame.charge if signature else np.zeros(psi.shape[0])
-    evals, vecs = eigh(_frame_hamiltonian(ham, signature) - np.diag(rate))
+    rate = ham.frame_omega * excitation_charge(ham.cutoff) if driven else np.zeros(psi.shape[0])
+    evals, vecs = eigh(_frame_hamiltonian(ham, driven) - np.diag(rate))
     c = vecs.conj().T @ (np.exp(1j * t_start * rate) * psi)
     states = (np.exp(-1j * evals * elapsed[:, None]) * c) @ vecs.T
     return states * np.exp(-1j * (t_start + elapsed)[:, None] * rate)
@@ -418,7 +408,7 @@ def convergence_check(
 ) -> ConvergenceReport:
     """Rerun with dt/2 and with doubled n_max; report final-state fidelities.
 
-    A run whose segments are all exact (undriven, or in a declared frame) has
+    A run whose segments are all exact (free, or driven in a declared frame) has
     no stepping error, so it gets no dt/2 rerun and reports the dt axis as
     exact.  The doubled-cutoff rerun keeps the same dt (it isolates
     truncation error), so the dt*max|eig| guard is relaxed for that run
@@ -427,7 +417,7 @@ def convergence_check(
     if ham.remake is None:
         raise ValueError("Hamiltonian has no remake recipe; cannot double the cutoff")
     dt = (grid.t1 - grid.t0) / grid.steps
-    dt_exact = all(_is_exact(ham, sig) for _, _, sig in _segments(ham, grid.t0, dt, grid.steps))
+    dt_exact = all(_is_exact(ham, driven) for *_, driven in _segments(ham, grid.t0, dt, grid.steps))
     base = integrate(ham, psi0, grid, store_every=grid.steps).final
     fid_dt = 1.0
     if not dt_exact:

@@ -135,11 +135,23 @@ class TestConfigFaults:
         ("# resonant\nomega_q=100\n", 2, "omega_q"),
         ("scenario=fig2b\ng=0\n", 2, "g"),
         ("lambda=1.5\n", 1, "lambda"),
+        ("scenario=fig2c\nsweep_values=1.5\n", 2, "swept lambda=1.5"),
+        ("scenario=fig2c\ng=0\nomega_q=110\nsweep_values=0.1\n", 4, "swept lambda=0.1"),
+        ("scenario=fig2c\nsweep_start=0.1\nsweep_stop=1.5\nsweep_points=2\n", 3,
+         "swept lambda=1.5"),
+        ("scenario=fig2c\nsweep_start=-1\nsweep_stop=0.1\nsweep_points=3\n", 2,
+         "swept lambda=-1"),
     ])
     def test_no_dispersive_system(self, tmp_path, capsys, text, line, key):
         code, err = self._run(tmp_path, capsys, text)
         assert code == 1
         assert f"line {line}: {key} gives no dispersive system" in err
+
+    @pytest.mark.parametrize("value", ["1", "-3"])
+    def test_too_few_time_points(self, tmp_path, capsys, value):
+        code, err = self._run(tmp_path, capsys, f"scenario=fig4\n\ntime_points={value}\n")
+        assert code == 1
+        assert "line 3:" in err and "time_points" in err
 
     def test_zero_beta_sq_accepted_by_fig4(self):
         # fig4's drive length is set by eta, not by the amplitude
@@ -303,6 +315,25 @@ class TestCli:
         ])
         assert code == 0
         assert "# scenario=readout" in (tmp_path / "r.csv").read_text().splitlines()[0]
+
+    def test_coarse_dt_accepted_on_exact_runs(self, tmp_path, capsys):
+        # dt = 0.01 breaks the stepper's guard ~190-fold, but every segment of
+        # this run is exact and the pulse end stays on a step boundary
+        physics = {}
+        for label, extra in (("default", ""), ("coarse", "dt=0.01\n")):
+            cfg = self._write(tmp_path, f"scenario=fig2b\nsweep_values=1\n{extra}")
+            out = tmp_path / f"{label}.csv"
+            assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+            lines = out.read_text().splitlines()
+            drop = lines[1].split(",").index("wall_time_s")
+            physics[label] = [line.split(",")[:drop] for line in lines[2:]]
+        assert physics["coarse"] == physics["default"]
+
+    def test_guard_still_refuses_stepped_runs(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, FAST_SCENARIO + "drive_form=cosine\ndt=0.001\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 2
+        assert "stability guard violated" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
 
     @pytest.mark.parametrize("scenario", list(SCHEMAS))
     def test_check_subcommand(self, tmp_path, capsys, scenario):

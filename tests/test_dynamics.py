@@ -11,7 +11,6 @@ from scipy.linalg import eigh
 from jcdrive.dressed import dressed_basis, dressed_coherent_state
 from jcdrive.dynamics import (
     DriveTerm,
-    RotatingFrame,
     TimeDependentHamiltonian,
     TimeGrid,
     convergence_check,
@@ -116,7 +115,20 @@ class TestIntegratorBasics:
         ham = static_hamiltonian(params, cutoff12)
         psi0 = basis_state(cutoff12, "g", 0)
         with pytest.raises(ValueError, match="dt"):
-            integrate(ham, psi0, TimeGrid(0.0, 1.0, 0.01), guard_limit=0.1)
+            integrate(ham, psi0, TimeGrid(0.0, 1.0, 0.01), guard_limit=0.1, force_generic=True)
+
+    def test_guard_spares_exact_runs(self, params):
+        # dt = 0.01 is over 100x the stepper's guard here, but the run is
+        # exact: dt only places the pulse end, a step boundary on both grids
+        cut = FockCutoff(12)
+        drive = DriveParams(0.05, params.omega_c - params.chi, 1.0)
+        ham = lab_drive_hamiltonian(params, drive, cut, "rwa")
+        psi0 = basis_state(cut, "g", 0)
+        fine_dt = 2.0**-14
+        assert fine_dt < dt_bound(params, cut, 0.05)
+        coarse = integrate(ham, psi0, TimeGrid(0.0, 2.0, 0.01))
+        fine = integrate(ham, psi0, TimeGrid(0.0, 2.0, fine_dt))
+        assert np.max(np.abs(coarse.final - fine.final)) < 1e-12
 
     def test_rejects_unnormalized_state(self, params, cutoff12):
         ham = static_hamiltonian(params, cutoff12)
@@ -227,7 +239,7 @@ class TestFastPath:
             ham = lab_drive_hamiltonian(params, drive, cut, "rwa")
             t0, dt_cap = 0.0, dt_bound(params, cut, 0.5)
             psi0 = basis_state(cut, "g", 0)
-        half = TimeGrid.for_duration(ham.drive_terms[0].window[1] - t0, dt_cap, t0)
+        half = TimeGrid.for_duration(ham.window[1] - t0, dt_cap, t0)
         grid = TimeGrid(t0, 2 * half.t1 - t0, half.dt)
         assert grid.steps == 2 * half.steps
         exact = integrate(ham, psi0, grid).final
@@ -238,9 +250,8 @@ class TestFastPath:
         cut = FockCutoff(6)
         drive = DriveParams(0.05, params.omega_c - params.chi, 3.0)
         ham = lab_drive_hamiltonian(params, drive, cut, "rwa")
-        wrong = RotatingFrame(ham.rotating_frame.charge, drive.omega_d + 0.3)
         with pytest.raises(ValueError, match="declared frame"):
-            dataclasses.replace(ham, rotating_frame=wrong)
+            dataclasses.replace(ham, frame_omega=drive.omega_d + 0.3)
 
     def test_runtime_independent_of_step_count(self, params):
         # 5 M midpoint steps: the exact path costs a few eigendecompositions
@@ -363,8 +374,9 @@ class TestConvergence:
             op = 0.25 * (o.a + o.a_dag)
             return TimeDependentHamiltonian(
                 static_part=0.01 * o.sz,
-                drive_terms=(DriveTerm(op, lambda t: math.cos(60.0 * t), (0.0, 8.0)),),
+                drive_terms=(DriveTerm(op, lambda t: math.cos(60.0 * t)),),
                 cutoff=cutoff,
+                window=(0.0, 8.0),
                 remake=build,
             )
 
