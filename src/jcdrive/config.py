@@ -263,7 +263,10 @@ def _apply_key(values: dict, key: str, value: str, line: int) -> None:
             raise ConfigError("time_points must be >= 2", line)
         values["time_points"] = n
     elif key == "n_max":
-        values["n_max"] = as_int()
+        n = as_int()
+        if n < 2:
+            raise ConfigError("n_max must be >= 2", line)
+        values["n_max"] = n
     elif key == "dt":
         dt = as_float()
         if dt <= 0:

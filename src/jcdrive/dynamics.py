@@ -1,23 +1,26 @@
 """Full numerical time evolution of the driven lab-frame Hamiltonians.
 
-Every drive here is one rectangular pulse: all drive terms of a Hamiltonian
-share one window [t_on, t_off].  A run therefore splits into at most three
-segments, free, driven, free, whose boundaries come from the window by
-bisection over the step midpoints t_k + dt/2, so a window edge that falls on
-a midpoint counts as inside, as in hamiltonian_at.  Each segment takes one of
-two paths:
+Every drive here is one tone in one rectangular pulse,
 
-* exact: a free segment, or a driven one whose Hamiltonian rotates uniformly,
-  H(t) = R(t) H_0 R(t)^dag with R(t) = exp(-i omega t C), C the excitation
-  number a'a + (1 - sigma_z)/2 (true for the single-tone cavity and qubit
-  drives here, which declare frame_omega = omega), is solved in closed form,
+    H(t) = H_0 + e^{i omega t} V + e^{-i omega t} V^dag   on [t_on, t_off],
 
-      psi(t) = R(t) exp(-i (H_0 - omega C)(t - t_s)) R(t_s)^dag psi(t_s),
+and H_0 outside it.  A run therefore splits into at most three segments,
+free, driven, free, whose boundaries come from the window by bisection over
+the step midpoints t_k + dt/2, so a window edge that falls on a midpoint
+counts as inside, as in hamiltonian_at.  Each segment takes one of two paths:
 
-  from one eigendecomposition; a free segment is the case omega = 0.  The
-  frame is checked when the Hamiltonian is built, not here.
-* stepped: a driven segment with no frame goes through the midpoint-
-  exponential stepper,
+* exact: a free segment, or a driven one whose matrices pass the charge
+  split, is solved in closed form.  With C the excitation number
+  a'a + (1 - sigma_z)/2 and R(t) = exp(-i omega t C), H(t) is static in the
+  frame R(t) when H_0 commutes with C and V only lowers C by one (true for
+  the rwa cavity drive, V = eps a, and the qubit drive, V = eta* sigma^-):
+
+      psi(t) = R(t) exp(-i (H_0 + V + V^dag - omega C)(t - t_s)) R(t_s)^dag psi(t_s),
+
+  from one eigendecomposition; a free segment is the case V = 0, omega = 0.
+  The split is read off the matrices when the Hamiltonian is built.
+* stepped: any other driven segment (the cosine drive, whose V also raises
+  C) goes through the midpoint-exponential stepper,
 
       psi_{k+1} = exp(-i dt H(t_k + dt/2)) psi_k,
 
@@ -51,7 +54,6 @@ from .propagators import DriveParams, QubitDriveParams
 
 __all__ = [
     "TimeGrid",
-    "DriveTerm",
     "TimeDependentHamiltonian",
     "Trajectory",
     "ConvergenceReport",
@@ -94,64 +96,56 @@ class TimeGrid:
         return cls(t0, t0 + duration, duration / steps)
 
 
-@dataclass(frozen=True)
-class DriveTerm:
-    """One drive contribution envelope(t) * operator."""
-
-    operator: np.ndarray
-    envelope: Callable[[float], complex]
-
-
 @dataclass(frozen=True, eq=False)
 class TimeDependentHamiltonian:
-    """Static part plus drive terms that are all on during window=[t_on, t_off].
+    """H(t) = H_0 + e^{i omega t} V + e^{-i omega t} V^dag on window=[t_on, t_off], H_0 off it.
 
-    ``window`` is required when there are drive terms.  ``frame_omega``, when
-    given, declares H(t) = R(t) H(0) R(t)^dag inside the window, with
-    R(t) = exp(-i frame_omega t C) and C = excitation_charge(cutoff).
-    Construction samples H(t) at t = 0 and at three points of the window, and
-    raises ValueError unless every sample is Hermitian and, when a frame is
-    declared, equals R(t) H_active(0) R(t)^dag.
+    ``static_part`` is H_0 and ``drive`` is V; ``window`` is required with a
+    drive.  H(t) is Hermitian by construction, so only H_0 is checked.
+    ``exact`` is read off the matrices once, at construction: a driven
+    segment has a closed solution when H_0 commutes with the excitation
+    number C = excitation_charge(cutoff) and V only lowers C by one, so that
+    R(t)^dag H(t) R(t) with R(t) = exp(-i omega t C) is static.
     """
 
     static_part: np.ndarray
-    drive_terms: tuple[DriveTerm, ...]
     cutoff: FockCutoff
+    drive: Optional[np.ndarray] = None
+    omega: float = 0.0
     window: Optional[tuple[float, float]] = None
-    frame_omega: Optional[float] = None
     remake: Optional[Callable[[FockCutoff], "TimeDependentHamiltonian"]] = field(
         default=None, repr=False
     )
+    exact: bool = field(init=False, repr=False)
 
     def __post_init__(self):
+        dim = self.cutoff.dim
+        if self.static_part.shape != (dim, dim):
+            raise ValueError(f"static part has shape {self.static_part.shape}, cutoff needs {dim}")
         if not is_hermitian(self.static_part):
             raise ValueError("static part is not Hermitian")
-        samples = {0.0}
-        if self.drive_terms:
+        exact = True
+        if self.drive is not None:
+            if self.drive.shape != (dim, dim):
+                raise ValueError(f"drive has shape {self.drive.shape}, cutoff needs {dim}")
             if self.window is None or not self.window[0] <= self.window[1]:
-                raise ValueError(f"drive terms need a window t_on <= t_off, got {self.window}")
-            t_on, t_off = self.window
-            samples.update((t_on, 0.5 * (t_on + t_off), t_on + 0.731 * (t_off - t_on)))
-        # drive terms typically come in adjoint pairs; only the sum must be Hermitian
-        for t in samples:
-            h = hamiltonian_at(self, t)
-            if not is_hermitian(h):
-                raise ValueError(f"H(t={t:g}) is not Hermitian")
-            if self.frame_omega is not None:
-                h0 = _frame_hamiltonian(self, _driven_at(self, t))
-                r = np.exp(-1j * self.frame_omega * t * excitation_charge(self.cutoff))
-                recon = r[:, None] * h0 * np.conj(r)
-                if np.max(np.abs(recon - h)) > 1e-10 * max(1.0, np.max(np.abs(h0))):
-                    raise ValueError(f"H(t={t:g}) does not rotate as the declared frame")
+                raise ValueError(f"a drive needs a window t_on <= t_off, got {self.window}")
+            c = excitation_charge(self.cutoff)
+            dc = c[:, None] - c[None, :]
+            exact = not (np.any(self.static_part[dc != 0]) or np.any(self.drive[dc != -1]))
+        object.__setattr__(self, "exact", exact)
 
 
 def _driven_at(ham, t):
-    return bool(ham.drive_terms) and ham.window[0] <= t <= ham.window[1]
+    return ham.drive is not None and ham.window[0] <= t <= ham.window[1]
 
 
 def hamiltonian_at(ham: TimeDependentHamiltonian, t: float) -> np.ndarray:
-    """H(t) = static + the drive terms when t is in the window (Hermitized pairwise)."""
-    return _frame_hamiltonian(ham, _driven_at(ham, t), t)
+    """H(t) = H_0 + W + W^dag with W = e^{i omega t} V inside the window, H_0 outside."""
+    if not _driven_at(ham, t):
+        return ham.static_part.copy()
+    w = np.exp(1j * ham.omega * t) * ham.drive
+    return ham.static_part + w + w.conj().T
 
 
 def excitation_charge(cutoff: FockCutoff) -> np.ndarray:
@@ -169,33 +163,28 @@ def lab_drive_hamiltonian(
     """Lab-frame Jaynes-Cummings Hamiltonian with a classical cavity drive on [0, T].
 
     form='rwa':    H(t) = H_JC + eps e^{i w_d t} a + eps* e^{-i w_d t} a'
+                   (V = eps a, exact)
     form='cosine': H(t) = H_JC + 2 cos(w_d t) (eps a + eps* a')
+                   (V = eps a + eps* a', stepped: eps* a' raises C)
 
     The drive window is [0, T]: on during the pulse, off after.  (A literal
     step function switching the drive on only after T would contradict the
     protocol the drive implements; treated as a typo upstream.)
     """
     ops = build_mode_operators(cutoff)
-    h_jc = jc_hamiltonian(params, cutoff)
-    eps, wd = complex(drive.epsilon), drive.omega_d
+    eps = complex(drive.epsilon)
     if form == "rwa":
-        terms = (
-            DriveTerm(ops.a, lambda t: eps * np.exp(1j * wd * t)),
-            DriveTerm(ops.a_dag, lambda t: np.conj(eps) * np.exp(-1j * wd * t)),
-        )
-        frame_omega = wd
+        v = eps * ops.a
     elif form == "cosine":
-        op = eps * ops.a + np.conj(eps) * ops.a_dag
-        terms = (DriveTerm(op, lambda t: 2.0 * math.cos(wd * t)),)
-        frame_omega = None
+        v = eps * ops.a + np.conj(eps) * ops.a_dag
     else:
         raise ValueError(f"form must be 'rwa' or 'cosine', got {form!r}")
     return TimeDependentHamiltonian(
-        static_part=h_jc,
-        drive_terms=terms,
+        static_part=jc_hamiltonian(params, cutoff),
         cutoff=cutoff,
+        drive=v,
+        omega=drive.omega_d,
         window=(0.0, drive.T),
-        frame_omega=frame_omega,
         remake=lambda c: lab_drive_hamiltonian(params, drive, c, form),
     )
 
@@ -204,20 +193,13 @@ def qubit_drive_lab_hamiltonian(
     params: SystemParams, qd: QubitDriveParams, cutoff: FockCutoff
 ) -> TimeDependentHamiltonian:
     """Lab-frame Hamiltonian with a classical qubit drive on [0, tau]:
-    H(t) = H_JC + eta e^{-i w t} sigma^+ + eta* e^{i w t} sigma^-."""
-    ops = build_mode_operators(cutoff)
-    h_jc = jc_hamiltonian(params, cutoff)
-    eta, w = complex(qd.eta), qd.omega
-    terms = (
-        DriveTerm(ops.sp, lambda t: eta * np.exp(-1j * w * t)),
-        DriveTerm(ops.sm, lambda t: np.conj(eta) * np.exp(1j * w * t)),
-    )
+    H(t) = H_JC + eta e^{-i w t} sigma^+ + eta* e^{i w t} sigma^-  (V = eta* sigma^-, exact)."""
     return TimeDependentHamiltonian(
-        static_part=h_jc,
-        drive_terms=terms,
+        static_part=jc_hamiltonian(params, cutoff),
         cutoff=cutoff,
+        drive=np.conj(complex(qd.eta)) * build_mode_operators(cutoff).sm,
+        omega=qd.omega,
         window=(0.0, qd.tau),
-        frame_omega=w,
         remake=lambda c: qubit_drive_lab_hamiltonian(params, qd, c),
     )
 
@@ -287,7 +269,7 @@ def integrate(
 
 def _check_guard(ham, grid, dt, guard_limit):
     probes = {grid.t0 + 0.5 * dt, grid.t1 - 0.5 * dt}
-    if ham.drive_terms:
+    if ham.drive is not None:
         mid = 0.5 * (ham.window[0] + ham.window[1])
         if grid.t0 <= mid <= grid.t1:
             probes.add(mid)
@@ -308,7 +290,7 @@ def _segments(ham, t0, dt, steps):
     bisection on that same expression.  Empty runs are left out.
     """
     k_on = k_off = 0
-    if ham.drive_terms:
+    if ham.drive is not None:
         t_on, t_off = ham.window
         mids = range(steps)
         k_on = bisect_left(mids, True, key=lambda k: t0 + (k + 0.5) * dt >= t_on)
@@ -320,27 +302,24 @@ def _segments(ham, t0, dt, steps):
 
 
 def _is_exact(ham, driven):
-    """A segment has a closed solution when it is free or the frame is declared."""
-    return not driven or ham.frame_omega is not None
-
-
-def _frame_hamiltonian(ham, driven, t=0.0):
-    """Static part plus, when ``driven``, the drive terms evaluated at t."""
-    h = ham.static_part.copy()
-    if driven:
-        for term in ham.drive_terms:
-            h = h + term.envelope(t) * term.operator
-    return h
+    """A segment has a closed solution when it is free or its drive passes the charge split."""
+    return not driven or ham.exact
 
 
 def _advance_exact(ham, psi, t_start, elapsed, driven):
-    """psi(t) = R(t) exp(-i (H_0 - omega C)(t - t_s)) R(t_s)^dag psi(t_s) at t = t_s + elapsed.
+    """psi(t) = R(t) exp(-i (H_0 + V + V^dag - omega C)(t - t_s)) R(t_s)^dag psi(t_s).
 
-    R(t) = exp(-i omega t C) is the declared frame; a free segment takes
-    omega = 0.  All requested times come from one eigendecomposition.
+    At t = t_s + elapsed, with R(t) = exp(-i omega t C); a free segment
+    takes V = 0 and omega = 0.  All requested times come from one
+    eigendecomposition.
     """
-    rate = ham.frame_omega * excitation_charge(ham.cutoff) if driven else np.zeros(psi.shape[0])
-    evals, vecs = eigh(_frame_hamiltonian(ham, driven) - np.diag(rate))
+    if driven:
+        rate = ham.omega * excitation_charge(ham.cutoff)
+        h = ham.static_part + ham.drive + ham.drive.conj().T - np.diag(rate)
+    else:
+        rate = np.zeros(psi.shape[0])
+        h = ham.static_part
+    evals, vecs = eigh(h)
     c = vecs.conj().T @ (np.exp(1j * t_start * rate) * psi)
     states = (np.exp(-1j * evals * elapsed[:, None]) * c) @ vecs.T
     return states * np.exp(-1j * (t_start + elapsed)[:, None] * rate)

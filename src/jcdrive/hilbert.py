@@ -87,7 +87,7 @@ class SystemParams:
                 f"|g/Delta| = {abs(lam):.3g} > {LAMBDA_WARN_THRESHOLD}: "
                 "dispersive approximation questionable",
                 DispersiveRegimeWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__, to the SystemParams(...) call
             )
 
     @property

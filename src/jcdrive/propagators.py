@@ -106,10 +106,13 @@ def _alpha_branch(epsilon: complex, u: float, T: float) -> complex:
 
 
 def _x_minus_sin(x: float) -> float:
-    # x - sin(x) loses ~all digits to cancellation for small x; series is exact there
-    if abs(x) < 1e-2:
-        x2 = x * x
-        return x * x2 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0 * (1.0 - x2 / 72.0)))
+    # x - sin(x) cancels ~2 log10(1/x) digits (2.6e-12 relative at x = 1e-2);
+    # below |x| = 1 the series, through x^19, is exact to rounding instead
+    if abs(x) < 1.0:
+        x2, s = x * x, 1.0
+        for k in range(8, 0, -1):  # Horner: x^3/6 * sum_k (-x^2)^k 3!/(2k+3)!
+            s = 1.0 - x2 / ((2 * k + 2) * (2 * k + 3)) * s
+        return x * x2 / 6.0 * s
     return x - math.sin(x)
 
 

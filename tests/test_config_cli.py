@@ -106,6 +106,12 @@ class TestConfigFaults:
         assert code == 1
         assert "line 1:" in err and "epsilon" in err
 
+    def test_n_max_below_fock_minimum(self, tmp_path, capsys):
+        # FockCutoff needs two levels; the truncation rule is checked later
+        code, err = self._run(tmp_path, capsys, "scenario=fig4\nn_max=-4\n")
+        assert code == 1
+        assert "line 2:" in err and "n_max" in err
+
     def test_zero_epsilon_accepted_by_fig2d(self):
         # fig2d sweeps |epsilon| itself and reads only arg(epsilon)
         assert parse_config("scenario=fig2d\nepsilon=0\n").epsilon == 0

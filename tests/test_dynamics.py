@@ -1,6 +1,5 @@
 """The integrator: exactness, the exact segment path, convergence."""
 
-import dataclasses
 import math
 import time
 
@@ -10,7 +9,6 @@ from scipy.linalg import eigh
 
 from jcdrive.dressed import dressed_basis, dressed_coherent_state
 from jcdrive.dynamics import (
-    DriveTerm,
     TimeDependentHamiltonian,
     TimeGrid,
     convergence_check,
@@ -39,11 +37,7 @@ from conftest import fid, ode_final
 
 
 def static_hamiltonian(params, cutoff):
-    return TimeDependentHamiltonian(
-        static_part=jc_hamiltonian(params, cutoff),
-        drive_terms=(),
-        cutoff=cutoff,
-    )
+    return TimeDependentHamiltonian(static_part=jc_hamiltonian(params, cutoff), cutoff=cutoff)
 
 
 class TestTimeGrid:
@@ -136,6 +130,42 @@ class TestIntegratorBasics:
         grid = TimeGrid.for_duration(0.1, 1e-5)
         with pytest.raises(ValueError, match="normalized"):
             integrate(ham, psi0, grid)
+
+
+class TestHamiltonianForm:
+    """hamiltonian_at against each builder's docstring formula, written out by hand."""
+
+    @staticmethod
+    def docstring_formula(kind, params, cut, z, w):
+        ops = build_mode_operators(cut)
+        h_jc = jc_hamiltonian(params, cut)
+        if kind == "rwa":
+            return lambda t: (h_jc + z * np.exp(1j * w * t) * ops.a
+                              + np.conj(z) * np.exp(-1j * w * t) * ops.a_dag)
+        if kind == "cosine":
+            return lambda t: h_jc + 2.0 * math.cos(w * t) * (z * ops.a + np.conj(z) * ops.a_dag)
+        return lambda t: (h_jc + z * np.exp(-1j * w * t) * ops.sp
+                          + np.conj(z) * np.exp(1j * w * t) * ops.sm)
+
+    @pytest.mark.parametrize("kind", ["rwa", "cosine", "qubit"])
+    def test_matches_builder_formula(self, params, kind):
+        cut = FockCutoff(7)
+        z, pulse = 0.31 - 0.47j, 1.3
+        if kind == "qubit":
+            w = params.omega_q + 0.5
+            ham = qubit_drive_lab_hamiltonian(params, QubitDriveParams(z, w, pulse), cut)
+        else:
+            w = params.omega_c - params.chi
+            ham = lab_drive_hamiltonian(params, DriveParams(z, w, pulse), cut, kind)
+        formula = self.docstring_formula(kind, params, cut, z, w)
+        h_jc = jc_hamiltonian(params, cut)
+        inside = np.concatenate(([0.0, pulse], np.linspace(0.0, pulse, 37)[1:-1]))
+        for t in inside:
+            expected = formula(t)
+            gap = np.max(np.abs(hamiltonian_at(ham, t) - expected))
+            assert gap <= 1e-13 * np.max(np.abs(expected)), (t, gap)
+        for t in (-0.2, np.nextafter(pulse, 2.0), pulse + 0.7, 40.0):
+            np.testing.assert_array_equal(hamiltonian_at(ham, t), h_jc)
 
 
 class TestWindowSemantics:
@@ -246,12 +276,43 @@ class TestFastPath:
         oracle = ode_final(lambda t: hamiltonian_at(ham, t0 + t), psi0, grid.t1 - t0)
         assert 1.0 - fid(exact, oracle) < 1e-10
 
-    def test_misdeclared_frame_rejected(self, params):
+    def test_charge_split_decides_exactness(self, params):
         cut = FockCutoff(6)
-        drive = DriveParams(0.05, params.omega_c - params.chi, 3.0)
-        ham = lab_drive_hamiltonian(params, drive, cut, "rwa")
-        with pytest.raises(ValueError, match="declared frame"):
-            dataclasses.replace(ham, frame_omega=drive.omega_d + 0.3)
+        drive = DriveParams(0.05 - 0.02j, params.omega_c - params.chi, 3.0)
+        qd = QubitDriveParams(0.3 + 0.1j, params.omega_q + 0.5, 0.4)
+        assert lab_drive_hamiltonian(params, drive, cut, "rwa").exact
+        assert qubit_drive_lab_hamiltonian(params, qd, cut).exact
+        assert not lab_drive_hamiltonian(params, drive, cut, "cosine").exact
+
+    def test_construction_checks_outside_input(self, params):
+        cut = FockCutoff(3)
+        ops = build_mode_operators(cut)
+        h0 = jc_hamiltonian(params, cut)
+        for kwargs, match in (
+            (dict(static_part=h0 + ops.a), "Hermitian"),
+            (dict(static_part=h0[:4, :4]), "shape"),
+            (dict(static_part=h0, drive=ops.a[:4, :4], window=(0.0, 1.0)), "shape"),
+            (dict(static_part=h0, drive=ops.a), "window"),
+            (dict(static_part=h0, drive=ops.a, window=(1.0, 0.5)), "window"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                TimeDependentHamiltonian(cutoff=cut, **kwargs)
+
+    def test_charge_breaking_static_part_is_stepped(self, params):
+        # V = eps a only lowers C, but sigma_x in H_0 breaks C, so no frame
+        # makes H(t) static: the driven segment must be stepped, not exact
+        cut = FockCutoff(4)
+        ops = build_mode_operators(cut)
+        h0 = jc_hamiltonian(params, cut) + 0.1 * (ops.sp + ops.sm)
+        ham = TimeDependentHamiltonian(
+            static_part=h0, cutoff=cut, drive=(0.3 + 0.2j) * ops.a,
+            omega=params.omega_c - params.chi, window=(0.0, 0.2),
+        )
+        assert not ham.exact
+        psi0 = basis_state(cut, "g", 1)
+        final = integrate(ham, psi0, TimeGrid(0.0, 0.3, 2e-5)).final
+        oracle = ode_final(lambda t: hamiltonian_at(ham, t), psi0, 0.3)
+        assert 1.0 - fid(final, oracle) < 1e-10
 
     def test_runtime_independent_of_step_count(self, params):
         # 5 M midpoint steps: the exact path costs a few eigendecompositions
@@ -364,18 +425,17 @@ class TestConvergence:
         assert report.passed, str(report)
 
     def test_aliased_drive_flags_nonconvergence(self):
-        # envelope far faster than the step can resolve: dt and dt/2 runs
-        # sample it incoherently, so the check must fail
+        # 0.25 cos(60 t)(a + a'), far faster than the step can resolve: dt
+        # and dt/2 runs sample it incoherently, so the check must fail
         cut = FockCutoff(2)
-        ops = build_mode_operators(cut)
 
         def build(cutoff):
             o = build_mode_operators(cutoff)
-            op = 0.25 * (o.a + o.a_dag)
             return TimeDependentHamiltonian(
                 static_part=0.01 * o.sz,
-                drive_terms=(DriveTerm(op, lambda t: math.cos(60.0 * t)),),
                 cutoff=cutoff,
+                drive=0.125 * (o.a + o.a_dag),
+                omega=60.0,
                 window=(0.0, 8.0),
                 remake=build,
             )

@@ -47,6 +47,12 @@ class TestSystemParams:
         with pytest.warns(DispersiveRegimeWarning):
             SystemParams.from_lambda(g=1.0, lam=0.4, omega_c=100.0)
 
+    def test_warning_names_the_calling_file(self):
+        # not the dataclass-generated __init__, which reports itself as <string>
+        with pytest.warns(DispersiveRegimeWarning) as record:
+            SystemParams(omega_c=100.0, omega_q=102.0, g=1.0)
+        assert record[0].filename == __file__
+
     def test_cutoff_validation(self):
         with pytest.raises(ValueError):
             FockCutoff(1)

@@ -24,6 +24,9 @@ from jcdrive.metrics import excited_probability
 from jcdrive.propagators import (
     DriveParams,
     QubitDriveParams,
+    _alpha_branch,
+    _eta_b_over,
+    _x_minus_sin,
     alpha_ge,
     cavity_drive_propagator,
     conditional_displacement,
@@ -85,6 +88,43 @@ class TestAlphaGE:
         for u, val in ((delta - params.chi, a_g), (delta + params.chi, a_e)):
             expected = -np.conj(drive.epsilon) * (np.exp(1j * u * drive.T) - 1.0) / u
             assert val == pytest.approx(expected, rel=1e-12)
+
+
+# |x| over [1e-8, 1], both signs, and both sides of _x_minus_sin's old 1e-2 switch
+SMALL_ARGS = [s * x for s in (1.0, -1.0) for x in np.concatenate((
+    np.geomspace(1e-8, 1.0, 81), [np.nextafter(1e-2, 0.0), 1e-2, np.nextafter(1e-2, 1.0)]
+))]
+
+
+def _phi1(y):
+    """(e^{iy} - 1)/(iy) = sum_k (iy)^k/(k+1)!, each part summed with math.fsum."""
+    terms = [(1j * y) ** k / math.factorial(k + 1) for k in range(30)]
+    return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+
+
+class TestRemovableSingularities:
+    """Closed-form helpers near x = 0 against Taylor sums, to 1e-13 relative."""
+
+    @staticmethod
+    def assert_close(helper, series):
+        worst = max((abs(helper(x) - series(x)) / abs(series(x)), x) for x in SMALL_ARGS)
+        assert worst[0] <= 1e-13, worst
+
+    def test_x_minus_sin(self):
+        self.assert_close(_x_minus_sin, lambda x: math.fsum(
+            (-1) ** k * x ** (2 * k + 3) / math.factorial(2 * k + 3) for k in range(15)))
+
+    def test_alpha_branch(self):
+        # -eps (e^{iuT} - 1)/u = -i eps* T phi1(uT)
+        eps, T = 0.3 - 0.4j, 0.9
+        self.assert_close(lambda u: _alpha_branch(eps, u, T),
+                          lambda u: -1j * np.conj(eps) * T * _phi1(u * T))
+
+    def test_eta_b_over(self):
+        # eta (1 - e^{iy tau})/y = -i eta tau phi1(y tau)
+        eta, tau = 0.7 + 0.2j, 1.1
+        self.assert_close(lambda y: _eta_b_over(eta, y, tau),
+                          lambda y: -1j * eta * tau * _phi1(y * tau))
 
 
 class TestMagnusPhase:

@@ -8,14 +8,14 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from jcdrive.dynamics import DriveTerm, TimeDependentHamiltonian, _segments
+from jcdrive.dynamics import TimeDependentHamiltonian, _segments
 from jcdrive.hilbert import FockCutoff
 
 _CUT = FockCutoff(2)
 _HAM = TimeDependentHamiltonian(
     static_part=np.zeros((_CUT.dim, _CUT.dim)),
-    drive_terms=(DriveTerm(np.zeros((_CUT.dim, _CUT.dim)), lambda t: 0.0),),
     cutoff=_CUT,
+    drive=np.zeros((_CUT.dim, _CUT.dim)),
     window=(0.0, 1.0),
 )
 
