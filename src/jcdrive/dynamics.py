@@ -7,30 +7,48 @@ Every drive here is one tone in one rectangular pulse,
 and H_0 outside it.  A run therefore splits into at most three segments,
 free, driven, free, whose boundaries come from the window by bisection over
 the step midpoints t_k + dt/2, so a window edge that falls on a midpoint
-counts as inside, as in hamiltonian_at.  Each segment takes one of two paths:
+counts as inside, as in hamiltonian_at.  With C the excitation number
+a'a + (1 - sigma_z)/2 and R(t) = exp(-i omega t C), every segment is solved
+in the frame R(t), where the Hamiltonian is
+
+    H_F(t) = R(t)^dag H(t) R(t) - omega C,
+
+and takes one of three paths:
 
 * exact: a free segment, or a driven one whose matrices pass the charge
-  split, is solved in closed form.  With C the excitation number
-  a'a + (1 - sigma_z)/2 and R(t) = exp(-i omega t C), H(t) is static in the
-  frame R(t) when H_0 commutes with C and V only lowers C by one (true for
-  the rwa cavity drive, V = eps a, and the qubit drive, V = eta* sigma^-):
+  split, is solved in closed form.  H_F is static when H_0 commutes with C
+  and V only lowers C by one (true for the rwa cavity drive, V = eps a, and
+  the qubit drive, V = eta* sigma^-), or when omega = 0:
 
       psi(t) = R(t) exp(-i (H_0 + V + V^dag - omega C)(t - t_s)) R(t_s)^dag psi(t_s),
 
   from one eigendecomposition; a free segment is the case V = 0, omega = 0.
-  The split is read off the matrices when the Hamiltonian is built.
-* stepped: any other driven segment (the cosine drive, whose V also raises
-  C) goes through the midpoint-exponential stepper,
+* periodic: any other driven segment (the cosine drive, whose V also raises
+  C) has an H_F that repeats with the period P = pi/omega, or 2 pi/omega
+  when H_0 breaks C (see TimeDependentHamiltonian).  One period of
+  m = ceil(P/dt) midpoint steps of h = P/m <= dt gives the period
+  propagator U_P, and a time t - t_s = n P + j h + delta is reached as
+
+      psi(t) = R(t) S_delta U_j U_P^n R(t_s)^dag psi(t_s),
+
+  with U_j the product of the first j steps and S_delta one midpoint step
+  of length delta.  The cost is set by m, not by the length of the pulse.
+* stepped: the midpoint-exponential stepper on the lab-frame H(t),
 
       psi_{k+1} = exp(-i dt H(t_k + dt/2)) psi_k,
 
   second order in dt and exactly unitary per step, with one Hermitian
-  eigendecomposition per step.  force_generic sends every segment this way.
-  Only a stepped segment is held to the dt*max|eig H| guard.
+  eigendecomposition per step.  force_generic sends every segment this way
+  (the oracle the other two paths are tested against); otherwise only a
+  driven segment whose grid takes a whole drive period or more per step
+  (m = 1, where no period propagator resolves the drive) is stepped.
 
+The split and the period are read off the matrices when the Hamiltonian is
+built.  A periodic or stepped segment is held to the dt*max|eig H| guard.
 On the exact path all stored snapshots of a segment come out of one matrix
 product, so no work scales with the step count.  convergence_check reruns
-store only final states, and a run with no stepped segment gets no dt/2 rerun.
+store only final states, and a run with no periodic or stepped segment gets
+no dt/2 rerun.
 """
 
 from __future__ import annotations
@@ -102,10 +120,16 @@ class TimeDependentHamiltonian:
 
     ``static_part`` is H_0 and ``drive`` is V; ``window`` is required with a
     drive.  H(t) is Hermitian by construction, so only H_0 is checked.
-    ``exact`` is read off the matrices once, at construction: a driven
-    segment has a closed solution when H_0 commutes with the excitation
-    number C = excitation_charge(cutoff) and V only lowers C by one, so that
-    R(t)^dag H(t) R(t) with R(t) = exp(-i omega t C) is static.
+    ``exact`` and ``period`` are read off the matrices once, at
+    construction, from the charge differences of C = excitation_charge(cutoff).
+    A driven segment has a closed solution when omega = 0, or when H_0
+    commutes with C and V only lowers C by one, so that
+    H_F(t) = R(t)^dag H(t) R(t) - omega C with R(t) = exp(-i omega t C) is
+    static.  Otherwise ``period`` is the period of H_F: an element of H_0
+    that changes C by d turns with e^{i d omega t} and one of V with
+    e^{i (d + 1) omega t}, so P = pi/|omega| when H_0 changes C only by even
+    amounts and V only by odd ones (the cosine drive), and 2 pi/|omega|
+    otherwise.  ``period`` is None for an exact Hamiltonian.
     """
 
     static_part: np.ndarray
@@ -117,6 +141,7 @@ class TimeDependentHamiltonian:
         default=None, repr=False
     )
     exact: bool = field(init=False, repr=False)
+    period: Optional[float] = field(init=False, repr=False)
 
     def __post_init__(self):
         dim = self.cutoff.dim
@@ -124,7 +149,7 @@ class TimeDependentHamiltonian:
             raise ValueError(f"static part has shape {self.static_part.shape}, cutoff needs {dim}")
         if not is_hermitian(self.static_part):
             raise ValueError("static part is not Hermitian")
-        exact = True
+        exact, period = True, None
         if self.drive is not None:
             if self.drive.shape != (dim, dim):
                 raise ValueError(f"drive has shape {self.drive.shape}, cutoff needs {dim}")
@@ -132,8 +157,15 @@ class TimeDependentHamiltonian:
                 raise ValueError(f"a drive needs a window t_on <= t_off, got {self.window}")
             c = excitation_charge(self.cutoff)
             dc = c[:, None] - c[None, :]
-            exact = not (np.any(self.static_part[dc != 0]) or np.any(self.drive[dc != -1]))
+            exact = self.omega == 0 or not (
+                np.any(self.static_part[dc != 0]) or np.any(self.drive[dc != -1])
+            )
+            if not exact:
+                odd = dc % 2 != 0
+                halved = not (np.any(self.static_part[odd]) or np.any(self.drive[~odd]))
+                period = (math.pi if halved else 2.0 * math.pi) / abs(self.omega)
         object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "period", period)
 
 
 def _driven_at(ham, t):
@@ -144,6 +176,11 @@ def hamiltonian_at(ham: TimeDependentHamiltonian, t: float) -> np.ndarray:
     """H(t) = H_0 + W + W^dag with W = e^{i omega t} V inside the window, H_0 outside."""
     if not _driven_at(ham, t):
         return ham.static_part.copy()
+    return _driven_hamiltonian(ham, t)
+
+
+def _driven_hamiltonian(ham, t):
+    """H_0 + W + W^dag with W = e^{i omega t} V, inside the window or not."""
     w = np.exp(1j * ham.omega * t) * ham.drive
     return ham.static_part + w + w.conj().T
 
@@ -226,13 +263,17 @@ def integrate(
 ) -> Trajectory:
     """Propagate i d/dt psi = H(t) psi over the free, driven and free segments.
 
-    Each segment is solved exactly where it can be (free, or driven in the
-    declared frame) and stepped otherwise.  Raises if psi0 is not normalized,
-    or if some segment is stepped and dt * max|eigenvalue(H)| >= guard_limit
-    (accuracy guard: the step must resolve every phase in the problem; on
-    the exact path dt only sets where the window edges fall).  Snapshots are
-    stored every ``store_every`` steps (default: about 1000 over the run);
-    the final state is stored exactly regardless.
+    Each segment takes one of the three paths of the module docstring:
+    exact (free, or driven with a static frame Hamiltonian), periodic (any
+    other driven segment: one drive period of midpoint steps of
+    h = P/ceil(P/dt) <= dt, reused for the rest of the pulse) or stepped
+    (force_generic, the literal lab-frame oracle).  Raises if psi0 is not
+    normalized, or if some segment is periodic or stepped and
+    dt * max|eigenvalue(H)| >= guard_limit (accuracy guard: the step must
+    resolve every phase in the problem; on the exact path dt only sets where
+    the window edges fall).  Snapshots are stored every ``store_every``
+    steps of dt (default: about 1000 over the run); the final state is
+    stored exactly regardless.
     """
     dim = ham.static_part.shape[0]
     if psi0.shape != (dim,):
@@ -243,10 +284,10 @@ def integrate(
     steps = grid.steps
     dt = (grid.t1 - grid.t0) / steps
     segments = [
-        (k0, k1, driven, force_generic or not _is_exact(ham, driven))
+        (k0, k1, driven, _path(ham, driven, dt, force_generic))
         for k0, k1, driven in _segments(ham, grid.t0, dt, steps)
     ]
-    if any(stepped for *_, stepped in segments):
+    if any(path != "exact" for *_, path in segments):
         _check_guard(ham, grid, dt, guard_limit)
 
     if store_every is None:
@@ -255,13 +296,16 @@ def integrate(
 
     out_states = np.empty((len(stored), dim), dtype=complex)
     psi = out_states[0] = psi0.astype(complex)
-    for k0, k1, driven, stepped in segments:
+    for k0, k1, driven, path in segments:
         lo, hi = np.searchsorted(stored, (k0, k1), side="right")
         ends = np.append(stored[lo:hi], k1) - k0  # steps into the segment to report
-        if stepped:
+        t_start = grid.t0 + k0 * dt
+        if path == "stepped":
             states = _advance_sequential(ham, psi, grid.t0, dt, k0, ends)
+        elif path == "periodic":
+            states = _advance_periodic(ham, psi, t_start, ends * dt, dt)
         else:
-            states = _advance_exact(ham, psi, grid.t0 + k0 * dt, ends * dt, driven)
+            states = _advance_exact(ham, psi, t_start, ends * dt, driven)
         out_states[lo:hi] = states[:-1]
         psi = states[-1]
     return Trajectory(times=grid.t0 + stored * dt, states=out_states)
@@ -306,6 +350,25 @@ def _is_exact(ham, driven):
     return not driven or ham.exact
 
 
+def _steps_per_period(ham, dt):
+    """m = ceil(P/dt), the fewest midpoint steps per drive period with h = P/m <= dt."""
+    return max(1, math.ceil(ham.period / dt - 1e-9))  # P/dt a whole number up to rounding
+
+
+def _path(ham, driven, dt, force_generic):
+    """How integrate advances a segment: 'exact', 'periodic' or 'stepped'.
+
+    A driven segment whose grid step spans a whole drive period (m = 1) is
+    stepped: no step of the period resolves the drive, and only literal
+    stepping lets the dt/2 rerun of convergence_check show it.
+    """
+    if force_generic:
+        return "stepped"
+    if _is_exact(ham, driven):
+        return "exact"
+    return "periodic" if _steps_per_period(ham, dt) > 1 else "stepped"
+
+
 def _advance_exact(ham, psi, t_start, elapsed, driven):
     """psi(t) = R(t) exp(-i (H_0 + V + V^dag - omega C)(t - t_s)) R(t_s)^dag psi(t_s).
 
@@ -323,6 +386,63 @@ def _advance_exact(ham, psi, t_start, elapsed, driven):
     c = vecs.conj().T @ (np.exp(1j * t_start * rate) * psi)
     states = (np.exp(-1j * evals * elapsed[:, None]) * c) @ vecs.T
     return states * np.exp(-1j * (t_start + elapsed)[:, None] * rate)
+
+
+def _frame_hamiltonian(ham, charge, t):
+    """H_F(t) = R(t)^dag H(t) R(t) - omega C with the drive on, R(t) = exp(-i omega t C)."""
+    phase = np.exp(1j * ham.omega * t * charge)
+    h = _driven_hamiltonian(ham, t) * phase[:, None] * phase.conj()
+    return h - np.diag(ham.omega * charge)
+
+
+def _midpoint_step(h, tau):
+    """exp(-i tau h) for Hermitian h, from one eigendecomposition."""
+    evals, vecs = eigh(h)
+    return (vecs * np.exp(-1j * evals * tau)) @ vecs.conj().T
+
+
+def _advance_periodic(ham, psi, t_start, elapsed, dt):
+    """psi(t) = R(t) S_delta U_j U_P^n R(t_s)^dag psi(t_s), t - t_s = n P + j h + delta.
+
+    At t = t_s + elapsed (ascending).  H_F repeats with the period P, so the
+    m = ceil(P/dt) midpoint steps of h = P/m from t_s give U_P, and U_j is
+    the product of their first j.  Only the U_j that a requested time needs
+    are kept, and the period is stepped only when some time lies past it.
+    U_P^n is applied as n matrix-vector products; S_delta is one midpoint
+    step of length delta, skipped when delta = 0.
+    """
+    m = _steps_per_period(ham, dt)
+    h = ham.period / m
+    whole = np.floor(elapsed / h + 1e-9)  # steps of h, a whole number up to rounding
+    delta = elapsed - whole * h
+    delta[delta < 1e-9 * h] = 0.0
+    n, j = np.divmod(whole.astype(int), m)
+
+    charge = excitation_charge(ham.cutoff)
+    needed = set(j.tolist())
+    u = np.eye(psi.shape[0], dtype=complex)
+    partial = {0: u}
+    for k in range(m if n[-1] > 0 else max(needed)):
+        u = _midpoint_step(_frame_hamiltonian(ham, charge, t_start + (k + 0.5) * h), h) @ u
+        if k + 1 in needed:
+            partial[k + 1] = u
+    if n[-1] > 0:
+        # one Newton-Schulz step to the nearest unitary, so that n products
+        # of U_P do not compound the rounding of its m factors
+        u = u @ (1.5 * np.eye(len(u)) - 0.5 * (u.conj().T @ u))
+
+    phi = np.exp(1j * ham.omega * t_start * charge) * psi  # R(t_s)^dag psi(t_s)
+    states = np.empty((len(elapsed), psi.shape[0]), dtype=complex)
+    periods = 0
+    for i, (n_i, j_i, delta_i) in enumerate(zip(n, j, delta)):
+        for _ in range(n_i - periods):
+            phi = u @ phi
+        periods = n_i
+        states[i] = partial[j_i] @ phi
+        if delta_i:
+            t_mid = t_start + j_i * h + 0.5 * delta_i
+            states[i] = _midpoint_step(_frame_hamiltonian(ham, charge, t_mid), delta_i) @ states[i]
+    return states * np.exp(-1j * ham.omega * (t_start + elapsed)[:, None] * charge)
 
 
 def _advance_sequential(ham, psi, t0, dt, k0, ends):
@@ -387,11 +507,13 @@ def convergence_check(
 ) -> ConvergenceReport:
     """Rerun with dt/2 and with doubled n_max; report final-state fidelities.
 
-    A run whose segments are all exact (free, or driven in a declared frame) has
-    no stepping error, so it gets no dt/2 rerun and reports the dt axis as
-    exact.  The doubled-cutoff rerun keeps the same dt (it isolates
-    truncation error), so the dt*max|eig| guard is relaxed for that run
-    only: the added spectral radius lives entirely on unoccupied levels.
+    A run whose segments are all exact (free, or driven with a static frame
+    Hamiltonian) has no stepping error, so it gets no dt/2 rerun and reports
+    the dt axis as exact.  On a periodic segment the dt/2 rerun takes
+    ceil(2P/dt), that is 2m or 2m - 1, steps per period.  The
+    doubled-cutoff rerun keeps the same dt (it isolates truncation error),
+    so the dt*max|eig| guard is relaxed for that run only: the added
+    spectral radius lives entirely on unoccupied levels.
     """
     if ham.remake is None:
         raise ValueError("Hamiltonian has no remake recipe; cannot double the cutoff")

@@ -19,6 +19,7 @@ never mutate their inputs.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -63,6 +64,19 @@ class DispersiveRegimeWarning(UserWarning):
     """|g/Delta| large enough that dispersive-regime results are questionable."""
 
 
+def _first_outside_caller() -> int:
+    """warnings.warn stacklevel, for its caller here, of the first frame outside this module.
+
+    Skips the dataclass-generated __init__ (compiled with this module's
+    globals) and from_lambda, so a warning names the code that asked for
+    the parameters.
+    """
+    level, frame = 1, sys._getframe(1)
+    while frame.f_globals is globals():
+        level, frame = level + 1, frame.f_back
+    return level
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Qubit-cavity frequencies and coupling, with derived dispersive quantities.
@@ -87,7 +101,7 @@ class SystemParams:
                 f"|g/Delta| = {abs(lam):.3g} > {LAMBDA_WARN_THRESHOLD}: "
                 "dispersive approximation questionable",
                 DispersiveRegimeWarning,
-                stacklevel=3,  # past the dataclass __init__, to the SystemParams(...) call
+                stacklevel=_first_outside_caller(),
             )
 
     @property

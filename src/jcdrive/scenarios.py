@@ -99,8 +99,9 @@ def dt_bound(params: SystemParams, cutoff: FockCutoff, eps_abs: float,
             eta_abs: float = 0.0, cosine: bool = False) -> float:
     """Largest step satisfying dt * max|eig(H)| < 0.1, from a spectral-radius bound.
 
-    The stepper needs this bound; on a run whose segments are all exact it
-    only sets where the pulse edges round to, and a larger config dt passes.
+    The guard holds a periodic or stepped run (drive_form=cosine) to this
+    bound; on a run whose segments are all exact it only sets where the
+    pulse edges round to, and a larger config dt passes.
     """
     n = cutoff.n_max
     rho = (

@@ -1,6 +1,13 @@
 """Shared fixtures and independent oracles for the test suite."""
 
-import numpy as np
+import os
+
+# One BLAS thread, set before numpy loads BLAS: the suite's matrices are
+# small, and on a multi-core host an unpinned OpenBLAS runs some tests ~25x slower.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 from scipy.integrate import solve_ivp
 
@@ -25,14 +32,22 @@ def ode_final(h_of_t, psi0, t_end, rtol=1e-11, atol=1e-13):
     (adaptive embedded Runge-Kutta rather than exponential stepping), so
     agreement is a genuine cross-check.
     """
-
-    def rhs(t, y):
-        return -1j * (h_of_t(t) @ y)
-
-    sol = solve_ivp(rhs, (0.0, t_end), psi0.astype(complex), method="DOP853",
-                    rtol=rtol, atol=atol)
+    sol = solve_ivp(_schroedinger_rhs(h_of_t), (0.0, t_end), psi0.astype(complex),
+                    method="DOP853", rtol=rtol, atol=atol)
     assert sol.success
     return sol.y[:, -1]
+
+
+def ode_states(h_of_t, psi0, times, rtol=1e-11, atol=1e-13):
+    """The ode_final oracle at each of the ascending ``times`` (from t = 0), one per row."""
+    sol = solve_ivp(_schroedinger_rhs(h_of_t), (0.0, times[-1]), psi0.astype(complex),
+                    method="DOP853", t_eval=times, rtol=rtol, atol=atol)
+    assert sol.success
+    return sol.y.T
+
+
+def _schroedinger_rhs(h_of_t):
+    return lambda t, y: -1j * (h_of_t(t) @ y)
 
 
 def fid(a, b):

@@ -1,4 +1,4 @@
-"""The integrator: exactness, the exact segment path, convergence."""
+"""The integrator: exactness, the exact and periodic segment paths, convergence."""
 
 import math
 import time
@@ -33,7 +33,7 @@ from jcdrive.hilbert import (
 from jcdrive.propagators import DriveParams, QubitDriveParams
 from jcdrive.scenarios import dt_bound
 
-from conftest import fid, ode_final
+from conftest import fid, ode_final, ode_states
 
 
 def static_hamiltonian(params, cutoff):
@@ -283,6 +283,9 @@ class TestFastPath:
         assert lab_drive_hamiltonian(params, drive, cut, "rwa").exact
         assert qubit_drive_lab_hamiltonian(params, qd, cut).exact
         assert not lab_drive_hamiltonian(params, drive, cut, "cosine").exact
+        # omega = 0 makes any drive static on its window: exact, no period
+        static = lab_drive_hamiltonian(params, DriveParams(0.05, 0.0, 3.0), cut, "cosine")
+        assert static.exact and static.period is None
 
     def test_construction_checks_outside_input(self, params):
         cut = FockCutoff(3)
@@ -347,6 +350,75 @@ def assert_stepping_converges_at_second_order(ham, psi0, grid, store_every=None)
         errors.append(max_state_error(exact, stepped))
     assert errors[0] < 1e-6
     assert 3.9 < errors[0] / errors[1] < 4.1, errors
+
+
+class TestPeriodicPath:
+    """The period propagator of a non-exact driven segment, against the ODE oracle."""
+
+    @staticmethod
+    def cosine_run(params, steps_per_period):
+        # 5 drive periods of pulse, then 2.5 free periods; the pulse ends on
+        # a step boundary of this grid and of its halved grid
+        cut = FockCutoff(6)
+        omega = params.omega_c - params.chi
+        dt = math.pi / omega / steps_per_period
+        drive = DriveParams(0.4 + 0.3j, omega, 5 * steps_per_period * dt)
+        ham = lab_drive_hamiltonian(params, drive, cut, "cosine")
+        assert ham.period == math.pi / omega
+        grid = TimeGrid(0.0, 7.5 * steps_per_period * dt, dt)
+        return ham, basis_state(cut, "g", 0), grid
+
+    def test_cosine_run_against_ode_oracle(self, params):
+        # store_every=97 against 200 steps per period: snapshots inside periods
+        ham, psi0, grid = self.cosine_run(params, 200)
+        traj = integrate(ham, psi0, grid, store_every=97)
+        assert traj.times[-1] > ham.window[1]
+        oracle = ode_states(lambda t: hamiltonian_at(ham, t), psi0, traj.times)
+        assert np.max(np.abs(traj.states - oracle)) < 1e-6
+        final = ode_final(lambda t: hamiltonian_at(ham, t), psi0, grid.t1)
+        assert 1.0 - fid(traj.final, final) < 1e-10
+
+    def test_charge_breaking_static_part_has_the_full_period(self, params):
+        # sigma_x in H_0 changes C by one, so H_F turns at omega, not 2 omega
+        cut = FockCutoff(4)
+        ops = build_mode_operators(cut)
+        omega = params.omega_c - params.chi
+        dt = 2.0 * math.pi / omega / 300
+        ham = TimeDependentHamiltonian(
+            static_part=jc_hamiltonian(params, cut) + 0.1 * (ops.sp + ops.sm), cutoff=cut,
+            drive=(0.3 + 0.2j) * ops.a, omega=omega, window=(0.0, 1200 * dt),
+        )
+        assert ham.period == 2.0 * math.pi / omega
+        psi0 = basis_state(cut, "g", 1)
+        traj = integrate(ham, psi0, TimeGrid(0.0, 1500 * dt, dt), store_every=97)
+        oracle = ode_states(lambda t: hamiltonian_at(ham, t), psi0, traj.times)
+        assert np.max(np.abs(traj.states - oracle)) < 2e-7
+
+    def test_second_order_in_the_step(self, params):
+        # P/dt = 200 and 400: the midpoint steps of the period are h = dt;
+        # both runs store the same times, inside periods
+        errors = []
+        for steps_per_period, every in ((200, 97), (400, 194)):
+            ham, psi0, grid = self.cosine_run(params, steps_per_period)
+            traj = integrate(ham, psi0, grid, store_every=every)
+            oracle = ode_states(lambda t: hamiltonian_at(ham, t), psi0, traj.times)
+            errors.append(np.max(np.abs(traj.states - oracle)))
+        assert 3.8 < errors[0] / errors[1] < 4.2, errors
+
+    def test_runtime_independent_of_step_count(self, params):
+        # 10^6 midpoint steps over ~318 drive periods: the periodic path
+        # steps one period (~3100 steps) and ~1000 snapshot remainders
+        cut = FockCutoff(4)
+        omega = params.omega_c - params.chi
+        ham = lab_drive_hamiltonian(params, DriveParams(0.05, omega, 10.0), cut, "cosine")
+        grid = TimeGrid(0.0, 10.0, 1e-5)
+        assert grid.steps == 1_000_000 and grid.t1 / ham.period > 300
+        start = time.perf_counter()
+        traj = integrate(ham, basis_state(cut, "g", 0), grid)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 3.0, f"{grid.steps} steps took {elapsed:.2f} s"
+        assert len(traj.times) == 1001 and traj.times[-1] == pytest.approx(10.0)
+        assert np.max(np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)) < 1e-10
 
 
 class TestRwaVersusCosine:

@@ -53,6 +53,12 @@ class TestSystemParams:
             SystemParams(omega_c=100.0, omega_q=102.0, g=1.0)
         assert record[0].filename == __file__
 
+    def test_warning_from_lambda_names_the_calling_file(self):
+        # not the SystemParams(...) call inside from_lambda
+        with pytest.warns(DispersiveRegimeWarning) as record:
+            SystemParams.from_lambda(lam=0.4)
+        assert record[0].filename == __file__
+
     def test_cutoff_validation(self):
         with pytest.raises(ValueError):
             FockCutoff(1)
