@@ -33,15 +33,15 @@ and takes one of three paths:
 
   with U_j the product of the first j steps and S_delta one midpoint step
   of length delta.  The cost is set by m, not by the length of the pulse.
+  A grid step of a whole period or more (m = 1) resolves no drive and is
+  refused.
 * stepped: the midpoint-exponential stepper on the lab-frame H(t),
 
       psi_{k+1} = exp(-i dt H(t_k + dt/2)) psi_k,
 
   second order in dt and exactly unitary per step, with one Hermitian
-  eigendecomposition per step.  force_generic sends every segment this way
-  (the oracle the other two paths are tested against); otherwise only a
-  driven segment whose grid takes a whole drive period or more per step
-  (m = 1, where no period propagator resolves the drive) is stepped.
+  eigendecomposition per step.  Only force_generic sends a segment this
+  way, as the oracle the other two paths are tested against.
 
 The split and the period are read off the matrices when the Hamiltonian is
 built.  A periodic or stepped segment is held to the dt*max|eig H| guard.
@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eigh
+from numpy.linalg import eigh
 
 from .hilbert import (
     FockCutoff,
@@ -202,7 +202,7 @@ def lab_drive_hamiltonian(
     form='rwa':    H(t) = H_JC + eps e^{i w_d t} a + eps* e^{-i w_d t} a'
                    (V = eps a, exact)
     form='cosine': H(t) = H_JC + 2 cos(w_d t) (eps a + eps* a')
-                   (V = eps a + eps* a', stepped: eps* a' raises C)
+                   (V = eps a + eps* a', periodic: eps* a' raises C)
 
     The drive window is [0, T]: on during the pulse, off after.  (A literal
     step function switching the drive on only after T would contradict the
@@ -268,12 +268,12 @@ def integrate(
     other driven segment: one drive period of midpoint steps of
     h = P/ceil(P/dt) <= dt, reused for the rest of the pulse) or stepped
     (force_generic, the literal lab-frame oracle).  Raises if psi0 is not
-    normalized, or if some segment is periodic or stepped and
-    dt * max|eigenvalue(H)| >= guard_limit (accuracy guard: the step must
-    resolve every phase in the problem; on the exact path dt only sets where
-    the window edges fall).  Snapshots are stored every ``store_every``
-    steps of dt (default: about 1000 over the run); the final state is
-    stored exactly regardless.
+    normalized, if a periodic segment's dt spans a drive period, or if some
+    segment is periodic or stepped and dt * max|eigenvalue(H)| >= guard_limit
+    (accuracy guard: the step must resolve every phase in the problem; on the
+    exact path dt only sets where the window edges fall).  Snapshots are
+    stored every ``store_every`` steps of dt (default: about 1000 over the
+    run); the final state is stored exactly regardless.
     """
     dim = ham.static_part.shape[0]
     if psi0.shape != (dim,):
@@ -358,15 +358,16 @@ def _steps_per_period(ham, dt):
 def _path(ham, driven, dt, force_generic):
     """How integrate advances a segment: 'exact', 'periodic' or 'stepped'.
 
-    A driven segment whose grid step spans a whole drive period (m = 1) is
-    stepped: no step of the period resolves the drive, and only literal
-    stepping lets the dt/2 rerun of convergence_check show it.
+    Raises when a periodic segment's grid step spans a whole drive period
+    (m = 1): no step of it resolves the drive.
     """
     if force_generic:
         return "stepped"
     if _is_exact(ham, driven):
         return "exact"
-    return "periodic" if _steps_per_period(ham, dt) > 1 else "stepped"
+    if _steps_per_period(ham, dt) == 1:
+        raise ValueError(f"dt = {dt:.6g} spans the whole drive period P = {ham.period:.6g}")
+    return "periodic"
 
 
 def _advance_exact(ham, psi, t_start, elapsed, driven):
@@ -463,7 +464,7 @@ def _advance_sequential(ham, psi, t0, dt, k0, ends):
 class ConvergenceReport:
     """Self-convergence of a run: fidelity against dt/2 and doubled-cutoff reruns.
 
-    ``dt_exact`` marks a run with no stepped segment: it has no dt/2 rerun,
+    ``dt_exact`` marks a run whose segments are all exact: it has no dt/2 rerun,
     and ``fidelity_dt`` is 1.0.
     """
 

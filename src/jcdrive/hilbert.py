@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh
+from numpy.linalg import eigh
 
 __all__ = [
     "SystemParams",
@@ -139,11 +139,6 @@ class FockCutoff:
     def dim(self) -> int:
         return 2 * self.n_max
 
-    @classmethod
-    def for_amplitude(cls, alpha: complex, headroom: int = 0) -> "FockCutoff":
-        """Smallest adequate cutoff for a coherent amplitude alpha (plus headroom levels)."""
-        return cls(required_cutoff(alpha) + headroom)
-
 
 def required_cutoff(alpha: complex) -> int:
     """Truncation adequacy rule: n_max >= ceil(|alpha|^2 + 6|alpha| + 10).
@@ -244,9 +239,14 @@ def displacement_cavity(beta: complex, n_max: int) -> np.ndarray:
 
 
 def poisson_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
-    """Coherent-state amplitudes e^{-|alpha|^2/2} alpha^n / sqrt(n!) for n < n_max."""
+    """Coherent-state amplitudes e^{-|alpha|^2/2} alpha^n / sqrt(n!) for n < n_max.
+
+    Raises ValueError above |alpha|^2 ~ 1416, where e^{-|alpha|^2/2} is subnormal.
+    """
     amps = np.empty(n_max, dtype=complex)
     amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    if amps[0].real < sys.float_info.min:
+        raise ValueError(f"|alpha|^2 = {abs(alpha) ** 2:.6g}: Poisson weights beyond float range")
     for n in range(1, n_max):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
     return amps

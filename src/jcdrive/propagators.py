@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .hilbert import (
     CutoffError,
@@ -35,6 +34,8 @@ from .hilbert import (
     displacement_cavity,
     dispersive_unitary,
     fix_global_phase,
+    poisson_amplitudes,
+    poisson_tail,
     required_cutoff,
 )
 from .dressed import DressedBasis, dressed_coherent_state
@@ -338,22 +339,20 @@ def pe_full(
     beta~ = beta e^{-i omega_c tau} of the underlying derivation, so it is
     exact in the eta -> 0 limit and accurate to O(chi tau) when driven.
 
-    k_max must leave a Poisson tail below 1e-10.
+    k_max must leave a Poisson tail below 1e-10.  The Poisson weights are
+    those of poisson_amplitudes, which raises above |beta|^2 of about 1416
+    (far beyond the dispersive regime's critical photon number 1/(4 lam^2)).
     """
-    b2 = abs(beta) ** 2
-    # regularized lower incomplete gamma = P(Poisson(b2) > k_max)
-    tail = float(gammainc(k_max + 1, b2)) if b2 > 0 else 0.0
+    tail = poisson_tail(beta, k_max + 1)
     if tail >= 1e-10:
         raise ValueError(f"Poisson tail {tail:.2e} beyond k_max={k_max}; increase k_max")
+    w = np.abs(poisson_amplitudes(beta, k_max + 1)) ** 2
     lam, chi, wc = params.lam, params.chi, params.omega_c
     nu, tau, omega = qd.nu(params), qd.tau, qd.omega
     eta_abs = abs(qd.eta)
     phi = np.angle(qd.eta) if eta_abs > 0 else 0.0
 
     k = np.arange(k_max + 1, dtype=float)
-    with np.errstate(divide="ignore"):
-        log_w = -b2 + k * np.log(b2) - gammaln(k + 1.0) if b2 > 0 else np.where(k == 0, 0.0, -np.inf)
-    w = np.exp(log_w)
 
     y = nu + 2.0 * chi * k
     theta = eta_abs * tau * np.abs(np.sinc(y * tau / (2.0 * np.pi)))

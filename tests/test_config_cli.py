@@ -358,3 +358,13 @@ class TestCli:
         )
         assert proc.returncode == 1
         assert "config error" in proc.stderr
+
+    def test_runtime_does_not_load_scipy(self):
+        # numpy is the only runtime dependency; scipy is a test-only oracle
+        code = (
+            "import jcdrive, jcdrive.cli, sys; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -497,8 +497,9 @@ class TestConvergence:
         assert report.passed, str(report)
 
     def test_aliased_drive_flags_nonconvergence(self):
-        # 0.25 cos(60 t)(a + a'), far faster than the step can resolve: dt
-        # and dt/2 runs sample it incoherently, so the check must fail
+        # 0.25 cos(60 t)(a + a'), far faster than the step can resolve: each
+        # step of dt = 0.25 spans about five drive periods (m = 1), so the run
+        # is refused before any work, by integrate and by convergence_check
         cut = FockCutoff(2)
 
         def build(cutoff):
@@ -514,10 +515,10 @@ class TestConvergence:
 
         ham = build(cut)
         psi0 = basis_state(cut, "g", 0)
-        report = convergence_check(ham, psi0, TimeGrid(0.0, 8.0, 0.25))
-        assert not report.passed and not report.dt_exact
-        assert report.fidelity_dt < 1.0 - 1e-8
-        assert "F(dt vs dt/2)" in str(report)
+        grid = TimeGrid(0.0, 8.0, 0.25)
+        for run in (integrate, convergence_check):
+            with pytest.raises(ValueError, match=r"dt = 0\.25 spans .* period P = 0\.0523599"):
+                run(ham, psi0, grid)
 
     def test_embed_state(self):
         psi = np.array([1.0, 2.0, 3.0, 4.0]) / math.sqrt(30)

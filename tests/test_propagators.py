@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
+from scipy.special import gammainc, gammaln
 
 from jcdrive.dressed import dressed_basis, dressed_coherent_state, dressed_state
 from jcdrive.hilbert import (
@@ -374,7 +375,64 @@ class TestQubitDrivePropagator:
         assert 1.0 - fid(num, ana) < 1e-3
 
 
+def pe_full_gamma(qd, params, beta, k_max):
+    """pe_full with its Poisson weights exp(-b2 + k log b2 - log k!) from gammaln.
+
+    An oracle for the weights pe_full takes from poisson_amplitudes.
+    """
+    b2 = abs(beta) ** 2
+    lam, chi, wc = params.lam, params.chi, params.omega_c
+    nu, tau, omega = qd.nu(params), qd.tau, qd.omega
+    eta_abs = abs(qd.eta)
+    phi = np.angle(qd.eta) if eta_abs > 0 else 0.0
+
+    k = np.arange(k_max + 1, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_w = -b2 + k * np.log(b2) - gammaln(k + 1.0) if b2 > 0 else np.where(k == 0, 0.0, -np.inf)
+    w = np.exp(log_w)
+
+    theta = eta_abs * tau * np.abs(np.sinc((nu + 2.0 * chi * k) * tau / (2.0 * np.pi)))
+    theta1 = eta_abs * tau * np.abs(np.sinc((nu + 2.0 * chi * (k + 1.0)) * tau / (2.0 * np.pi)))
+    lam_k, lam_k1 = lam * np.sqrt(k), lam * np.sqrt(k + 1.0)
+    direct = np.sum(
+        w * (np.cos(theta) ** 2 * np.sin(lam_k) ** 2 + np.sin(theta) ** 2 * np.cos(lam_k1) ** 2)
+    )
+    beta_rot = beta * np.exp(-1j * wc * tau)
+    sigma = nu + 2.0 * k * chi + 2.0 * omega
+    cross = 2.0 * np.sum(
+        w / np.sqrt(k + 1.0) * np.cos(theta1) * np.sin(lam_k1) * np.sin(theta) * np.cos(lam_k1)
+        * np.imag(beta_rot * np.exp(-1j * phi) * np.exp(0.5j * sigma * tau))
+    )
+    return float(direct + cross)
+
+
 class TestPeFull:
+    @pytest.mark.parametrize("eta", [0.0, 0.55, 5.5])
+    def test_matches_incomplete_gamma_oracle(self, params, eta):
+        for b2 in (0.0, 1.0, 4.0, 9.0, 100.0, 625.0):
+            beta = math.sqrt(b2) * np.exp(0.7j)
+            k_max = math.ceil(b2 + 8.0 * math.sqrt(b2) + 20.0)
+            omega = params.omega_q + params.chi * (2.0 * b2 + 2.0)
+            qd = QubitDriveParams(eta * np.exp(0.3j), omega, 1.14)
+            assert pe_full(qd, params, beta, k_max) == pytest.approx(
+                pe_full_gamma(qd, params, beta, k_max), abs=1e-12
+            )
+
+    def test_tail_guard_matches_incomplete_gamma(self, params):
+        # the regularized lower incomplete gamma is P(Poisson(b2) > k_max)
+        qd = QubitDriveParams(0.55, params.omega_q, 1.14)
+        for b2 in (1.0, 9.0, 100.0, 625.0):
+            k_max = next(k for k in range(2000) if gammainc(k + 1, b2) < 1e-10)
+            pe_full(qd, params, math.sqrt(b2), k_max)
+            with pytest.raises(ValueError, match="Poisson tail"):
+                pe_full(qd, params, math.sqrt(b2), k_max - 1)
+
+    def test_refuses_weights_beyond_float_range(self, params):
+        # e^{-|beta|^2/2} is subnormal above |beta|^2 ~ 1416
+        qd = QubitDriveParams(0.55, params.omega_q, 1.14)
+        with pytest.raises(ValueError, match="float range"):
+            pe_full(qd, params, math.sqrt(1480.0), k_max=1961)
+
     def test_undriven_equals_dressed_population(self, params):
         # cross-module consistency at eta = 0: the partial-trace oracle
         cut = FockCutoff(40)
