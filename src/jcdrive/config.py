@@ -115,7 +115,8 @@ def parse_config(text: str) -> ScenarioConfig:
     values the numerics cannot use (alpha_sq or epsilon_abs <= 0, a lambda
     that gives no dispersive system), time_points < 2, an incomplete linear
     sweep, a zero drive or alpha_sq where the pulse length is derived from
-    it, a system outside the dispersive regime
+    it, g = 0 in the readout scenario (whose pulse length is pi/|chi|),
+    a system outside the dispersive regime
     (omega_q = omega_c, g = 0 with omega_q derived, |lambda| >= 1) and
     inconsistent derived quantities (an omega_q that contradicts the given
     lambda) are errors carrying the line number.  An empty file yields all
@@ -142,6 +143,9 @@ def parse_config(text: str) -> ScenarioConfig:
     except ValueError as exc:  # omega_q == omega_c (g = 0 derives it so), or |lambda| >= 1
         key = "omega_q" if cfg.omega_q is not None else "g" if cfg.g == 0 else "lambda"
         raise ConfigError(f"{key} gives no dispersive system: {exc}", seen.get(key)) from None
+    if cfg.scenario == "readout" and cfg.g == 0:  # omega_q given: chi = 0, no readout time pi/|chi|
+        raise ConfigError("g must be nonzero for scenario=readout: the pulse length is pi/|chi|",
+                          seen["g"])
     axis = cfg.sweep_axis
     if axis is not None:
         # every sweep point has pulse length T = |alpha| / |epsilon|

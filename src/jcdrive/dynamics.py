@@ -32,9 +32,12 @@ and takes one of three paths:
       psi(t) = R(t) S_delta U_j U_P^n R(t_s)^dag psi(t_s),
 
   with U_j the product of the first j steps and S_delta one midpoint step
-  of length delta.  The cost is set by m, not by the length of the pulse.
-  A grid step of a whole period or more (m = 1) resolves no drive and is
-  refused.
+  of length delta.  Each step exponential exp(-i tau H_F) is a Taylor
+  polynomial in Horner form, scaled and squared, whose degree and squaring
+  count are fixed once per segment from a bound on tau ||H_F(t)||_1 that
+  holds at every t; no step takes an eigendecomposition.  The cost is set
+  by m, not by the length of the pulse.  A grid step of a whole period or
+  more (m = 1) resolves no drive and is refused.
 * stepped: the midpoint-exponential stepper on the lab-frame H(t),
 
       psi_{k+1} = exp(-i dt H(t_k + dt/2)) psi_k,
@@ -389,17 +392,48 @@ def _advance_exact(ham, psi, t_start, elapsed, driven):
     return states * np.exp(-1j * (t_start + elapsed)[:, None] * rate)
 
 
-def _frame_hamiltonian(ham, charge, t):
-    """H_F(t) = R(t)^dag H(t) R(t) - omega C with the drive on, R(t) = exp(-i omega t C)."""
+def _frame_hamiltonian(ham, parts, t):
+    """H_F(t) = R(t)^dag H(t) R(t) - omega C with the drive on, R(t) = exp(-i omega t C).
+
+    ``parts`` are the t-independent (C, H_0 - omega C, V, V^dag).  The frame
+    only changes phases: element (i, j) of H_0 - omega C + W + W^dag,
+    W = e^{i omega t} V, turns with e^{i omega t (c_i - c_j)}.
+    """
+    charge, h0f, v, v_dag = parts
+    w = np.exp(1j * ham.omega * t)
     phase = np.exp(1j * ham.omega * t * charge)
-    h = _driven_hamiltonian(ham, t) * phase[:, None] * phase.conj()
-    return h - np.diag(ham.omega * charge)
+    return (h0f + w * v + np.conj(w) * v_dag) * phase[:, None] * phase.conj()
 
 
-def _midpoint_step(h, tau):
-    """exp(-i tau h) for Hermitian h, from one eigendecomposition."""
-    evals, vecs = eigh(h)
-    return (vecs * np.exp(-1j * evals * tau)) @ vecs.conj().T
+def _taylor_order(bound):
+    """(K, s) for exp(A) with ||A||_1 <= bound: scale A by 2^-s to norm <= 1/2, then take
+    the smallest Taylor degree K whose first dropped term b^{K+1}/(K+1)! is below 2^-53."""
+    s = math.ceil(math.log2(bound / 0.5)) if bound > 0.5 else 0
+    b = bound / 2.0**s
+    degree, term = 1, 0.5 * b * b
+    while term > 2.0**-53:
+        degree += 1
+        term *= b / (degree + 1)
+    return degree, s
+
+
+def _midpoint_step(h, tau, order):
+    """exp(-i tau h) by a Taylor polynomial in Horner form, scaled and squared.
+
+    ``order`` = (K, s) from _taylor_order for a bound on tau ||h||_1: the
+    degree-K polynomial of A = -i tau h / 2^s, squared s times.
+    """
+    degree, squarings = order
+    a = (-1j * tau / 2.0**squarings) * h
+    e = a / degree
+    e.reshape(-1)[:: len(h) + 1] += 1.0  # the diagonal, in place
+    for k in range(degree - 1, 0, -1):
+        e = a @ e
+        e *= 1.0 / k
+        e.reshape(-1)[:: len(h) + 1] += 1.0
+    for _ in range(squarings):
+        e = e @ e
+    return e
 
 
 def _advance_periodic(ham, psi, t_start, elapsed, dt):
@@ -410,7 +444,10 @@ def _advance_periodic(ham, psi, t_start, elapsed, dt):
     the product of their first j.  Only the U_j that a requested time needs
     are kept, and the period is stepped only when some time lies past it.
     U_P^n is applied as n matrix-vector products; S_delta is one midpoint
-    step of length delta, skipped when delta = 0.
+    step of length delta, skipped when delta = 0.  Every step exponential is
+    a Taylor polynomial whose degree and squaring count are fixed once, from
+    h ||H_0 - omega C| + |V| + |V|^T||_1, a bound on tau ||H_F(t)||_1 for all
+    t and tau <= h (the frame only changes phases).
     """
     m = _steps_per_period(ham, dt)
     h = ham.period / m
@@ -420,11 +457,15 @@ def _advance_periodic(ham, psi, t_start, elapsed, dt):
     n, j = np.divmod(whole.astype(int), m)
 
     charge = excitation_charge(ham.cutoff)
+    h0f = ham.static_part - np.diag(ham.omega * charge)
+    parts = (charge, h0f, ham.drive, ham.drive.conj().T)
+    v_abs = np.abs(ham.drive)
+    order = _taylor_order(h * np.linalg.norm(np.abs(h0f) + v_abs + v_abs.T, 1))
     needed = set(j.tolist())
     u = np.eye(psi.shape[0], dtype=complex)
     partial = {0: u}
     for k in range(m if n[-1] > 0 else max(needed)):
-        u = _midpoint_step(_frame_hamiltonian(ham, charge, t_start + (k + 0.5) * h), h) @ u
+        u = _midpoint_step(_frame_hamiltonian(ham, parts, t_start + (k + 0.5) * h), h, order) @ u
         if k + 1 in needed:
             partial[k + 1] = u
     if n[-1] > 0:
@@ -441,8 +482,8 @@ def _advance_periodic(ham, psi, t_start, elapsed, dt):
         periods = n_i
         states[i] = partial[j_i] @ phi
         if delta_i:
-            t_mid = t_start + j_i * h + 0.5 * delta_i
-            states[i] = _midpoint_step(_frame_hamiltonian(ham, charge, t_mid), delta_i) @ states[i]
+            h_mid = _frame_hamiltonian(ham, parts, t_start + j_i * h + 0.5 * delta_i)
+            states[i] = _midpoint_step(h_mid, delta_i, order) @ states[i]
     return states * np.exp(-1j * ham.omega * (t_start + elapsed)[:, None] * charge)
 
 

@@ -214,8 +214,10 @@ def is_unitary(u: np.ndarray, tol: float = 1e-10) -> bool:
 def expm_antihermitian(hermitian: np.ndarray, time: float = 1.0) -> np.ndarray:
     """exp(-i * time * H) for Hermitian H, via eigendecomposition.
 
-    Exactly unitary up to roundoff for these dense sizes, unlike
-    scaling-and-squaring, which is why it is used for every propagator here.
+    Exactly unitary up to roundoff for these dense sizes.  The closed-form
+    propagators and the exact segments build on it; the periodic path's
+    short midpoint steps use a scaled Taylor polynomial instead (see
+    dynamics), which the tests check against this function.
     """
     if not is_hermitian(hermitian):
         raise ValueError("matrix is not Hermitian")

@@ -233,13 +233,13 @@ def _qubit_drive_point(config: ScenarioConfig):
 
 
 def _readout_point(config: ScenarioConfig):
-    """Readout runs: drive at omega_c - chi for T = pi/chi from |g,0>, then from |e>.
+    """Readout runs: drive at omega_c - chi for T = pi/|chi| from |g,0>, then from |e>.
 
     The excited start is the bare |e,0> unless config.initial says dressed.
     """
     params = config.system_params()
     eps = complex(config.epsilon)
-    drive = DriveParams(eps, params.omega_c - params.chi, math.pi / params.chi)
+    drive = DriveParams(eps, params.omega_c - params.chi, math.pi / abs(params.chi))
     ag, _ = alpha_ge(drive, params)
     cutoff = _cutoff_for(abs(ag), config.n_max)
     dt_cap = config.dt or dt_bound(params, cutoff, abs(eps), cosine=config.drive_form == "cosine")
@@ -379,7 +379,7 @@ def _run_fig4(config: ScenarioConfig) -> ScenarioResult:
 def _run_readout(config: ScenarioConfig) -> ScenarioResult:
     """Conditional cavity occupation at the readout operating point.
 
-    Drive at omega_c - chi for T = pi/chi: the excited-branch displacement
+    Drive at omega_c - chi for T = pi/|chi|: the excited-branch displacement
     winds through a full circle and returns to zero analytically, while the
     ground branch fills linearly.  The residual photon number when starting
     from the bare excited state is the spurious population that limits the

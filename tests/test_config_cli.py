@@ -153,6 +153,13 @@ class TestConfigFaults:
         assert code == 1
         assert f"line {line}: {key} gives no dispersive system" in err
 
+    def test_zero_coupling_in_readout(self, tmp_path, capsys):
+        # with omega_q given, g = 0 is a valid system with chi = 0, but the
+        # readout pulse length is pi/|chi|
+        code, err = self._run(tmp_path, capsys, "scenario=readout\ng=0\nomega_q=110\n")
+        assert code == 1
+        assert "line 2:" in err and "g must be nonzero" in err
+
     @pytest.mark.parametrize("value", ["1", "-3"])
     def test_too_few_time_points(self, tmp_path, capsys, value):
         code, err = self._run(tmp_path, capsys, f"scenario=fig4\n\ntime_points={value}\n")

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+from jcdrive import dynamics
 from jcdrive.dressed import dressed_basis, dressed_coherent_state
 from jcdrive.dynamics import (
     TimeDependentHamiltonian,
     TimeGrid,
+    _midpoint_step,
+    _taylor_order,
     convergence_check,
     embed_state,
     excitation_charge,
@@ -405,6 +408,54 @@ class TestPeriodicPath:
             errors.append(np.max(np.abs(traj.states - oracle)))
         assert 3.8 < errors[0] / errors[1] < 4.2, errors
 
+    def test_squaring_branch_against_ode_oracle(self, params, monkeypatch):
+        # omega = 10 omega_c makes the frame rate omega C large: every step
+        # exponential has h ||H_F||_1 bound 0.88 > 1/2 and is squared once.
+        # The pulse ends on a step boundary after 4.8 periods; dt is not h,
+        # so the stored times also take remainder steps S_delta.
+        cut = FockCutoff(4)
+        omega, dt = 10.0 * params.omega_c, 2.5e-4
+        orders = []
+
+        def recording(h, tau, order):
+            orders.append(order)
+            return _midpoint_step(h, tau, order)
+
+        monkeypatch.setattr(dynamics, "_midpoint_step", recording)
+        psi0 = basis_state(cut, "g", 0)
+        errors = []
+        for d, every in ((dt, 7), (dt / 2, 14)):
+            drive = DriveParams(0.4 + 0.3j, omega, 60 * dt)
+            ham = lab_drive_hamiltonian(params, drive, cut, "cosine")
+            traj = integrate(ham, psi0, TimeGrid(0.0, 90 * dt, d), store_every=every)
+            oracle = ode_states(lambda t: hamiltonian_at(ham, t), psi0, traj.times)
+            errors.append(np.max(np.abs(traj.states - oracle)))
+            if d == dt:
+                assert math.ceil(ham.period / dt) == 13 and {s for _, s in orders} == {1}
+        assert errors[0] < 2e-6
+        assert 3.8 < errors[0] / errors[1] < 4.2, errors
+
+    def test_eigendecompositions_per_run(self, params, monkeypatch):
+        # the periodic path takes none; a free tail takes one; the
+        # force_generic oracle takes one per step
+        calls = []
+
+        def counting(h):
+            calls.append(h.shape)
+            return eigh(h)
+
+        monkeypatch.setattr(dynamics, "eigh", counting)
+        ham, psi0, grid = self.cosine_run(params, 200)
+        inside = TimeGrid(0.0, ham.window[1], grid.dt)
+        for run, expected in (
+            (lambda: integrate(ham, psi0, inside), 0),
+            (lambda: integrate(ham, psi0, grid), 1),
+            (lambda: integrate(ham, psi0, grid, force_generic=True), grid.steps),
+        ):
+            calls.clear()
+            run()
+            assert len(calls) == expected
+
     def test_runtime_independent_of_step_count(self, params):
         # 10^6 midpoint steps over ~318 drive periods: the periodic path
         # steps one period (~3100 steps) and ~1000 snapshot remainders
@@ -419,6 +470,40 @@ class TestPeriodicPath:
         assert elapsed < 3.0, f"{grid.steps} steps took {elapsed:.2f} s"
         assert len(traj.times) == 1001 and traj.times[-1] == pytest.approx(10.0)
         assert np.max(np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)) < 1e-10
+
+
+class TestStepExponential:
+    """The periodic path's Taylor step exponential against eigendecomposition."""
+
+    @pytest.mark.parametrize("dim", [8, 32, 80])
+    def test_matches_eigendecomposition(self, dim):
+        rng = np.random.default_rng(dim)
+        x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        h = x + x.conj().T
+        for bound in (1e-4, 3.7e-3, 0.1, 0.49, 2.0, 30.0):
+            tau = bound / np.linalg.norm(h, 1)
+            order = _taylor_order(bound)
+            assert (order[1] > 0) == (bound > 0.5), order
+            e = _midpoint_step(h, tau, order)
+            assert np.max(np.abs(e - expm_antihermitian(h, tau))) <= 1e-13
+            assert np.linalg.norm(e.conj().T @ e - np.eye(dim), 2) <= 1e-13
+
+    def test_takes_the_given_degree_and_squarings(self):
+        # (K, s) = (3, 2): the cubic Taylor polynomial of A = -i tau h / 4, squared twice
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        h = x + x.conj().T
+        a = -0.25j * 0.3 * h
+        cubic = np.eye(6) + a + a @ a / 2 + a @ a @ a / 6
+        expected = np.linalg.matrix_power(cubic, 4)
+        np.testing.assert_allclose(_midpoint_step(h, 0.3, (3, 2)), expected, rtol=0, atol=1e-13)
+
+    def test_order_rule(self):
+        # smallest K with b^{K+1}/(K+1)! <= 2^-53 after scaling b to <= 1/2
+        assert _taylor_order(3.7e-3) == (5, 0)
+        assert _taylor_order(0.5) == (14, 0)
+        assert _taylor_order(0.88) == (14, 1)
+        assert _taylor_order(30.0) == (14, 6)
 
 
 class TestRwaVersusCosine:
