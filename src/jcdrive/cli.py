@@ -70,7 +70,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot write {out!r}: {exc}", file=sys.stderr)
         return 2
-    flagged = sum(1 for row in outcome.rows if False in [c for c in row if isinstance(c, bool)])
+    converged = outcome.columns.index("converged")
+    flagged = sum(1 for row in outcome.rows if not row[converged])
     print(f"{config.scenario}: {len(outcome.rows)} rows -> {out}"
           + (f" ({flagged} rows flagged not converged)" if flagged else ""))
     return 0

@@ -49,9 +49,15 @@ and takes one of three paths:
 The split and the period are read off the matrices when the Hamiltonian is
 built.  A periodic or stepped segment is held to the dt*max|eig H| guard.
 On the exact path all stored snapshots of a segment come out of one matrix
-product, so no work scales with the step count.  convergence_check reruns
-store only final states, and a run with no periodic or stepped segment gets
-no dt/2 rerun.
+product, so no work scales with the step count.  Every snapshot lies a
+whole number n of steps into its segment, so its phases, exp(-i E n dt)
+for the eigenvalues E and the frame R(t), come from angle-addition tables:
+n = q B + r with B a multiple of the snapshot stride near stride*sqrt(N)
+for N snapshots, and exp(-i f n dt) = exp(-i f q B dt) exp(-i f r dt).
+About 2 sqrt(N) table rows are exponentiated, and no np.exp is evaluated
+per snapshot; the periodic path takes its final R(t) the same way.
+convergence_check reruns store only final states, and a run with no
+periodic or stepped segment gets no dt/2 rerun.
 """
 
 from __future__ import annotations
@@ -306,9 +312,9 @@ def integrate(
         if path == "stepped":
             states = _advance_sequential(ham, psi, grid.t0, dt, k0, ends)
         elif path == "periodic":
-            states = _advance_periodic(ham, psi, t_start, ends * dt, dt)
+            states = _advance_periodic(ham, psi, t_start, ends, dt, store_every)
         else:
-            states = _advance_exact(ham, psi, t_start, ends * dt, driven)
+            states = _advance_exact(ham, psi, t_start, ends, dt, store_every, driven)
         out_states[lo:hi] = states[:-1]
         psi = states[-1]
     return Trajectory(times=grid.t0 + stored * dt, states=out_states)
@@ -373,23 +379,45 @@ def _path(ham, driven, dt, force_generic):
     return "periodic"
 
 
-def _advance_exact(ham, psi, t_start, elapsed, driven):
+def _advance_exact(ham, psi, t_start, ends, dt, stride, driven):
     """psi(t) = R(t) exp(-i (H_0 + V + V^dag - omega C)(t - t_s)) R(t_s)^dag psi(t_s).
 
-    At t = t_s + elapsed, with R(t) = exp(-i omega t C); a free segment
-    takes V = 0 and omega = 0.  All requested times come from one
-    eigendecomposition.
+    At t = t_s + n dt for each n in ``ends``, with R(t) = exp(-i omega t C);
+    a free segment takes V = 0 and omega = 0 and skips R.  All requested
+    times come from one eigendecomposition and one matrix product; the
+    eigenphases exp(-i E n dt) and R(t) = R(t_s) exp(-i omega C n dt) come
+    from _step_phases, ``stride`` being the spacing of ``ends``.
     """
-    if driven:
-        rate = ham.omega * excitation_charge(ham.cutoff)
-        h = ham.static_part + ham.drive + ham.drive.conj().T - np.diag(rate)
-    else:
-        rate = np.zeros(psi.shape[0])
-        h = ham.static_part
-    evals, vecs = eigh(h)
-    c = vecs.conj().T @ (np.exp(1j * t_start * rate) * psi)
-    states = (np.exp(-1j * evals * elapsed[:, None]) * c) @ vecs.T
-    return states * np.exp(-1j * (t_start + elapsed)[:, None] * rate)
+    if not driven:
+        evals, vecs = eigh(ham.static_part)
+        return (_step_phases(evals, ends, dt, stride) * (vecs.conj().T @ psi)) @ vecs.T
+    rate = ham.omega * excitation_charge(ham.cutoff)
+    evals, vecs = eigh(ham.static_part + ham.drive + ham.drive.conj().T - np.diag(rate))
+    frame = np.exp(-1j * t_start * rate)  # R(t_s)
+    c = vecs.conj().T @ (frame.conj() * psi)
+    states = (_step_phases(evals, ends, dt, stride) * c) @ (vecs.T * frame)
+    states *= _step_phases(rate, ends, dt, stride)
+    return states
+
+
+def _step_phases(freq, steps, dt, stride):
+    """exp(-i f n dt) for each n in ``steps`` (rows) and f in ``freq`` (columns).
+
+    By angle addition: with a block B that is a multiple of ``stride``,
+    n = q B + r and exp(-i f n dt) = exp(-i f q B dt) exp(-i f r dt).
+    With B = stride (floor(sqrt(N)) + 1) for N steps, steps on one stride
+    take about sqrt(N) distinct q and about sqrt(N) distinct r, and a few
+    steps off the stride (a segment's end) add a row each.  The two tables
+    of those rows are all the np.exp there is; each row of the result is
+    one product of two table rows.
+    """
+    block = stride * (math.isqrt(len(steps)) + 1)
+    q, r = np.divmod(steps, block)
+    q_vals, q_rows = np.unique(q, return_inverse=True)
+    r_vals, r_rows = np.unique(r, return_inverse=True)
+    out = np.exp(-1j * np.outer(q_vals * block * dt, freq))[q_rows]
+    out *= np.exp(-1j * np.outer(r_vals * dt, freq))[r_rows]
+    return out
 
 
 def _frame_hamiltonian(ham, parts, t):
@@ -436,21 +464,24 @@ def _midpoint_step(h, tau, order):
     return e
 
 
-def _advance_periodic(ham, psi, t_start, elapsed, dt):
+def _advance_periodic(ham, psi, t_start, ends, dt, stride):
     """psi(t) = R(t) S_delta U_j U_P^n R(t_s)^dag psi(t_s), t - t_s = n P + j h + delta.
 
-    At t = t_s + elapsed (ascending).  H_F repeats with the period P, so the
-    m = ceil(P/dt) midpoint steps of h = P/m from t_s give U_P, and U_j is
-    the product of their first j.  Only the U_j that a requested time needs
+    At t = t_s + k dt for each k in ``ends`` (ascending).  H_F repeats with
+    the period P, so the m = ceil(P/dt) midpoint steps of h = P/m from t_s
+    give U_P, and U_j is the product of their first j.  Only the U_j that a requested time needs
     are kept, and the period is stepped only when some time lies past it.
     U_P^n is applied as n matrix-vector products; S_delta is one midpoint
     step of length delta, skipped when delta = 0.  Every step exponential is
     a Taylor polynomial whose degree and squaring count are fixed once, from
     h ||H_0 - omega C| + |V| + |V|^T||_1, a bound on tau ||H_F(t)||_1 for all
-    t and tau <= h (the frame only changes phases).
+    t and tau <= h (the frame only changes phases).  R(t) = R(t_s)
+    exp(-i omega C k dt) takes its phases from _step_phases, ``stride``
+    being the spacing of ``ends``.
     """
     m = _steps_per_period(ham, dt)
     h = ham.period / m
+    elapsed = ends * dt
     whole = np.floor(elapsed / h + 1e-9)  # steps of h, a whole number up to rounding
     delta = elapsed - whole * h
     delta[delta < 1e-9 * h] = 0.0
@@ -473,7 +504,8 @@ def _advance_periodic(ham, psi, t_start, elapsed, dt):
         # of U_P do not compound the rounding of its m factors
         u = u @ (1.5 * np.eye(len(u)) - 0.5 * (u.conj().T @ u))
 
-    phi = np.exp(1j * ham.omega * t_start * charge) * psi  # R(t_s)^dag psi(t_s)
+    frame = np.exp(-1j * ham.omega * t_start * charge)  # R(t_s)
+    phi = frame.conj() * psi
     states = np.empty((len(elapsed), psi.shape[0]), dtype=complex)
     periods = 0
     for i, (n_i, j_i, delta_i) in enumerate(zip(n, j, delta)):
@@ -484,7 +516,9 @@ def _advance_periodic(ham, psi, t_start, elapsed, dt):
         if delta_i:
             h_mid = _frame_hamiltonian(ham, parts, t_start + j_i * h + 0.5 * delta_i)
             states[i] = _midpoint_step(h_mid, delta_i, order) @ states[i]
-    return states * np.exp(-1j * ham.omega * (t_start + elapsed)[:, None] * charge)
+    states *= frame
+    states *= _step_phases(ham.omega * charge, ends, dt, stride)
+    return states
 
 
 def _advance_sequential(ham, psi, t0, dt, k0, ends):

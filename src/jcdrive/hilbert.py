@@ -83,7 +83,7 @@ class SystemParams:
 
     delta = omega_q - omega_c, lam = g/delta, chi = g*lam (== g**2/delta).
     Construction fails for delta == 0 or |lam| >= 1 and warns above
-    |lam| = 0.3.
+    |lam| = 0.3 by more than the rounding of omega_q can account for.
     """
 
     omega_c: float
@@ -93,10 +93,15 @@ class SystemParams:
     def __post_init__(self):
         if self.omega_q == self.omega_c:
             raise ValueError("dispersive regime requires omega_q != omega_c")
-        lam = self.g / (self.omega_q - self.omega_c)
+        delta = self.omega_q - self.omega_c
+        lam = self.g / delta
         if abs(lam) >= 1.0:
             raise ValueError(f"|g/Delta| = {abs(lam):.3g} >= 1: not dispersive")
-        if abs(lam) > LAMBDA_WARN_THRESHOLD:
+        # omega_q = omega_c + g/lam rounds at the scale of omega_q, which moves
+        # g/Delta by up to this relative amount; a lambda given at the
+        # threshold must not warn by that rounding
+        rounding = 2.0**-51 * (abs(self.omega_q) + abs(self.omega_c)) / abs(delta)
+        if abs(lam) > LAMBDA_WARN_THRESHOLD * (1.0 + rounding):
             warnings.warn(
                 f"|g/Delta| = {abs(lam):.3g} > {LAMBDA_WARN_THRESHOLD}: "
                 "dispersive approximation questionable",

@@ -57,24 +57,30 @@ class ScenarioResult:
 def emit_csv(result: ScenarioResult, path) -> None:
     """Write UTF-8 CSV: one '# scenario=...' metadata comment, header, data rows.
 
-    Floats carry 12 significant digits so a round-trip read reproduces them.
+    Floats carry 12 significant digits so a round-trip read reproduces them;
+    ints print whole and bools as true/false.  Every row takes one
+    %-format built from the cell types of the first row, so each column
+    keeps the type of its first cell.
     """
     lines = []
     meta = ", ".join(f"{k}={v}" for k, v in result.meta.items())
     lines.append(f"# scenario={result.scenario}, params={meta}")
     lines.append(",".join(result.columns))
-    for row in result.rows:
-        lines.append(",".join(_format_cell(v) for v in row))
+    if result.rows:
+        fmt = ",".join(_cell_format(v) for v in result.rows[0])
+        # bools print as True/False under %s; lower() makes them true/false
+        # and leaves the rest alone, since numbers print in lower case
+        lines.extend((fmt % tuple(row)).lower() for row in result.rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _format_cell(v) -> str:
+def _cell_format(v) -> str:
     if isinstance(v, bool):
-        return "true" if v else "false"
+        return "%s"
     if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return f"{float(v):.11e}"
+        return "%d"
+    return "%.11e"
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
@@ -113,6 +119,21 @@ def dt_bound(params: SystemParams, cutoff: FockCutoff, eps_abs: float,
         + eta_abs
     )
     return 0.099 / rho
+
+
+# the most steps a grid may have: up to 2**53 the step counts and the step
+# indices that scale dt are exact both as integers and as floats
+MAX_STEPS = 2**53
+
+
+def _grid(duration: float, dt_cap: float) -> TimeGrid:
+    """TimeGrid.for_duration, refusing a grid of more than MAX_STEPS steps as a config error."""
+    if not duration / dt_cap <= MAX_STEPS:
+        raise ConfigError(
+            f"pulse length {duration:g} at dt = {dt_cap:g} needs {duration / dt_cap:.3g} "
+            f"steps, more than 2**53"
+        )
+    return TimeGrid.for_duration(duration, dt_cap)
 
 
 def _cutoff_for(alpha_abs: float, override: Optional[int]) -> FockCutoff:
@@ -173,7 +194,7 @@ def _cavity_point(config: ScenarioConfig, lam: float, eps_abs: float, alpha_sq: 
     epsilon = eps_abs * np.exp(1j * np.angle(complex(config.epsilon))) if config.epsilon else eps_abs
     cutoff = _cutoff_for(alpha_abs, config.n_max)
     dt_cap = config.dt or dt_bound(params, cutoff, eps_abs, cosine=config.drive_form == "cosine")
-    grid = TimeGrid.for_duration(T, dt_cap)
+    grid = _grid(T, dt_cap)
     if (config.initial or "dressed") == "dressed":
         psi0_e = dressed_state("e", 0, dressed_basis(params, cutoff, "exact"))
     else:
@@ -225,7 +246,7 @@ def _qubit_drive_point(config: ScenarioConfig):
     drive = QubitDriveParams(eta_abs * np.exp(1j * config.eta_phase), omega, tau_max)
     ham = qubit_drive_lab_hamiltonian(params, drive, cutoff)
     dt_cap = config.dt or dt_bound(params, cutoff, 0.0, eta_abs=eta_abs)
-    grid = TimeGrid.for_duration(tau_max, dt_cap)
+    grid = _grid(tau_max, dt_cap)
     return params, {
         label: Run(ham, dressed_coherent_state("g", beta, basis), grid, drive)
         for label, beta in (("real", beta_abs + 0j), ("imag", 1j * beta_abs))
@@ -243,7 +264,7 @@ def _readout_point(config: ScenarioConfig):
     ag, _ = alpha_ge(drive, params)
     cutoff = _cutoff_for(abs(ag), config.n_max)
     dt_cap = config.dt or dt_bound(params, cutoff, abs(eps), cosine=config.drive_form == "cosine")
-    grid = TimeGrid.for_duration(drive.T, dt_cap)
+    grid = _grid(drive.T, dt_cap)
     ham = lab_drive_hamiltonian(params, drive, cutoff, config.drive_form)
     if (config.initial or "bare") == "bare":
         psi0_e = basis_state(cutoff, "e", 0)

@@ -166,6 +166,21 @@ class TestConfigFaults:
         assert code == 1
         assert "line 3:" in err and "time_points" in err
 
+    @pytest.mark.parametrize("text", [
+        "epsilon=1e-300\n",
+        "omega_c=1e17\n",
+        "scenario=fig4\neta_abs=1e-300\n",
+    ])
+    def test_step_count_beyond_exact_arithmetic(self, tmp_path, capsys, text):
+        # a grid of more than 2**53 steps is refused before any numerics
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        assert main(["check", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "config error: pulse length" in err and "at dt =" in err and "2**53" in err
+        code, err = self._run(tmp_path, capsys, text)
+        assert code == 1 and "pulse length" in err
+
     def test_zero_beta_sq_accepted_by_fig4(self):
         # fig4's drive length is set by eta, not by the amplitude
         assert parse_config("scenario=fig4\nalpha_sq=0\n").alpha_sq == 0
@@ -201,6 +216,27 @@ class TestEmitCsv:
         emit_csv(res, path)
         lines = path.read_text().splitlines()
         assert lines[2] == "true" and lines[3] == "false"
+
+
+    def test_same_bytes_as_per_cell_formatting(self, tmp_path):
+        def cell(v):
+            if isinstance(v, bool):
+                return "true" if v else "false"
+            if isinstance(v, (int, np.integer)):
+                return str(int(v))
+            return f"{float(v):.11e}"
+
+        rows = (
+            (0.5, 3, True, np.float64(-1.0 / 3.0), np.int64(-7), 1e-300, False),
+            (np.nan, -2**40, False, np.inf, np.int64(0), -2.5e17, True),
+            (0.0, 0, True, -0.0, np.int64(12345678901), 9.87654321e-7, True),
+        )
+        res = ScenarioResult("custom", tuple("abcdefg"), rows, {"g": "1"})
+        path = tmp_path / "mixed.csv"
+        emit_csv(res, path)
+        body = path.read_bytes().split(b"\n", 2)[2]
+        expected = "".join(",".join(cell(v) for v in row) + "\n" for row in rows)
+        assert body == expected.encode("utf-8")
 
 
 FAST_SCENARIO = """
@@ -294,6 +330,16 @@ class TestCli:
         assert main(["run", "--config", cfg, "--out", out]) == 0
         text = (tmp_path / "result.csv").read_text()
         assert text.startswith("# scenario=fig2b")
+
+    def test_flagged_rows_counted_from_the_converged_column(self, tmp_path, capsys, monkeypatch):
+        rows = ((1.0, 3, True, 0.5), (2.0, 4, False, 0.5), (3.0, 5, False, 0.5))
+        result = ScenarioResult("custom", ("x", "k", "converged", "wall_time_s"), rows, {})
+        monkeypatch.setattr("jcdrive.cli.run_scenario", lambda config: result)
+        out = str(tmp_path / "f.csv")
+        assert main(["run", "--config", self._write(tmp_path, ""), "--out", out]) == 0
+        assert capsys.readouterr().out == (
+            f"fig2a: 3 rows -> {out} (2 rows flagged not converged)\n"
+        )
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = self._write(tmp_path, "scenario=fig9\n")

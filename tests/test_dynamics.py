@@ -13,6 +13,7 @@ from jcdrive.dynamics import (
     TimeDependentHamiltonian,
     TimeGrid,
     _midpoint_step,
+    _step_phases,
     _taylor_order,
     convergence_check,
     embed_state,
@@ -381,6 +382,15 @@ class TestPeriodicPath:
         final = ode_final(lambda t: hamiltonian_at(ham, t), psi0, grid.t1)
         assert 1.0 - fid(traj.final, final) < 1e-10
 
+    def test_run_starting_inside_the_pulse(self, params):
+        # t0 = 333 dt, not a whole period: the frame R(t_s) at the segment
+        # start is not the identity
+        ham, psi0, grid = self.cosine_run(params, 200)
+        t0 = 333 * grid.dt
+        traj = integrate(ham, psi0, TimeGrid(t0, grid.t1, grid.dt), store_every=97)
+        oracle = ode_states(lambda t: hamiltonian_at(ham, t0 + t), psi0, traj.times - t0)
+        assert np.max(np.abs(traj.states - oracle)) < 1e-6
+
     def test_charge_breaking_static_part_has_the_full_period(self, params):
         # sigma_x in H_0 changes C by one, so H_F turns at omega, not 2 omega
         cut = FockCutoff(4)
@@ -504,6 +514,81 @@ class TestStepExponential:
         assert _taylor_order(0.5) == (14, 0)
         assert _taylor_order(0.88) == (14, 1)
         assert _taylor_order(30.0) == (14, 6)
+
+
+class TestStepPhases:
+    """The angle-addition phase tables against one np.exp per entry.
+
+    dt is a power of two and the frequencies are multiples of 2^-24, so
+    every product f n dt below is exact in double precision on both sides
+    and the comparison sees only the tables.  With other values each side
+    rounds f n dt once, at |f n dt| 2^-53 (about 1e-12 at 1e4 rad), which
+    test_general_frequencies_round_like_np_exp allows for.
+    """
+
+    DT = 2.0**-6
+
+    def _check(self, freq, steps, stride, dt=DT, atol=1e-13):
+        expected = np.exp(-1j * np.outer(np.asarray(steps) * dt, freq))
+        got = _step_phases(freq, np.asarray(steps), dt, stride)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= atol
+
+    def _freq(self, max_phase, n_max, size=78, seed=0, dyadic=True):
+        # frequencies of both signs, the largest reaching about max_phase at step n_max
+        f = np.random.default_rng(seed).uniform(-1.0, 1.0, size)
+        f *= max_phase / (n_max * self.DT) / np.max(np.abs(f))
+        return np.round(f * 2.0**24) / 2.0**24 if dyadic else f
+
+    def _fig4_ends(self, stride=55, snapshots=4057, tail=17):
+        # stored steps 0, stride, ..., then the final step off the stride,
+        # which the last segment reports twice (stored, and as its end)
+        total = stride * (snapshots - 2) + tail
+        stored = np.append(np.arange(0, total, stride), total)
+        return np.append(stored, total), total
+
+    def test_fig4_shape(self):
+        ends, total = self._fig4_ends()
+        self._check(self._freq(3e3, total), ends, 55)
+
+    def test_segment_starting_off_the_stride(self):
+        stride, k0, k1 = 55, 1234, 55 * 400 + 3
+        stored = np.arange(stride, k1, stride)
+        ends = np.append(stored[stored > k0], k1) - k0
+        assert ends[0] % stride != 0
+        self._check(self._freq(2e3, k1 - k0, seed=1), ends, stride)
+
+    @pytest.mark.parametrize("steps", [[0], [7], [123456]])
+    def test_single_entry(self, steps):
+        self._check(self._freq(50.0, max(steps[0], 1), size=5, seed=2), steps, 1)
+
+    def test_zero_steps_give_ones(self):
+        got = _step_phases(self._freq(1.0, 1, size=4), np.array([0, 0]), 0.1, 3)
+        assert np.array_equal(got, np.ones((2, 4), dtype=complex))
+
+    @pytest.mark.parametrize("stride", [1, 9])
+    def test_phases_up_to_1e4_rad(self, stride):
+        ends = np.arange(0, 2000 * stride + 1, stride)
+        freq = self._freq(1e4, ends[-1], size=40, seed=3)
+        assert np.max(np.abs(np.outer(ends * self.DT, freq))) == pytest.approx(1e4, rel=1e-3)
+        self._check(freq, ends, stride)
+
+    def test_general_frequencies_round_like_np_exp(self):
+        ends, total = self._fig4_ends()
+        freq = self._freq(1e4, total, dyadic=False)
+        self._check(freq, ends, 55, dt=0.0137, atol=8 * 2.0**-53 * 1e4)
+
+    def test_tables_stay_small(self, monkeypatch):
+        # about 2 sqrt(len) table rows of np.exp, not one per entry: a block
+        # that collapsed to the off-stride final entry's spacing would need
+        # thousands
+        ends, total = self._fig4_ends()
+        freq = self._freq(3e3, total)
+        exp, rows = np.exp, []
+        monkeypatch.setattr(np, "exp", lambda x: rows.append(x.shape[0]) or exp(x))
+        _step_phases(freq, ends, self.DT, 55)
+        monkeypatch.undo()
+        assert sum(rows) <= 2 * (math.isqrt(len(ends)) + 2)
 
 
 class TestRwaVersusCosine:

@@ -1,6 +1,7 @@
 """Operators, Hamiltonians and matrix exponentials on the truncated space."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,18 @@ class TestSystemParams:
     def test_marginal_lambda_warns(self):
         with pytest.warns(DispersiveRegimeWarning):
             SystemParams.from_lambda(g=1.0, lam=0.4, omega_c=100.0)
+
+    def test_lambda_at_threshold_does_not_warn(self):
+        # omega_q = omega_c + g/lam rounds so that g/Delta reads 0.30000000000000004
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DispersiveRegimeWarning)
+            SystemParams.from_lambda(lam=0.3)
+            SystemParams.from_lambda(lam=-0.3)
+            SystemParams.from_lambda(g=2.5, lam=0.3, omega_c=7.0)
+
+    def test_lambda_just_above_threshold_warns(self):
+        with pytest.warns(DispersiveRegimeWarning):
+            SystemParams.from_lambda(lam=0.3 + 1e-9)
 
     def test_warning_names_the_calling_file(self):
         # not the dataclass-generated __init__, which reports itself as <string>
