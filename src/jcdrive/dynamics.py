@@ -13,7 +13,7 @@ in the frame R(t), where the Hamiltonian is
 
     H_F(t) = R(t)^dag H(t) R(t) - omega C,
 
-and takes one of three paths:
+and takes one of two paths:
 
 * exact: a free segment, or a driven one whose matrices pass the charge
   split, is solved in closed form.  H_F is static when H_0 commutes with C
@@ -38,16 +38,13 @@ and takes one of three paths:
   holds at every t; no step takes an eigendecomposition.  The cost is set
   by m, not by the length of the pulse.  A grid step of a whole period or
   more (m = 1) resolves no drive and is refused.
-* stepped: the midpoint-exponential stepper on the lab-frame H(t),
 
-      psi_{k+1} = exp(-i dt H(t_k + dt/2)) psi_k,
-
-  second order in dt and exactly unitary per step, with one Hermitian
-  eigendecomposition per step.  Only force_generic sends a segment this
-  way, as the oracle the other two paths are tested against.
+Both paths are tested against oracles that share none of this machinery:
+an adaptive Runge-Kutta solver and the literal lab-frame midpoint stepper
+psi_{k+1} = exp(-i dt H(t_k + dt/2)) psi_k, both in the test suite.
 
 The split and the period are read off the matrices when the Hamiltonian is
-built.  A periodic or stepped segment is held to the dt*max|eig H| guard.
+built.  A run with a periodic segment is held to the dt*max|eig H| guard.
 On the exact path all stored snapshots of a segment come out of one matrix
 product, so no work scales with the step count.  Every snapshot lies a
 whole number n of steps into its segment, so its phases, exp(-i E n dt)
@@ -57,7 +54,7 @@ for N snapshots, and exp(-i f n dt) = exp(-i f q B dt) exp(-i f r dt).
 About 2 sqrt(N) table rows are exponentiated, and no np.exp is evaluated
 per snapshot; the periodic path takes its final R(t) the same way.
 convergence_check reruns store only final states, and a run with no
-periodic or stepped segment gets no dt/2 rerun.
+periodic segment gets no dt/2 rerun.
 """
 
 from __future__ import annotations
@@ -104,9 +101,11 @@ class TimeGrid:
     dt: float
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not all(map(math.isfinite, (self.t0, self.t1, self.dt))):
+            raise ValueError(f"grid ({self.t0}, {self.t1}, {self.dt}) is not finite")
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if self.t1 <= self.t0:
+        if not self.t1 > self.t0:
             raise ValueError("t1 must exceed t0")
 
     @property
@@ -119,6 +118,8 @@ class TimeGrid:
     @classmethod
     def for_duration(cls, duration: float, dt_max: float, t0: float = 0.0) -> "TimeGrid":
         """Grid covering [t0, t0+duration] with the largest dt <= dt_max that divides it."""
+        if not (0 < duration < math.inf and 0 < dt_max < math.inf):
+            raise ValueError(f"duration {duration} and dt_max {dt_max} must be positive and finite")
         steps = max(1, math.ceil(duration / dt_max))
         return cls(t0, t0 + duration, duration / steps)
 
@@ -128,7 +129,8 @@ class TimeDependentHamiltonian:
     """H(t) = H_0 + e^{i omega t} V + e^{-i omega t} V^dag on window=[t_on, t_off], H_0 off it.
 
     ``static_part`` is H_0 and ``drive`` is V; ``window`` is required with a
-    drive.  H(t) is Hermitian by construction, so only H_0 is checked.
+    drive.  H(t) is Hermitian by construction, so only H_0 is checked for
+    it; every matrix entry and omega must be finite.
     ``exact`` and ``period`` are read off the matrices once, at
     construction, from the charge differences of C = excitation_charge(cutoff).
     A driven segment has a closed solution when omega = 0, or when H_0
@@ -156,12 +158,16 @@ class TimeDependentHamiltonian:
         dim = self.cutoff.dim
         if self.static_part.shape != (dim, dim):
             raise ValueError(f"static part has shape {self.static_part.shape}, cutoff needs {dim}")
+        if not (np.isfinite(self.static_part).all() and np.isfinite(self.omega)):
+            raise ValueError(f"static part or omega = {self.omega} is not finite")
         if not is_hermitian(self.static_part):
             raise ValueError("static part is not Hermitian")
         exact, period = True, None
         if self.drive is not None:
             if self.drive.shape != (dim, dim):
                 raise ValueError(f"drive has shape {self.drive.shape}, cutoff needs {dim}")
+            if not np.isfinite(self.drive).all():
+                raise ValueError("drive is not finite")
             if self.window is None or not self.window[0] <= self.window[1]:
                 raise ValueError(f"a drive needs a window t_on <= t_off, got {self.window}")
             c = excitation_charge(self.cutoff)
@@ -177,19 +183,10 @@ class TimeDependentHamiltonian:
         object.__setattr__(self, "period", period)
 
 
-def _driven_at(ham, t):
-    return ham.drive is not None and ham.window[0] <= t <= ham.window[1]
-
-
 def hamiltonian_at(ham: TimeDependentHamiltonian, t: float) -> np.ndarray:
     """H(t) = H_0 + W + W^dag with W = e^{i omega t} V inside the window, H_0 outside."""
-    if not _driven_at(ham, t):
+    if ham.drive is None or not ham.window[0] <= t <= ham.window[1]:
         return ham.static_part.copy()
-    return _driven_hamiltonian(ham, t)
-
-
-def _driven_hamiltonian(ham, t):
-    """H_0 + W + W^dag with W = e^{i omega t} V, inside the window or not."""
     w = np.exp(1j * ham.omega * t) * ham.drive
     return ham.static_part + w + w.conj().T
 
@@ -268,17 +265,15 @@ def integrate(
     grid: TimeGrid,
     store_every: Optional[int] = None,
     guard_limit: float = 0.1,
-    force_generic: bool = False,
 ) -> Trajectory:
     """Propagate i d/dt psi = H(t) psi over the free, driven and free segments.
 
-    Each segment takes one of the three paths of the module docstring:
-    exact (free, or driven with a static frame Hamiltonian), periodic (any
-    other driven segment: one drive period of midpoint steps of
-    h = P/ceil(P/dt) <= dt, reused for the rest of the pulse) or stepped
-    (force_generic, the literal lab-frame oracle).  Raises if psi0 is not
-    normalized, if a periodic segment's dt spans a drive period, or if some
-    segment is periodic or stepped and dt * max|eigenvalue(H)| >= guard_limit
+    Each segment takes one of the two paths of the module docstring: exact
+    (free, or driven with a static frame Hamiltonian) or periodic (any other
+    driven segment: one drive period of midpoint steps of
+    h = P/ceil(P/dt) <= dt, reused for the rest of the pulse).  Raises if
+    psi0 is not normalized, if a periodic segment's dt spans a drive period,
+    or if some segment is periodic and dt * max|eigenvalue(H)| >= guard_limit
     (accuracy guard: the step must resolve every phase in the problem; on the
     exact path dt only sets where the window edges fall).  Snapshots are
     stored every ``store_every`` steps of dt (default: about 1000 over the
@@ -287,13 +282,13 @@ def integrate(
     dim = ham.static_part.shape[0]
     if psi0.shape != (dim,):
         raise ValueError(f"state dimension {psi0.shape} does not match Hamiltonian {dim}")
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(psi0) - 1.0) <= 1e-10:  # NaN fails too
         raise ValueError("initial state is not normalized")
 
     steps = grid.steps
     dt = (grid.t1 - grid.t0) / steps
     segments = [
-        (k0, k1, driven, _path(ham, driven, dt, force_generic))
+        (k0, k1, driven, _path(ham, driven, dt))
         for k0, k1, driven in _segments(ham, grid.t0, dt, steps)
     ]
     if any(path != "exact" for *_, path in segments):
@@ -309,9 +304,7 @@ def integrate(
         lo, hi = np.searchsorted(stored, (k0, k1), side="right")
         ends = np.append(stored[lo:hi], k1) - k0  # steps into the segment to report
         t_start = grid.t0 + k0 * dt
-        if path == "stepped":
-            states = _advance_sequential(ham, psi, grid.t0, dt, k0, ends)
-        elif path == "periodic":
+        if path == "periodic":
             states = _advance_periodic(ham, psi, t_start, ends, dt, store_every)
         else:
             states = _advance_exact(ham, psi, t_start, ends, dt, store_every, driven)
@@ -364,14 +357,12 @@ def _steps_per_period(ham, dt):
     return max(1, math.ceil(ham.period / dt - 1e-9))  # P/dt a whole number up to rounding
 
 
-def _path(ham, driven, dt, force_generic):
-    """How integrate advances a segment: 'exact', 'periodic' or 'stepped'.
+def _path(ham, driven, dt):
+    """How integrate advances a segment: 'exact' or 'periodic'.
 
     Raises when a periodic segment's grid step spans a whole drive period
     (m = 1): no step of it resolves the drive.
     """
-    if force_generic:
-        return "stepped"
     if _is_exact(ham, driven):
         return "exact"
     if _steps_per_period(ham, dt) == 1:
@@ -518,20 +509,6 @@ def _advance_periodic(ham, psi, t_start, ends, dt, stride):
             states[i] = _midpoint_step(h_mid, delta_i, order) @ states[i]
     states *= frame
     states *= _step_phases(ham.omega * charge, ends, dt, stride)
-    return states
-
-
-def _advance_sequential(ham, psi, t0, dt, k0, ends):
-    """States after each of ``ends`` steps (ascending, >= 1) of the segment from step k0."""
-    t_mid = t0 + (np.arange(k0, k0 + ends[-1]) + 0.5) * dt
-    states = np.empty((len(ends), psi.shape[0]), dtype=complex)
-    j = 0
-    for i, end in enumerate(ends):
-        for t in t_mid[j:end]:
-            evals, vecs = eigh(hamiltonian_at(ham, t))
-            psi = vecs @ (np.exp(-1j * evals * dt) * (vecs.conj().T @ psi))
-        states[i] = psi
-        j = end
     return states
 
 

@@ -105,9 +105,10 @@ def dt_bound(params: SystemParams, cutoff: FockCutoff, eps_abs: float,
             eta_abs: float = 0.0, cosine: bool = False) -> float:
     """Largest step satisfying dt * max|eig(H)| < 0.1, from a spectral-radius bound.
 
-    The guard holds a periodic or stepped run (drive_form=cosine) to this
-    bound; on a run whose segments are all exact it only sets where the
-    pulse edges round to, and a larger config dt passes.
+    The guard holds a run with a periodic segment (drive_form=cosine) to
+    this bound, as does the literal midpoint oracle of the test suite; on a
+    run whose segments are all exact it only sets where the pulse edges
+    round to, and a larger config dt passes.
     """
     n = cutoff.n_max
     rho = (

@@ -400,7 +400,7 @@ class TestCli:
         assert main(["check", "--config", cfg]) == 0
         out = capsys.readouterr().out
         assert out.startswith(f"{scenario}: converged: ")
-        # every default drive declares its rotating frame, so nothing is stepped
+        # every default drive declares its rotating frame, so every run is exact
         assert "dt: exact" in out and "dt/2" not in out
 
     def test_installed_entry_point(self, tmp_path):

@@ -37,7 +37,7 @@ from jcdrive.hilbert import (
 from jcdrive.propagators import DriveParams, QubitDriveParams
 from jcdrive.scenarios import dt_bound
 
-from conftest import fid, ode_final, ode_states
+from conftest import fid, midpoint_states, ode_final, ode_states
 
 
 def static_hamiltonian(params, cutoff):
@@ -50,6 +50,13 @@ class TestTimeGrid:
             TimeGrid(0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             TimeGrid(1.0, 1.0, 0.1)
+        for bad in ((0.0, math.nan, 0.1), (0.0, 1.0, math.nan), (math.nan, 1.0, 0.1),
+                    (0.0, math.inf, 0.1), (0.0, 1.0, math.inf)):
+            with pytest.raises(ValueError):
+                TimeGrid(*bad)
+        for duration, dt_max in ((1.0, 0.0), (1.0, -0.1), (1.0, math.nan), (math.inf, 0.1)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                TimeGrid.for_duration(duration, dt_max)
 
     def test_for_duration(self):
         grid = TimeGrid.for_duration(10.0, 0.3)
@@ -110,10 +117,14 @@ class TestIntegratorBasics:
             assert abs(np.real(np.vdot(state, h @ state)) - e0) < 1e-8 * scale
 
     def test_guard_rejects_coarse_steps(self, params, cutoff12):
-        ham = static_hamiltonian(params, cutoff12)
+        # a cosine drive takes the periodic path: dt = 1e-3 resolves its
+        # period (m = 32 steps) but not the lab-frame spectrum, dt*rho ~ 1.2
+        drive = DriveParams(0.05, params.omega_c - params.chi, 1.0)
+        ham = lab_drive_hamiltonian(params, drive, cutoff12, "cosine")
+        assert math.ceil(ham.period / 1e-3) == 32
         psi0 = basis_state(cutoff12, "g", 0)
-        with pytest.raises(ValueError, match="dt"):
-            integrate(ham, psi0, TimeGrid(0.0, 1.0, 0.01), guard_limit=0.1, force_generic=True)
+        with pytest.raises(ValueError, match="stability guard violated"):
+            integrate(ham, psi0, TimeGrid(0.0, 1.0, 1e-3))
 
     def test_guard_spares_exact_runs(self, params):
         # dt = 0.01 is over 100x the stepper's guard here, but the run is
@@ -130,10 +141,13 @@ class TestIntegratorBasics:
 
     def test_rejects_unnormalized_state(self, params, cutoff12):
         ham = static_hamiltonian(params, cutoff12)
-        psi0 = 0.7 * basis_state(cutoff12, "g", 0)
         grid = TimeGrid.for_duration(0.1, 1e-5)
-        with pytest.raises(ValueError, match="normalized"):
-            integrate(ham, psi0, grid)
+        # a NaN norm must fail the check too, not slip past a "> tol" test
+        for index, value in ((0, 0.7), (1, math.nan), (0, math.inf)):
+            psi0 = basis_state(cutoff12, "g", 0)
+            psi0[index] = value
+            with pytest.raises(ValueError, match="normalized"):
+                integrate(ham, psi0, grid)
 
 
 class TestHamiltonianForm:
@@ -212,7 +226,7 @@ class TestFastPath:
         ham = lab_drive_hamiltonian(params, drive, cut, "rwa")
         grid = TimeGrid.for_duration(T, dt_bound(params, cut, eps))
         psi0 = basis_state(cut, "g", 0)
-        stepped = integrate(ham, psi0, grid).final
+        final = integrate(ham, psi0, grid).final
 
         ops = build_mode_operators(cut)
         charge = np.diag(excitation_charge(cut))
@@ -224,7 +238,7 @@ class TestFastPath:
         closed = np.exp(-1j * drive.omega_d * T * excitation_charge(cut)) * (
             expm_antihermitian(h_rot, T) @ psi0
         )
-        assert 1.0 - fid(stepped, closed) < 1e-8
+        assert 1.0 - fid(final, closed) < 1e-8
 
     def test_window_boundary_inside_run(self, params):
         # pulse ends mid-run: driven segment then free segment
@@ -245,16 +259,17 @@ class TestFastPath:
         assert t0 + (1000 + 0.5) * dt == 0.0 and t0 + (2000 + 0.5) * dt == T
         psi0 = basis_state(cut, "g", 0)
 
-        def run(pulse, **kw):
+        def hamiltonian(pulse):
             drive = DriveParams(0.05, params.omega_c - params.chi, pulse)
-            ham = lab_drive_hamiltonian(params, drive, cut, "rwa")
-            return integrate(ham, psi0, grid, store_every=250, **kw)
+            return lab_drive_hamiltonian(params, drive, cut, "rwa")
 
-        exact = run(T)
+        ham = hamiltonian(T)
+        exact = integrate(ham, psi0, grid, store_every=250)
         # literal stepping at this dt is within ~5e-9; a flipped edge rule moves ~3e-6
-        assert max_state_error(exact, run(T, force_generic=True)) < 1e-7
+        assert max_state_error(exact, oracle_states(ham, psi0, grid, exact)) < 1e-7
         # the edge step matters: a window one ulp short of it gives another state
-        assert np.max(np.abs(exact.final - run(np.nextafter(T, 0.0)).final)) > 1e-6
+        short = integrate(hamiltonian(np.nextafter(T, 0.0)), psi0, grid, store_every=250)
+        assert np.max(np.abs(exact.final - short.final)) > 1e-6
 
     @pytest.mark.parametrize("drive_kind", ["cavity", "qubit"])
     def test_exact_path_against_ode_oracle(self, params, drive_kind):
@@ -301,13 +316,18 @@ class TestFastPath:
             (dict(static_part=h0, drive=ops.a[:4, :4], window=(0.0, 1.0)), "shape"),
             (dict(static_part=h0, drive=ops.a), "window"),
             (dict(static_part=h0, drive=ops.a, window=(1.0, 0.5)), "window"),
+            (dict(static_part=h0, drive=ops.a + math.nan, window=(0.0, 1.0)), "finite"),
+            (dict(static_part=h0, drive=ops.a + math.inf, window=(0.0, 1.0)), "finite"),
+            (dict(static_part=h0, drive=ops.a, omega=math.nan, window=(0.0, 1.0)), "finite"),
+            (dict(static_part=h0, drive=ops.a, omega=math.inf, window=(0.0, 1.0)), "finite"),
+            (dict(static_part=h0 + math.inf), "finite"),
         ):
             with pytest.raises(ValueError, match=match):
                 TimeDependentHamiltonian(cutoff=cut, **kwargs)
 
     def test_charge_breaking_static_part_is_stepped(self, params):
         # V = eps a only lowers C, but sigma_x in H_0 breaks C, so no frame
-        # makes H(t) static: the driven segment must be stepped, not exact
+        # makes H(t) static: the driven segment takes the periodic path
         cut = FockCutoff(4)
         ops = build_mode_operators(cut)
         h0 = jc_hamiltonian(params, cut) + 0.1 * (ops.sp + ops.sm)
@@ -337,11 +357,17 @@ class TestFastPath:
         assert np.max(np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)) < 1e-10
 
 
-def max_state_error(exact, stepped):
+def oracle_states(ham, psi0, grid, traj):
+    """The literal midpoint oracle on ``grid`` at the steps where ``traj`` stored a state."""
+    dt = (grid.t1 - grid.t0) / grid.steps
+    steps = np.rint((traj.times - grid.t0) / dt).astype(int)
+    return midpoint_states(lambda t: hamiltonian_at(ham, grid.t0 + t), psi0, dt, steps)
+
+
+def max_state_error(traj, states):
     """Largest elementwise gap over every stored state, not only the final one."""
-    np.testing.assert_array_equal(exact.times, stepped.times)
-    assert exact.states.shape == stepped.states.shape
-    return float(np.max(np.abs(exact.states - stepped.states)))
+    assert traj.states.shape == states.shape
+    return float(np.max(np.abs(traj.states - states)))
 
 
 def assert_stepping_converges_at_second_order(ham, psi0, grid, store_every=None):
@@ -350,8 +376,7 @@ def assert_stepping_converges_at_second_order(ham, psi0, grid, store_every=None)
     errors = []
     for g, every in ((grid, store_every), (grid.halved(), 2 * store_every)):
         exact = integrate(ham, psi0, g, store_every=every)
-        stepped = integrate(ham, psi0, g, store_every=every, force_generic=True)
-        errors.append(max_state_error(exact, stepped))
+        errors.append(max_state_error(exact, oracle_states(ham, psi0, g, exact)))
     assert errors[0] < 1e-6
     assert 3.9 < errors[0] / errors[1] < 4.1, errors
 
@@ -446,8 +471,7 @@ class TestPeriodicPath:
         assert 3.8 < errors[0] / errors[1] < 4.2, errors
 
     def test_eigendecompositions_per_run(self, params, monkeypatch):
-        # the periodic path takes none; a free tail takes one; the
-        # force_generic oracle takes one per step
+        # the periodic path takes none; a free tail takes one
         calls = []
 
         def counting(h):
@@ -460,7 +484,6 @@ class TestPeriodicPath:
         for run, expected in (
             (lambda: integrate(ham, psi0, inside), 0),
             (lambda: integrate(ham, psi0, grid), 1),
-            (lambda: integrate(ham, psi0, grid, force_generic=True), grid.steps),
         ):
             calls.clear()
             run()
@@ -594,7 +617,7 @@ class TestStepPhases:
 class TestRwaVersusCosine:
     def test_forms_agree_at_default_scales(self, params):
         # counter-rotating corrections scale as (|eps| / 2 omega_d)^2 ~ 1e-7;
-        # the 1e-3 bound mostly exercises the generic stepping path
+        # the rwa run takes the exact path and the cosine run the periodic one
         cut = FockCutoff(8)
         eps, T = 0.05, 6.0
         drive = DriveParams(eps, params.omega_c - params.chi, T)
@@ -627,13 +650,9 @@ class TestFrameConsistency:
         psi_lab = integrate(ham_lab, basis_state(cut, "g", 0), grid).final
 
         h_i = interaction_frame_h(params, drive, cut)
-        # integrate H_I generically (slow frame, coarse steps suffice)
-        psi = basis_state(cut, "g", 0)
+        # integrate H_I by literal midpoint steps (slow frame, coarse steps suffice)
         dt = 0.02
-        steps = int(round(T / dt))
-        for k in range(steps):
-            t_mid = (k + 0.5) * dt
-            psi = expm_antihermitian(h_i(t_mid), dt) @ psi
+        psi = midpoint_states(h_i, basis_state(cut, "g", 0), dt, [round(T / dt)])[-1]
         psi = expm_antihermitian(dispersive_hamiltonian(params, cut), T) @ psi
         # quartic phase correction as an extra cavity rotation at rate zeta*n/2
         zeta = params.delta * params.lam**4
