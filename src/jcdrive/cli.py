@@ -57,7 +57,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # truncation, guard, linear-algebra failures
+    except Exception as exc:  # truncation, non-finite input, linear-algebra failures
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -25,36 +25,36 @@ and takes one of two paths:
   from one eigendecomposition; a free segment is the case V = 0, omega = 0.
 * periodic: any other driven segment (the cosine drive, whose V also raises
   C) has an H_F that repeats with the period P = pi/omega, or 2 pi/omega
-  when H_0 breaks C (see TimeDependentHamiltonian).  One period of
-  m = ceil(P/dt) midpoint steps of h = P/m <= dt gives the period
-  propagator U_P, and a time t - t_s = n P + j h + delta is reached as
+  when H_0 breaks C (see TimeDependentHamiltonian).  One period of m steps
+  of h = P/m gives the period propagator U_P, and a time
+  t - t_s = n P + j h + delta is reached as
 
       psi(t) = R(t) S_delta U_j U_P^n R(t_s)^dag psi(t_s),
 
-  with U_j the product of the first j steps and S_delta one midpoint step
-  of length delta.  Each step exponential exp(-i tau H_F) is a Taylor
-  polynomial in Horner form, scaled and squared, whose degree and squaring
-  count are fixed once per segment from a bound on tau ||H_F(t)||_1 that
-  holds at every t; no step takes an eigendecomposition.  The cost is set
-  by m, not by the length of the pulse.  A grid step of a whole period or
-  more (m = 1) resolves no drive and is refused.
+  with U_j the product of the first j steps and S_delta the same step over
+  length delta.  Each step is the fourth-order Magnus step exp(-i h Omega),
+  Omega = (A_1 + A_2)/2 - i (sqrt(3)/12) h [A_2, A_1], with A_{1,2} = H_F at
+  the Gauss-Legendre nodes t_k + (1/2 -/+ sqrt(3)/6) h; its exponential is
+  a scaled and squared Taylor polynomial, not an eigendecomposition.  m
+  comes from P and a bound on ||H_F(t)||_1 alone (_steps_per_period), so
+  the grid step dt only sets the stored times.  The cost is set by m, not
+  by the length of the pulse.
 
 Both paths are tested against oracles that share none of this machinery:
 an adaptive Runge-Kutta solver and the literal lab-frame midpoint stepper
 psi_{k+1} = exp(-i dt H(t_k + dt/2)) psi_k, both in the test suite.
 
 The split and the period are read off the matrices when the Hamiltonian is
-built.  A run with a periodic segment is held to the dt*max|eig H| guard.
-On the exact path all stored snapshots of a segment come out of one matrix
-product, so no work scales with the step count.  Every snapshot lies a
-whole number n of steps into its segment, so its phases, exp(-i E n dt)
+built.  On the exact path all stored snapshots of a segment come out of one
+matrix product, so no work scales with the step count.  Every snapshot lies
+a whole number n of steps into its segment, so its phases, exp(-i E n dt)
 for the eigenvalues E and the frame R(t), come from angle-addition tables:
 n = q B + r with B a multiple of the snapshot stride near stride*sqrt(N)
 for N snapshots, and exp(-i f n dt) = exp(-i f q B dt) exp(-i f r dt).
 About 2 sqrt(N) table rows are exponentiated, and no np.exp is evaluated
 per snapshot; the periodic path takes its final R(t) the same way.
 convergence_check reruns store only final states, and a run with no
-periodic segment gets no dt/2 rerun.
+periodic segment gets no rerun at 2m steps per period.
 """
 
 from __future__ import annotations
@@ -90,6 +90,12 @@ __all__ = [
 ]
 
 CONVERGENCE_THRESHOLD = 1e-8
+# the periodic path's frame rule: h beta <= 1/STEPS_PER_NORM, and at least MIN_STEPS
+# steps per turn of the e^{+-2 i omega t} harmonic of H_F when P beta is small
+STEPS_PER_NORM = 16
+MIN_STEPS = 8
+# the Gauss-Legendre nodes of a step are 1/2 -/+ GAUSS_NODE of the way through it
+GAUSS_NODE = math.sqrt(3.0) / 6.0
 
 
 @dataclass(frozen=True)
@@ -111,9 +117,6 @@ class TimeGrid:
     @property
     def steps(self) -> int:
         return max(1, round((self.t1 - self.t0) / self.dt))
-
-    def halved(self) -> "TimeGrid":
-        return TimeGrid(self.t0, self.t1, self.dt / 2.0)
 
     @classmethod
     def for_duration(cls, duration: float, dt_max: float, t0: float = 0.0) -> "TimeGrid":
@@ -177,8 +180,8 @@ class TimeDependentHamiltonian:
             )
             if not exact:
                 odd = dc % 2 != 0
-                halved = not (np.any(self.static_part[odd]) or np.any(self.drive[~odd]))
-                period = (math.pi if halved else 2.0 * math.pi) / abs(self.omega)
+                half = not (np.any(self.static_part[odd]) or np.any(self.drive[~odd]))
+                period = (math.pi if half else 2.0 * math.pi) / abs(self.omega)
         object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "period", period)
 
@@ -264,67 +267,48 @@ def integrate(
     psi0: np.ndarray,
     grid: TimeGrid,
     store_every: Optional[int] = None,
-    guard_limit: float = 0.1,
+    steps_per_period: Optional[int] = None,
 ) -> Trajectory:
     """Propagate i d/dt psi = H(t) psi over the free, driven and free segments.
 
     Each segment takes one of the two paths of the module docstring: exact
     (free, or driven with a static frame Hamiltonian) or periodic (any other
-    driven segment: one drive period of midpoint steps of
-    h = P/ceil(P/dt) <= dt, reused for the rest of the pulse).  Raises if
-    psi0 is not normalized, if a periodic segment's dt spans a drive period,
-    or if some segment is periodic and dt * max|eigenvalue(H)| >= guard_limit
-    (accuracy guard: the step must resolve every phase in the problem; on the
-    exact path dt only sets where the window edges fall).  Snapshots are
-    stored every ``store_every`` steps of dt (default: about 1000 over the
-    run); the final state is stored exactly regardless.
+    driven segment: one drive period of ``steps_per_period`` fourth-order
+    Magnus steps, reused for the rest of the pulse; None takes the frame
+    rule of _steps_per_period).  On either path dt only sets the stored
+    times and where the window edges fall.  Raises if psi0 is not
+    normalized.  Snapshots are stored every ``store_every`` steps of dt
+    (default: about 1000 over the run); the final state is stored exactly
+    regardless.
     """
     dim = ham.static_part.shape[0]
     if psi0.shape != (dim,):
         raise ValueError(f"state dimension {psi0.shape} does not match Hamiltonian {dim}")
     if not abs(np.linalg.norm(psi0) - 1.0) <= 1e-10:  # NaN fails too
         raise ValueError("initial state is not normalized")
+    if steps_per_period is not None and steps_per_period < 1:
+        raise ValueError(f"steps_per_period must be positive, got {steps_per_period}")
 
     steps = grid.steps
     dt = (grid.t1 - grid.t0) / steps
-    segments = [
-        (k0, k1, driven, _path(ham, driven, dt))
-        for k0, k1, driven in _segments(ham, grid.t0, dt, steps)
-    ]
-    if any(path != "exact" for *_, path in segments):
-        _check_guard(ham, grid, dt, guard_limit)
-
     if store_every is None:
         store_every = max(1, math.ceil(steps / 1000))
     stored = np.concatenate(([0], np.arange(store_every, steps, store_every), [steps]))
 
     out_states = np.empty((len(stored), dim), dtype=complex)
     psi = out_states[0] = psi0.astype(complex)
-    for k0, k1, driven, path in segments:
+    for k0, k1, driven in _segments(ham, grid.t0, dt, steps):
         lo, hi = np.searchsorted(stored, (k0, k1), side="right")
         ends = np.append(stored[lo:hi], k1) - k0  # steps into the segment to report
         t_start = grid.t0 + k0 * dt
-        if path == "periodic":
-            states = _advance_periodic(ham, psi, t_start, ends, dt, store_every)
-        else:
+        if _is_exact(ham, driven):
             states = _advance_exact(ham, psi, t_start, ends, dt, store_every, driven)
+        else:
+            m = steps_per_period or _steps_per_period(ham)
+            states = _advance_periodic(ham, psi, t_start, ends, dt, store_every, m)
         out_states[lo:hi] = states[:-1]
         psi = states[-1]
     return Trajectory(times=grid.t0 + stored * dt, states=out_states)
-
-
-def _check_guard(ham, grid, dt, guard_limit):
-    probes = {grid.t0 + 0.5 * dt, grid.t1 - 0.5 * dt}
-    if ham.drive is not None:
-        mid = 0.5 * (ham.window[0] + ham.window[1])
-        if grid.t0 <= mid <= grid.t1:
-            probes.add(mid)
-    rho = max(float(np.max(np.abs(np.linalg.eigvalsh(hamiltonian_at(ham, t))))) for t in probes)
-    if dt * rho >= guard_limit:
-        raise ValueError(
-            f"stability guard violated: dt*max|eig(H)| = {dt * rho:.3g} >= {guard_limit}; "
-            f"use dt < {guard_limit / rho:.3e}"
-        )
 
 
 def _segments(ham, t0, dt, steps):
@@ -352,22 +336,19 @@ def _is_exact(ham, driven):
     return not driven or ham.exact
 
 
-def _steps_per_period(ham, dt):
-    """m = ceil(P/dt), the fewest midpoint steps per drive period with h = P/m <= dt."""
-    return max(1, math.ceil(ham.period / dt - 1e-9))  # P/dt a whole number up to rounding
+def _frame_norm(ham):
+    """beta = || |H_0 - omega C| + |V| + |V|^T ||_1, a bound on ||H_F(t)||_1 at every t.
 
-
-def _path(ham, driven, dt):
-    """How integrate advances a segment: 'exact' or 'periodic'.
-
-    Raises when a periodic segment's grid step spans a whole drive period
-    (m = 1): no step of it resolves the drive.
+    The frame only changes the phases of the elements of H_0 - omega C + W + W^dag.
     """
-    if _is_exact(ham, driven):
-        return "exact"
-    if _steps_per_period(ham, dt) == 1:
-        raise ValueError(f"dt = {dt:.6g} spans the whole drive period P = {ham.period:.6g}")
-    return "periodic"
+    h0f = ham.static_part - np.diag(ham.omega * excitation_charge(ham.cutoff))
+    v_abs = np.abs(ham.drive)
+    return float(np.linalg.norm(np.abs(h0f) + v_abs + v_abs.T, 1))
+
+
+def _steps_per_period(ham):
+    """The frame rule: m = max(MIN_STEPS, ceil(STEPS_PER_NORM P beta)) steps per drive period."""
+    return max(MIN_STEPS, math.ceil(STEPS_PER_NORM * ham.period * _frame_norm(ham)))
 
 
 def _advance_exact(ham, psi, t_start, ends, dt, stride, driven):
@@ -436,7 +417,7 @@ def _taylor_order(bound):
     return degree, s
 
 
-def _midpoint_step(h, tau, order):
+def _step_exponential(h, tau, order):
     """exp(-i tau h) by a Taylor polynomial in Horner form, scaled and squared.
 
     ``order`` = (K, s) from _taylor_order for a bound on tau ||h||_1: the
@@ -455,22 +436,33 @@ def _midpoint_step(h, tau, order):
     return e
 
 
-def _advance_periodic(ham, psi, t_start, ends, dt, stride):
+def _magnus_step(ham, parts, t, tau, order):
+    """exp(-i tau Omega), the fourth-order Magnus step over [t, t + tau].
+
+    Omega = (A_1 + A_2)/2 - i (sqrt(3)/12) tau [A_2, A_1] with A_{1,2} = H_F at
+    the Gauss-Legendre nodes t + (1/2 -/+ sqrt(3)/6) tau.
+    """
+    a1 = _frame_hamiltonian(ham, parts, t + (0.5 - GAUSS_NODE) * tau)
+    a2 = _frame_hamiltonian(ham, parts, t + (0.5 + GAUSS_NODE) * tau)
+    omega = 0.5 * (a1 + a2) - (0.5j * GAUSS_NODE * tau) * (a2 @ a1 - a1 @ a2)
+    return _step_exponential(omega, tau, order)
+
+
+def _advance_periodic(ham, psi, t_start, ends, dt, stride, m):
     """psi(t) = R(t) S_delta U_j U_P^n R(t_s)^dag psi(t_s), t - t_s = n P + j h + delta.
 
     At t = t_s + k dt for each k in ``ends`` (ascending).  H_F repeats with
-    the period P, so the m = ceil(P/dt) midpoint steps of h = P/m from t_s
-    give U_P, and U_j is the product of their first j.  Only the U_j that a requested time needs
+    the period P, so m Magnus steps of h = P/m from t_s give U_P, and U_j is
+    the product of their first j.  Only the U_j that a requested time needs
     are kept, and the period is stepped only when some time lies past it.
-    U_P^n is applied as n matrix-vector products; S_delta is one midpoint
-    step of length delta, skipped when delta = 0.  Every step exponential is
-    a Taylor polynomial whose degree and squaring count are fixed once, from
-    h ||H_0 - omega C| + |V| + |V|^T||_1, a bound on tau ||H_F(t)||_1 for all
-    t and tau <= h (the frame only changes phases).  R(t) = R(t_s)
-    exp(-i omega C k dt) takes its phases from _step_phases, ``stride``
-    being the spacing of ``ends``.
+    U_P^n is applied as n matrix-vector products; S_delta is the Magnus
+    step over [t_j, t_j + delta], skipped when delta = 0.  Every step
+    exponential is a Taylor polynomial whose degree and squaring count are
+    fixed once, from h beta + (sqrt(3)/6)(h beta)^2 with beta from
+    _frame_norm: that bounds tau ||Omega||_1 for all t and tau <= h, since
+    ||[A_2, A_1]||_1 <= 2 beta^2.  R(t) = R(t_s) exp(-i omega C k dt) takes
+    its phases from _step_phases, ``stride`` being the spacing of ``ends``.
     """
-    m = _steps_per_period(ham, dt)
     h = ham.period / m
     elapsed = ends * dt
     whole = np.floor(elapsed / h + 1e-9)  # steps of h, a whole number up to rounding
@@ -479,15 +471,14 @@ def _advance_periodic(ham, psi, t_start, ends, dt, stride):
     n, j = np.divmod(whole.astype(int), m)
 
     charge = excitation_charge(ham.cutoff)
-    h0f = ham.static_part - np.diag(ham.omega * charge)
-    parts = (charge, h0f, ham.drive, ham.drive.conj().T)
-    v_abs = np.abs(ham.drive)
-    order = _taylor_order(h * np.linalg.norm(np.abs(h0f) + v_abs + v_abs.T, 1))
+    parts = (charge, ham.static_part - np.diag(ham.omega * charge), ham.drive, ham.drive.conj().T)
+    hb = h * _frame_norm(ham)
+    order = _taylor_order(hb + GAUSS_NODE * hb * hb)
     needed = set(j.tolist())
     u = np.eye(psi.shape[0], dtype=complex)
     partial = {0: u}
     for k in range(m if n[-1] > 0 else max(needed)):
-        u = _midpoint_step(_frame_hamiltonian(ham, parts, t_start + (k + 0.5) * h), h, order) @ u
+        u = _magnus_step(ham, parts, t_start + k * h, h, order) @ u
         if k + 1 in needed:
             partial[k + 1] = u
     if n[-1] > 0:
@@ -505,8 +496,7 @@ def _advance_periodic(ham, psi, t_start, ends, dt, stride):
         periods = n_i
         states[i] = partial[j_i] @ phi
         if delta_i:
-            h_mid = _frame_hamiltonian(ham, parts, t_start + j_i * h + 0.5 * delta_i)
-            states[i] = _midpoint_step(h_mid, delta_i, order) @ states[i]
+            states[i] = _magnus_step(ham, parts, t_start + j_i * h, delta_i, order) @ states[i]
     states *= frame
     states *= _step_phases(ham.omega * charge, ends, dt, stride)
     return states
@@ -514,18 +504,18 @@ def _advance_periodic(ham, psi, t_start, ends, dt, stride):
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Self-convergence of a run: fidelity against dt/2 and doubled-cutoff reruns.
+    """Self-convergence of a run: fidelity against reruns at 2m steps per period and 2 n_max.
 
-    ``dt_exact`` marks a run whose segments are all exact: it has no dt/2 rerun,
-    and ``fidelity_dt`` is 1.0.
+    ``steps_per_period`` is the m of the run's periodic segment, or None
+    when its segments are all exact: such a run has no step rerun, and
+    ``fidelity_dt`` is 1.0.
     """
 
     fidelity_dt: float
     fidelity_cutoff: float
-    dt: float
+    steps_per_period: Optional[int]
     n_max: int
     threshold: float = CONVERGENCE_THRESHOLD
-    dt_exact: bool = False
 
     @property
     def passed(self) -> bool:
@@ -536,7 +526,8 @@ class ConvergenceReport:
 
     def __str__(self):
         mark = "converged" if self.passed else "NOT converged"
-        dt_axis = "dt: exact" if self.dt_exact else f"F(dt vs dt/2) = {self.fidelity_dt:.12f}"
+        m = self.steps_per_period
+        dt_axis = "dt: exact" if m is None else f"F(m={m} vs {2 * m}) = {self.fidelity_dt:.12f}"
         return (
             f"{mark}: {dt_axis}, "
             f"F(n_max={self.n_max} vs {2 * self.n_max}) = {self.fidelity_cutoff:.12f} "
@@ -558,33 +549,32 @@ def embed_state(psi: np.ndarray, n_big: int) -> np.ndarray:
 def convergence_check(
     ham: TimeDependentHamiltonian, psi0: np.ndarray, grid: TimeGrid
 ) -> ConvergenceReport:
-    """Rerun with dt/2 and with doubled n_max; report final-state fidelities.
+    """Rerun at twice the steps per period and with doubled n_max; report final-state fidelities.
 
     A run whose segments are all exact (free, or driven with a static frame
-    Hamiltonian) has no stepping error, so it gets no dt/2 rerun and reports
-    the dt axis as exact.  On a periodic segment the dt/2 rerun takes
-    ceil(2P/dt), that is 2m or 2m - 1, steps per period.  The
-    doubled-cutoff rerun keeps the same dt (it isolates truncation error),
-    so the dt*max|eig| guard is relaxed for that run only: the added
-    spectral radius lives entirely on unoccupied levels.
+    Hamiltonian) has no stepping error, so it gets no step rerun and reports
+    the dt axis as exact.  A run with a periodic segment is rerun at 2m
+    steps per period on the same grid, m being the frame rule's.  The
+    doubled-cutoff rerun keeps the run's m, so that it isolates truncation
+    error.
     """
     if ham.remake is None:
         raise ValueError("Hamiltonian has no remake recipe; cannot double the cutoff")
     dt = (grid.t1 - grid.t0) / grid.steps
-    dt_exact = all(_is_exact(ham, driven) for *_, driven in _segments(ham, grid.t0, dt, grid.steps))
-    base = integrate(ham, psi0, grid, store_every=grid.steps).final
+    exact = all(_is_exact(ham, driven) for *_, driven in _segments(ham, grid.t0, dt, grid.steps))
+    m = None if exact else _steps_per_period(ham)
+    base = integrate(ham, psi0, grid, store_every=grid.steps, steps_per_period=m).final
     fid_dt = 1.0
-    if not dt_exact:
-        fine_grid = grid.halved()
-        fine = integrate(ham, psi0, fine_grid, store_every=fine_grid.steps).final
+    if m is not None:
+        fine = integrate(ham, psi0, grid, store_every=grid.steps, steps_per_period=2 * m).final
         fid_dt = float(abs(np.vdot(base, fine)) ** 2)
 
     big_cutoff = FockCutoff(2 * ham.cutoff.n_max)
     ham_big = ham.remake(big_cutoff)
     psi0_big = embed_state(psi0, big_cutoff.n_max)
-    big = integrate(ham_big, psi0_big, grid, store_every=grid.steps, guard_limit=0.25).final
+    big = integrate(ham_big, psi0_big, grid, store_every=grid.steps, steps_per_period=m).final
     fid_cut = float(abs(np.vdot(embed_state(base, big_cutoff.n_max), big)) ** 2)
     return ConvergenceReport(
-        fidelity_dt=fid_dt, fidelity_cutoff=fid_cut, dt=dt, n_max=ham.cutoff.n_max,
-        dt_exact=dt_exact,
+        fidelity_dt=fid_dt, fidelity_cutoff=fid_cut, steps_per_period=m,
+        n_max=ham.cutoff.n_max,
     )

@@ -221,7 +221,7 @@ def expm_antihermitian(hermitian: np.ndarray, time: float = 1.0) -> np.ndarray:
 
     Exactly unitary up to roundoff for these dense sizes.  The closed-form
     propagators and the exact segments build on it; the periodic path's
-    short midpoint steps use a scaled Taylor polynomial instead (see
+    short Magnus steps use a scaled Taylor polynomial instead (see
     dynamics), which the tests check against this function.
     """
     if not is_hermitian(hermitian):

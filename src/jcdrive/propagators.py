@@ -51,6 +51,7 @@ __all__ = [
     "ground_final_state_lab",
     "excited_final_state_lab",
     "phase_corrected_amplitudes",
+    "lab_amplitudes",
     "qubit_drive_propagator",
     "pe_full",
     "pe_simplified",
@@ -218,6 +219,22 @@ def phase_corrected_amplitudes(
     return ag_t, ae_t
 
 
+def lab_amplitudes(
+    drive: DriveParams,
+    params: SystemParams,
+    phase_correction: bool = False,
+) -> tuple[complex, complex]:
+    """Lab-frame branch amplitudes at T: phase_corrected_amplitudes with the correction,
+    alpha_{g/e} exp(-i (omega_c -/+ chi) T) without it."""
+    if phase_correction:
+        return phase_corrected_amplitudes(drive, params)
+    ag, ae = alpha_ge(drive, params)
+    return (
+        ag * np.exp(-1j * (params.omega_c - params.chi) * drive.T),
+        ae * np.exp(-1j * (params.omega_c + params.chi) * drive.T),
+    )
+
+
 def ground_final_state_lab(
     drive: DriveParams,
     params: SystemParams,
@@ -231,11 +248,7 @@ def ground_final_state_lab(
     dispersive rotation); with True the quartic phase correction is applied to
     the amplitude, which is what full lab-frame numerics actually produce.
     """
-    if phase_correction:
-        ag_t, _ = phase_corrected_amplitudes(drive, params)
-    else:
-        ag, _ = alpha_ge(drive, params)
-        ag_t = ag * np.exp(-1j * (params.omega_c - params.chi) * drive.T)
+    ag_t, _ = lab_amplitudes(drive, params, phase_correction)
     return fix_global_phase(dressed_coherent_state("g", ag_t, basis))
 
 
@@ -262,11 +275,7 @@ def excited_final_state_lab(
     limits dispersive readout contrast.
     """
     n_max = basis.n_max
-    if phase_correction:
-        _, ae_t = phase_corrected_amplitudes(drive, params)
-    else:
-        _, ae = alpha_ge(drive, params)
-        ae_t = ae * np.exp(-1j * (params.omega_c + params.chi) * drive.T)
+    _, ae_t = lab_amplitudes(drive, params, phase_correction)
     branch_e = dressed_coherent_state("e", ae_t, basis)
     if initial == "dressed_e0":
         return fix_global_phase(branch_e)

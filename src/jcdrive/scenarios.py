@@ -39,7 +39,7 @@ from .dynamics import (
     qubit_drive_lab_hamiltonian,
 )
 from .hilbert import FockCutoff, SystemParams, basis_state, required_cutoff
-from .propagators import DriveParams, QubitDriveParams, alpha_ge, phase_corrected_amplitudes
+from .propagators import DriveParams, QubitDriveParams, alpha_ge, lab_amplitudes
 
 __all__ = ["ScenarioResult", "run_scenario", "emit_csv", "convergence_probe", "dt_bound"]
 
@@ -102,13 +102,13 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 # shared machinery
 
 def dt_bound(params: SystemParams, cutoff: FockCutoff, eps_abs: float,
-            eta_abs: float = 0.0, cosine: bool = False) -> float:
+             eta_abs: float = 0.0) -> float:
     """Largest step satisfying dt * max|eig(H)| < 0.1, from a spectral-radius bound.
 
-    The guard holds a run with a periodic segment (drive_form=cosine) to
-    this bound, as does the literal midpoint oracle of the test suite; on a
-    run whose segments are all exact it only sets where the pulse edges
-    round to, and a larger config dt passes.
+    It is the default grid spacing of every scenario, and so sets the stored
+    times and where the pulse edges round to; no run is held to it, and a
+    config dt replaces it.  The literal midpoint oracle of the test suite
+    takes its step from it, since that stepper needs dt * max|eig(H)| small.
     """
     n = cutoff.n_max
     rho = (
@@ -116,7 +116,7 @@ def dt_bound(params: SystemParams, cutoff: FockCutoff, eps_abs: float,
         + 0.5 * abs(params.omega_q)
         + abs(params.chi) * n
         + params.g * math.sqrt(n)
-        + (4.0 if cosine else 2.0) * eps_abs * math.sqrt(n)
+        + 2.0 * eps_abs * math.sqrt(n)
         + eta_abs
     )
     return 0.099 / rho
@@ -146,16 +146,6 @@ def _cutoff_for(alpha_abs: float, override: Optional[int]) -> FockCutoff:
             )
         return FockCutoff(override)
     return FockCutoff(needed)
-
-
-def _branch_targets(drive: DriveParams, params: SystemParams, phase_correction: bool):
-    if phase_correction:
-        return phase_corrected_amplitudes(drive, params)
-    ag, ae = alpha_ge(drive, params)
-    return (
-        ag * np.exp(-1j * (params.omega_c - params.chi) * drive.T),
-        ae * np.exp(-1j * (params.omega_c + params.chi) * drive.T),
-    )
 
 
 class Run(NamedTuple):
@@ -194,7 +184,7 @@ def _cavity_point(config: ScenarioConfig, lam: float, eps_abs: float, alpha_sq: 
     T = alpha_abs / eps_abs
     epsilon = eps_abs * np.exp(1j * np.angle(complex(config.epsilon))) if config.epsilon else eps_abs
     cutoff = _cutoff_for(alpha_abs, config.n_max)
-    dt_cap = config.dt or dt_bound(params, cutoff, eps_abs, cosine=config.drive_form == "cosine")
+    dt_cap = config.dt or dt_bound(params, cutoff, eps_abs)
     grid = _grid(T, dt_cap)
     if (config.initial or "dressed") == "dressed":
         psi0_e = dressed_state("e", 0, dressed_basis(params, cutoff, "exact"))
@@ -264,7 +254,7 @@ def _readout_point(config: ScenarioConfig):
     drive = DriveParams(eps, params.omega_c - params.chi, math.pi / abs(params.chi))
     ag, _ = alpha_ge(drive, params)
     cutoff = _cutoff_for(abs(ag), config.n_max)
-    dt_cap = config.dt or dt_bound(params, cutoff, abs(eps), cosine=config.drive_form == "cosine")
+    dt_cap = config.dt or dt_bound(params, cutoff, abs(eps))
     grid = _grid(drive.T, dt_cap)
     ham = lab_drive_hamiltonian(params, drive, cutoff, config.drive_form)
     if (config.initial or "bare") == "bare":
@@ -305,7 +295,7 @@ def _fidelity_point(config: ScenarioConfig, lam: float, eps_abs: float, alpha_sq
     out: dict = {"alpha_sq": alpha_sq, "lambda": lam, "epsilon_abs": eps_abs, "converged": True}
     for branch, run in runs.items():
         psi = _final(run)
-        target = _branch_targets(run.drive, params, config.phase_correction)["ge".index(branch)]
+        target = lab_amplitudes(run.drive, params, config.phase_correction)["ge".index(branch)]
         f_d, f_b, gap = metrics.dressed_vs_bare_gap(psi, target, branch, basis)
         out[f"F_D_{branch}"] = f_d
         out[f"one_minus_F_D_{branch}"] = 1.0 - f_d

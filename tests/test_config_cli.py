@@ -375,24 +375,28 @@ class TestCli:
         assert code == 0
         assert "# scenario=readout" in (tmp_path / "r.csv").read_text().splitlines()[0]
 
-    def test_coarse_dt_accepted_on_exact_runs(self, tmp_path, capsys):
-        # dt = 0.01 breaks the stepper's guard ~190-fold, but every segment of
-        # this run is exact and the pulse end stays on a step boundary
-        physics = {}
-        for label, extra in (("default", ""), ("coarse", "dt=0.01\n")):
-            cfg = self._write(tmp_path, f"scenario=fig2b\nsweep_values=1\n{extra}")
-            out = tmp_path / f"{label}.csv"
-            assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-            lines = out.read_text().splitlines()
-            drop = lines[1].split(",").index("wall_time_s")
-            physics[label] = [line.split(",")[:drop] for line in lines[2:]]
-        assert physics["coarse"] == physics["default"]
+    def _physics_columns(self, tmp_path, text, label):
+        """The CSV rows of ``sim run`` on ``text`` without their wall_time_s cells."""
+        cfg = self._write(tmp_path, text)
+        out = tmp_path / f"{label}.csv"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        drop = lines[1].split(",").index("wall_time_s")
+        return [line.split(",")[:drop] for line in lines[2:]]
 
-    def test_guard_still_refuses_stepped_runs(self, tmp_path, capsys):
-        cfg = self._write(tmp_path, FAST_SCENARIO + "drive_form=cosine\ndt=0.001\n")
-        assert main(["run", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 2
-        assert "stability guard violated" in capsys.readouterr().err
-        assert not (tmp_path / "c.csv").exists()
+    def test_coarse_dt_accepted_on_exact_runs(self, tmp_path, capsys):
+        # dt = 0.01 is ~190 times dt_bound, but every segment of this run is
+        # exact and the pulse end stays on a step boundary
+        text = "scenario=fig2b\nsweep_values=1\n"
+        default = self._physics_columns(tmp_path, text, "default")
+        assert self._physics_columns(tmp_path, text + "dt=0.01\n", "coarse") == default
+
+    def test_coarse_dt_accepted_on_periodic_runs(self, tmp_path, capsys):
+        # the periodic path takes its steps per period from the frame, so
+        # dt = 0.001, ~20 times dt_bound, only moves the stored times
+        text = FAST_SCENARIO + "drive_form=cosine\n"
+        default = self._physics_columns(tmp_path, text, "default")
+        assert self._physics_columns(tmp_path, text + "dt=0.001\n", "coarse") == default
 
     @pytest.mark.parametrize("scenario", list(SCHEMAS))
     def test_check_subcommand(self, tmp_path, capsys, scenario):

@@ -29,8 +29,9 @@ def _choice(*values):
 # its parser or the dispersive-regime checks refuse.  Valid values can still
 # combine into a refused config (omega_q against lambda, an incomplete
 # linear sweep, a zero alpha_sq where the pulse length derives from it).
-# n_max and dt are left out: an n_max below the truncation rule and a dt
-# above the step guard are refused by the numerics (exit 2), as TestCli pins.
+# dt only sets the stored times and where pulse edges round to, on either
+# propagation path, so any positive value runs.  n_max is left out: an n_max
+# below the truncation rule is refused by the numerics (exit 2), as TestCli pins.
 _KEYS = {
     "scenario": _choice(*SCENARIOS),
     "g": _number(0.9, 1.5, "0"),
@@ -54,6 +55,7 @@ _KEYS = {
     "eta_phase": _number(-7.0, 7.0),
     "omega_drive": _number(100.0, 120.0),
     "time_points": _choice("2", "50"),
+    "dt": _number(1e-5, 0.1, "0", "-1"),
     "workers": _choice("1"),
     "check_convergence": _choice("on", "off"),
     "out": (st.just("unused.csv"), ("",)),
@@ -84,6 +86,7 @@ def config_texts(draw):
 @given(config_texts())
 @example("scenario=custom\ndrive_form=cosine\nsweep_values=0.3\n")  # periodic path
 @example("scenario=readout\ndrive_form=cosine\nlambda=0.25\n")      # periodic path, big chi
+@example("scenario=custom\ndrive_form=cosine\nsweep_values=0.3\ndt=0.01\n")  # coarse dt, periodic
 @example("scenario=fig2c\nsweep_values=0.2,1\n")                     # swept lambda >= 1
 @example("scenario=readout\nomega_q=90\n")                            # chi < 0
 @example("scenario=readout\ng=0\nomega_q=110\n")                      # chi = 0

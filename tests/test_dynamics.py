@@ -12,7 +12,7 @@ from jcdrive.dressed import dressed_basis, dressed_coherent_state
 from jcdrive.dynamics import (
     TimeDependentHamiltonian,
     TimeGrid,
-    _midpoint_step,
+    _step_exponential,
     _step_phases,
     _taylor_order,
     convergence_check,
@@ -116,19 +116,21 @@ class TestIntegratorBasics:
         for state in traj.states:
             assert abs(np.real(np.vdot(state, h @ state)) - e0) < 1e-8 * scale
 
-    def test_guard_rejects_coarse_steps(self, params, cutoff12):
-        # a cosine drive takes the periodic path: dt = 1e-3 resolves its
-        # period (m = 32 steps) but not the lab-frame spectrum, dt*rho ~ 1.2
+    def test_coarse_dt_spares_periodic_runs(self, params, cutoff12):
+        # a cosine drive takes the periodic path, whose steps per period come
+        # from the frame: dt = 1e-3, about 14x dt_bound, only sets the stored
+        # times, and the pulse end is a step boundary on both grids
         drive = DriveParams(0.05, params.omega_c - params.chi, 1.0)
         ham = lab_drive_hamiltonian(params, drive, cutoff12, "cosine")
-        assert math.ceil(ham.period / 1e-3) == 32
         psi0 = basis_state(cutoff12, "g", 0)
-        with pytest.raises(ValueError, match="stability guard violated"):
-            integrate(ham, psi0, TimeGrid(0.0, 1.0, 1e-3))
+        fine = TimeGrid.for_duration(1.0, dt_bound(params, cutoff12, 0.05))
+        assert 1e-3 > 10 * fine.dt
+        coarse = integrate(ham, psi0, TimeGrid(0.0, 1.0, 1e-3))
+        assert np.max(np.abs(coarse.final - integrate(ham, psi0, fine).final)) <= 1e-12
 
     def test_guard_spares_exact_runs(self, params):
-        # dt = 0.01 is over 100x the stepper's guard here, but the run is
-        # exact: dt only places the pulse end, a step boundary on both grids
+        # dt = 0.01 is over 100x dt_bound here, but the run is exact: dt
+        # only places the pulse end, a step boundary on both grids
         cut = FockCutoff(12)
         drive = DriveParams(0.05, params.omega_c - params.chi, 1.0)
         ham = lab_drive_hamiltonian(params, drive, cut, "rwa")
@@ -241,11 +243,14 @@ class TestFastPath:
         assert 1.0 - fid(final, closed) < 1e-8
 
     def test_window_boundary_inside_run(self, params):
-        # pulse ends mid-run: driven segment then free segment
+        # pulse ends mid-run: driven segment then free segment.  The grid has
+        # an odd step count (4687), so one step midpoint falls on t_off; an
+        # edge rule that left that step undriven would be off by ~4e-6
         cut = FockCutoff(12)
-        drive = DriveParams(0.05, params.omega_c - params.chi, 1.0)
+        drive = DriveParams(0.05, params.omega_c - params.chi, 0.2)
         ham = lab_drive_hamiltonian(params, drive, cut, "rwa")
-        grid = TimeGrid.for_duration(2.0, dt_bound(params, cut, 0.05))
+        grid = TimeGrid.for_duration(0.4, dt_bound(params, cut, 0.05))
+        assert grid.steps % 2 == 1
         assert_stepping_converges_at_second_order(ham, basis_state(cut, "g", 0), grid, 97)
 
     def test_window_edges_on_step_midpoints_are_inclusive(self, params):
@@ -374,7 +379,7 @@ def assert_stepping_converges_at_second_order(ham, psi0, grid, store_every=None)
     """Literal stepping approaches the exact path as dt^2: halving dt quarters the error."""
     store_every = store_every or max(1, grid.steps // 100)
     errors = []
-    for g, every in ((grid, store_every), (grid.halved(), 2 * store_every)):
+    for g, every in ((grid, store_every), (TimeGrid(grid.t0, grid.t1, grid.dt / 2), 2 * store_every)):
         exact = integrate(ham, psi0, g, store_every=every)
         errors.append(max_state_error(exact, oracle_states(ham, psi0, g, exact)))
     assert errors[0] < 1e-6
@@ -385,21 +390,21 @@ class TestPeriodicPath:
     """The period propagator of a non-exact driven segment, against the ODE oracle."""
 
     @staticmethod
-    def cosine_run(params, steps_per_period):
-        # 5 drive periods of pulse, then 2.5 free periods; the pulse ends on
-        # a step boundary of this grid and of its halved grid
+    def cosine_run(params):
+        # 5 drive periods of pulse, then 2.5 free periods, on a grid of 200
+        # steps per period; the pulse ends on a step boundary
         cut = FockCutoff(6)
         omega = params.omega_c - params.chi
-        dt = math.pi / omega / steps_per_period
-        drive = DriveParams(0.4 + 0.3j, omega, 5 * steps_per_period * dt)
+        dt = math.pi / omega / 200
+        drive = DriveParams(0.4 + 0.3j, omega, 1000 * dt)
         ham = lab_drive_hamiltonian(params, drive, cut, "cosine")
         assert ham.period == math.pi / omega
-        grid = TimeGrid(0.0, 7.5 * steps_per_period * dt, dt)
+        grid = TimeGrid(0.0, 1500 * dt, dt)
         return ham, basis_state(cut, "g", 0), grid
 
     def test_cosine_run_against_ode_oracle(self, params):
-        # store_every=97 against 200 steps per period: snapshots inside periods
-        ham, psi0, grid = self.cosine_run(params, 200)
+        # store_every=97 against 200 grid steps per period: snapshots inside periods
+        ham, psi0, grid = self.cosine_run(params)
         traj = integrate(ham, psi0, grid, store_every=97)
         assert traj.times[-1] > ham.window[1]
         oracle = ode_states(lambda t: hamiltonian_at(ham, t), psi0, traj.times)
@@ -410,7 +415,7 @@ class TestPeriodicPath:
     def test_run_starting_inside_the_pulse(self, params):
         # t0 = 333 dt, not a whole period: the frame R(t_s) at the segment
         # start is not the identity
-        ham, psi0, grid = self.cosine_run(params, 200)
+        ham, psi0, grid = self.cosine_run(params)
         t0 = 333 * grid.dt
         traj = integrate(ham, psi0, TimeGrid(t0, grid.t1, grid.dt), store_every=97)
         oracle = ode_states(lambda t: hamiltonian_at(ham, t0 + t), psi0, traj.times - t0)
@@ -432,43 +437,46 @@ class TestPeriodicPath:
         oracle = ode_states(lambda t: hamiltonian_at(ham, t), psi0, traj.times)
         assert np.max(np.abs(traj.states - oracle)) < 2e-7
 
-    def test_second_order_in_the_step(self, params):
-        # P/dt = 200 and 400: the midpoint steps of the period are h = dt;
-        # both runs store the same times, inside periods
+    def test_fourth_order_in_the_step(self, params):
+        # m = 12 and 24 Magnus steps per period, against the frame rule's 31:
+        # errors of ~9e-8 and ~5e-9, far above the oracle's own ~1e-11.
+        # Both runs store the same times, inside periods
+        ham, psi0, grid = self.cosine_run(params)
         errors = []
-        for steps_per_period, every in ((200, 97), (400, 194)):
-            ham, psi0, grid = self.cosine_run(params, steps_per_period)
-            traj = integrate(ham, psi0, grid, store_every=every)
+        for m in (12, 24):
+            traj = integrate(ham, psi0, grid, store_every=97, steps_per_period=m)
             oracle = ode_states(lambda t: hamiltonian_at(ham, t), psi0, traj.times)
             errors.append(np.max(np.abs(traj.states - oracle)))
-        assert 3.8 < errors[0] / errors[1] < 4.2, errors
+        assert 15.2 < errors[0] / errors[1] < 16.8, errors
 
     def test_squaring_branch_against_ode_oracle(self, params, monkeypatch):
-        # omega = 10 omega_c makes the frame rate omega C large: every step
-        # exponential has h ||H_F||_1 bound 0.88 > 1/2 and is squared once.
-        # The pulse ends on a step boundary after 4.8 periods; dt is not h,
-        # so the stored times also take remainder steps S_delta.
+        # omega = 10 omega_c makes the frame rate omega C large: at m = 16
+        # steps per period every step exponential has a bound on
+        # h ||Omega||_1 between 1/2 and 1 and is squared once.  The pulse ends
+        # on a step boundary of the grid after 4.8 periods; dt is not h, so
+        # the stored times also take remainder steps S_delta.
         cut = FockCutoff(4)
         omega, dt = 10.0 * params.omega_c, 2.5e-4
         orders = []
 
         def recording(h, tau, order):
             orders.append(order)
-            return _midpoint_step(h, tau, order)
+            return _step_exponential(h, tau, order)
 
-        monkeypatch.setattr(dynamics, "_midpoint_step", recording)
+        monkeypatch.setattr(dynamics, "_step_exponential", recording)
         psi0 = basis_state(cut, "g", 0)
+        drive = DriveParams(0.4 + 0.3j, omega, 60 * dt)
+        ham = lab_drive_hamiltonian(params, drive, cut, "cosine")
+        grid = TimeGrid(0.0, 90 * dt, dt)
         errors = []
-        for d, every in ((dt, 7), (dt / 2, 14)):
-            drive = DriveParams(0.4 + 0.3j, omega, 60 * dt)
-            ham = lab_drive_hamiltonian(params, drive, cut, "cosine")
-            traj = integrate(ham, psi0, TimeGrid(0.0, 90 * dt, d), store_every=every)
+        for m in (16, 32):
+            traj = integrate(ham, psi0, grid, store_every=7, steps_per_period=m)
             oracle = ode_states(lambda t: hamiltonian_at(ham, t), psi0, traj.times)
             errors.append(np.max(np.abs(traj.states - oracle)))
-            if d == dt:
-                assert math.ceil(ham.period / dt) == 13 and {s for _, s in orders} == {1}
+            if m == 16:
+                assert {s for _, s in orders} == {1}
         assert errors[0] < 2e-6
-        assert 3.8 < errors[0] / errors[1] < 4.2, errors
+        assert 15.2 < errors[0] / errors[1] < 16.8, errors
 
     def test_eigendecompositions_per_run(self, params, monkeypatch):
         # the periodic path takes none; a free tail takes one
@@ -479,7 +487,7 @@ class TestPeriodicPath:
             return eigh(h)
 
         monkeypatch.setattr(dynamics, "eigh", counting)
-        ham, psi0, grid = self.cosine_run(params, 200)
+        ham, psi0, grid = self.cosine_run(params)
         inside = TimeGrid(0.0, ham.window[1], grid.dt)
         for run, expected in (
             (lambda: integrate(ham, psi0, inside), 0),
@@ -490,8 +498,8 @@ class TestPeriodicPath:
             assert len(calls) == expected
 
     def test_runtime_independent_of_step_count(self, params):
-        # 10^6 midpoint steps over ~318 drive periods: the periodic path
-        # steps one period (~3100 steps) and ~1000 snapshot remainders
+        # 10^6 grid steps over ~318 drive periods: the periodic path steps
+        # one period (m from the frame rule) and ~1000 snapshot remainders
         cut = FockCutoff(4)
         omega = params.omega_c - params.chi
         ham = lab_drive_hamiltonian(params, DriveParams(0.05, omega, 10.0), cut, "cosine")
@@ -517,7 +525,7 @@ class TestStepExponential:
             tau = bound / np.linalg.norm(h, 1)
             order = _taylor_order(bound)
             assert (order[1] > 0) == (bound > 0.5), order
-            e = _midpoint_step(h, tau, order)
+            e = _step_exponential(h, tau, order)
             assert np.max(np.abs(e - expm_antihermitian(h, tau))) <= 1e-13
             assert np.linalg.norm(e.conj().T @ e - np.eye(dim), 2) <= 1e-13
 
@@ -529,7 +537,7 @@ class TestStepExponential:
         a = -0.25j * 0.3 * h
         cubic = np.eye(6) + a + a @ a / 2 + a @ a @ a / 6
         expected = np.linalg.matrix_power(cubic, 4)
-        np.testing.assert_allclose(_midpoint_step(h, 0.3, (3, 2)), expected, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(_step_exponential(h, 0.3, (3, 2)), expected, rtol=0, atol=1e-13)
 
     def test_order_rule(self):
         # smallest K with b^{K+1}/(K+1)! <= 2^-53 after scaling b to <= 1/2
@@ -625,7 +633,7 @@ class TestRwaVersusCosine:
         finals = {}
         for form in ("rwa", "cosine"):
             ham = lab_drive_hamiltonian(params, drive, cut, form)
-            grid = TimeGrid.for_duration(T, dt_bound(params, cut, eps, cosine=form == "cosine"))
+            grid = TimeGrid.for_duration(T, dt_bound(params, cut, eps))
             finals[form] = integrate(ham, psi0, grid).final
         assert 1.0 - fid(finals["rwa"], finals["cosine"]) < 1e-3
 
@@ -671,11 +679,11 @@ class TestConvergence:
         psi0 = basis_state(cutoff12, "g", 0)
         grid = TimeGrid.for_duration(1.0, dt_bound(params, cutoff12, 0.0))
         report = convergence_check(ham, psi0, grid)
-        assert report.passed and report.dt_exact and report.fidelity_dt == 1.0
+        assert report.passed and report.steps_per_period is None and report.fidelity_dt == 1.0
         assert "converged" in str(report) and "dt: exact" in str(report)
 
     def test_default_scenario_point_converges(self, params):
-        # guard-chosen dt on the photon-number-4 operating point
+        # dt_bound's dt on the photon-number-4 operating point
         cut = FockCutoff(28)
         eps = 0.05
         T = 2.0 / eps
@@ -685,10 +693,10 @@ class TestConvergence:
         report = convergence_check(ham, basis_state(cut, "g", 0), grid)
         assert report.passed, str(report)
 
-    def test_aliased_drive_flags_nonconvergence(self):
-        # 0.25 cos(60 t)(a + a'), far faster than the step can resolve: each
-        # step of dt = 0.25 spans about five drive periods (m = 1), so the run
-        # is refused before any work, by integrate and by convergence_check
+    def test_grid_step_over_many_drive_periods(self):
+        # 0.25 cos(60 t)(a + a'): each grid step of dt = 0.25 spans about
+        # five drive periods, but the periodic path steps each period by the
+        # frame rule, so the stored states still follow the drive
         cut = FockCutoff(2)
 
         def build(cutoff):
@@ -705,9 +713,12 @@ class TestConvergence:
         ham = build(cut)
         psi0 = basis_state(cut, "g", 0)
         grid = TimeGrid(0.0, 8.0, 0.25)
-        for run in (integrate, convergence_check):
-            with pytest.raises(ValueError, match=r"dt = 0\.25 spans .* period P = 0\.0523599"):
-                run(ham, psi0, grid)
+        traj = integrate(ham, psi0, grid)
+        assert len(traj.times) == 33
+        oracle = ode_states(lambda t: hamiltonian_at(ham, t), psi0, traj.times)
+        assert np.max(np.abs(traj.states - oracle)) < 1e-6
+        report = convergence_check(ham, psi0, grid)
+        assert report.passed, str(report)
 
     def test_embed_state(self):
         psi = np.array([1.0, 2.0, 3.0, 4.0]) / math.sqrt(30)
