@@ -1,5 +1,10 @@
 """Scenario configuration: flat key=value files with '#' comments.
 
+The key table ``_KEYS`` is the one list of config keys: each key names its
+ScenarioConfig field, its value parser and an optional bound, and
+parse_config applies them in one loop.  Checks that span keys (the sweep,
+the dispersive regime, omega_q against lambda) follow in parse_config.
+
 Defaults put the system in the natural unit system g = 1, lambda = 0.1
 (so Delta = 10, chi = 0.1) with omega_c = 100 and a drive amplitude
 epsilon = 0.05.  lambda = 0.1 follows the reference operating point used
@@ -12,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from .hilbert import SystemParams
 
@@ -91,21 +96,83 @@ class ScenarioConfig:
         return _DEFAULT_GRIDS[self.sweep_axis]
 
 
-_BOOL = {"on": True, "true": True, "1": True, "yes": True,
-         "off": False, "false": False, "0": False, "no": False}
+# Value parsers: each takes the text after '=' and returns the typed value,
+# or raises ValueError with the part of the message that follows the key.
+
+def _number(kind: type, name: str) -> Callable[[str], Any]:
+    """Parser of a finite number of type ``kind`` (float, int or complex)."""
+    def parse(text: str):
+        try:
+            x = kind(text)
+        except ValueError:
+            raise ValueError(f"must be {name}, got {text!r}") from None
+        if kind is not int and not cmath.isfinite(x):
+            raise ValueError(f"must be finite, got {text!r}")
+        return x
+    return parse
 
 
-def _parse_bool(value: str, key: str, line: int) -> bool:
+_REAL = _number(float, "a number")
+_INT = _number(int, "an integer")
+
+
+def _reals(text: str) -> tuple[float, ...]:
+    values = tuple(_REAL(v.strip()) for v in text.split(",") if v.strip())
+    if not values:
+        raise ValueError("must list at least one number")
+    return values
+
+
+_SWITCH = {"on": True, "true": True, "1": True, "yes": True,
+           "off": False, "false": False, "0": False, "no": False}
+
+
+def _switch(text: str) -> bool:
     try:
-        return _BOOL[value.lower()]
+        return _SWITCH[text.lower()]
     except KeyError:
-        raise ConfigError(f"{key} must be on/off, got {value!r}", line) from None
+        raise ValueError(f"must be on/off, got {text!r}") from None
 
 
-def _parse_choice(value: str, key: str, line: int, choices: tuple[str, ...]) -> str:
-    if value not in choices:
-        raise ConfigError(f"{key} must be one of {', '.join(choices)}; got {value!r}", line)
-    return value
+def _one_of(*choices: str) -> Callable[[str], str]:
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"must be one of {', '.join(choices)}; got {text!r}")
+        return text
+    return parse
+
+
+_AT_LEAST_2 = (lambda n: n >= 2, ">= 2")
+_POSITIVE = (lambda x: x > 0, "positive")
+
+# The config keys, each with its ScenarioConfig field, parser and bound (test,
+# text) or None; a value that fails the test is refused as "{key} must be {text}".
+_KEYS = {
+    "scenario": ("scenario", _one_of(*SCENARIOS), None),
+    "g": ("g", _REAL, None),
+    "lambda": ("lam", _REAL, (lambda x: x != 0.0, "nonzero")),
+    "omega_c": ("omega_c", _REAL, None),
+    "omega_q": ("omega_q", _REAL, None),
+    "epsilon": ("epsilon", _number(complex, "a (complex) number"), None),
+    "drive_form": ("drive_form", _one_of("rwa", "cosine"), None),
+    "phase_correction": ("phase_correction", _switch, None),
+    "initial": ("initial", _one_of("dressed", "bare"), None),
+    "basis": ("basis", _one_of("exact", "first_order"), None),
+    "sweep_start": ("sweep_start", _REAL, None),
+    "sweep_stop": ("sweep_stop", _REAL, None),
+    "sweep_points": ("sweep_points", _INT, _AT_LEAST_2),
+    "sweep_values": ("sweep_values", _reals, None),
+    "alpha_sq": ("alpha_sq", _REAL, (lambda x: x >= 0, ">= 0")),
+    "eta_abs": ("eta_abs", _REAL, _POSITIVE),
+    "eta_phase": ("eta_phase", _REAL, None),
+    "omega_drive": ("omega_drive", _REAL, None),
+    "time_points": ("time_points", _INT, _AT_LEAST_2),
+    "n_max": ("n_max", _INT, _AT_LEAST_2),
+    "dt": ("dt", _REAL, _POSITIVE),
+    "workers": ("workers", _INT, (lambda n: n >= 1, ">= 1")),
+    "check_convergence": ("check_convergence", _switch, None),
+    "out": ("out", str, None),
+}
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -134,7 +201,18 @@ def parse_config(text: str) -> ScenarioConfig:
         key, value = key.strip(), value.strip()
         if not value:
             raise ConfigError(f"empty value for {key!r}", lineno)
-        _apply_key(values, key, value, lineno)
+        try:
+            field, parse, bound = _KEYS[key]
+        except KeyError:
+            known = ", ".join(sorted(_KEYS))
+            raise ConfigError(f"unknown key {key!r}; known keys: {known}", lineno) from None
+        try:
+            parsed = parse(value)
+        except ValueError as exc:
+            raise ConfigError(f"{key} {exc}", lineno) from None
+        if bound is not None and not bound[0](parsed):
+            raise ConfigError(f"{key} must be {bound[1]}", lineno)
+        values[field] = parsed
         seen[key] = lineno
 
     cfg = ScenarioConfig(**values)
@@ -186,114 +264,3 @@ def _sweep_fault(cfg: ScenarioConfig, axis: str, value: float) -> Optional[str]:
     except ValueError as exc:  # lambda = 0, |lambda| >= 1, or g = 0
         return f"swept lambda={value:g} gives no dispersive system: {exc}"
     return None
-
-
-def _apply_key(values: dict, key: str, value: str, line: int) -> None:
-    def as_float(v=value):
-        try:
-            x = float(v)
-        except ValueError:
-            raise ConfigError(f"{key} must be a number, got {v!r}", line) from None
-        if not math.isfinite(x):
-            raise ConfigError(f"{key} must be finite, got {v!r}", line)
-        return x
-
-    def as_int(v=value):
-        try:
-            return int(v)
-        except ValueError:
-            raise ConfigError(f"{key} must be an integer, got {v!r}", line) from None
-
-    if key == "scenario":
-        values["scenario"] = _parse_choice(value, key, line, SCENARIOS)
-    elif key == "g":
-        values["g"] = as_float()
-    elif key == "lambda":
-        lam = as_float()
-        if lam == 0.0:
-            raise ConfigError("lambda must be nonzero", line)
-        values["lam"] = lam
-    elif key == "omega_c":
-        values["omega_c"] = as_float()
-    elif key == "omega_q":
-        values["omega_q"] = as_float()
-    elif key == "epsilon":
-        try:
-            eps = complex(value)
-        except ValueError:
-            raise ConfigError(f"epsilon must be a (complex) number, got {value!r}", line) from None
-        if not cmath.isfinite(eps):
-            raise ConfigError(f"epsilon must be finite, got {value!r}", line)
-        values["epsilon"] = eps
-    elif key == "drive_form":
-        values["drive_form"] = _parse_choice(value, key, line, ("rwa", "cosine"))
-    elif key == "phase_correction":
-        values["phase_correction"] = _parse_bool(value, key, line)
-    elif key == "initial":
-        values["initial"] = _parse_choice(value, key, line, ("dressed", "bare"))
-    elif key == "basis":
-        values["basis"] = _parse_choice(value, key, line, ("exact", "first_order"))
-    elif key == "sweep_start":
-        values["sweep_start"] = as_float()
-    elif key == "sweep_stop":
-        values["sweep_stop"] = as_float()
-    elif key == "sweep_points":
-        n = as_int()
-        if n < 2:
-            raise ConfigError("sweep_points must be >= 2", line)
-        values["sweep_points"] = n
-    elif key == "sweep_values":
-        sweep = tuple(as_float(v.strip()) for v in value.split(",") if v.strip())
-        if not sweep:
-            raise ConfigError("sweep_values must list at least one number", line)
-        values["sweep_values"] = sweep
-    elif key == "alpha_sq":
-        alpha_sq = as_float()
-        if alpha_sq < 0:
-            raise ConfigError("alpha_sq must be >= 0", line)
-        values["alpha_sq"] = alpha_sq
-    elif key == "eta_abs":
-        eta_abs = as_float()
-        if eta_abs <= 0:
-            raise ConfigError("eta_abs must be positive", line)
-        values["eta_abs"] = eta_abs
-    elif key == "eta_phase":
-        values["eta_phase"] = as_float()
-    elif key == "omega_drive":
-        values["omega_drive"] = as_float()
-    elif key == "time_points":
-        n = as_int()
-        if n < 2:
-            raise ConfigError("time_points must be >= 2", line)
-        values["time_points"] = n
-    elif key == "n_max":
-        n = as_int()
-        if n < 2:
-            raise ConfigError("n_max must be >= 2", line)
-        values["n_max"] = n
-    elif key == "dt":
-        dt = as_float()
-        if dt <= 0:
-            raise ConfigError("dt must be positive", line)
-        values["dt"] = dt
-    elif key == "workers":
-        w = as_int()
-        if w < 1:
-            raise ConfigError("workers must be >= 1", line)
-        values["workers"] = w
-    elif key == "check_convergence":
-        values["check_convergence"] = _parse_bool(value, key, line)
-    elif key == "out":
-        values["out"] = value
-    else:
-        known = ", ".join(sorted(_KNOWN_KEYS))
-        raise ConfigError(f"unknown key {key!r}; known keys: {known}", line)
-
-
-_KNOWN_KEYS = {
-    "scenario", "g", "lambda", "omega_c", "omega_q", "epsilon", "drive_form",
-    "phase_correction", "initial", "basis", "sweep_start", "sweep_stop",
-    "sweep_points", "sweep_values", "alpha_sq", "eta_abs", "eta_phase",
-    "omega_drive", "time_points", "n_max", "dt", "workers",
-    "check_convergence", "out",
-}

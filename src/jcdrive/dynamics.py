@@ -53,8 +53,9 @@ n = q B + r with B a multiple of the snapshot stride near stride*sqrt(N)
 for N snapshots, and exp(-i f n dt) = exp(-i f q B dt) exp(-i f r dt).
 About 2 sqrt(N) table rows are exponentiated, and no np.exp is evaluated
 per snapshot; the periodic path takes its final R(t) the same way.
-convergence_check reruns store only final states, and a run with no
-periodic segment gets no rerun at 2m steps per period.
+convergence_check scores the run's own final state; its reruns store only
+final states, and a run with no periodic segment gets no rerun at 2m steps
+per period.
 """
 
 from __future__ import annotations
@@ -547,33 +548,33 @@ def embed_state(psi: np.ndarray, n_big: int) -> np.ndarray:
 
 
 def convergence_check(
-    ham: TimeDependentHamiltonian, psi0: np.ndarray, grid: TimeGrid
+    ham: TimeDependentHamiltonian, psi0: np.ndarray, grid: TimeGrid, final: np.ndarray
 ) -> ConvergenceReport:
-    """Rerun at twice the steps per period and with doubled n_max; report final-state fidelities.
+    """Score a run's own final state against reruns at 2m steps per period and doubled n_max.
 
-    A run whose segments are all exact (free, or driven with a static frame
-    Hamiltonian) has no stepping error, so it gets no step rerun and reports
-    the dt axis as exact.  A run with a periodic segment is rerun at 2m
-    steps per period on the same grid, m being the frame rule's.  The
-    doubled-cutoff rerun keeps the run's m, so that it isolates truncation
-    error.
+    ``final`` is the state integrate(ham, psi0, grid) ended in; the check
+    does not integrate the run again.  A run whose segments are all exact
+    (free, or driven with a static frame Hamiltonian) has no stepping error,
+    so it gets no step rerun and reports the dt axis as exact.  A run with a
+    periodic segment is rerun at 2m steps per period on the same grid, m
+    being the frame rule's.  The doubled-cutoff rerun keeps the run's m, so
+    that it isolates truncation error.
     """
     if ham.remake is None:
         raise ValueError("Hamiltonian has no remake recipe; cannot double the cutoff")
     dt = (grid.t1 - grid.t0) / grid.steps
     exact = all(_is_exact(ham, driven) for *_, driven in _segments(ham, grid.t0, dt, grid.steps))
     m = None if exact else _steps_per_period(ham)
-    base = integrate(ham, psi0, grid, store_every=grid.steps, steps_per_period=m).final
     fid_dt = 1.0
     if m is not None:
         fine = integrate(ham, psi0, grid, store_every=grid.steps, steps_per_period=2 * m).final
-        fid_dt = float(abs(np.vdot(base, fine)) ** 2)
+        fid_dt = float(abs(np.vdot(final, fine)) ** 2)
 
     big_cutoff = FockCutoff(2 * ham.cutoff.n_max)
     ham_big = ham.remake(big_cutoff)
     psi0_big = embed_state(psi0, big_cutoff.n_max)
     big = integrate(ham_big, psi0_big, grid, store_every=grid.steps, steps_per_period=m).final
-    fid_cut = float(abs(np.vdot(embed_state(base, big_cutoff.n_max), big)) ** 2)
+    fid_cut = float(abs(np.vdot(embed_state(final, big_cutoff.n_max), big)) ** 2)
     return ConvergenceReport(
         fidelity_dt=fid_dt, fidelity_cutoff=fid_cut, steps_per_period=m,
         n_max=ham.cutoff.n_max,

@@ -194,7 +194,6 @@ def cavity_drive_propagator(drive: DriveParams, params: SystemParams, cutoff: Fo
 def phase_corrected_amplitudes(
     drive: DriveParams,
     params: SystemParams,
-    n_avg: float | None = None,
 ) -> tuple[complex, complex]:
     """Lab-frame amplitudes alpha~_{g/e}(T) including the quartic phase correction.
 
@@ -205,14 +204,13 @@ def phase_corrected_amplitudes(
         alpha~_g = alpha_g exp(-i (omega_c - chi + zeta*n/2) T)
         alpha~_e = alpha_e exp(-i (omega_c + chi - zeta*(n/2 + 1)) T)
 
-    ``n_avg`` defaults per branch to the branch's own coherent photon number
-    |alpha_{g/e}(T)|^2, the self-consistent classical value at the end of the
-    drive.  Pass n_avg=0 to disable the correction (bare frame phases).
+    with n the branch's own coherent photon number |alpha_{g/e}(T)|^2, the
+    self-consistent classical value at the end of the drive.
+    lab_amplitudes gives the uncorrected phases.
     """
     ag, ae = alpha_ge(drive, params)
     zeta = params.delta * params.lam ** 4
-    ng = abs(ag) ** 2 if n_avg is None else float(n_avg)
-    ne = abs(ae) ** 2 if n_avg is None else float(n_avg)
+    ng, ne = abs(ag) ** 2, abs(ae) ** 2
     wc, chi, T = params.omega_c, params.chi, drive.T
     ag_t = ag * np.exp(-1j * (wc - chi + zeta * ng / 2.0) * T)
     ae_t = ae * np.exp(-1j * (wc + chi - zeta * (ne / 2.0 + 1.0)) * T)

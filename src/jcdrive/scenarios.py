@@ -31,6 +31,7 @@ from . import metrics
 from .config import SWEEP_AXES, ConfigError, ScenarioConfig
 from .dressed import dressed_basis, dressed_coherent_state, dressed_state
 from .dynamics import (
+    ConvergenceReport,
     TimeDependentHamiltonian,
     TimeGrid,
     convergence_check,
@@ -138,10 +139,11 @@ def _grid(duration: float, dt_cap: float) -> TimeGrid:
 
 
 def _cutoff_for(alpha_abs: float, override: Optional[int]) -> FockCutoff:
+    """The rule's cutoff for amplitude ``alpha_abs``, or the config n_max, refused below the rule."""
     needed = required_cutoff(alpha_abs) + 2  # headroom for the excited-branch partner level
     if override is not None:
         if override < needed:
-            raise ValueError(
+            raise ConfigError(
                 f"configured n_max={override} below the truncation rule ({needed})"
             )
         return FockCutoff(override)
@@ -157,12 +159,10 @@ class Run(NamedTuple):
     drive: DriveParams | QubitDriveParams
 
 
-def _final(run: Run) -> np.ndarray:
-    return integrate(run.ham, run.psi0, run.grid, store_every=run.grid.steps).final
-
-
-def _converged(run: Run) -> bool:
-    return convergence_check(run.ham, run.psi0, run.grid).passed
+def _evolve(run: Run, check: bool) -> tuple[np.ndarray, Optional[ConvergenceReport]]:
+    """The run's final state, integrated once, and when ``check`` its ConvergenceReport."""
+    final = integrate(run.ham, run.psi0, run.grid, store_every=run.grid.steps).final
+    return final, convergence_check(run.ham, run.psi0, run.grid, final) if check else None
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +280,7 @@ def convergence_probe(config: ScenarioConfig):
         _, runs = _readout_point(config)
     else:
         _, runs = _cavity_point(config, *_point_args(config, config.sweep_grid()[0]))
-    run = next(iter(runs.values()))
-    return convergence_check(run.ham, run.psi0, run.grid)
+    return _evolve(next(iter(runs.values())), check=True)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +293,7 @@ def _fidelity_point(config: ScenarioConfig, lam: float, eps_abs: float, alpha_sq
     basis = dressed_basis(params, runs["g"].ham.cutoff, config.basis)
     out: dict = {"alpha_sq": alpha_sq, "lambda": lam, "epsilon_abs": eps_abs, "converged": True}
     for branch, run in runs.items():
-        psi = _final(run)
+        psi, report = _evolve(run, config.check_convergence)
         target = lab_amplitudes(run.drive, params, config.phase_correction)["ge".index(branch)]
         f_d, f_b, gap = metrics.dressed_vs_bare_gap(psi, target, branch, basis)
         out[f"F_D_{branch}"] = f_d
@@ -304,8 +303,8 @@ def _fidelity_point(config: ScenarioConfig, lam: float, eps_abs: float, alpha_sq
         out[f"P_e_{branch}"] = metrics.excited_probability(psi)
         out[f"n_{branch}"] = metrics.photon_number(psi)
         out[f"entropy_{branch}"] = metrics.entanglement_entropy(psi)
-        if config.check_convergence:
-            out["converged"] &= _converged(run)
+        if report is not None:
+            out["converged"] &= report.passed
     out["wall_time_s"] = time.perf_counter() - t_start
     return out
 
@@ -367,16 +366,16 @@ def _run_fig4(config: ScenarioConfig) -> ScenarioResult:
     params, runs = _qubit_drive_point(config)
     real = runs["real"]
     store_every = max(1, real.grid.steps // config.time_points)
-    pe = {}
-    for label, run in runs.items():
-        traj = integrate(run.ham, run.psi0, run.grid, store_every=store_every)
-        pe[label] = metrics.excited_probability(traj.states)
-    converged = not config.check_convergence or _converged(real)
+    trajs = {label: integrate(run.ham, run.psi0, run.grid, store_every=store_every)
+             for label, run in runs.items()}
+    converged = not config.check_convergence or convergence_check(
+        real.ham, real.psi0, real.grid, trajs["real"].final).passed
 
-    pe_r, pe_i = pe["real"], pe["imag"]
+    pe_r, pe_i = (metrics.excited_probability(trajs[label].states) for label in ("real", "imag"))
     columns = ("t", "P_e_beta_real", "P_e_beta_imag", "abs_diff", "converged")
     rows = tuple(
-        (t, pr, pi, abs(pr - pi), converged) for t, pr, pi in zip(traj.times, pe_r, pe_i)
+        (t, pr, pi, abs(pr - pi), converged)
+        for t, pr, pi in zip(trajs["real"].times, pe_r, pe_i)
     )
     meta = _meta(
         config, params,
@@ -402,14 +401,15 @@ def _run_readout(config: ScenarioConfig) -> ScenarioResult:
     """
     t_start = time.perf_counter()
     params, runs = _readout_point(config)
-    n_g, n_e = (metrics.photon_number(_final(run)) for run in runs.values())
+    evolved = [_evolve(run, config.check_convergence) for run in runs.values()]
+    n_g, n_e = (metrics.photon_number(psi) for psi, _ in evolved)
     drive = runs["g"].drive
     ag, ae = alpha_ge(drive, params)
 
     lam = params.lam
     predicted = math.sin(lam) ** 2 * (math.cos(lam) ** 2 + 1.0 + n_g)
     rel_error = abs(n_e - predicted) / predicted if predicted > 0 else float("nan")
-    converged = not config.check_convergence or all(_converged(r) for r in runs.values())
+    converged = all(report is None or report.passed for _, report in evolved)
 
     columns = (
         "alpha_g_abs_analytic", "alpha_e_abs_analytic", "n_g_sim", "n_e_sim",

@@ -348,10 +348,23 @@ class TestCli:
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/no/such/file.cfg"]) == 1
 
-    def test_numerical_failure_exit_code(self, tmp_path, capsys):
-        # n_max below the truncation rule for the requested amplitude
-        cfg = self._write(tmp_path, FAST_SCENARIO + "n_max=5\n")
+    def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+        monkeypatch.setattr("jcdrive.scenarios.integrate", fail)
+        cfg = self._write(tmp_path, FAST_SCENARIO)
         assert main(["run", "--config", cfg]) == 2
+        assert "numerical failure: eigenvalues did not converge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_n_max_below_truncation_rule_is_config_error(self, tmp_path, capsys, command):
+        # |alpha| = 1 needs n_max >= 19
+        cfg = self._write(tmp_path, FAST_SCENARIO + "n_max=5\n")
+        assert main([command, "--config", cfg]) == 1
+        assert capsys.readouterr().err == (
+            "config error: configured n_max=5 below the truncation rule (19)\n"
+        )
 
     def test_set_overrides(self, tmp_path, capsys):
         cfg = self._write(tmp_path, FAST_SCENARIO)

@@ -30,8 +30,9 @@ def _choice(*values):
 # combine into a refused config (omega_q against lambda, an incomplete
 # linear sweep, a zero alpha_sq where the pulse length derives from it).
 # dt only sets the stored times and where pulse edges round to, on either
-# propagation path, so any positive value runs.  n_max is left out: an n_max
-# below the truncation rule is refused by the numerics (exit 2), as TestCli pins.
+# propagation path, so any positive value runs.  An n_max below the truncation
+# rule, which depends on the scenario's amplitude, is a config error (exit 1)
+# when the run builds its first point.
 _KEYS = {
     "scenario": _choice(*SCENARIOS),
     "g": _number(0.9, 1.5, "0"),
@@ -56,6 +57,7 @@ _KEYS = {
     "omega_drive": _number(100.0, 120.0),
     "time_points": _choice("2", "50"),
     "dt": _number(1e-5, 0.1, "0", "-1"),
+    "n_max": (st.sampled_from(("24", "30")), ("3", "1", "2.5", "ten", "")),
     "workers": _choice("1"),
     "check_convergence": _choice("on", "off"),
     "out": (st.just("unused.csv"), ("",)),
@@ -91,6 +93,7 @@ def config_texts(draw):
 @example("scenario=readout\nomega_q=90\n")                            # chi < 0
 @example("scenario=readout\ng=0\nomega_q=110\n")                      # chi = 0
 @example("scenario=fig4\n\n# beta = 0\nalpha_sq=0\n")
+@example("scenario=fig2b\nn_max=3\n")                                 # n_max below the rule
 def test_config_fails_with_a_line_or_checks(text):
     try:
         parse_config(text)

@@ -34,7 +34,7 @@ from jcdrive.hilbert import (
     expm_antihermitian,
     jc_hamiltonian,
 )
-from jcdrive.propagators import DriveParams, QubitDriveParams
+from jcdrive.propagators import DriveParams, QubitDriveParams, alpha_ge
 from jcdrive.scenarios import dt_bound
 
 from conftest import fid, midpoint_states, ode_final, ode_states
@@ -671,6 +671,24 @@ class TestFrameConsistency:
         assert fid(psi, psi_lab) >= 0.99
 
 
+def _checked(ham, psi0, grid):
+    """The convergence report of the run's own final state."""
+    return convergence_check(ham, psi0, grid, integrate(ham, psi0, grid).final)
+
+
+def _cosine_two_level(cutoff):
+    """0.01 sz + 0.25 cos(60 t)(a + a') on [0, 8]: a periodic run with a remake recipe."""
+    o = build_mode_operators(cutoff)
+    return TimeDependentHamiltonian(
+        static_part=0.01 * o.sz,
+        cutoff=cutoff,
+        drive=0.125 * (o.a + o.a_dag),
+        omega=60.0,
+        window=(0.0, 8.0),
+        remake=_cosine_two_level,
+    )
+
+
 class TestConvergence:
     def test_static_case_trivially_converged(self, params, cutoff12):
         ham = lab_drive_hamiltonian(
@@ -678,7 +696,7 @@ class TestConvergence:
         )
         psi0 = basis_state(cutoff12, "g", 0)
         grid = TimeGrid.for_duration(1.0, dt_bound(params, cutoff12, 0.0))
-        report = convergence_check(ham, psi0, grid)
+        report = _checked(ham, psi0, grid)
         assert report.passed and report.steps_per_period is None and report.fidelity_dt == 1.0
         assert "converged" in str(report) and "dt: exact" in str(report)
 
@@ -690,35 +708,50 @@ class TestConvergence:
         drive = DriveParams(eps, params.omega_c - params.chi, T)
         ham = lab_drive_hamiltonian(params, drive, cut, "rwa")
         grid = TimeGrid.for_duration(T, dt_bound(params, cut, eps))
-        report = convergence_check(ham, basis_state(cut, "g", 0), grid)
+        psi0 = basis_state(cut, "g", 0)
+        report = _checked(ham, psi0, grid)
         assert report.passed, str(report)
+        # the check scores the state it is given, not a rerun of the run
+        assert convergence_check(ham, psi0, grid, psi0).fidelity_cutoff < 0.5
 
     def test_grid_step_over_many_drive_periods(self):
         # 0.25 cos(60 t)(a + a'): each grid step of dt = 0.25 spans about
         # five drive periods, but the periodic path steps each period by the
         # frame rule, so the stored states still follow the drive
-        cut = FockCutoff(2)
-
-        def build(cutoff):
-            o = build_mode_operators(cutoff)
-            return TimeDependentHamiltonian(
-                static_part=0.01 * o.sz,
-                cutoff=cutoff,
-                drive=0.125 * (o.a + o.a_dag),
-                omega=60.0,
-                window=(0.0, 8.0),
-                remake=build,
-            )
-
-        ham = build(cut)
-        psi0 = basis_state(cut, "g", 0)
+        ham = _cosine_two_level(FockCutoff(2))
+        psi0 = basis_state(ham.cutoff, "g", 0)
         grid = TimeGrid(0.0, 8.0, 0.25)
         traj = integrate(ham, psi0, grid)
         assert len(traj.times) == 33
         oracle = ode_states(lambda t: hamiltonian_at(ham, t), psi0, traj.times)
         assert np.max(np.abs(traj.states - oracle)) < 1e-6
-        report = convergence_check(ham, psi0, grid)
+        report = convergence_check(ham, psi0, grid, traj.final)
         assert report.passed, str(report)
+
+    def test_cutoff_too_small_for_the_drive_fails(self, params):
+        # alpha^2 = 9 needs n_max >= 37 by the truncation rule; at 12 the
+        # doubled-cutoff rerun tells the truncated run apart
+        cut = FockCutoff(12)
+        eps = 0.05
+        drive = DriveParams(eps, params.omega_c - params.chi, 3.0 / eps)
+        assert abs(alpha_ge(drive, params)[0]) ** 2 == pytest.approx(9.0)
+        ham = lab_drive_hamiltonian(params, drive, cut, "rwa")
+        report = _checked(ham, basis_state(cut, "g", 0), TimeGrid.for_duration(drive.T, 0.01))
+        assert report.fidelity_cutoff < 1.0 - report.threshold
+        assert report.fidelity_dt == 1.0
+        assert not report.passed
+        assert str(report).startswith("NOT converged")
+
+    def test_too_few_steps_per_period_fails(self, monkeypatch):
+        # a frame rule far too coarse for the drive: m against 2m disagrees
+        monkeypatch.setattr(dynamics, "STEPS_PER_NORM", 0.01)
+        monkeypatch.setattr(dynamics, "MIN_STEPS", 1)
+        ham = _cosine_two_level(FockCutoff(2))
+        report = _checked(ham, basis_state(ham.cutoff, "g", 0), TimeGrid(0.0, 8.0, 0.25))
+        assert report.steps_per_period == 1
+        assert report.fidelity_dt < 1.0 - report.threshold
+        assert not report.passed
+        assert str(report).startswith("NOT converged")
 
     def test_embed_state(self):
         psi = np.array([1.0, 2.0, 3.0, 4.0]) / math.sqrt(30)

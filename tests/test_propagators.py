@@ -34,6 +34,7 @@ from jcdrive.propagators import (
     conditional_displacement,
     excited_final_state_lab,
     ground_final_state_lab,
+    lab_amplitudes,
     magnus_second_order_phase,
     pe_full,
     pe_simplified,
@@ -309,15 +310,17 @@ class TestPhaseCorrection:
         assert abs(ag_t) == pytest.approx(abs(ag), rel=1e-14)
         assert abs(ae_t) == pytest.approx(abs(ae), rel=1e-14)
 
-    def test_explicit_n_avg(self, params):
+    def test_each_branch_corrects_by_its_own_photon_number(self, params):
+        # against the uncorrected phases: -zeta n_g T / 2 and +zeta (n_e / 2 + 1) T
         drive = DriveParams(0.05, params.omega_c - params.chi, 10.0)
         zeta = params.delta * params.lam**4
-        ag, _ = alpha_ge(drive, params)
-        ag_t, _ = phase_corrected_amplitudes(drive, params, n_avg=3.0)
-        expected = ag * np.exp(
-            -1j * (params.omega_c - params.chi + zeta * 1.5) * drive.T
+        ag, ae = alpha_ge(drive, params)
+        ag_t, ae_t = phase_corrected_amplitudes(drive, params)
+        ag_0, ae_0 = lab_amplitudes(drive, params, False)
+        assert ag_t == pytest.approx(ag_0 * np.exp(-0.5j * zeta * abs(ag) ** 2 * drive.T), rel=1e-12)
+        assert ae_t == pytest.approx(
+            ae_0 * np.exp(1j * zeta * (0.5 * abs(ae) ** 2 + 1.0) * drive.T), rel=1e-12
         )
-        assert ag_t == pytest.approx(expected, rel=1e-12)
 
 
 def qubit_interaction_h(params, qd, cutoff):
