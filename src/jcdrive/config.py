@@ -19,9 +19,11 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from .hilbert import SystemParams
+from .hilbert import SystemParams, required_cutoff
 
-__all__ = ["ConfigError", "ScenarioConfig", "parse_config", "SCENARIOS", "SWEEP_AXES"]
+__all__ = [
+    "ConfigError", "ScenarioConfig", "parse_config", "cavity_cutoff", "SCENARIOS", "SWEEP_AXES",
+]
 
 SCENARIOS = ("fig2a", "fig2b", "fig2c", "fig2d", "fig4", "readout", "custom")
 # the quantity each sweep scenario varies; fig4 and readout sweep nothing
@@ -66,7 +68,7 @@ class ScenarioConfig:
     omega_drive: Optional[float] = None      # qubit drive frequency override
     time_points: int = 400
     n_max: Optional[int] = None              # cavity truncation override
-    dt: Optional[float] = None               # integrator step override
+    dt: Optional[float] = None               # grid step override: sets the stored times
     workers: int = 1
     check_convergence: bool = True
     out: Optional[str] = None
@@ -184,10 +186,11 @@ def parse_config(text: str) -> ScenarioConfig:
     sweep, a zero drive or alpha_sq where the pulse length is derived from
     it, g = 0 in the readout scenario (whose pulse length is pi/|chi|),
     a system outside the dispersive regime
-    (omega_q = omega_c, g = 0 with omega_q derived, |lambda| >= 1) and
+    (omega_q = omega_c, g = 0 with omega_q derived, |lambda| >= 1),
     inconsistent derived quantities (an omega_q that contradicts the given
-    lambda) are errors carrying the line number.  An empty file yields all
-    defaults.
+    lambda) and an n_max below the truncation rule at the largest amplitude
+    the scenario drives to are errors carrying the line number.  An empty
+    file yields all defaults.
     """
     values: dict = {}
     seen: dict[str, int] = {}
@@ -217,7 +220,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
     cfg = ScenarioConfig(**values)
     try:
-        cfg.system_params()
+        params = cfg.system_params()
     except ValueError as exc:  # omega_q == omega_c (g = 0 derives it so), or |lambda| >= 1
         key = "omega_q" if cfg.omega_q is not None else "g" if cfg.g == 0 else "lambda"
         raise ConfigError(f"{key} gives no dispersive system: {exc}", seen.get(key)) from None
@@ -252,7 +255,27 @@ def parse_config(text: str) -> ScenarioConfig:
                 f"contradicting lambda={cfg.lam:g}",
                 seen["omega_q"],
             )
+    if cfg.n_max is not None:
+        if cfg.scenario == "readout":  # the on-resonance |alpha_g| = |eps| T, T = pi/|chi|
+            alpha_abs = abs(complex(cfg.epsilon)) * (math.pi / abs(params.chi))
+        else:  # the largest swept alpha_sq, or the fixed one
+            alpha_abs = math.sqrt(max(cfg.sweep_grid()) if axis == "alpha_sq" else cfg.alpha_sq)
+        cavity_cutoff(alpha_abs, cfg.n_max, seen["n_max"])
     return cfg
+
+
+def cavity_cutoff(alpha_abs: float, n_max: Optional[int], line: Optional[int] = None) -> int:
+    """The cavity truncation for a run that reaches amplitude |alpha|: ``n_max``, or the rule's.
+
+    The rule is required_cutoff(|alpha|) + 2, the 2 being headroom for the
+    excited-branch partner level; an ``n_max`` below it is refused.
+    """
+    needed = required_cutoff(alpha_abs) + 2
+    if n_max is None:
+        return needed
+    if n_max < needed:
+        raise ConfigError(f"configured n_max={n_max} below the truncation rule ({needed})", line)
+    return n_max
 
 
 def _sweep_fault(cfg: ScenarioConfig, axis: str, value: float) -> Optional[str]:

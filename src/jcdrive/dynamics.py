@@ -1,32 +1,32 @@
 """Full numerical time evolution of the driven lab-frame Hamiltonians.
 
-Every drive here is one tone in one rectangular pulse,
+Every drive here is one tone, on for the whole run:
 
-    H(t) = H_0 + e^{i omega t} V + e^{-i omega t} V^dag   on [t_on, t_off],
+    H(t) = H_0 + e^{i omega t} V + e^{-i omega t} V^dag.
 
-and H_0 outside it.  A run therefore splits into at most three segments,
-free, driven, free, whose boundaries come from the window by bisection over
-the step midpoints t_k + dt/2, so a window edge that falls on a midpoint
-counts as inside, as in hamiltonian_at.  With C the excitation number
-a'a + (1 - sigma_z)/2 and R(t) = exp(-i omega t C), every segment is solved
-in the frame R(t), where the Hamiltonian is
+Each protocol is one rectangular pulse whose run is the pulse itself; a
+pulse followed by free evolution is two runs, the second with no drive and
+starting where the first ended.  With C the excitation number
+a'a + (1 - sigma_z)/2 and R(t) = exp(-i omega t C), a run is solved in the
+frame R(t), where the Hamiltonian is
 
     H_F(t) = R(t)^dag H(t) R(t) - omega C,
 
-and takes one of two paths:
+and takes one of two paths, chosen once by TimeDependentHamiltonian.exact:
 
-* exact: a free segment, or a driven one whose matrices pass the charge
-  split, is solved in closed form.  H_F is static when H_0 commutes with C
-  and V only lowers C by one (true for the rwa cavity drive, V = eps a, and
-  the qubit drive, V = eta* sigma^-), or when omega = 0:
+* exact: a Hamiltonian whose matrices pass the charge split is solved in
+  closed form.  H_F is static when H_0 commutes with C and V only lowers C
+  by one (true for the rwa cavity drive, V = eps a, and the qubit drive,
+  V = eta* sigma^-), or when omega = 0:
 
       psi(t) = R(t) exp(-i (H_0 + V + V^dag - omega C)(t - t_s)) R(t_s)^dag psi(t_s),
 
-  from one eigendecomposition; a free segment is the case V = 0, omega = 0.
-* periodic: any other driven segment (the cosine drive, whose V also raises
-  C) has an H_F that repeats with the period P = pi/omega, or 2 pi/omega
-  when H_0 breaks C (see TimeDependentHamiltonian).  One period of m steps
-  of h = P/m gives the period propagator U_P, and a time
+  from one eigendecomposition, t_s being the start of the run; a
+  Hamiltonian with no drive is the case V = 0, omega = 0.
+* periodic: any other drive (the cosine drive, whose V also raises C) has
+  an H_F that repeats with the period P = pi/omega, or 2 pi/omega when H_0
+  breaks C (see TimeDependentHamiltonian).  One period of m steps of
+  h = P/m gives the period propagator U_P, and a time
   t - t_s = n P + j h + delta is reached as
 
       psi(t) = R(t) S_delta U_j U_P^n R(t_s)^dag psi(t_s),
@@ -45,23 +45,21 @@ an adaptive Runge-Kutta solver and the literal lab-frame midpoint stepper
 psi_{k+1} = exp(-i dt H(t_k + dt/2)) psi_k, both in the test suite.
 
 The split and the period are read off the matrices when the Hamiltonian is
-built.  On the exact path all stored snapshots of a segment come out of one
+built.  On the exact path all stored snapshots of a run come out of one
 matrix product, so no work scales with the step count.  Every snapshot lies
-a whole number n of steps into its segment, so its phases, exp(-i E n dt)
+a whole number n of steps into the run, so its phases, exp(-i E n dt)
 for the eigenvalues E and the frame R(t), come from angle-addition tables:
 n = q B + r with B a multiple of the snapshot stride near stride*sqrt(N)
 for N snapshots, and exp(-i f n dt) = exp(-i f q B dt) exp(-i f r dt).
 About 2 sqrt(N) table rows are exponentiated, and no np.exp is evaluated
 per snapshot; the periodic path takes its final R(t) the same way.
 convergence_check scores the run's own final state; its reruns store only
-final states, and a run with no periodic segment gets no rerun at 2m steps
-per period.
+final states, and an exact run gets no rerun at 2m steps per period.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -130,15 +128,15 @@ class TimeGrid:
 
 @dataclass(frozen=True, eq=False)
 class TimeDependentHamiltonian:
-    """H(t) = H_0 + e^{i omega t} V + e^{-i omega t} V^dag on window=[t_on, t_off], H_0 off it.
+    """H(t) = H_0 + e^{i omega t} V + e^{-i omega t} V^dag at every t of a run.
 
-    ``static_part`` is H_0 and ``drive`` is V; ``window`` is required with a
-    drive.  H(t) is Hermitian by construction, so only H_0 is checked for
-    it; every matrix entry and omega must be finite.
+    ``static_part`` is H_0 and ``drive`` is V; with no drive, H(t) = H_0 and
+    omega plays no part.  H(t) is Hermitian by construction, so only H_0 is
+    checked for it; every matrix entry and omega must be finite.
     ``exact`` and ``period`` are read off the matrices once, at
     construction, from the charge differences of C = excitation_charge(cutoff).
-    A driven segment has a closed solution when omega = 0, or when H_0
-    commutes with C and V only lowers C by one, so that
+    A run has a closed solution when there is no drive, when omega = 0, or
+    when H_0 commutes with C and V only lowers C by one, so that
     H_F(t) = R(t)^dag H(t) R(t) - omega C with R(t) = exp(-i omega t C) is
     static.  Otherwise ``period`` is the period of H_F: an element of H_0
     that changes C by d turns with e^{i d omega t} and one of V with
@@ -151,7 +149,6 @@ class TimeDependentHamiltonian:
     cutoff: FockCutoff
     drive: Optional[np.ndarray] = None
     omega: float = 0.0
-    window: Optional[tuple[float, float]] = None
     remake: Optional[Callable[[FockCutoff], "TimeDependentHamiltonian"]] = field(
         default=None, repr=False
     )
@@ -172,8 +169,6 @@ class TimeDependentHamiltonian:
                 raise ValueError(f"drive has shape {self.drive.shape}, cutoff needs {dim}")
             if not np.isfinite(self.drive).all():
                 raise ValueError("drive is not finite")
-            if self.window is None or not self.window[0] <= self.window[1]:
-                raise ValueError(f"a drive needs a window t_on <= t_off, got {self.window}")
             c = excitation_charge(self.cutoff)
             dc = c[:, None] - c[None, :]
             exact = self.omega == 0 or not (
@@ -188,8 +183,8 @@ class TimeDependentHamiltonian:
 
 
 def hamiltonian_at(ham: TimeDependentHamiltonian, t: float) -> np.ndarray:
-    """H(t) = H_0 + W + W^dag with W = e^{i omega t} V inside the window, H_0 outside."""
-    if ham.drive is None or not ham.window[0] <= t <= ham.window[1]:
+    """H(t) = H_0 + W + W^dag with W = e^{i omega t} V; H_0 with no drive."""
+    if ham.drive is None:
         return ham.static_part.copy()
     w = np.exp(1j * ham.omega * t) * ham.drive
     return ham.static_part + w + w.conj().T
@@ -207,16 +202,14 @@ def lab_drive_hamiltonian(
     cutoff: FockCutoff,
     form: str = "rwa",
 ) -> TimeDependentHamiltonian:
-    """Lab-frame Jaynes-Cummings Hamiltonian with a classical cavity drive on [0, T].
+    """Lab-frame Jaynes-Cummings Hamiltonian with a classical cavity drive.
 
     form='rwa':    H(t) = H_JC + eps e^{i w_d t} a + eps* e^{-i w_d t} a'
                    (V = eps a, exact)
     form='cosine': H(t) = H_JC + 2 cos(w_d t) (eps a + eps* a')
                    (V = eps a + eps* a', periodic: eps* a' raises C)
 
-    The drive window is [0, T]: on during the pulse, off after.  (A literal
-    step function switching the drive on only after T would contradict the
-    protocol the drive implements; treated as a typo upstream.)
+    The drive is on for the whole run; the pulse of length T is a run on [0, T].
     """
     ops = build_mode_operators(cutoff)
     eps = complex(drive.epsilon)
@@ -231,7 +224,6 @@ def lab_drive_hamiltonian(
         cutoff=cutoff,
         drive=v,
         omega=drive.omega_d,
-        window=(0.0, drive.T),
         remake=lambda c: lab_drive_hamiltonian(params, drive, c, form),
     )
 
@@ -239,14 +231,15 @@ def lab_drive_hamiltonian(
 def qubit_drive_lab_hamiltonian(
     params: SystemParams, qd: QubitDriveParams, cutoff: FockCutoff
 ) -> TimeDependentHamiltonian:
-    """Lab-frame Hamiltonian with a classical qubit drive on [0, tau]:
-    H(t) = H_JC + eta e^{-i w t} sigma^+ + eta* e^{i w t} sigma^-  (V = eta* sigma^-, exact)."""
+    """Lab-frame Hamiltonian with a classical qubit drive, on for the whole run:
+    H(t) = H_JC + eta e^{-i w t} sigma^+ + eta* e^{i w t} sigma^-  (V = eta* sigma^-, exact).
+
+    The pulse of length tau is a run on [0, tau]."""
     return TimeDependentHamiltonian(
         static_part=jc_hamiltonian(params, cutoff),
         cutoff=cutoff,
         drive=np.conj(complex(qd.eta)) * build_mode_operators(cutoff).sm,
         omega=qd.omega,
-        window=(0.0, qd.tau),
         remake=lambda c: qubit_drive_lab_hamiltonian(params, qd, c),
     )
 
@@ -270,14 +263,13 @@ def integrate(
     store_every: Optional[int] = None,
     steps_per_period: Optional[int] = None,
 ) -> Trajectory:
-    """Propagate i d/dt psi = H(t) psi over the free, driven and free segments.
+    """Propagate i d/dt psi = H(t) psi from grid.t0 to grid.t1.
 
-    Each segment takes one of the two paths of the module docstring: exact
-    (free, or driven with a static frame Hamiltonian) or periodic (any other
-    driven segment: one drive period of ``steps_per_period`` fourth-order
-    Magnus steps, reused for the rest of the pulse; None takes the frame
-    rule of _steps_per_period).  On either path dt only sets the stored
-    times and where the window edges fall.  Raises if psi0 is not
+    The run takes one of the two paths of the module docstring, chosen by
+    ``ham.exact``: exact (a static frame Hamiltonian) or periodic (one drive
+    period of ``steps_per_period`` fourth-order Magnus steps, reused for the
+    rest of the run; None takes the frame rule of _steps_per_period).  On
+    either path dt only sets the stored times.  Raises if psi0 is not
     normalized.  Snapshots are stored every ``store_every`` steps of dt
     (default: about 1000 over the run); the final state is stored exactly
     regardless.
@@ -298,43 +290,12 @@ def integrate(
 
     out_states = np.empty((len(stored), dim), dtype=complex)
     psi = out_states[0] = psi0.astype(complex)
-    for k0, k1, driven in _segments(ham, grid.t0, dt, steps):
-        lo, hi = np.searchsorted(stored, (k0, k1), side="right")
-        ends = np.append(stored[lo:hi], k1) - k0  # steps into the segment to report
-        t_start = grid.t0 + k0 * dt
-        if _is_exact(ham, driven):
-            states = _advance_exact(ham, psi, t_start, ends, dt, store_every, driven)
-        else:
-            m = steps_per_period or _steps_per_period(ham)
-            states = _advance_periodic(ham, psi, t_start, ends, dt, store_every, m)
-        out_states[lo:hi] = states[:-1]
-        psi = states[-1]
+    if ham.exact:
+        out_states[1:] = _advance_exact(ham, psi, grid.t0, stored[1:], dt, store_every)
+    else:
+        m = steps_per_period or _steps_per_period(ham)
+        out_states[1:] = _advance_periodic(ham, psi, grid.t0, stored[1:], dt, store_every, m)
     return Trajectory(times=grid.t0 + stored * dt, states=out_states)
-
-
-def _segments(ham, t0, dt, steps):
-    """The free, driven and free runs [k0, k1) of the steps, as (k0, k1, driven).
-
-    Step k is driven when t_on <= t0 + (k + 0.5) dt <= t_off, the rule
-    hamiltonian_at applies.  The midpoint expression never decreases in k, so
-    the window covers one contiguous run of steps, whose ends are found by
-    bisection on that same expression.  Empty runs are left out.
-    """
-    k_on = k_off = 0
-    if ham.drive is not None:
-        t_on, t_off = ham.window
-        mids = range(steps)
-        k_on = bisect_left(mids, True, key=lambda k: t0 + (k + 0.5) * dt >= t_on)
-        k_off = bisect_left(mids, True, key=lambda k: t0 + (k + 0.5) * dt > t_off)
-    if k_on == k_off:  # no step is driven
-        return [(0, steps, False)]
-    runs = ((0, k_on, False), (k_on, k_off, True), (k_off, steps, False))
-    return [run for run in runs if run[0] < run[1]]
-
-
-def _is_exact(ham, driven):
-    """A segment has a closed solution when it is free or its drive passes the charge split."""
-    return not driven or ham.exact
 
 
 def _frame_norm(ham):
@@ -352,16 +313,16 @@ def _steps_per_period(ham):
     return max(MIN_STEPS, math.ceil(STEPS_PER_NORM * ham.period * _frame_norm(ham)))
 
 
-def _advance_exact(ham, psi, t_start, ends, dt, stride, driven):
+def _advance_exact(ham, psi, t_start, ends, dt, stride):
     """psi(t) = R(t) exp(-i (H_0 + V + V^dag - omega C)(t - t_s)) R(t_s)^dag psi(t_s).
 
     At t = t_s + n dt for each n in ``ends``, with R(t) = exp(-i omega t C);
-    a free segment takes V = 0 and omega = 0 and skips R.  All requested
-    times come from one eigendecomposition and one matrix product; the
+    a Hamiltonian with no drive takes V = 0 and omega = 0 and skips R.  All
+    requested times come from one eigendecomposition and one matrix product; the
     eigenphases exp(-i E n dt) and R(t) = R(t_s) exp(-i omega C n dt) come
     from _step_phases, ``stride`` being the spacing of ``ends``.
     """
-    if not driven:
+    if ham.drive is None:
         evals, vecs = eigh(ham.static_part)
         return (_step_phases(evals, ends, dt, stride) * (vecs.conj().T @ psi)) @ vecs.T
     rate = ham.omega * excitation_charge(ham.cutoff)
@@ -379,10 +340,10 @@ def _step_phases(freq, steps, dt, stride):
     By angle addition: with a block B that is a multiple of ``stride``,
     n = q B + r and exp(-i f n dt) = exp(-i f q B dt) exp(-i f r dt).
     With B = stride (floor(sqrt(N)) + 1) for N steps, steps on one stride
-    take about sqrt(N) distinct q and about sqrt(N) distinct r, and a few
-    steps off the stride (a segment's end) add a row each.  The two tables
-    of those rows are all the np.exp there is; each row of the result is
-    one product of two table rows.
+    take about sqrt(N) distinct q and about sqrt(N) distinct r, and the
+    run's final step, when off the stride, adds a row.  The two tables of
+    those rows are all the np.exp there is; each row of the result is one
+    product of two table rows.
     """
     block = stride * (math.isqrt(len(steps)) + 1)
     q, r = np.divmod(steps, block)
@@ -507,9 +468,8 @@ def _advance_periodic(ham, psi, t_start, ends, dt, stride, m):
 class ConvergenceReport:
     """Self-convergence of a run: fidelity against reruns at 2m steps per period and 2 n_max.
 
-    ``steps_per_period`` is the m of the run's periodic segment, or None
-    when its segments are all exact: such a run has no step rerun, and
-    ``fidelity_dt`` is 1.0.
+    ``steps_per_period`` is the m of a periodic run, or None for an exact
+    run: such a run has no step rerun, and ``fidelity_dt`` is 1.0.
     """
 
     fidelity_dt: float
@@ -553,18 +513,15 @@ def convergence_check(
     """Score a run's own final state against reruns at 2m steps per period and doubled n_max.
 
     ``final`` is the state integrate(ham, psi0, grid) ended in; the check
-    does not integrate the run again.  A run whose segments are all exact
-    (free, or driven with a static frame Hamiltonian) has no stepping error,
-    so it gets no step rerun and reports the dt axis as exact.  A run with a
-    periodic segment is rerun at 2m steps per period on the same grid, m
-    being the frame rule's.  The doubled-cutoff rerun keeps the run's m, so
-    that it isolates truncation error.
+    does not integrate the run again.  An exact run (a static frame
+    Hamiltonian) has no stepping error, so it gets no step rerun and reports
+    the dt axis as exact.  A periodic run is rerun at 2m steps per period on
+    the same grid, m being the frame rule's.  The doubled-cutoff rerun keeps
+    the run's m, so that it isolates truncation error.
     """
     if ham.remake is None:
         raise ValueError("Hamiltonian has no remake recipe; cannot double the cutoff")
-    dt = (grid.t1 - grid.t0) / grid.steps
-    exact = all(_is_exact(ham, driven) for *_, driven in _segments(ham, grid.t0, dt, grid.steps))
-    m = None if exact else _steps_per_period(ham)
+    m = None if ham.exact else _steps_per_period(ham)
     fid_dt = 1.0
     if m is not None:
         fine = integrate(ham, psi0, grid, store_every=grid.steps, steps_per_period=2 * m).final

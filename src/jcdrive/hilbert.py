@@ -220,9 +220,10 @@ def expm_antihermitian(hermitian: np.ndarray, time: float = 1.0) -> np.ndarray:
     """exp(-i * time * H) for Hermitian H, via eigendecomposition.
 
     Exactly unitary up to roundoff for these dense sizes.  The closed-form
-    propagators and the exact segments build on it; the periodic path's
-    short Magnus steps use a scaled Taylor polynomial instead (see
-    dynamics), which the tests check against this function.
+    propagators build on it, and the exact path of dynamics takes the same
+    eigendecomposition route; the periodic path's short Magnus steps use a
+    scaled Taylor polynomial instead (see dynamics), which the tests check
+    against this function.
     """
     if not is_hermitian(hermitian):
         raise ValueError("matrix is not Hermitian")

@@ -67,8 +67,8 @@ class DriveParams:
     T: float
 
     def __post_init__(self):
-        if self.T < 0:
-            raise ValueError("drive duration must be >= 0")
+        if not 0 <= self.T < math.inf:  # NaN fails too
+            raise ValueError(f"drive duration must be finite and >= 0, got {self.T}")
 
     def detuning(self, params: SystemParams) -> float:
         """Cavity-drive detuning delta = omega_c - omega_d."""
@@ -84,8 +84,8 @@ class QubitDriveParams:
     tau: float
 
     def __post_init__(self):
-        if self.tau < 0:
-            raise ValueError("drive duration must be >= 0")
+        if not 0 <= self.tau < math.inf:  # NaN fails too
+            raise ValueError(f"drive duration must be finite and >= 0, got {self.tau}")
 
     def nu(self, params: SystemParams) -> float:
         """Detuning from the Lamb-shifted qubit frequency: omega_q + chi - omega."""

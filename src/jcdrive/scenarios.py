@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import metrics
-from .config import SWEEP_AXES, ConfigError, ScenarioConfig
+from .config import SWEEP_AXES, ConfigError, ScenarioConfig, cavity_cutoff
 from .dressed import dressed_basis, dressed_coherent_state, dressed_state
 from .dynamics import (
     ConvergenceReport,
@@ -39,7 +39,7 @@ from .dynamics import (
     lab_drive_hamiltonian,
     qubit_drive_lab_hamiltonian,
 )
-from .hilbert import FockCutoff, SystemParams, basis_state, required_cutoff
+from .hilbert import FockCutoff, SystemParams, basis_state
 from .propagators import DriveParams, QubitDriveParams, alpha_ge, lab_amplitudes
 
 __all__ = ["ScenarioResult", "run_scenario", "emit_csv", "convergence_probe", "dt_bound"]
@@ -107,9 +107,9 @@ def dt_bound(params: SystemParams, cutoff: FockCutoff, eps_abs: float,
     """Largest step satisfying dt * max|eig(H)| < 0.1, from a spectral-radius bound.
 
     It is the default grid spacing of every scenario, and so sets the stored
-    times and where the pulse edges round to; no run is held to it, and a
-    config dt replaces it.  The literal midpoint oracle of the test suite
-    takes its step from it, since that stepper needs dt * max|eig(H)| small.
+    times; no run is held to it, and a config dt replaces it.  The literal
+    midpoint oracle of the test suite takes its step from it, since that
+    stepper needs dt * max|eig(H)| small.
     """
     n = cutoff.n_max
     rho = (
@@ -140,14 +140,7 @@ def _grid(duration: float, dt_cap: float) -> TimeGrid:
 
 def _cutoff_for(alpha_abs: float, override: Optional[int]) -> FockCutoff:
     """The rule's cutoff for amplitude ``alpha_abs``, or the config n_max, refused below the rule."""
-    needed = required_cutoff(alpha_abs) + 2  # headroom for the excited-branch partner level
-    if override is not None:
-        if override < needed:
-            raise ConfigError(
-                f"configured n_max={override} below the truncation rule ({needed})"
-            )
-        return FockCutoff(override)
-    return FockCutoff(needed)
+    return FockCutoff(cavity_cutoff(alpha_abs, override))
 
 
 class Run(NamedTuple):
@@ -252,8 +245,7 @@ def _readout_point(config: ScenarioConfig):
     params = config.system_params()
     eps = complex(config.epsilon)
     drive = DriveParams(eps, params.omega_c - params.chi, math.pi / abs(params.chi))
-    ag, _ = alpha_ge(drive, params)
-    cutoff = _cutoff_for(abs(ag), config.n_max)
+    cutoff = _cutoff_for(abs(eps) * drive.T, config.n_max)  # the on-resonance |alpha_g|
     dt_cap = config.dt or dt_bound(params, cutoff, abs(eps))
     grid = _grid(drive.T, dt_cap)
     ham = lab_drive_hamiltonian(params, drive, cutoff, config.drive_form)

@@ -51,9 +51,8 @@ def midpoint_states(h_of_t, psi0, dt, steps):
 
     psi_{k+1} = exp(-i dt H((k + 1/2) dt)) psi_k from psi_0 = psi0 at t = 0,
     one eigendecomposition per step, one row per entry of ``steps``.  It has
-    no segments, window bisection or rotating frame: h_of_t alone decides
-    which steps are driven, so an edge rule in the package that disagrees
-    with it shows up as a mismatch.
+    no rotating frame, closed form or period propagator: it steps h_of_t as
+    given.
     """
     states = np.empty((len(steps), len(psi0)), dtype=complex)
     psi, done = psi0.astype(complex), 0

@@ -107,10 +107,22 @@ class TestConfigFaults:
         assert "line 1:" in err and "epsilon" in err
 
     def test_n_max_below_fock_minimum(self, tmp_path, capsys):
-        # FockCutoff needs two levels; the truncation rule is checked later
+        # FockCutoff needs two levels: the key's own bound, before the truncation rule
         code, err = self._run(tmp_path, capsys, "scenario=fig4\nn_max=-4\n")
         assert code == 1
         assert "line 2:" in err and "n_max" in err
+
+    @pytest.mark.parametrize("text, needed", [
+        ("scenario=fig2a\nsweep_values=4,1", 28),          # the largest swept alpha_sq
+        ("scenario=fig2d\nalpha_sq=9", 39),                # alpha_sq held fixed
+        ("scenario=fig4\nalpha_sq=4", 28),                 # |beta| = 2
+        ("scenario=readout\nepsilon=0.05j", 24),           # |alpha_g| = 0.05 pi / 0.1
+    ])
+    def test_n_max_against_the_largest_amplitude(self, text, needed):
+        assert parse_config(f"{text}\nn_max={needed}\n").n_max == needed
+        with pytest.raises(ConfigError, match="below the truncation rule") as info:
+            parse_config(f"{text}\nn_max={needed - 1}\n")
+        assert info.value.line == 3
 
     def test_zero_epsilon_accepted_by_fig2d(self):
         # fig2d sweeps |epsilon| itself and reads only arg(epsilon)
@@ -363,7 +375,17 @@ class TestCli:
         cfg = self._write(tmp_path, FAST_SCENARIO + "n_max=5\n")
         assert main([command, "--config", cfg]) == 1
         assert capsys.readouterr().err == (
-            "config error: configured n_max=5 below the truncation rule (19)\n"
+            "config error: line 5: configured n_max=5 below the truncation rule (19)\n"
+        )
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_n_max_below_the_rule_at_a_later_sweep_point(self, tmp_path, capsys, command):
+        # n_max = 24 holds alpha_sq = 1 but not 9 (39); sim check builds only
+        # the first point, so the refusal must come from the config
+        cfg = self._write(tmp_path, "scenario=custom\nsweep_values=1,9\nn_max=24\n")
+        assert main([command, "--config", cfg]) == 1
+        assert capsys.readouterr().err == (
+            "config error: line 3: configured n_max=24 below the truncation rule (39)\n"
         )
 
     def test_set_overrides(self, tmp_path, capsys):
@@ -398,8 +420,8 @@ class TestCli:
         return [line.split(",")[:drop] for line in lines[2:]]
 
     def test_coarse_dt_accepted_on_exact_runs(self, tmp_path, capsys):
-        # dt = 0.01 is ~190 times dt_bound, but every segment of this run is
-        # exact and the pulse end stays on a step boundary
+        # dt = 0.01 is ~190 times dt_bound, but the run is exact, so dt
+        # only sets the stored times
         text = "scenario=fig2b\nsweep_values=1\n"
         default = self._physics_columns(tmp_path, text, "default")
         assert self._physics_columns(tmp_path, text + "dt=0.01\n", "coarse") == default

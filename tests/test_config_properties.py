@@ -29,10 +29,9 @@ def _choice(*values):
 # its parser or the dispersive-regime checks refuse.  Valid values can still
 # combine into a refused config (omega_q against lambda, an incomplete
 # linear sweep, a zero alpha_sq where the pulse length derives from it).
-# dt only sets the stored times and where pulse edges round to, on either
-# propagation path, so any positive value runs.  An n_max below the truncation
-# rule, which depends on the scenario's amplitude, is a config error (exit 1)
-# when the run builds its first point.
+# dt only sets the stored times, on either propagation path, so any positive
+# value runs.  An n_max below the truncation rule at the largest amplitude the
+# scenario drives to is a config error on the n_max line.
 _KEYS = {
     "scenario": _choice(*SCENARIOS),
     "g": _number(0.9, 1.5, "0"),

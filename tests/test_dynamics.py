@@ -1,4 +1,4 @@
-"""The integrator: exactness, the exact and periodic segment paths, convergence."""
+"""The integrator: exactness, the exact and periodic paths, convergence."""
 
 import math
 import time
@@ -119,7 +119,7 @@ class TestIntegratorBasics:
     def test_coarse_dt_spares_periodic_runs(self, params, cutoff12):
         # a cosine drive takes the periodic path, whose steps per period come
         # from the frame: dt = 1e-3, about 14x dt_bound, only sets the stored
-        # times, and the pulse end is a step boundary on both grids
+        # times
         drive = DriveParams(0.05, params.omega_c - params.chi, 1.0)
         ham = lab_drive_hamiltonian(params, drive, cutoff12, "cosine")
         psi0 = basis_state(cutoff12, "g", 0)
@@ -130,16 +130,47 @@ class TestIntegratorBasics:
 
     def test_guard_spares_exact_runs(self, params):
         # dt = 0.01 is over 100x dt_bound here, but the run is exact: dt
-        # only places the pulse end, a step boundary on both grids
+        # only sets the stored times
         cut = FockCutoff(12)
         drive = DriveParams(0.05, params.omega_c - params.chi, 1.0)
         ham = lab_drive_hamiltonian(params, drive, cut, "rwa")
         psi0 = basis_state(cut, "g", 0)
         fine_dt = 2.0**-14
         assert fine_dt < dt_bound(params, cut, 0.05)
-        coarse = integrate(ham, psi0, TimeGrid(0.0, 2.0, 0.01))
-        fine = integrate(ham, psi0, TimeGrid(0.0, 2.0, fine_dt))
+        coarse = integrate(ham, psi0, TimeGrid(0.0, drive.T, 0.01))
+        fine = integrate(ham, psi0, TimeGrid(0.0, drive.T, fine_dt))
         assert np.max(np.abs(coarse.final - fine.final)) < 1e-12
+
+    @pytest.mark.parametrize("form", ["rwa", "cosine"])
+    def test_pulse_then_free_run(self, params, form):
+        # a pulse followed by free evolution is two runs: the drive on [0, T]
+        # (exact or periodic path), then no drive from where the pulse ended.
+        # The free run keeps omega, which plays no part without a drive.  The
+        # oracle integrates one piecewise H(t) across both runs.
+        cut = FockCutoff(8)
+        eps, omega, T = 0.4 + 0.3j, params.omega_c - params.chi, 0.5
+        pulse = lab_drive_hamiltonian(params, DriveParams(eps, omega, T), cut, form)
+        h_jc = jc_hamiltonian(params, cut)
+        free = TimeDependentHamiltonian(static_part=h_jc, cutoff=cut, omega=omega)
+        dt_cap = dt_bound(params, cut, abs(eps))
+        psi0 = basis_state(cut, "g", 0)
+        on = integrate(pulse, psi0, TimeGrid.for_duration(T, dt_cap), store_every=50)
+        off = integrate(free, on.final, TimeGrid.for_duration(0.4, dt_cap, T), store_every=50)
+        assert off.times[0] == on.times[-1] == T
+
+        ops = build_mode_operators(cut)
+        v = eps * ops.a + (np.conj(eps) * ops.a_dag if form == "cosine" else 0.0)
+
+        def h_of_t(t):
+            if t > T:
+                return h_jc
+            w = np.exp(1j * omega * t) * v
+            return h_jc + w + w.conj().T
+
+        times = np.concatenate((on.times, off.times[1:]))
+        oracle = ode_states(h_of_t, psi0, times)
+        states = np.concatenate((on.states, off.states[1:]))
+        assert np.max(np.abs(states - oracle)) < 1e-8
 
     def test_rejects_unnormalized_state(self, params, cutoff12):
         ham = static_hamiltonian(params, cutoff12)
@@ -178,24 +209,13 @@ class TestHamiltonianForm:
             w = params.omega_c - params.chi
             ham = lab_drive_hamiltonian(params, DriveParams(z, w, pulse), cut, kind)
         formula = self.docstring_formula(kind, params, cut, z, w)
-        h_jc = jc_hamiltonian(params, cut)
-        inside = np.concatenate(([0.0, pulse], np.linspace(0.0, pulse, 37)[1:-1]))
-        for t in inside:
+        for t in np.linspace(0.0, pulse, 37):
             expected = formula(t)
             gap = np.max(np.abs(hamiltonian_at(ham, t) - expected))
             assert gap <= 1e-13 * np.max(np.abs(expected)), (t, gap)
-        for t in (-0.2, np.nextafter(pulse, 2.0), pulse + 0.7, 40.0):
-            np.testing.assert_array_equal(hamiltonian_at(ham, t), h_jc)
 
 
 class TestWindowSemantics:
-    def test_drive_off_after_pulse(self, params, cutoff12):
-        drive = DriveParams(0.05, params.omega_c, 5.0)
-        ham = lab_drive_hamiltonian(params, drive, cutoff12, "rwa")
-        h_free = jc_hamiltonian(params, cutoff12)
-        assert np.array_equal(hamiltonian_at(ham, 6.0), h_free)
-        assert not np.array_equal(hamiltonian_at(ham, 2.0), h_free)
-
     def test_no_drive_means_static(self, params, cutoff12):
         drive = DriveParams(0.0, params.omega_c, 5.0)
         ham = lab_drive_hamiltonian(params, drive, cutoff12, "rwa")
@@ -203,7 +223,7 @@ class TestWindowSemantics:
 
 
 class TestFastPath:
-    """The exact segment propagator, against literal stepping and against oracles."""
+    """The exact path, against literal stepping and against oracles."""
 
     def test_fast_path_equals_sequential(self, params):
         cut = FockCutoff(10)
@@ -242,60 +262,22 @@ class TestFastPath:
         )
         assert 1.0 - fid(final, closed) < 1e-8
 
-    def test_window_boundary_inside_run(self, params):
-        # pulse ends mid-run: driven segment then free segment.  The grid has
-        # an odd step count (4687), so one step midpoint falls on t_off; an
-        # edge rule that left that step undriven would be off by ~4e-6
-        cut = FockCutoff(12)
-        drive = DriveParams(0.05, params.omega_c - params.chi, 0.2)
-        ham = lab_drive_hamiltonian(params, drive, cut, "rwa")
-        grid = TimeGrid.for_duration(0.4, dt_bound(params, cut, 0.05))
-        assert grid.steps % 2 == 1
-        assert_stepping_converges_at_second_order(ham, basis_state(cut, "g", 0), grid, 97)
-
-    def test_window_edges_on_step_midpoints_are_inclusive(self, params):
-        # dt = 2^-14 and t0 = -1000.5 dt make every midpoint exact: step 1000
-        # sits on t_on = 0 and step 2000 on t_off = T, and both are driven
-        cut = FockCutoff(8)
-        dt = 2.0**-14
-        t0 = -1000.5 * dt
-        grid = TimeGrid(t0, t0 + 3000 * dt, dt)
-        T = 1000 * dt
-        assert t0 + (1000 + 0.5) * dt == 0.0 and t0 + (2000 + 0.5) * dt == T
-        psi0 = basis_state(cut, "g", 0)
-
-        def hamiltonian(pulse):
-            drive = DriveParams(0.05, params.omega_c - params.chi, pulse)
-            return lab_drive_hamiltonian(params, drive, cut, "rwa")
-
-        ham = hamiltonian(T)
-        exact = integrate(ham, psi0, grid, store_every=250)
-        # literal stepping at this dt is within ~5e-9; a flipped edge rule moves ~3e-6
-        assert max_state_error(exact, oracle_states(ham, psi0, grid, exact)) < 1e-7
-        # the edge step matters: a window one ulp short of it gives another state
-        short = integrate(hamiltonian(np.nextafter(T, 0.0)), psi0, grid, store_every=250)
-        assert np.max(np.abs(exact.final - short.final)) > 1e-6
-
     @pytest.mark.parametrize("drive_kind", ["cavity", "qubit"])
     def test_exact_path_against_ode_oracle(self, params, drive_kind):
-        # each run is driven for its first half, whose end falls on a step
-        # boundary, then evolves freely; ending the cavity pulse one step early
-        # costs ~2e-8 infidelity.  The qubit run starts inside its window at
-        # t0 = 0.4 from a superposition of two charges, so R(t_s) matters.
+        # the qubit run starts at t0 = 0.4, inside its pulse, from a
+        # superposition of two charges, so R(t_s) matters
         cut = FockCutoff(8)
         if drive_kind == "qubit":
             qd = QubitDriveParams(0.3, params.omega_q + 0.5, 0.8)
             ham = qubit_drive_lab_hamiltonian(params, qd, cut)
-            t0, dt_cap = 0.4, dt_bound(params, cut, 0.0, eta_abs=0.3)
+            t0, t1, dt_cap = 0.4, qd.tau, dt_bound(params, cut, 0.0, eta_abs=0.3)
             psi0 = (basis_state(cut, "g", 1) + basis_state(cut, "e", 1)) / math.sqrt(2)
         else:
             drive = DriveParams(0.4 + 0.3j, params.omega_c - params.chi, 0.5)
             ham = lab_drive_hamiltonian(params, drive, cut, "rwa")
-            t0, dt_cap = 0.0, dt_bound(params, cut, 0.5)
+            t0, t1, dt_cap = 0.0, drive.T, dt_bound(params, cut, 0.5)
             psi0 = basis_state(cut, "g", 0)
-        half = TimeGrid.for_duration(ham.window[1] - t0, dt_cap, t0)
-        grid = TimeGrid(t0, 2 * half.t1 - t0, half.dt)
-        assert grid.steps == 2 * half.steps
+        grid = TimeGrid.for_duration(t1 - t0, dt_cap, t0)
         exact = integrate(ham, psi0, grid).final
         oracle = ode_final(lambda t: hamiltonian_at(ham, t0 + t), psi0, grid.t1 - t0)
         assert 1.0 - fid(exact, oracle) < 1e-10
@@ -307,7 +289,7 @@ class TestFastPath:
         assert lab_drive_hamiltonian(params, drive, cut, "rwa").exact
         assert qubit_drive_lab_hamiltonian(params, qd, cut).exact
         assert not lab_drive_hamiltonian(params, drive, cut, "cosine").exact
-        # omega = 0 makes any drive static on its window: exact, no period
+        # omega = 0 makes any drive static: exact, no period
         static = lab_drive_hamiltonian(params, DriveParams(0.05, 0.0, 3.0), cut, "cosine")
         assert static.exact and static.period is None
 
@@ -318,13 +300,11 @@ class TestFastPath:
         for kwargs, match in (
             (dict(static_part=h0 + ops.a), "Hermitian"),
             (dict(static_part=h0[:4, :4]), "shape"),
-            (dict(static_part=h0, drive=ops.a[:4, :4], window=(0.0, 1.0)), "shape"),
-            (dict(static_part=h0, drive=ops.a), "window"),
-            (dict(static_part=h0, drive=ops.a, window=(1.0, 0.5)), "window"),
-            (dict(static_part=h0, drive=ops.a + math.nan, window=(0.0, 1.0)), "finite"),
-            (dict(static_part=h0, drive=ops.a + math.inf, window=(0.0, 1.0)), "finite"),
-            (dict(static_part=h0, drive=ops.a, omega=math.nan, window=(0.0, 1.0)), "finite"),
-            (dict(static_part=h0, drive=ops.a, omega=math.inf, window=(0.0, 1.0)), "finite"),
+            (dict(static_part=h0, drive=ops.a[:4, :4]), "shape"),
+            (dict(static_part=h0, drive=ops.a + math.nan), "finite"),
+            (dict(static_part=h0, drive=ops.a + math.inf), "finite"),
+            (dict(static_part=h0, drive=ops.a, omega=math.nan), "finite"),
+            (dict(static_part=h0, drive=ops.a, omega=math.inf), "finite"),
             (dict(static_part=h0 + math.inf), "finite"),
         ):
             with pytest.raises(ValueError, match=match):
@@ -332,13 +312,13 @@ class TestFastPath:
 
     def test_charge_breaking_static_part_is_stepped(self, params):
         # V = eps a only lowers C, but sigma_x in H_0 breaks C, so no frame
-        # makes H(t) static: the driven segment takes the periodic path
+        # makes H(t) static: the run takes the periodic path
         cut = FockCutoff(4)
         ops = build_mode_operators(cut)
         h0 = jc_hamiltonian(params, cut) + 0.1 * (ops.sp + ops.sm)
         ham = TimeDependentHamiltonian(
             static_part=h0, cutoff=cut, drive=(0.3 + 0.2j) * ops.a,
-            omega=params.omega_c - params.chi, window=(0.0, 0.2),
+            omega=params.omega_c - params.chi,
         )
         assert not ham.exact
         psi0 = basis_state(cut, "g", 1)
@@ -350,7 +330,7 @@ class TestFastPath:
         # 5 M midpoint steps: the exact path costs a few eigendecompositions
         # and ~1000 snapshots, not per-step Python work
         cut = FockCutoff(4)
-        qd = QubitDriveParams(0.3, params.omega_q + 0.5, 500.0)
+        qd = QubitDriveParams(0.3, params.omega_q + 0.5, 1000.0)
         ham = qubit_drive_lab_hamiltonian(params, qd, cut)
         grid = TimeGrid(0.0, 1000.0, 1000.0 / 5_000_000)
         assert grid.steps == 5_000_000
@@ -375,9 +355,9 @@ def max_state_error(traj, states):
     return float(np.max(np.abs(traj.states - states)))
 
 
-def assert_stepping_converges_at_second_order(ham, psi0, grid, store_every=None):
+def assert_stepping_converges_at_second_order(ham, psi0, grid):
     """Literal stepping approaches the exact path as dt^2: halving dt quarters the error."""
-    store_every = store_every or max(1, grid.steps // 100)
+    store_every = max(1, grid.steps // 100)
     errors = []
     for g, every in ((grid, store_every), (TimeGrid(grid.t0, grid.t1, grid.dt / 2), 2 * store_every)):
         exact = integrate(ham, psi0, g, store_every=every)
@@ -387,33 +367,31 @@ def assert_stepping_converges_at_second_order(ham, psi0, grid, store_every=None)
 
 
 class TestPeriodicPath:
-    """The period propagator of a non-exact driven segment, against the ODE oracle."""
+    """The period propagator of a non-exact drive, against the ODE oracle."""
 
     @staticmethod
     def cosine_run(params):
-        # 5 drive periods of pulse, then 2.5 free periods, on a grid of 200
-        # steps per period; the pulse ends on a step boundary
+        # 5 drive periods of pulse on a grid of 200 steps per period
         cut = FockCutoff(6)
         omega = params.omega_c - params.chi
         dt = math.pi / omega / 200
         drive = DriveParams(0.4 + 0.3j, omega, 1000 * dt)
         ham = lab_drive_hamiltonian(params, drive, cut, "cosine")
         assert ham.period == math.pi / omega
-        grid = TimeGrid(0.0, 1500 * dt, dt)
+        grid = TimeGrid(0.0, drive.T, dt)
         return ham, basis_state(cut, "g", 0), grid
 
     def test_cosine_run_against_ode_oracle(self, params):
         # store_every=97 against 200 grid steps per period: snapshots inside periods
         ham, psi0, grid = self.cosine_run(params)
         traj = integrate(ham, psi0, grid, store_every=97)
-        assert traj.times[-1] > ham.window[1]
         oracle = ode_states(lambda t: hamiltonian_at(ham, t), psi0, traj.times)
         assert np.max(np.abs(traj.states - oracle)) < 1e-6
         final = ode_final(lambda t: hamiltonian_at(ham, t), psi0, grid.t1)
         assert 1.0 - fid(traj.final, final) < 1e-10
 
     def test_run_starting_inside_the_pulse(self, params):
-        # t0 = 333 dt, not a whole period: the frame R(t_s) at the segment
+        # t0 = 333 dt, not a whole period: the frame R(t_s) at the run's
         # start is not the identity
         ham, psi0, grid = self.cosine_run(params)
         t0 = 333 * grid.dt
@@ -429,11 +407,11 @@ class TestPeriodicPath:
         dt = 2.0 * math.pi / omega / 300
         ham = TimeDependentHamiltonian(
             static_part=jc_hamiltonian(params, cut) + 0.1 * (ops.sp + ops.sm), cutoff=cut,
-            drive=(0.3 + 0.2j) * ops.a, omega=omega, window=(0.0, 1200 * dt),
+            drive=(0.3 + 0.2j) * ops.a, omega=omega,
         )
         assert ham.period == 2.0 * math.pi / omega
         psi0 = basis_state(cut, "g", 1)
-        traj = integrate(ham, psi0, TimeGrid(0.0, 1500 * dt, dt), store_every=97)
+        traj = integrate(ham, psi0, TimeGrid(0.0, 1200 * dt, dt), store_every=97)
         oracle = ode_states(lambda t: hamiltonian_at(ham, t), psi0, traj.times)
         assert np.max(np.abs(traj.states - oracle)) < 2e-7
 
@@ -453,8 +431,8 @@ class TestPeriodicPath:
         # omega = 10 omega_c makes the frame rate omega C large: at m = 16
         # steps per period every step exponential has a bound on
         # h ||Omega||_1 between 1/2 and 1 and is squared once.  The pulse ends
-        # on a step boundary of the grid after 4.8 periods; dt is not h, so
-        # the stored times also take remainder steps S_delta.
+        # after 4.8 periods; dt is not h, so the stored times also take
+        # remainder steps S_delta.
         cut = FockCutoff(4)
         omega, dt = 10.0 * params.omega_c, 2.5e-4
         orders = []
@@ -467,7 +445,7 @@ class TestPeriodicPath:
         psi0 = basis_state(cut, "g", 0)
         drive = DriveParams(0.4 + 0.3j, omega, 60 * dt)
         ham = lab_drive_hamiltonian(params, drive, cut, "cosine")
-        grid = TimeGrid(0.0, 90 * dt, dt)
+        grid = TimeGrid(0.0, drive.T, dt)
         errors = []
         for m in (16, 32):
             traj = integrate(ham, psi0, grid, store_every=7, steps_per_period=m)
@@ -479,7 +457,8 @@ class TestPeriodicPath:
         assert 15.2 < errors[0] / errors[1] < 16.8, errors
 
     def test_eigendecompositions_per_run(self, params, monkeypatch):
-        # the periodic path takes none; a free tail takes one
+        # the periodic path takes none; the exact path, here the rwa form of
+        # the same drive, takes one
         calls = []
 
         def counting(h):
@@ -488,13 +467,11 @@ class TestPeriodicPath:
 
         monkeypatch.setattr(dynamics, "eigh", counting)
         ham, psi0, grid = self.cosine_run(params)
-        inside = TimeGrid(0.0, ham.window[1], grid.dt)
-        for run, expected in (
-            (lambda: integrate(ham, psi0, inside), 0),
-            (lambda: integrate(ham, psi0, grid), 1),
-        ):
+        drive = DriveParams(0.4 + 0.3j, ham.omega, grid.t1)
+        rwa = lab_drive_hamiltonian(params, drive, ham.cutoff, "rwa")
+        for h, expected in ((ham, 0), (rwa, 1)):
             calls.clear()
-            run()
+            integrate(h, psi0, grid)
             assert len(calls) == expected
 
     def test_runtime_independent_of_step_count(self, params):
@@ -572,11 +549,10 @@ class TestStepPhases:
         return np.round(f * 2.0**24) / 2.0**24 if dyadic else f
 
     def _fig4_ends(self, stride=55, snapshots=4057, tail=17):
-        # stored steps 0, stride, ..., then the final step off the stride,
-        # which the last segment reports twice (stored, and as its end)
+        # what integrate asks for on a fig4 run: the stored steps after 0,
+        # stride, 2 stride, ..., then the final step, off the stride
         total = stride * (snapshots - 2) + tail
-        stored = np.append(np.arange(0, total, stride), total)
-        return np.append(stored, total), total
+        return np.append(np.arange(stride, total, stride), total), total
 
     def test_fig4_shape(self):
         ends, total = self._fig4_ends()
@@ -677,14 +653,13 @@ def _checked(ham, psi0, grid):
 
 
 def _cosine_two_level(cutoff):
-    """0.01 sz + 0.25 cos(60 t)(a + a') on [0, 8]: a periodic run with a remake recipe."""
+    """0.01 sz + 0.25 cos(60 t)(a + a'): a periodic Hamiltonian with a remake recipe."""
     o = build_mode_operators(cutoff)
     return TimeDependentHamiltonian(
         static_part=0.01 * o.sz,
         cutoff=cutoff,
         drive=0.125 * (o.a + o.a_dag),
         omega=60.0,
-        window=(0.0, 8.0),
         remake=_cosine_two_level,
     )
 

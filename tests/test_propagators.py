@@ -71,6 +71,12 @@ class TestAlphaGE:
         drive = DriveParams(0.05, params.omega_c, 0.0)
         assert alpha_ge(drive, params) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("T", [-1.0, math.nan, math.inf])
+    def test_refuses_a_pulse_length_off_zero_to_inf(self, params, T):
+        # a NaN or infinite T would make alpha_ge nan+nanj
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            DriveParams(0.05, params.omega_c, T)
+
     def test_linear_growth_on_branch_resonance(self, params):
         for T in (5.0, 20.0, 50.0):
             drive = DriveParams(0.05, params.omega_c - params.chi, T)
@@ -347,6 +353,11 @@ class TestQubitDrivePropagator:
         np.testing.assert_allclose(u0, np.eye(cutoff12.dim), atol=1e-14)
         u1 = qubit_drive_propagator(QubitDriveParams(0.3, params.omega_q, 0.0), params, cutoff12)
         np.testing.assert_allclose(u1, np.eye(cutoff12.dim), atol=1e-14)
+
+    @pytest.mark.parametrize("tau", [-1.0, math.nan, math.inf])
+    def test_refuses_a_pulse_length_off_zero_to_inf(self, params, tau):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            QubitDriveParams(0.3, params.omega_q, tau)
 
     def test_resonant_block_rotation(self, params, cutoff12):
         # tune the drive so photon block k=2 is exactly resonant: nu = -4 chi
