@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
 
 from .hilbert import SystemParams, required_cutoff
@@ -36,6 +36,13 @@ _DEFAULT_GRIDS = {
     "lambda": (0.05, 0.075, 0.1, 0.15, 0.2),
     "epsilon_abs": (0.02, 0.04, 0.06, 0.08, 0.10),
 }
+# The largest phase |Delta| T the detuning may turn through over one pulse.
+# Scanned with sim check on fig2b and fig4, with |Delta| from 1e3 to 1e12
+# and T from 1e9 down to 6, the doubled-cutoff 1 - F follows the product:
+# at most 8e-11 at 2e10 rad, up to 4.4e-9 at 2e11 rad, and past the 1e-8
+# threshold (4e-8 to 2e-6) from 6.7e11 rad on.  At the default |Delta| = 10
+# even 1e12 rad (epsilon = 1e-11) leaves 1 - F at rounding level.
+MAX_PHASE = 1e10
 
 
 class ConfigError(ValueError):
@@ -48,6 +55,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One scenario, or one point of it: ``points()`` gives a config per sweep point."""
+
     scenario: str = "fig2a"
     g: float = 1.0
     lam: float = 0.1
@@ -62,23 +71,21 @@ class ScenarioConfig:
     sweep_stop: Optional[float] = None
     sweep_points: Optional[int] = None
     sweep_values: Optional[tuple[float, ...]] = None
-    alpha_sq: float = 4.0                    # target photon number where one is fixed
+    alpha_sq: float = 4.0                    # target photon number; |beta|^2 for fig4
     eta_abs: Optional[float] = None          # qubit drive strength; default 0.05*omega_q
     eta_phase: float = 0.0
     omega_drive: Optional[float] = None      # qubit drive frequency override
     time_points: int = 400
     n_max: Optional[int] = None              # cavity truncation override
-    dt: Optional[float] = None               # grid step override: sets the stored times
     workers: int = 1
     check_convergence: bool = True
     out: Optional[str] = None
 
-    def system_params(self, lam_override: Optional[float] = None) -> SystemParams:
+    def system_params(self) -> SystemParams:
         """Resolve (g, lambda, omega_c[, omega_q]) into SystemParams."""
-        lam = self.lam if lam_override is None else lam_override
-        if self.omega_q is not None and lam_override is None:
+        if self.omega_q is not None:
             return SystemParams(omega_c=self.omega_c, omega_q=self.omega_q, g=self.g)
-        return SystemParams.from_lambda(g=self.g, lam=lam, omega_c=self.omega_c)
+        return SystemParams.from_lambda(g=self.g, lam=self.lam, omega_c=self.omega_c)
 
     @property
     def sweep_axis(self) -> Optional[str]:
@@ -96,6 +103,51 @@ class ScenarioConfig:
             step = (self.sweep_stop - self.sweep_start) / (n - 1)
             return tuple(self.sweep_start + i * step for i in range(n))
         return _DEFAULT_GRIDS[self.sweep_axis]
+
+    def points(self) -> tuple[ScenarioConfig, ...]:
+        """One config per sweep value, in sweep order; fig4 and readout are one point, the config.
+
+        A point replaces the swept quantity: alpha_sq; lambda, dropping
+        omega_q so that the swept lambda is the simulated one; or |epsilon|,
+        keeping arg epsilon.
+        """
+        axis = self.sweep_axis
+        if axis is None:
+            return (self,)
+        grid = self.sweep_grid()
+        if axis == "alpha_sq":
+            return tuple(replace(self, alpha_sq=v) for v in grid)
+        if axis == "lambda":
+            return tuple(replace(self, lam=v, omega_q=None) for v in grid)
+        phase = cmath.phase(complex(self.epsilon))
+        return tuple(replace(self, epsilon=cmath.rect(v, phase)) for v in grid)
+
+    def drive_amplitude(self) -> float:
+        """|alpha| the point drives the cavity to, which sets its truncation.
+
+        sqrt(alpha_sq) for a cavity-drive point and for fig4 (|beta|); the
+        on-resonance |alpha_g| = |epsilon| pi/|chi| for readout.
+        """
+        if self.scenario == "readout":
+            return abs(complex(self.epsilon)) * self.pulse_length()
+        return math.sqrt(self.alpha_sq)
+
+    def pulse_length(self) -> float:
+        """How long the point is driven.
+
+        pi/|chi| for readout; one period 2 pi/|eta| of the fig4 qubit drive;
+        |alpha|/|epsilon| for a cavity-drive point, since at the branch
+        resonances |alpha(T)| = |epsilon| T.
+        """
+        if self.scenario == "readout":
+            return math.pi / abs(self.system_params().chi)
+        if self.scenario == "fig4":
+            return 2.0 * math.pi / self.qubit_drive_strength()
+        return self.drive_amplitude() / abs(complex(self.epsilon))
+
+    def qubit_drive_strength(self) -> float:
+        """|eta| of the fig4 qubit drive: eta_abs, else 0.05 omega_q."""
+        return self.eta_abs if self.eta_abs is not None else 0.05 * self.system_params().omega_q
 
 
 # Value parsers: each takes the text after '=' and returns the typed value,
@@ -145,7 +197,6 @@ def _one_of(*choices: str) -> Callable[[str], str]:
 
 
 _AT_LEAST_2 = (lambda n: n >= 2, ">= 2")
-_POSITIVE = (lambda x: x > 0, "positive")
 
 # The config keys, each with its ScenarioConfig field, parser and bound (test,
 # text) or None; a value that fails the test is refused as "{key} must be {text}".
@@ -165,12 +216,11 @@ _KEYS = {
     "sweep_points": ("sweep_points", _INT, _AT_LEAST_2),
     "sweep_values": ("sweep_values", _reals, None),
     "alpha_sq": ("alpha_sq", _REAL, (lambda x: x >= 0, ">= 0")),
-    "eta_abs": ("eta_abs", _REAL, _POSITIVE),
+    "eta_abs": ("eta_abs", _REAL, (lambda x: x > 0, "positive")),
     "eta_phase": ("eta_phase", _REAL, None),
     "omega_drive": ("omega_drive", _REAL, None),
     "time_points": ("time_points", _INT, _AT_LEAST_2),
     "n_max": ("n_max", _INT, _AT_LEAST_2),
-    "dt": ("dt", _REAL, _POSITIVE),
     "workers": ("workers", _INT, (lambda n: n >= 1, ">= 1")),
     "check_convergence": ("check_convergence", _switch, None),
     "out": ("out", str, None),
@@ -188,9 +238,10 @@ def parse_config(text: str) -> ScenarioConfig:
     a system outside the dispersive regime
     (omega_q = omega_c, g = 0 with omega_q derived, |lambda| >= 1),
     inconsistent derived quantities (an omega_q that contradicts the given
-    lambda) and an n_max below the truncation rule at the largest amplitude
-    the scenario drives to are errors carrying the line number.  An empty
-    file yields all defaults.
+    lambda), an n_max below the truncation rule at the largest amplitude
+    the scenario drives to, and a point whose detuning turns through more
+    than MAX_PHASE over its pulse are errors carrying the line number.  An
+    empty file yields all defaults.
     """
     values: dict = {}
     seen: dict[str, int] = {}
@@ -220,7 +271,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
     cfg = ScenarioConfig(**values)
     try:
-        params = cfg.system_params()
+        cfg.system_params()
     except ValueError as exc:  # omega_q == omega_c (g = 0 derives it so), or |lambda| >= 1
         key = "omega_q" if cfg.omega_q is not None else "g" if cfg.g == 0 else "lambda"
         raise ConfigError(f"{key} gives no dispersive system: {exc}", seen.get(key)) from None
@@ -237,16 +288,24 @@ def parse_config(text: str) -> ScenarioConfig:
                     "the pulse length is |alpha| / |epsilon|",
                     seen[key],
                 )
-        try:
-            grid = cfg.sweep_grid()
-        except ConfigError as exc:  # an incomplete linear sweep
-            raise ConfigError(str(exc), seen.get("sweep_start", seen.get("sweep_stop"))) from None
-        for i, v in enumerate(grid):
-            fault = _sweep_fault(cfg, axis, v)
+    try:
+        points = cfg.points()
+    except ConfigError as exc:  # an incomplete linear sweep
+        raise ConfigError(str(exc), seen.get("sweep_start", seen.get("sweep_stop"))) from None
+
+    def sweep_line(i: int) -> Optional[int]:
+        """The line of sweep value i; the g line on the default grid, where only g can fault."""
+        if cfg.sweep_values is not None:
+            return seen["sweep_values"]
+        if cfg.sweep_start is None:
+            return seen.get("g")
+        return seen["sweep_stop" if i == len(points) - 1 else "sweep_start"]
+
+    if axis is not None:
+        for i, (value, point) in enumerate(zip(cfg.sweep_grid(), points)):
+            fault = _sweep_fault(point, axis, value)
             if fault is not None:
-                key = ("sweep_values" if cfg.sweep_values is not None
-                       else "sweep_stop" if i == len(grid) - 1 else "sweep_start")
-                raise ConfigError(fault, seen[key])
+                raise ConfigError(fault, sweep_line(i))
     if cfg.omega_q is not None and "lambda" in seen:
         derived = cfg.g / (cfg.omega_q - cfg.omega_c)
         if abs(derived - cfg.lam) > 1e-9 * max(1.0, abs(cfg.lam)):
@@ -256,11 +315,22 @@ def parse_config(text: str) -> ScenarioConfig:
                 seen["omega_q"],
             )
     if cfg.n_max is not None:
-        if cfg.scenario == "readout":  # the on-resonance |alpha_g| = |eps| T, T = pi/|chi|
-            alpha_abs = abs(complex(cfg.epsilon)) * (math.pi / abs(params.chi))
-        else:  # the largest swept alpha_sq, or the fixed one
-            alpha_abs = math.sqrt(max(cfg.sweep_grid()) if axis == "alpha_sq" else cfg.alpha_sq)
-        cavity_cutoff(alpha_abs, cfg.n_max, seen["n_max"])
+        cavity_cutoff(max(p.drive_amplitude() for p in points), cfg.n_max, seen["n_max"])
+    # The detuning phase, checked where a line sets the detuning: the swept
+    # lambda, omega_q, lambda or g (see MAX_PHASE for the default detuning).
+    key = next((k for k in ("omega_q", "lambda", "g") if k in seen), None)
+    for i, point in enumerate(points):
+        line = sweep_line(i) if axis == "lambda" else seen.get(key)
+        if line is None:
+            continue
+        phase = abs(point.system_params().delta) * point.pulse_length()
+        if phase > MAX_PHASE:
+            name = f"swept lambda={point.lam:g}" if axis == "lambda" else key
+            raise ConfigError(
+                f"{name} gives a detuning phase |Delta| T = {phase:.3g} rad over the pulse, "
+                f"more than {MAX_PHASE:g} rad, beyond which rounding fails the convergence check",
+                line,
+            )
     return cfg
 
 
@@ -278,12 +348,12 @@ def cavity_cutoff(alpha_abs: float, n_max: Optional[int], line: Optional[int] = 
     return n_max
 
 
-def _sweep_fault(cfg: ScenarioConfig, axis: str, value: float) -> Optional[str]:
-    """Why the sweep point at ``value`` cannot be simulated, or None if it can."""
+def _sweep_fault(point: ScenarioConfig, axis: str, value: float) -> Optional[str]:
+    """Why the sweep point ``point``, at swept ``value``, cannot be simulated, or None if it can."""
     if axis != "lambda":
         return None if value > 0 else f"swept {axis} must be positive, got {value:g}"
-    try:  # the system the point simulates: SystemParams.from_lambda(g, value, omega_c)
-        cfg.system_params(lam_override=value)
+    try:
+        point.system_params()
     except ValueError as exc:  # lambda = 0, |lambda| >= 1, or g = 0
         return f"swept lambda={value:g} gives no dispersive system: {exc}"
     return None

@@ -102,9 +102,9 @@ class ConditionalDisplacement:
     phase_e: float
 
 
-def _alpha_branch(epsilon: complex, u: float, T: float) -> complex:
-    # -eps*(e^{iuT}-1)/u, written as -i eps* T e^{iuT/2} sinc(uT/2pi): exact at u=0
-    return -1j * np.conj(epsilon) * T * np.exp(0.5j * u * T) * np.sinc(u * T / (2.0 * np.pi))
+def _sinc_form(c: complex, y: float, t: float) -> complex:
+    # c (1 - e^{iyt}) / y, written as c (-i t) e^{iyt/2} sinc(yt/2pi): exact at y = 0
+    return c * (-1j * t) * np.exp(0.5j * y * t) * np.sinc(y * t / (2.0 * np.pi))
 
 
 def _x_minus_sin(x: float) -> float:
@@ -133,9 +133,10 @@ def alpha_ge(drive: DriveParams, params: SystemParams) -> tuple[complex, complex
     branch winds around a circle and returns to zero at u*T = 2 pi n.
     """
     delta = drive.detuning(params)
+    eps_conj = np.conj(drive.epsilon)  # alpha = eps* (1 - e^{iuT})/u at u = delta -/+ chi
     return (
-        _alpha_branch(drive.epsilon, delta - params.chi, drive.T),
-        _alpha_branch(drive.epsilon, delta + params.chi, drive.T),
+        _sinc_form(eps_conj, delta - params.chi, drive.T),
+        _sinc_form(eps_conj, delta + params.chi, drive.T),
     )
 
 
@@ -300,11 +301,6 @@ def excited_final_state_lab(
     return fix_global_phase(psi / np.linalg.norm(psi))
 
 
-def _eta_b_over(eta: complex, y: float, tau: float) -> complex:
-    # eta * (1 - e^{i y tau}) / y == eta * (-i tau) e^{i y tau / 2} sinc(y tau / 2pi)
-    return eta * (-1j * tau) * np.exp(0.5j * y * tau) * np.sinc(y * tau / (2.0 * np.pi))
-
-
 def qubit_drive_propagator(
     qd: QubitDriveParams, params: SystemParams, cutoff: FockCutoff
 ) -> np.ndarray:
@@ -321,7 +317,7 @@ def qubit_drive_propagator(
     nu = qd.nu(params)
     u = np.zeros((2 * n_max, 2 * n_max), dtype=complex)
     for k in range(n_max):
-        x = _eta_b_over(qd.eta, nu + 2.0 * params.chi * k, qd.tau)
+        x = _sinc_form(qd.eta, nu + 2.0 * params.chi * k, qd.tau)  # eta b(k, tau) / (nu + 2 chi k)
         ax = abs(x)
         c = math.cos(ax)
         s = math.sin(ax) / ax if ax > 0.0 else 1.0

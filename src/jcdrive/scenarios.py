@@ -2,13 +2,16 @@
 
 Each scenario drives the full lab-frame dynamics (no dispersive approximation)
 and compares against the closed-form dressed-coherent-state predictions.
-There are three kinds of point, each with one builder that returns its runs
-(Hamiltonian, initial state, time grid, drive): a cavity-drive fidelity
-point (fig2a-d, custom), the fig4 qubit-drive point and the readout point.
-``sim run`` scores every run of every point; ``sim check``
-(``convergence_probe``) builds the first point with the same builder and
-checks its first run.  The five sweep scenarios share one runner, driven by
-the swept quantity (``config.SWEEP_AXES``) and a table of CSV columns.
+A point is a ScenarioConfig (``ScenarioConfig.points()``: one per swept
+value, or the config itself for fig4 and readout).  There are three kinds
+of point, each with one builder that returns its runs (Hamiltonian,
+initial state, time grid, drive): a cavity-drive fidelity point (fig2a-d,
+custom), the fig4 qubit-drive point and the readout point; ``_POINTS``
+maps each scenario to its builder.  ``sim run`` scores every run of every
+point; ``sim check`` (``convergence_probe``) builds the first point through
+the same table and checks its first run.  The five sweep scenarios share
+one runner, driven by the swept quantity (``config.SWEEP_AXES``) and a
+table of CSV columns.
 
 The sweeps are embarrassingly parallel over points; every input a worker
 touches is immutable, so points may be dispatched to a process pool and are
@@ -22,7 +25,6 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -106,10 +108,10 @@ def dt_bound(params: SystemParams, cutoff: FockCutoff, eps_abs: float,
              eta_abs: float = 0.0) -> float:
     """Largest step satisfying dt * max|eig(H)| < 0.1, from a spectral-radius bound.
 
-    It is the default grid spacing of every scenario, and so sets the stored
-    times; no run is held to it, and a config dt replaces it.  The literal
-    midpoint oracle of the test suite takes its step from it, since that
-    stepper needs dt * max|eig(H)| small.
+    It is the grid step of every scenario point, and so sets fig4's stored
+    times; no run is held to it.  The literal midpoint oracle of the test
+    suite takes its step from it, since that stepper needs dt * max|eig(H)|
+    small.
     """
     n = cutoff.n_max
     rho = (
@@ -138,11 +140,6 @@ def _grid(duration: float, dt_cap: float) -> TimeGrid:
     return TimeGrid.for_duration(duration, dt_cap)
 
 
-def _cutoff_for(alpha_abs: float, override: Optional[int]) -> FockCutoff:
-    """The rule's cutoff for amplitude ``alpha_abs``, or the config n_max, refused below the rule."""
-    return FockCutoff(cavity_cutoff(alpha_abs, override))
-
-
 class Run(NamedTuple):
     """One lab-frame evolution of a point: integrate(ham, psi0, grid) under ``drive``."""
 
@@ -159,104 +156,93 @@ def _evolve(run: Run, check: bool) -> tuple[np.ndarray, Optional[ConvergenceRepo
 
 
 # ---------------------------------------------------------------------------
-# point builders, shared by sim run and sim check: each returns the system
-# parameters and the point's runs by label; convergence_probe checks the first
+# point builders, shared by sim run and sim check through _POINTS: each takes
+# a point and returns its system parameters and its runs by label;
+# convergence_probe checks the first run of the first point
 
-def _cavity_point(config: ScenarioConfig, lam: float, eps_abs: float, alpha_sq: float):
+def _excited_start(point: ScenarioConfig, params: SystemParams, cutoff: FockCutoff,
+                   default: str) -> np.ndarray:
+    """The excited-branch start, per ``point.initial`` or the scenario's ``default``.
+
+    ``dressed`` is the dressed |e> of the exact basis, ``bare`` the bare |e,0>.
+    """
+    if (point.initial or default) == "dressed":
+        return dressed_state("e", 0, dressed_basis(params, cutoff, "exact"))
+    return basis_state(cutoff, "e", 0)
+
+
+def _cavity_point(point: ScenarioConfig):
     """Runs of one fidelity point: the ground branch, then the excited branch.
 
     Ground branch: start |g,0>, drive at omega_c - chi.  Excited branch: start
     from the dressed (or bare, per config) excited state, drive at
-    omega_c + chi.  At these branch resonances |alpha(T)| = |eps| T, so the
-    pulse length for a target amplitude is simply T = |alpha| / |eps|.
+    omega_c + chi.  Both last ``point.pulse_length()``, |alpha| / |eps|.
     """
-    params = config.system_params()
-    if lam != params.lam:  # a swept lambda is the simulated one, even with omega_q given
-        params = config.system_params(lam_override=lam)
-    alpha_abs = math.sqrt(alpha_sq)
-    T = alpha_abs / eps_abs
-    epsilon = eps_abs * np.exp(1j * np.angle(complex(config.epsilon))) if config.epsilon else eps_abs
-    cutoff = _cutoff_for(alpha_abs, config.n_max)
-    dt_cap = config.dt or dt_bound(params, cutoff, eps_abs)
-    grid = _grid(T, dt_cap)
-    if (config.initial or "dressed") == "dressed":
-        psi0_e = dressed_state("e", 0, dressed_basis(params, cutoff, "exact"))
-    else:
-        psi0_e = basis_state(cutoff, "e", 0)
+    params = point.system_params()
+    eps = complex(point.epsilon)
+    T = point.pulse_length()
+    cutoff = FockCutoff(cavity_cutoff(point.drive_amplitude(), point.n_max))
+    grid = _grid(T, dt_bound(params, cutoff, abs(eps)))
+    epsilon = abs(eps) * np.exp(1j * np.angle(eps))  # polar, as points() sets a swept |eps|
     runs = {}
     for branch, omega_d, psi0 in (
         ("g", params.omega_c - params.chi, basis_state(cutoff, "g", 0)),
-        ("e", params.omega_c + params.chi, psi0_e),
+        ("e", params.omega_c + params.chi, _excited_start(point, params, cutoff, "dressed")),
     ):
         drive = DriveParams(epsilon, omega_d, T)
-        ham = lab_drive_hamiltonian(params, drive, cutoff, config.drive_form)
+        ham = lab_drive_hamiltonian(params, drive, cutoff, point.drive_form)
         runs[branch] = Run(ham, psi0, grid, drive)
     return params, runs
 
 
-def _point_args(config: ScenarioConfig, value: float) -> tuple[float, float, float]:
-    """(lam, eps_abs, alpha_sq) of the sweep point whose swept quantity is ``value``."""
-    args = {
-        "lambda": config.system_params().lam,
-        "epsilon_abs": abs(complex(config.epsilon)),
-        "alpha_sq": config.alpha_sq,
-        config.sweep_axis: value,
-    }
-    return args["lambda"], args["epsilon_abs"], args["alpha_sq"]
-
-
-def _eta_abs(config: ScenarioConfig, params: SystemParams) -> float:
-    return config.eta_abs if config.eta_abs is not None else 0.05 * params.omega_q
-
-
-def _qubit_drive_point(config: ScenarioConfig):
+def _qubit_drive_point(point: ScenarioConfig):
     """fig4's runs: the dressed coherent state with beta real, then imaginary.
 
     The initial cavity+qubit state is the dressed coherent state itself (the
     exact-basis construction), which pins the phase of beta exactly; the
     qubit drive then runs for one full period of its strength.
     """
-    params = config.system_params()
-    beta_abs = math.sqrt(config.alpha_sq)
-    eta_abs = _eta_abs(config, params)
+    params = point.system_params()
+    beta_abs = point.drive_amplitude()
+    eta_abs = point.qubit_drive_strength()
     omega = (
-        config.omega_drive
-        if config.omega_drive is not None
-        else params.omega_q + params.chi * (2.0 * config.alpha_sq + 2.0)
+        point.omega_drive
+        if point.omega_drive is not None
+        else params.omega_q + params.chi * (2.0 * point.alpha_sq + 2.0)
     )
-    tau_max = 2.0 * math.pi / eta_abs
-    cutoff = _cutoff_for(beta_abs, config.n_max)
+    tau_max = point.pulse_length()
+    cutoff = FockCutoff(cavity_cutoff(beta_abs, point.n_max))
     basis = dressed_basis(params, cutoff, "exact")
-    drive = QubitDriveParams(eta_abs * np.exp(1j * config.eta_phase), omega, tau_max)
+    drive = QubitDriveParams(eta_abs * np.exp(1j * point.eta_phase), omega, tau_max)
     ham = qubit_drive_lab_hamiltonian(params, drive, cutoff)
-    dt_cap = config.dt or dt_bound(params, cutoff, 0.0, eta_abs=eta_abs)
-    grid = _grid(tau_max, dt_cap)
+    grid = _grid(tau_max, dt_bound(params, cutoff, 0.0, eta_abs=eta_abs))
     return params, {
         label: Run(ham, dressed_coherent_state("g", beta, basis), grid, drive)
         for label, beta in (("real", beta_abs + 0j), ("imag", 1j * beta_abs))
     }
 
 
-def _readout_point(config: ScenarioConfig):
+def _readout_point(point: ScenarioConfig):
     """Readout runs: drive at omega_c - chi for T = pi/|chi| from |g,0>, then from |e>.
 
-    The excited start is the bare |e,0> unless config.initial says dressed.
+    The excited start is the bare |e,0> unless point.initial says dressed.
     """
-    params = config.system_params()
-    eps = complex(config.epsilon)
-    drive = DriveParams(eps, params.omega_c - params.chi, math.pi / abs(params.chi))
-    cutoff = _cutoff_for(abs(eps) * drive.T, config.n_max)  # the on-resonance |alpha_g|
-    dt_cap = config.dt or dt_bound(params, cutoff, abs(eps))
-    grid = _grid(drive.T, dt_cap)
-    ham = lab_drive_hamiltonian(params, drive, cutoff, config.drive_form)
-    if (config.initial or "bare") == "bare":
-        psi0_e = basis_state(cutoff, "e", 0)
-    else:
-        psi0_e = dressed_state("e", 0, dressed_basis(params, cutoff, "exact"))
+    params = point.system_params()
+    eps = complex(point.epsilon)
+    drive = DriveParams(eps, params.omega_c - params.chi, point.pulse_length())
+    cutoff = FockCutoff(cavity_cutoff(point.drive_amplitude(), point.n_max))
+    grid = _grid(drive.T, dt_bound(params, cutoff, abs(eps)))
+    ham = lab_drive_hamiltonian(params, drive, cutoff, point.drive_form)
     return params, {
         "g": Run(ham, basis_state(cutoff, "g", 0), grid, drive),
-        "e": Run(ham, psi0_e, grid, drive),
+        "e": Run(ham, _excited_start(point, params, cutoff, "bare"), grid, drive),
     }
+
+
+_POINTS = {
+    "fig4": _qubit_drive_point, "readout": _readout_point,
+    **dict.fromkeys(SWEEP_AXES, _cavity_point),
+}
 
 
 def convergence_probe(config: ScenarioConfig):
@@ -266,27 +252,22 @@ def convergence_probe(config: ScenarioConfig):
     the |g,0> start for the cavity-drive scenarios and readout, and real beta
     for fig4.
     """
-    if config.scenario == "fig4":
-        _, runs = _qubit_drive_point(config)
-    elif config.scenario == "readout":
-        _, runs = _readout_point(config)
-    else:
-        _, runs = _cavity_point(config, *_point_args(config, config.sweep_grid()[0]))
+    _, runs = _POINTS[config.scenario](config.points()[0])
     return _evolve(next(iter(runs.values())), check=True)[1]
 
 
 # ---------------------------------------------------------------------------
 # runners
 
-def _fidelity_point(config: ScenarioConfig, lam: float, eps_abs: float, alpha_sq: float) -> dict:
-    """Drive both qubit branches to the target photon number and score the overlaps."""
+def _fidelity_point(point: ScenarioConfig) -> dict:
+    """Drive both qubit branches of a cavity-drive point to its target and score the overlaps."""
     t_start = time.perf_counter()
-    params, runs = _cavity_point(config, lam, eps_abs, alpha_sq)
-    basis = dressed_basis(params, runs["g"].ham.cutoff, config.basis)
-    out: dict = {"alpha_sq": alpha_sq, "lambda": lam, "epsilon_abs": eps_abs, "converged": True}
+    params, runs = _POINTS[point.scenario](point)
+    basis = dressed_basis(params, runs["g"].ham.cutoff, point.basis)
+    out: dict = {"converged": True}
     for branch, run in runs.items():
-        psi, report = _evolve(run, config.check_convergence)
-        target = lab_amplitudes(run.drive, params, config.phase_correction)["ge".index(branch)]
+        psi, report = _evolve(run, point.check_convergence)
+        target = lab_amplitudes(run.drive, params, point.phase_correction)["ge".index(branch)]
         f_d, f_b, gap = metrics.dressed_vs_bare_gap(psi, target, branch, basis)
         out[f"F_D_{branch}"] = f_d
         out[f"one_minus_F_D_{branch}"] = 1.0 - f_d
@@ -299,10 +280,6 @@ def _fidelity_point(config: ScenarioConfig, lam: float, eps_abs: float, alpha_sq
             out["converged"] &= report.passed
     out["wall_time_s"] = time.perf_counter() - t_start
     return out
-
-
-def _sweep_point(config: ScenarioConfig, value: float) -> dict:
-    return _fidelity_point(config, *_point_args(config, value))
 
 
 def _map_points(fn, items: Sequence, workers: int) -> list:
@@ -343,19 +320,19 @@ _SWEEP_COLUMNS["custom"] = _SWEEP_COLUMNS["fig2a"]
 def _run_sweep(config: ScenarioConfig) -> ScenarioResult:
     """One row per swept value; the metadata names alpha_sq where it is held fixed."""
     axis = config.sweep_axis
-    points = _map_points(partial(_sweep_point, config), config.sweep_grid(), config.workers)
-    columns = (axis, *_SWEEP_COLUMNS[config.scenario], "converged", "wall_time_s")
-    rows = tuple(tuple(p[c] for c in columns) for p in points)
+    scored = _map_points(_fidelity_point, config.points(), config.workers)
+    columns = (*_SWEEP_COLUMNS[config.scenario], "converged", "wall_time_s")
+    rows = tuple((v, *(p[c] for c in columns)) for v, p in zip(config.sweep_grid(), scored))
     extra = {} if axis == "alpha_sq" else {"alpha_sq": f"{config.alpha_sq:g}"}
     return ScenarioResult(
-        config.scenario, columns, rows, _meta(config, config.system_params(), **extra)
+        config.scenario, (axis, *columns), rows, _meta(config, config.system_params(), **extra)
     )
 
 
 def _run_fig4(config: ScenarioConfig) -> ScenarioResult:
     """Excited-state probability vs time for beta purely real vs purely imaginary."""
     t_start = time.perf_counter()
-    params, runs = _qubit_drive_point(config)
+    params, runs = _POINTS[config.scenario](config)
     real = runs["real"]
     store_every = max(1, real.grid.steps // config.time_points)
     trajs = {label: integrate(run.ham, run.psi0, run.grid, store_every=store_every)
@@ -371,7 +348,7 @@ def _run_fig4(config: ScenarioConfig) -> ScenarioResult:
     )
     meta = _meta(
         config, params,
-        beta_sq=f"{config.alpha_sq:g}", eta_abs=f"{_eta_abs(config, params):g}",
+        beta_sq=f"{config.alpha_sq:g}", eta_abs=f"{config.qubit_drive_strength():g}",
         omega_drive=f"{real.drive.omega:g}",
         max_abs_diff=f"{float(np.max(np.abs(pe_r - pe_i))):.6f}",
         wall_time_s=f"{time.perf_counter() - t_start:.3f}",
@@ -392,7 +369,7 @@ def _run_readout(config: ScenarioConfig) -> ScenarioResult:
     the ~lam^2 dressing background.)
     """
     t_start = time.perf_counter()
-    params, runs = _readout_point(config)
+    params, runs = _POINTS[config.scenario](config)
     evolved = [_evolve(run, config.check_convergence) for run in runs.values()]
     n_g, n_e = (metrics.photon_number(psi) for psi, _ in evolved)
     drive = runs["g"].drive

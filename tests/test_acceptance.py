@@ -55,9 +55,10 @@ def point_runner():
         key = (lam, eps, a2, n_max, correction, convergence)
         if key not in cache:
             cfg = ScenarioConfig(
-                n_max=n_max, phase_correction=correction, check_convergence=convergence
+                lam=lam, epsilon=eps, alpha_sq=a2, n_max=n_max,
+                phase_correction=correction, check_convergence=convergence,
             )
-            cache[key] = _fidelity_point(cfg, lam, eps, a2)
+            cache[key] = _fidelity_point(cfg)
         return cache[key]
 
     return run

@@ -1,5 +1,6 @@
 """Config parsing, CSV emission, and the sim command line."""
 
+import cmath
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from jcdrive.cli import main
-from jcdrive.config import ConfigError, parse_config
+from jcdrive.config import ConfigError, ScenarioConfig, parse_config
 from jcdrive.scenarios import ScenarioResult, emit_csv, run_scenario
 
 
@@ -66,6 +67,44 @@ class TestParseConfig:
     def test_linear_sweep(self):
         cfg = parse_config("sweep_start=1\nsweep_stop=3\nsweep_points=3\n")
         assert cfg.sweep_grid() == (1.0, 2.0, 3.0)
+
+
+class TestPoints:
+    """ScenarioConfig.points(): one config per swept value, the swept quantity replaced."""
+
+    def test_alpha_sq_replaced(self):
+        cfg = parse_config("scenario=fig2b\nsweep_values=1,9\nepsilon=0.03+0.04j\n")
+        points = cfg.points()
+        assert [p.alpha_sq for p in points] == [1.0, 9.0]
+        assert all(p.epsilon == cfg.epsilon and p.lam == cfg.lam for p in points)
+        assert [p.drive_amplitude() for p in points] == [1.0, 3.0]
+
+    def test_swept_lambda_drops_omega_q(self):
+        cfg = parse_config("scenario=fig2c\nomega_q=105\nsweep_values=0.1,0.2\n")
+        assert cfg.system_params().lam == pytest.approx(0.2)
+        points = cfg.points()
+        assert [(p.lam, p.omega_q) for p in points] == [(0.1, None), (0.2, None)]
+        assert points[0].system_params().omega_q == 110.0
+
+    @pytest.mark.parametrize("epsilon, phase", [("0.03+0.04j", cmath.phase(0.03 + 0.04j)),
+                                                 ("-0.05", cmath.pi), ("0", 0.0)])
+    def test_swept_epsilon_keeps_its_phase(self, epsilon, phase):
+        cfg = parse_config(f"scenario=fig2d\nepsilon={epsilon}\nsweep_values=0.02,0.1\n")
+        points = cfg.points()
+        assert [abs(p.epsilon) for p in points] == pytest.approx([0.02, 0.1], rel=1e-15)
+        assert all(cmath.phase(p.epsilon) == pytest.approx(phase) for p in points)
+        assert all(p.alpha_sq == cfg.alpha_sq for p in points)
+
+    @pytest.mark.parametrize("scenario", ["fig4", "readout"])
+    def test_one_point_scenarios(self, scenario):
+        cfg = parse_config(f"scenario={scenario}\n")
+        assert cfg.points() == (cfg,)
+
+    def test_drive_amplitude(self):
+        assert ScenarioConfig(scenario="fig4", alpha_sq=4.0).drive_amplitude() == 2.0
+        # readout: |alpha_g| = |epsilon| pi/|chi|, chi = 0.1
+        readout = ScenarioConfig(scenario="readout", epsilon=0.05j)
+        assert readout.drive_amplitude() == pytest.approx(0.05 * np.pi / 0.1)
 
 
 class TestConfigFaults:
@@ -159,6 +198,8 @@ class TestConfigFaults:
          "swept lambda=1.5"),
         ("scenario=fig2c\nsweep_start=-1\nsweep_stop=0.1\nsweep_points=3\n", 2,
          "swept lambda=-1"),
+        # the default lambda grid: g = 0 makes every point resonant
+        ("scenario=fig2c\ng=0\nomega_q=110\n", 2, "swept lambda=0.05"),
     ])
     def test_no_dispersive_system(self, tmp_path, capsys, text, line, key):
         code, err = self._run(tmp_path, capsys, text)
@@ -192,6 +233,31 @@ class TestConfigFaults:
         assert "config error: pulse length" in err and "at dt =" in err and "2**53" in err
         code, err = self._run(tmp_path, capsys, text)
         assert code == 1 and "pulse length" in err
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize("text, line, key", [
+        # |Delta| T = 1e12 * 20 = 2e13 rad: run anyway, this point's
+        # doubled-cutoff F is 0.99995, and sim check exits 2
+        ("scenario=fig2b\nsweep_values=1\nlambda=1e-12\n", 3, "lambda"),
+        ("scenario=readout\nlambda=1e-6\n", 2, "lambda"),
+        ("scenario=fig4\neta_abs=1.1\nomega_q=1e12\n", 3, "omega_q"),
+        ("scenario=fig2c\nsweep_values=0.1,1e-12\n", 2, "swept lambda=1e-12"),
+    ])
+    def test_detuning_phase_beyond_the_precision(self, tmp_path, capsys, command, text, line,
+                                                 key):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: line {line}: {key} gives a detuning phase")
+
+    def test_fig4_at_tiny_lambda_still_runs(self, tmp_path, capsys):
+        # tau = 2 pi/eta, eta = 0.05 omega_q, shrinks with omega_q: |Delta| tau
+        # stays near 126 rad, and the run converges
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("scenario=fig4\nlambda=1e-12\n")
+        assert main(["check", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.startswith("fig4: converged: ")
 
     def test_zero_beta_sq_accepted_by_fig4(self):
         # fig4's drive length is set by eta, not by the amplitude
@@ -410,29 +476,6 @@ class TestCli:
         assert code == 0
         assert "# scenario=readout" in (tmp_path / "r.csv").read_text().splitlines()[0]
 
-    def _physics_columns(self, tmp_path, text, label):
-        """The CSV rows of ``sim run`` on ``text`` without their wall_time_s cells."""
-        cfg = self._write(tmp_path, text)
-        out = tmp_path / f"{label}.csv"
-        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        drop = lines[1].split(",").index("wall_time_s")
-        return [line.split(",")[:drop] for line in lines[2:]]
-
-    def test_coarse_dt_accepted_on_exact_runs(self, tmp_path, capsys):
-        # dt = 0.01 is ~190 times dt_bound, but the run is exact, so dt
-        # only sets the stored times
-        text = "scenario=fig2b\nsweep_values=1\n"
-        default = self._physics_columns(tmp_path, text, "default")
-        assert self._physics_columns(tmp_path, text + "dt=0.01\n", "coarse") == default
-
-    def test_coarse_dt_accepted_on_periodic_runs(self, tmp_path, capsys):
-        # the periodic path takes its steps per period from the frame, so
-        # dt = 0.001, ~20 times dt_bound, only moves the stored times
-        text = FAST_SCENARIO + "drive_form=cosine\n"
-        default = self._physics_columns(tmp_path, text, "default")
-        assert self._physics_columns(tmp_path, text + "dt=0.001\n", "coarse") == default
-
     @pytest.mark.parametrize("scenario", list(SCHEMAS))
     def test_check_subcommand(self, tmp_path, capsys, scenario):
         cfg = self._write(tmp_path, f"scenario={scenario}\n")
@@ -441,6 +484,34 @@ class TestCli:
         assert out.startswith(f"{scenario}: converged: ")
         # every default drive declares its rotating frame, so every run is exact
         assert "dt: exact" in out and "dt/2" not in out
+
+    def test_check_integrates_the_first_run_of_run(self, tmp_path, monkeypatch):
+        # a fig2c sweep with omega_q given: its first point simulates the
+        # swept lambda = 0.1, not the lambda = 0.2 that omega_q implies
+        import jcdrive.scenarios as scenarios
+
+        real = scenarios.integrate
+        cfg = self._write(tmp_path, "scenario=fig2c\nomega_q=105\nsweep_values=0.1,0.2\n"
+                                    "alpha_sq=1\ncheck_convergence=off\n")
+        first = {}
+        for command in ("run", "check"):
+            calls = []
+
+            def record(ham, psi0, grid, **kwargs):
+                calls.append((ham, psi0, grid))
+                return real(ham, psi0, grid, **kwargs)
+
+            monkeypatch.setattr(scenarios, "integrate", record)
+            out = ["--out", str(tmp_path / "o.csv")] if command == "run" else []
+            assert main([command, "--config", cfg, *out]) == 0
+            first[command] = calls[0]
+        (ham_r, psi_r, grid_r), (ham_c, psi_c, grid_c) = first["run"], first["check"]
+        # the ground branch drives at omega_c - chi, chi = g lambda = 0.1
+        assert ham_r.omega == ham_c.omega == pytest.approx(100.0 - 0.1)
+        assert np.array_equal(ham_r.static_part, ham_c.static_part)
+        assert np.array_equal(ham_r.drive, ham_c.drive)
+        assert np.array_equal(psi_r, psi_c)
+        assert grid_r == grid_c
 
     def test_installed_entry_point(self, tmp_path):
         cfg = self._write(tmp_path, "scenario=fig9\n")

@@ -29,8 +29,7 @@ def _choice(*values):
 # its parser or the dispersive-regime checks refuse.  Valid values can still
 # combine into a refused config (omega_q against lambda, an incomplete
 # linear sweep, a zero alpha_sq where the pulse length derives from it).
-# dt only sets the stored times, on either propagation path, so any positive
-# value runs.  An n_max below the truncation rule at the largest amplitude the
+# An n_max below the truncation rule at the largest amplitude the
 # scenario drives to is a config error on the n_max line.
 _KEYS = {
     "scenario": _choice(*SCENARIOS),
@@ -55,7 +54,6 @@ _KEYS = {
     "eta_phase": _number(-7.0, 7.0),
     "omega_drive": _number(100.0, 120.0),
     "time_points": _choice("2", "50"),
-    "dt": _number(1e-5, 0.1, "0", "-1"),
     "n_max": (st.sampled_from(("24", "30")), ("3", "1", "2.5", "ten", "")),
     "workers": _choice("1"),
     "check_convergence": _choice("on", "off"),
@@ -87,7 +85,6 @@ def config_texts(draw):
 @given(config_texts())
 @example("scenario=custom\ndrive_form=cosine\nsweep_values=0.3\n")  # periodic path
 @example("scenario=readout\ndrive_form=cosine\nlambda=0.25\n")      # periodic path, big chi
-@example("scenario=custom\ndrive_form=cosine\nsweep_values=0.3\ndt=0.01\n")  # coarse dt, periodic
 @example("scenario=fig2c\nsweep_values=0.2,1\n")                     # swept lambda >= 1
 @example("scenario=readout\nomega_q=90\n")                            # chi < 0
 @example("scenario=readout\ng=0\nomega_q=110\n")                      # chi = 0

@@ -26,8 +26,7 @@ from jcdrive.metrics import excited_probability
 from jcdrive.propagators import (
     DriveParams,
     QubitDriveParams,
-    _alpha_branch,
-    _eta_b_over,
+    _sinc_form,
     _x_minus_sin,
     alpha_ge,
     cavity_drive_propagator,
@@ -127,13 +126,13 @@ class TestRemovableSingularities:
     def test_alpha_branch(self):
         # -eps (e^{iuT} - 1)/u = -i eps* T phi1(uT)
         eps, T = 0.3 - 0.4j, 0.9
-        self.assert_close(lambda u: _alpha_branch(eps, u, T),
+        self.assert_close(lambda u: _sinc_form(np.conj(eps), u, T),
                           lambda u: -1j * np.conj(eps) * T * _phi1(u * T))
 
     def test_eta_b_over(self):
         # eta (1 - e^{iy tau})/y = -i eta tau phi1(y tau)
         eta, tau = 0.7 + 0.2j, 1.1
-        self.assert_close(lambda y: _eta_b_over(eta, y, tau),
+        self.assert_close(lambda y: _sinc_form(eta, y, tau),
                           lambda y: -1j * eta * tau * _phi1(y * tau))
 
 
