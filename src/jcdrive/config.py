@@ -38,8 +38,9 @@ _DEFAULT_GRIDS = {
 }
 # The largest phase |Delta| T the detuning may turn through over one pulse.
 # Scanned with sim check on fig2b and fig4, with |Delta| from 1e3 to 1e12
-# and T from 1e9 down to 6, the doubled-cutoff 1 - F follows the product:
-# at most 8e-11 at 2e10 rad, up to 4.4e-9 at 2e11 rad, and past the 1e-8
+# and T from 1e9 down to 6, the 1 - F of a rerun at doubled cutoff (the
+# check's cutoff axis then, a test oracle since) follows the product: at
+# most 8e-11 at 2e10 rad, up to 4.4e-9 at 2e11 rad, and past the 1e-8
 # threshold (4e-8 to 2e-6) from 6.7e11 rad on.  At the default |Delta| = 10
 # even 1e12 rad (epsilon = 1e-11) leaves 1 - F at rounding level.
 MAX_PHASE = 1e10
@@ -235,6 +236,8 @@ def parse_config(text: str) -> ScenarioConfig:
     that gives no dispersive system), time_points < 2, an incomplete linear
     sweep, a zero drive or alpha_sq where the pulse length is derived from
     it, g = 0 in the readout scenario (whose pulse length is pi/|chi|),
+    omega_q <= 0 in fig4 without eta_abs (whose drive strength is
+    0.05 omega_q),
     a system outside the dispersive regime
     (omega_q = omega_c, g = 0 with omega_q derived, |lambda| >= 1),
     inconsistent derived quantities (an omega_q that contradicts the given
@@ -275,6 +278,14 @@ def parse_config(text: str) -> ScenarioConfig:
     except ValueError as exc:  # omega_q == omega_c (g = 0 derives it so), or |lambda| >= 1
         key = "omega_q" if cfg.omega_q is not None else "g" if cfg.g == 0 else "lambda"
         raise ConfigError(f"{key} gives no dispersive system: {exc}", seen.get(key)) from None
+    if cfg.scenario == "fig4" and cfg.eta_abs is None and not cfg.system_params().omega_q > 0:
+        # eta = 0.05 omega_q, and the pulse is one period 2 pi/eta of it
+        key = next(k for k in ("omega_q", "lambda", "omega_c", "g") if k in seen)
+        raise ConfigError(
+            f"omega_q={cfg.system_params().omega_q:g} must be positive for scenario=fig4 "
+            "without eta_abs: the qubit drive strength is 0.05 omega_q",
+            seen[key],
+        )
     if cfg.scenario == "readout" and cfg.g == 0:  # omega_q given: chi = 0, no readout time pi/|chi|
         raise ConfigError("g must be nonzero for scenario=readout: the pulse length is pi/|chi|",
                           seen["g"])

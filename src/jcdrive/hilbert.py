@@ -45,7 +45,6 @@ __all__ = [
     "basis_state",
     "poisson_amplitudes",
     "poisson_tail",
-    "edge_weight",
     "fix_global_phase",
     "is_hermitian",
     "is_unitary",
@@ -165,33 +164,58 @@ class ModeOperators(NamedTuple):
 
 
 def build_mode_operators(cutoff: FockCutoff) -> ModeOperators:
-    """Annihilation/creation/number and qubit operators on the composite space."""
+    """Annihilation/creation/number and qubit operators on the composite space.
+
+    Each is filled on its one diagonal, so the build is O(dim^2); the number
+    operator holds sqrt(n)^2, as a'a rounds it.
+    """
     n_max = cutoff.n_max
-    a_cav = np.diag(np.sqrt(np.arange(1.0, n_max)), 1)
-    eye_c = np.eye(n_max)
-    a = np.kron(np.eye(2), a_cav).astype(complex)
-    a_dag = a.conj().T
-    n_op = a_dag @ a
-    sz = np.kron(np.diag([1.0, -1.0]), eye_c).astype(complex)
-    sp = np.kron(np.array([[0.0, 0.0], [1.0, 0.0]]), eye_c).astype(complex)  # |e><g|
-    sm = sp.conj().T
-    return ModeOperators(a, a_dag, n_op, sz, sp, sm)
+    # <n-1|a|n> in each qubit block, and 0 where the superdiagonal crosses blocks
+    ladder = np.tile(np.append(_sqrt_levels(n_max), 0.0), 2)[:-1]
+    a = np.diag(ladder, 1).astype(complex)
+    n_op = np.diag(_number_diagonal(n_max)).astype(complex)
+    sz = np.diag(_sigma_z_diagonal(n_max)).astype(complex)
+    sp = np.diag(np.ones(n_max), -n_max).astype(complex)  # |e><g|
+    return ModeOperators(a, a.conj().T, n_op, sz, sp, sp.conj().T)
 
 
 def jc_hamiltonian(params: SystemParams, cutoff: FockCutoff) -> np.ndarray:
     """H = omega_c a'a - (omega_q/2) sigma_z + g (sigma^- a' + sigma^+ a).
 
     |g,0> is a dark state: an exact eigenvector with eigenvalue -omega_q/2.
-    Conserves the total excitation number a'a + (I - sigma_z)/2.
+    Conserves the total excitation number a'a + (I - sigma_z)/2.  Filled on
+    its diagonal and the two coupling diagonals, <g,n|H|e,n-1> = g sqrt(n).
     """
-    a, a_dag, n_op, sz, sp, sm = build_mode_operators(cutoff)
-    return params.omega_c * n_op - 0.5 * params.omega_q * sz + params.g * (sm @ a_dag + sp @ a)
+    n_max = cutoff.n_max
+    number, sz = _number_diagonal(n_max), _sigma_z_diagonal(n_max)
+    h = np.diag(params.omega_c * number - 0.5 * params.omega_q * sz).astype(complex)
+    n = np.arange(1, n_max)
+    h[n, n_max + n - 1] = h[n_max + n - 1, n] = params.g * _sqrt_levels(n_max)
+    return h
 
 
 def dispersive_hamiltonian(params: SystemParams, cutoff: FockCutoff) -> np.ndarray:
     """H_D = omega_c a'a - ((omega_q+chi)/2) sigma_z - chi sigma_z a'a (diagonal)."""
-    _, _, n_op, sz, _, _ = build_mode_operators(cutoff)
-    return params.omega_c * n_op - 0.5 * (params.omega_q + params.chi) * sz - params.chi * (sz @ n_op)
+    number, sz = _number_diagonal(cutoff.n_max), _sigma_z_diagonal(cutoff.n_max)
+    return np.diag(
+        params.omega_c * number - 0.5 * (params.omega_q + params.chi) * sz
+        - params.chi * (sz * number)
+    ).astype(complex)
+
+
+def _sqrt_levels(n_max: int) -> np.ndarray:
+    """sqrt(n) for n = 1..n_max-1: the elements <n-1|a|n> of the cavity ladder."""
+    return np.sqrt(np.arange(1.0, n_max))
+
+
+def _number_diagonal(n_max: int) -> np.ndarray:
+    """Diagonal of a'a on the composite space: sqrt(n)^2 on |g,n> and |e,n>."""
+    return np.tile(np.append(0.0, _sqrt_levels(n_max) ** 2), 2)
+
+
+def _sigma_z_diagonal(n_max: int) -> np.ndarray:
+    """Diagonal of sigma_z: +1 on the |g> block, -1 on the |e> block."""
+    return np.repeat([1.0, -1.0], n_max)
 
 
 def dispersive_unitary(params: SystemParams, cutoff: FockCutoff) -> np.ndarray:
@@ -199,8 +223,8 @@ def dispersive_unitary(params: SystemParams, cutoff: FockCutoff) -> np.ndarray:
 
     Acts as an exact rotation by lambda*sqrt(n) inside each doublet
     (|g,n>, |e,n-1>); |g,0> and the clipped top level |e, n_max-1> are left
-    alone.  Applying U_D^dag to a state with significant weight on the top
-    cavity level is unreliable; see edge_weight().
+    alone, so applying U_D^dag to a state with significant weight on the top
+    cavity level is unreliable.
     """
     a, a_dag, _, _, sp, sm = build_mode_operators(cutoff)
     return expm_generator(params.lam * (sp @ a - sm @ a_dag))
@@ -293,12 +317,6 @@ def coherent_state(beta: complex, cutoff: FockCutoff, qubit: str = "g") -> np.nd
     amps = poisson_amplitudes(beta, cutoff.n_max)
     psi[q * cutoff.n_max : (q + 1) * cutoff.n_max] = amps
     return psi / np.linalg.norm(psi)
-
-
-def edge_weight(psi: np.ndarray) -> float:
-    """Probability on the top retained Fock level (both qubit branches)."""
-    n_max = psi.shape[0] // 2
-    return float(abs(psi[n_max - 1]) ** 2 + abs(psi[2 * n_max - 1]) ** 2)
 
 
 def fix_global_phase(psi: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ import numpy as np  # noqa: E402
 import pytest
 from scipy.integrate import solve_ivp
 
+from jcdrive import dynamics
 from jcdrive.hilbert import FockCutoff, SystemParams
 
 
@@ -62,6 +63,33 @@ def midpoint_states(h_of_t, psi0, dt, steps):
             psi = vecs @ (np.exp(-1j * evals * dt) * (vecs.conj().T @ psi))
         states[i], done = psi, end
     return states
+
+
+def embed_state(psi, n_big):
+    """Zero-pad a composite state to a larger cavity truncation."""
+    n_max = psi.shape[0] // 2
+    if n_big < n_max:
+        raise ValueError("target truncation smaller than source")
+    out = np.zeros(2 * n_big, dtype=complex)
+    out[:n_max] = psi[:n_max]
+    out[n_big : n_big + n_max] = psi[n_max:]
+    return out
+
+
+def doubled_cutoff_infidelity(ham, psi0, grid, final):
+    """Doubled-cutoff oracle: 1 - F between ``final`` and the run redone at 2 n_max.
+
+    ``final`` is the state integrate(ham, psi0, grid) ended in.  The rerun
+    starts from psi0 zero-padded to 2 n_max, through ham.remake, and a
+    periodic run keeps the frame rule's m of the run, so that the two
+    differ by truncation alone.  It estimates the truncation error and does
+    not bound it; convergence_check's Duhamel bound must not fall below it.
+    """
+    big = 2 * ham.cutoff.n_max
+    m = None if ham.exact else dynamics._steps_per_period(ham)
+    rerun = dynamics.integrate(ham.remake(FockCutoff(big)), embed_state(psi0, big), grid,
+                               store_every=grid.steps, steps_per_period=m).final
+    return 1.0 - fid(embed_state(final, big), rerun)
 
 
 def _schroedinger_rhs(h_of_t):

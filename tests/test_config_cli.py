@@ -213,6 +213,24 @@ class TestConfigFaults:
         assert code == 1
         assert "line 2:" in err and "g must be nonzero" in err
 
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize("text, line", [
+        ("scenario=fig4\nomega_q=0\n", 2),
+        ("scenario=fig4\n# below the cavity\nomega_q=-50\n", 3),
+        ("lambda=-0.005\nscenario=fig4\n", 1),       # omega_q = 100 - 200
+    ])
+    def test_fig4_qubit_drive_without_positive_omega_q(self, tmp_path, capsys, command, text,
+                                                        line):
+        # without eta_abs the qubit drive strength is 0.05 omega_q, and the
+        # pulse one period of it: a config error, not a division by zero
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: line {line}: omega_q=")
+        assert "must be positive for scenario=fig4 without eta_abs" in err
+        assert parse_config(text + "eta_abs=1.1\n").eta_abs == 1.1
+
     @pytest.mark.parametrize("value", ["1", "-3"])
     def test_too_few_time_points(self, tmp_path, capsys, value):
         code, err = self._run(tmp_path, capsys, f"scenario=fig4\n\ntime_points={value}\n")
@@ -236,8 +254,8 @@ class TestConfigFaults:
 
     @pytest.mark.parametrize("command", ["run", "check"])
     @pytest.mark.parametrize("text, line, key", [
-        # |Delta| T = 1e12 * 20 = 2e13 rad: run anyway, this point's
-        # doubled-cutoff F is 0.99995, and sim check exits 2
+        # |Delta| T = 1e12 * 20 = 2e13 rad: run anyway, this point's F
+        # against the doubled-cutoff oracle is 0.99995
         ("scenario=fig2b\nsweep_values=1\nlambda=1e-12\n", 3, "lambda"),
         ("scenario=readout\nlambda=1e-6\n", 2, "lambda"),
         ("scenario=fig4\neta_abs=1.1\nomega_q=1e12\n", 3, "omega_q"),

@@ -16,7 +16,6 @@ from jcdrive.dynamics import (
     _step_phases,
     _taylor_order,
     convergence_check,
-    embed_state,
     excitation_charge,
     hamiltonian_at,
     integrate,
@@ -33,11 +32,21 @@ from jcdrive.hilbert import (
     dispersive_unitary,
     expm_antihermitian,
     jc_hamiltonian,
+    required_cutoff,
 )
 from jcdrive.propagators import DriveParams, QubitDriveParams, alpha_ge
+from jcdrive import scenarios
+from jcdrive.config import parse_config
 from jcdrive.scenarios import dt_bound
 
-from conftest import fid, midpoint_states, ode_final, ode_states
+from conftest import (
+    doubled_cutoff_infidelity,
+    embed_state,
+    fid,
+    midpoint_states,
+    ode_final,
+    ode_states,
+)
 
 
 def static_hamiltonian(params, cutoff):
@@ -536,9 +545,10 @@ class TestStepPhases:
 
     DT = 2.0**-6
 
-    def _check(self, freq, steps, stride, dt=DT, atol=1e-13):
-        expected = np.exp(-1j * np.outer(np.asarray(steps) * dt, freq))
-        got = _step_phases(freq, np.asarray(steps), dt, stride)
+    def _check(self, freq, count, stride, last, dt=DT, atol=1e-13, coef=1.0):
+        steps = np.append(np.arange(1, count + 1) * stride, last)
+        expected = coef * np.exp(-1j * np.outer(steps * dt, freq))
+        got = _step_phases(freq, dt, stride, count, last, coef)
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= atol
 
@@ -548,54 +558,54 @@ class TestStepPhases:
         f *= max_phase / (n_max * self.DT) / np.max(np.abs(f))
         return np.round(f * 2.0**24) / 2.0**24 if dyadic else f
 
-    def _fig4_ends(self, stride=55, snapshots=4057, tail=17):
-        # what integrate asks for on a fig4 run: the stored steps after 0,
-        # stride, 2 stride, ..., then the final step, off the stride
-        total = stride * (snapshots - 2) + tail
-        return np.append(np.arange(stride, total, stride), total), total
+    # what integrate asks for on a fig4 run: the stored steps after 0,
+    # stride, 2 stride, ..., 4055 stride, then the final step, off the stride
+    FIG4 = dict(count=4055, stride=55, last=55 * 4055 + 17)
 
     def test_fig4_shape(self):
-        ends, total = self._fig4_ends()
-        self._check(self._freq(3e3, total), ends, 55)
+        self._check(self._freq(3e3, self.FIG4["last"]), **self.FIG4)
 
-    def test_segment_starting_off_the_stride(self):
-        stride, k0, k1 = 55, 1234, 55 * 400 + 3
-        stored = np.arange(stride, k1, stride)
-        ends = np.append(stored[stored > k0], k1) - k0
-        assert ends[0] % stride != 0
-        self._check(self._freq(2e3, k1 - k0, seed=1), ends, stride)
+    def test_coefficients_fold_into_every_row(self):
+        rng = np.random.default_rng(4)
+        coef = rng.normal(size=78) + 1j * rng.normal(size=78)
+        freq = self._freq(3e3, self.FIG4["last"])
+        self._check(freq, **self.FIG4, atol=1e-13 * np.max(np.abs(coef)), coef=coef)
 
-    @pytest.mark.parametrize("steps", [[0], [7], [123456]])
-    def test_single_entry(self, steps):
-        self._check(self._freq(50.0, max(steps[0], 1), size=5, seed=2), steps, 1)
+    def test_final_entry_before_the_lattice_end_is_refused(self):
+        # the rows are the lattice stride * (1..count) and then the final
+        # entry: a final entry inside the lattice has no row order to follow
+        freq = self._freq(1.0, 1, size=4)
+        with pytest.raises(ValueError, match="precedes the lattice end"):
+            _step_phases(freq, self.DT, 55, 400, 55 * 400 - 1)
+        self._check(freq, 400, 55, 55 * 400)  # on the end itself is allowed
+
+    @pytest.mark.parametrize("last", [0, 7, 123456])
+    def test_single_entry(self, last):
+        self._check(self._freq(50.0, max(last, 1), size=5, seed=2), 0, 1, last)
 
     def test_zero_steps_give_ones(self):
-        got = _step_phases(self._freq(1.0, 1, size=4), np.array([0, 0]), 0.1, 3)
-        assert np.array_equal(got, np.ones((2, 4), dtype=complex))
+        got = _step_phases(self._freq(1.0, 1, size=4), 0.1, 3, 0, 0)
+        assert np.array_equal(got, np.ones((1, 4), dtype=complex))
 
     @pytest.mark.parametrize("stride", [1, 9])
     def test_phases_up_to_1e4_rad(self, stride):
-        ends = np.arange(0, 2000 * stride + 1, stride)
-        freq = self._freq(1e4, ends[-1], size=40, seed=3)
-        assert np.max(np.abs(np.outer(ends * self.DT, freq))) == pytest.approx(1e4, rel=1e-3)
-        self._check(freq, ends, stride)
+        count = 2000
+        freq = self._freq(1e4, count * stride, size=40, seed=3)
+        assert np.max(np.abs(freq)) * count * stride * self.DT == pytest.approx(1e4, rel=1e-3)
+        self._check(freq, count - 1, stride, count * stride)
 
     def test_general_frequencies_round_like_np_exp(self):
-        ends, total = self._fig4_ends()
-        freq = self._freq(1e4, total, dyadic=False)
-        self._check(freq, ends, 55, dt=0.0137, atol=8 * 2.0**-53 * 1e4)
+        freq = self._freq(1e4, self.FIG4["last"], dyadic=False)
+        self._check(freq, **self.FIG4, dt=0.0137, atol=8 * 2.0**-53 * 1e4)
 
     def test_tables_stay_small(self, monkeypatch):
-        # about 2 sqrt(len) table rows of np.exp, not one per entry: a block
-        # that collapsed to the off-stride final entry's spacing would need
-        # thousands
-        ends, total = self._fig4_ends()
-        freq = self._freq(3e3, total)
+        # about 2 sqrt(len) table rows of np.exp, not one per entry
+        freq = self._freq(3e3, self.FIG4["last"])
         exp, rows = np.exp, []
         monkeypatch.setattr(np, "exp", lambda x: rows.append(x.shape[0]) or exp(x))
-        _step_phases(freq, ends, self.DT, 55)
+        _step_phases(freq, self.DT, **self.FIG4)
         monkeypatch.undo()
-        assert sum(rows) <= 2 * (math.isqrt(len(ends)) + 2)
+        assert sum(rows) <= 2 * (math.isqrt(self.FIG4["count"] + 1) + 2)
 
 
 class TestRwaVersusCosine:
@@ -652,6 +662,13 @@ def _checked(ham, psi0, grid):
     return convergence_check(ham, psi0, grid, integrate(ham, psi0, grid).final)
 
 
+def static_hamiltonian_with_remake(params, cutoff):
+    return TimeDependentHamiltonian(
+        static_part=jc_hamiltonian(params, cutoff), cutoff=cutoff,
+        remake=lambda c: static_hamiltonian_with_remake(params, c),
+    )
+
+
 def _cosine_two_level(cutoff):
     """0.01 sz + 0.25 cos(60 t)(a + a'): a periodic Hamiltonian with a remake recipe."""
     o = build_mode_operators(cutoff)
@@ -686,8 +703,17 @@ class TestConvergence:
         psi0 = basis_state(cut, "g", 0)
         report = _checked(ham, psi0, grid)
         assert report.passed, str(report)
-        # the check scores the state it is given, not a rerun of the run
-        assert convergence_check(ham, psi0, grid, psi0).fidelity_cutoff < 0.5
+
+    def test_scores_the_state_it_is_given(self, params):
+        # a periodic run's dt axis compares the given final state with the
+        # 2m rerun, so handing it the start, |<0|alpha>|^2 = e^-1 away from
+        # the end, fails it; the run is not integrated again
+        cut = FockCutoff(8)
+        drive = DriveParams(0.05, params.omega_c - params.chi, 1.0 / 0.05)
+        ham = lab_drive_hamiltonian(params, drive, cut, "cosine")
+        psi0 = basis_state(cut, "g", 0)
+        grid = TimeGrid.for_duration(drive.T, 0.05)
+        assert convergence_check(ham, psi0, grid, psi0).fidelity_dt < 0.5
 
     def test_grid_step_over_many_drive_periods(self):
         # 0.25 cos(60 t)(a + a'): each grid step of dt = 0.25 spans about
@@ -705,7 +731,7 @@ class TestConvergence:
 
     def test_cutoff_too_small_for_the_drive_fails(self, params):
         # alpha^2 = 9 needs n_max >= 37 by the truncation rule; at 12 the
-        # doubled-cutoff rerun tells the truncated run apart
+        # truncation bound tells the truncated run apart
         cut = FockCutoff(12)
         eps = 0.05
         drive = DriveParams(eps, params.omega_c - params.chi, 3.0 / eps)
@@ -728,7 +754,55 @@ class TestConvergence:
         assert not report.passed
         assert str(report).startswith("NOT converged")
 
+    def test_static_case_has_no_truncation_flux(self, params, cutoff12):
+        # H_0 alone from |g,0>, the dark state: nothing reaches level n_max - 1
+        report = _checked(static_hamiltonian_with_remake(params, cutoff12),
+                          basis_state(cutoff12, "g", 0), TimeGrid(0.0, 1.0, 0.01))
+        assert report.truncation_bound < 1e-12 and report.passed
+
     def test_embed_state(self):
         psi = np.array([1.0, 2.0, 3.0, 4.0]) / math.sqrt(30)
         out = embed_state(psi, 3)
         np.testing.assert_allclose(out, np.array([1.0, 2.0, 0.0, 3.0, 4.0, 0.0]) / math.sqrt(30))
+
+
+class TestTruncationBoundAgainstTheOracle:
+    """The Duhamel bound squared against the doubled-cutoff rerun's 1 - F.
+
+    The rerun estimates the truncation error, so it must not exceed the
+    bound.  At the exact-path points it reads 1e-13 to 1e-12, well above
+    its rounding floor; at the periodic point it is near that floor.
+    """
+
+    def _pin(self, run):
+        final = integrate(run.ham, run.psi0, run.grid, store_every=run.grid.steps).final
+        report = convergence_check(run.ham, run.psi0, run.grid, final)
+        oracle = doubled_cutoff_infidelity(run.ham, run.psi0, run.grid, final)
+        assert report.truncation_bound**2 >= oracle, (report.truncation_bound, oracle)
+        return report
+
+    def test_fig4_traces_config(self):
+        # bound 2.9e-5 (1 - F <= 8.5e-10) against the rerun's 1.8e-12
+        config = parse_config("scenario=fig4\nalpha_sq=9\neta_abs=1.1\ntime_points=4000\n")
+        _, runs = scenarios._POINTS["fig4"](config)
+        assert self._pin(runs["real"]).passed
+
+    def test_cosine_default_sweep_point(self):
+        # alpha^2 = 4, excited branch, on the periodic path: bound^2 5.8e-13
+        # against 7e-15; at these ~1300 periods the rerun's 1 - F has a
+        # rounding floor near 1e-13 (it reads negative on some branches)
+        config = parse_config("scenario=custom\ndrive_form=cosine\nsweep_values=4\n")
+        _, runs = scenarios._POINTS["custom"](config.points()[0])
+        assert not runs["e"].ham.exact
+        assert self._pin(runs["e"]).passed
+
+    @pytest.mark.parametrize("branch", ["g", "e"])
+    def test_n_max_at_the_truncation_rule(self, params, branch):
+        # alpha^2 = 4 at n_max = required_cutoff(2) = 26, the rule itself
+        cut = FockCutoff(required_cutoff(2.0))
+        omega_d = params.omega_c + (params.chi if branch == "e" else -params.chi)
+        drive = DriveParams(0.05, omega_d, 2.0 / 0.05)
+        ham = lab_drive_hamiltonian(params, drive, cut, "rwa")
+        run = scenarios.Run(ham, basis_state(cut, branch, 0), TimeGrid.for_duration(drive.T, 0.01),
+                            drive)
+        assert self._pin(run).passed

@@ -110,6 +110,50 @@ class TestModeOperators:
         np.testing.assert_allclose(ops.n_op, ops.a_dag @ ops.a)
 
 
+def kron_operators(n_max):
+    """The mode operators built as Kronecker products and dense products, entry by entry."""
+    a_cav = np.diag(np.sqrt(np.arange(1.0, n_max)), 1)
+    eye_c = np.eye(n_max)
+    a = np.kron(np.eye(2), a_cav).astype(complex)
+    a_dag = a.conj().T
+    sz = np.kron(np.diag([1.0, -1.0]), eye_c).astype(complex)
+    sp = np.kron(np.array([[0.0, 0.0], [1.0, 0.0]]), eye_c).astype(complex)  # |e><g|
+    return a, a_dag, a_dag @ a, sz, sp, sp.conj().T
+
+
+class TestDiagonalBuild:
+    """The operators and Hamiltonians, filled on their diagonals, against the kron build.
+
+    Every entry is equal, and the ladder operators and H_JC, which the
+    runs use, are bit-identical.  sigma_z and H_D differ only where the
+    kron build leaves -0.0 and the diagonal fill +0.0.
+    """
+
+    PARAMS = (
+        SystemParams.from_lambda(),
+        SystemParams(omega_c=-3.7, omega_q=-2.9, g=0.07),
+        SystemParams(omega_c=123.456, omega_q=100.1, g=0.37),
+    )
+
+    @pytest.mark.parametrize("n_max", [2, 3, 12, 37, 80])
+    def test_operators(self, n_max):
+        ops = build_mode_operators(FockCutoff(n_max))
+        for name, got, want in zip(ops._fields, ops, kron_operators(n_max)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert name == "sz" or got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("n_max", [2, 3, 12, 37, 80])
+    def test_hamiltonians(self, n_max):
+        a, a_dag, n_op, sz, sp, sm = kron_operators(n_max)
+        cut = FockCutoff(n_max)
+        for p in self.PARAMS:
+            jc = p.omega_c * n_op - 0.5 * p.omega_q * sz + p.g * (sm @ a_dag + sp @ a)
+            hd = p.omega_c * n_op - 0.5 * (p.omega_q + p.chi) * sz - p.chi * (sz @ n_op)
+            assert jc_hamiltonian(p, cut).tobytes() == jc.tobytes()
+            assert np.array_equal(dispersive_hamiltonian(p, cut), hd)
+
+
 class TestJaynesCummings:
     def test_ground_state_is_dark(self, params, cutoff12):
         h = jc_hamiltonian(params, cutoff12)
