@@ -1,5 +1,12 @@
 """Command line interface: ``sim run`` executes a scenario, ``sim check`` reports convergence.
 
+    sim run   --config FILE [--out CSV] [--set KEY=VALUE ...]
+    sim check --config FILE
+
+The config file holds key=value lines (see config); each ``--set`` appends
+one more line, so it overrides the file, and ``--set scenario=NAME`` picks
+the scenario.  The CSV goes to ``--out``, else to SCENARIO.csv.
+
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 """
 
@@ -24,8 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a scenario and write its CSV")
     run_p.add_argument("--config", required=True, help="key=value config file")
-    run_p.add_argument("--out", help="output CSV path (overrides config)")
-    run_p.add_argument("--scenario", help="scenario name (overrides config)")
+    run_p.add_argument("--out", help="output CSV path (default: SCENARIO.csv)")
     run_p.add_argument(
         "--set", action="append", default=[], metavar="KEY=VALUE",
         help="override a config entry; repeatable",
@@ -41,12 +47,7 @@ def _load_config(args) -> "ScenarioConfig":
         text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
-    extra = list(getattr(args, "set", []))
-    if getattr(args, "scenario", None):
-        extra.append(f"scenario={args.scenario}")
-    if extra:
-        text = text + "\n" + "\n".join(extra)
-    return parse_config(text)
+    return parse_config("\n".join([text, *getattr(args, "set", [])]))
 
 
 def main(argv=None) -> int:
@@ -64,7 +65,7 @@ def main(argv=None) -> int:
     if args.command == "check":
         print(f"{config.scenario}: {outcome}")
         return 0 if outcome.passed else 2
-    out = args.out or config.out or f"{config.scenario}.csv"
+    out = args.out or f"{config.scenario}.csv"
     try:
         emit_csv(outcome, out)
     except OSError as exc:

@@ -68,9 +68,6 @@ class ScenarioConfig:
     phase_correction: bool = True
     initial: Optional[str] = None            # dressed | bare (excited-branch start)
     basis: str = "exact"                     # exact | first_order dressed targets
-    sweep_start: Optional[float] = None
-    sweep_stop: Optional[float] = None
-    sweep_points: Optional[int] = None
     sweep_values: Optional[tuple[float, ...]] = None
     alpha_sq: float = 4.0                    # target photon number; |beta|^2 for fig4
     eta_abs: Optional[float] = None          # qubit drive strength; default 0.05*omega_q
@@ -80,7 +77,6 @@ class ScenarioConfig:
     n_max: Optional[int] = None              # cavity truncation override
     workers: int = 1
     check_convergence: bool = True
-    out: Optional[str] = None
 
     def system_params(self) -> SystemParams:
         """Resolve (g, lambda, omega_c[, omega_q]) into SystemParams."""
@@ -94,15 +90,9 @@ class ScenarioConfig:
         return SWEEP_AXES.get(self.scenario)
 
     def sweep_grid(self) -> tuple[float, ...]:
-        """Values of the swept quantity: sweep_values, else the linear sweep, else the default."""
+        """Values of the swept quantity: sweep_values, else the scenario's default grid."""
         if self.sweep_values is not None:
             return self.sweep_values
-        if self.sweep_start is not None or self.sweep_stop is not None:
-            if None in (self.sweep_start, self.sweep_stop, self.sweep_points):
-                raise ConfigError("sweep_start, sweep_stop and sweep_points must all be set")
-            n = self.sweep_points
-            step = (self.sweep_stop - self.sweep_start) / (n - 1)
-            return tuple(self.sweep_start + i * step for i in range(n))
         return _DEFAULT_GRIDS[self.sweep_axis]
 
     def points(self) -> tuple[ScenarioConfig, ...]:
@@ -212,9 +202,6 @@ _KEYS = {
     "phase_correction": ("phase_correction", _switch, None),
     "initial": ("initial", _one_of("dressed", "bare"), None),
     "basis": ("basis", _one_of("exact", "first_order"), None),
-    "sweep_start": ("sweep_start", _REAL, None),
-    "sweep_stop": ("sweep_stop", _REAL, None),
-    "sweep_points": ("sweep_points", _INT, _AT_LEAST_2),
     "sweep_values": ("sweep_values", _reals, None),
     "alpha_sq": ("alpha_sq", _REAL, (lambda x: x >= 0, ">= 0")),
     "eta_abs": ("eta_abs", _REAL, (lambda x: x > 0, "positive")),
@@ -224,7 +211,6 @@ _KEYS = {
     "n_max": ("n_max", _INT, _AT_LEAST_2),
     "workers": ("workers", _INT, (lambda n: n >= 1, ">= 1")),
     "check_convergence": ("check_convergence", _switch, None),
-    "out": ("out", str, None),
 }
 
 
@@ -233,14 +219,12 @@ def parse_config(text: str) -> ScenarioConfig:
 
     Unknown keys, unparsable or non-finite values, an empty sweep, sweep
     values the numerics cannot use (alpha_sq or epsilon_abs <= 0, a lambda
-    that gives no dispersive system), time_points < 2, an incomplete linear
-    sweep, a zero drive or alpha_sq where the pulse length is derived from
-    it, g = 0 in the readout scenario (whose pulse length is pi/|chi|),
-    omega_q <= 0 in fig4 without eta_abs (whose drive strength is
-    0.05 omega_q),
-    a system outside the dispersive regime
-    (omega_q = omega_c, g = 0 with omega_q derived, |lambda| >= 1),
-    inconsistent derived quantities (an omega_q that contradicts the given
+    that gives no dispersive system), time_points < 2, a zero drive or
+    alpha_sq where the pulse length is derived from it, g = 0 in the readout
+    scenario (whose pulse length is pi/|chi|), omega_q <= 0 in fig4 without
+    eta_abs (whose drive strength is 0.05 omega_q), a system outside the
+    dispersive regime (omega_q = omega_c, g = 0 with omega_q derived,
+    |lambda| >= 1), inconsistent derived quantities (an omega_q that contradicts the given
     lambda), an n_max below the truncation rule at the largest amplitude
     the scenario drives to, and a point whose detuning turns through more
     than MAX_PHASE over its pulse are errors carrying the line number.  An
@@ -299,24 +283,14 @@ def parse_config(text: str) -> ScenarioConfig:
                     "the pulse length is |alpha| / |epsilon|",
                     seen[key],
                 )
-    try:
-        points = cfg.points()
-    except ConfigError as exc:  # an incomplete linear sweep
-        raise ConfigError(str(exc), seen.get("sweep_start", seen.get("sweep_stop"))) from None
-
-    def sweep_line(i: int) -> Optional[int]:
-        """The line of sweep value i; the g line on the default grid, where only g can fault."""
-        if cfg.sweep_values is not None:
-            return seen["sweep_values"]
-        if cfg.sweep_start is None:
-            return seen.get("g")
-        return seen["sweep_stop" if i == len(points) - 1 else "sweep_start"]
-
+    points = cfg.points()
+    # the line of the sweep values; the g line on the default grid, where only g can fault
+    sweep_line = seen.get("sweep_values", seen.get("g"))
     if axis is not None:
-        for i, (value, point) in enumerate(zip(cfg.sweep_grid(), points)):
+        for value, point in zip(cfg.sweep_grid(), points):
             fault = _sweep_fault(point, axis, value)
             if fault is not None:
-                raise ConfigError(fault, sweep_line(i))
+                raise ConfigError(fault, sweep_line)
     if cfg.omega_q is not None and "lambda" in seen:
         derived = cfg.g / (cfg.omega_q - cfg.omega_c)
         if abs(derived - cfg.lam) > 1e-9 * max(1.0, abs(cfg.lam)):
@@ -330,8 +304,8 @@ def parse_config(text: str) -> ScenarioConfig:
     # The detuning phase, checked where a line sets the detuning: the swept
     # lambda, omega_q, lambda or g (see MAX_PHASE for the default detuning).
     key = next((k for k in ("omega_q", "lambda", "g") if k in seen), None)
-    for i, point in enumerate(points):
-        line = sweep_line(i) if axis == "lambda" else seen.get(key)
+    for point in points:
+        line = sweep_line if axis == "lambda" else seen.get(key)
         if line is None:
             continue
         phase = abs(point.system_params().delta) * point.pulse_length()

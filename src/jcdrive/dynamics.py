@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -193,6 +194,20 @@ class TimeDependentHamiltonian:
         object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "period", period)
 
+    @cached_property
+    def static_frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(omega C, E, vectors): the frame's rates and the eigensystem of the exact path's H_F.
+
+        H_F = H_0 + V + V^dag - omega C is static on the exact path; with no
+        drive it is H_0, and the rates are zero.  Computed on first use and
+        kept, so every run of this Hamiltonian and its convergence checks
+        share one eigendecomposition.
+        """
+        if self.drive is None:
+            return np.zeros(self.cutoff.dim), *eigh(self.static_part)
+        rate = self.omega * excitation_charge(self.cutoff)
+        return rate, *eigh(self.static_part + self.drive + self.drive.conj().T - np.diag(rate))
+
 
 def hamiltonian_at(ham: TimeDependentHamiltonian, t: float) -> np.ndarray:
     """H(t) = H_0 + W + W^dag with W = e^{i omega t} V; H_0 with no drive."""
@@ -273,27 +288,24 @@ def integrate(
     psi0: np.ndarray,
     grid: TimeGrid,
     store_every: Optional[int] = None,
-    steps_per_period: Optional[int] = None,
 ) -> Trajectory:
     """Propagate i d/dt psi = H(t) psi from grid.t0 to grid.t1.
 
     The run takes one of the two paths of the module docstring, chosen by
-    ``ham.exact``: exact (a static frame Hamiltonian) or periodic (one drive
-    period of ``steps_per_period`` fourth-order Magnus steps, reused for the
-    rest of the run; None takes the frame rule of _steps_per_period).  On
-    either path dt only sets the stored times.  Raises if psi0 is not
-    normalized.  Snapshots are stored every ``store_every`` steps of dt
-    (default: about 1000 over the run); the final state is stored exactly
-    regardless.  Both paths write the snapshots straight into the
-    trajectory's array.
+    ``ham.exact``: exact (the eigendecomposition ``ham.static_frame`` of the
+    static frame Hamiltonian) or periodic (one drive period of m
+    fourth-order Magnus steps, m from the frame rule of _steps_per_period,
+    reused for the rest of the run).  On either path dt only sets the
+    stored times.  Raises if psi0 is not normalized.  Snapshots are stored
+    every ``store_every`` steps of dt (default: about 1000 over the run);
+    the final state is stored exactly regardless.  Both paths write the
+    snapshots straight into the trajectory's array.
     """
     dim = ham.static_part.shape[0]
     if psi0.shape != (dim,):
         raise ValueError(f"state dimension {psi0.shape} does not match Hamiltonian {dim}")
     if not abs(np.linalg.norm(psi0) - 1.0) <= 1e-10:  # NaN fails too
         raise ValueError("initial state is not normalized")
-    if steps_per_period is not None and steps_per_period < 1:
-        raise ValueError(f"steps_per_period must be positive, got {steps_per_period}")
 
     steps = grid.steps
     dt = (grid.t1 - grid.t0) / steps
@@ -307,7 +319,7 @@ def integrate(
     if ham.exact:
         _advance_exact(ham, psi, grid.t0, stored[1:], dt, store_every, states[1:])
     else:
-        m = steps_per_period or _steps_per_period(ham)
+        m = _steps_per_period(ham)
         _advance_periodic(ham, psi, grid.t0, stored[1:], dt, store_every, m, states[1:])
     return Trajectory(times=grid.t0 + stored * dt, states=states)
 
@@ -327,18 +339,6 @@ def _steps_per_period(ham):
     return max(MIN_STEPS, math.ceil(STEPS_PER_NORM * ham.period * _frame_norm(ham)))
 
 
-def _static_frame(ham):
-    """(omega C, E, vectors): the frame's rates and the eigensystem of the exact path's H_F.
-
-    H_F = H_0 + V + V^dag - omega C is static on the exact path; with no
-    drive it is H_0, and the rates are zero.
-    """
-    if ham.drive is None:
-        return np.zeros(ham.cutoff.dim), *eigh(ham.static_part)
-    rate = ham.omega * excitation_charge(ham.cutoff)
-    return rate, *eigh(ham.static_part + ham.drive + ham.drive.conj().T - np.diag(rate))
-
-
 def _advance_exact(ham, psi, t_start, ends, dt, stride, out):
     """psi(t) = R(t) exp(-i (H_0 + V + V^dag - omega C)(t - t_s)) R(t_s)^dag psi(t_s).
 
@@ -349,7 +349,7 @@ def _advance_exact(ham, psi, t_start, ends, dt, stride, out):
     eigenphases exp(-i E n dt), with the coefficients of psi folded in,
     and R(t) = R(t_s) exp(-i omega C n dt) come from _step_phases.
     """
-    rate, evals, vecs = _static_frame(ham)
+    rate, evals, vecs = ham.static_frame
     frame = np.exp(-1j * t_start * rate)  # R(t_s)
     c = vecs.conj().T @ (frame.conj() * psi)
     count, last = len(ends) - 1, ends[-1]
@@ -510,14 +510,14 @@ class ConvergenceReport:
     ``truncation_bound`` bounds ||psi(T) - psi_N(T)||, the distance between
     the run at cutoff n_max and the untruncated evolution of the same start
     (see convergence_check), so ``fidelity_cutoff``, max(0, 1 - bound^2),
-    is a lower bound on their fidelity.
+    is a lower bound on their fidelity.  The run ``passed`` when both
+    fidelities reach 1 - CONVERGENCE_THRESHOLD.
     """
 
     fidelity_dt: float
     truncation_bound: float
     steps_per_period: Optional[int]
     n_max: int
-    threshold: float = CONVERGENCE_THRESHOLD
 
     @property
     def fidelity_cutoff(self) -> float:
@@ -525,10 +525,8 @@ class ConvergenceReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.fidelity_dt >= 1.0 - self.threshold
-            and self.fidelity_cutoff >= 1.0 - self.threshold
-        )
+        floor = 1.0 - CONVERGENCE_THRESHOLD
+        return self.fidelity_dt >= floor and self.fidelity_cutoff >= floor
 
     def __str__(self):
         mark = "converged" if self.passed else "NOT converged"
@@ -536,8 +534,8 @@ class ConvergenceReport:
         dt_axis = "dt: exact" if m is None else f"F(m={m} vs {2 * m}) = {self.fidelity_dt:.12f}"
         return (
             f"{mark}: {dt_axis}, "
-            f"F(n_max={self.n_max}) >= {self.fidelity_cutoff:.12f} "
-            f"(truncation bound {self.truncation_bound:.3g}; threshold 1 - {self.threshold:g})"
+            f"F(n_max={self.n_max}) >= {self.fidelity_cutoff:.12f} (truncation bound "
+            f"{self.truncation_bound:.3g}; threshold 1 - {CONVERGENCE_THRESHOLD:g})"
         )
 
 
@@ -588,7 +586,7 @@ def convergence_check(
     duration = grid.t1 - grid.t0
     if ham.exact:
         m, fid_dt = None, 1.0
-        rate, evals, vecs = _static_frame(ham)
+        rate, evals, vecs = ham.static_frame
         h = duration / TRUNCATION_SAMPLES
         c = vecs.conj().T @ (np.exp(1j * grid.t0 * rate) * psi0)  # R(t_s)^dag psi0
         # samples at (k - 1/2) h, k = 1..K: the lattice k h with exp(+i E h/2) folded in

@@ -230,14 +230,14 @@ def dispersive_unitary(params: SystemParams, cutoff: FockCutoff) -> np.ndarray:
     return expm_generator(params.lam * (sp @ a - sm @ a_dag))
 
 
-def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     scale = max(1.0, float(np.max(np.abs(m))))
-    return float(np.max(np.abs(m - m.conj().T))) < tol * scale
+    return float(np.max(np.abs(m - m.conj().T))) < 1e-12 * scale
 
 
-def is_unitary(u: np.ndarray, tol: float = 1e-10) -> bool:
+def is_unitary(u: np.ndarray) -> bool:
     d = u.shape[0]
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(d)))) < tol
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(d)))) < 1e-10
 
 
 def expm_antihermitian(hermitian: np.ndarray, time: float = 1.0) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Shared fixtures and independent oracles for the test suite."""
 
 import os
+from unittest import mock
 
 # One BLAS thread, set before numpy loads BLAS: the suite's matrices are
 # small, and on a multi-core host an unpinned OpenBLAS runs some tests ~25x slower.
@@ -87,8 +88,9 @@ def doubled_cutoff_infidelity(ham, psi0, grid, final):
     """
     big = 2 * ham.cutoff.n_max
     m = None if ham.exact else dynamics._steps_per_period(ham)
-    rerun = dynamics.integrate(ham.remake(FockCutoff(big)), embed_state(psi0, big), grid,
-                               store_every=grid.steps, steps_per_period=m).final
+    with mock.patch.object(dynamics, "_steps_per_period", lambda _: m):
+        rerun = dynamics.integrate(ham.remake(FockCutoff(big)), embed_state(psi0, big), grid,
+                                   store_every=grid.steps).final
     return 1.0 - fid(embed_state(final, big), rerun)
 
 

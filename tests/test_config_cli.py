@@ -1,14 +1,16 @@
 """Config parsing, CSV emission, and the sim command line."""
 
 import cmath
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from jcdrive.cli import main
-from jcdrive.config import ConfigError, ScenarioConfig, parse_config
+from jcdrive.config import _KEYS, ConfigError, ScenarioConfig, parse_config
 from jcdrive.scenarios import ScenarioResult, emit_csv, run_scenario
 
 
@@ -57,16 +59,12 @@ class TestParseConfig:
         assert cfg.sweep_grid() == (1.0, 2.0, 4.0)
         assert cfg.workers == 2
 
-    def test_incomplete_sweep_rejected(self):
-        # the error names the line of sweep_start, else of sweep_stop
-        with pytest.raises(ConfigError, match="^line 2: .*sweep_points"):
-            parse_config("scenario=fig2b\nsweep_start=1\nsweep_stop=2\n")
-        with pytest.raises(ConfigError, match="^line 1: .*sweep_points"):
-            parse_config("sweep_stop=2\nsweep_points=3\n")
-
-    def test_linear_sweep(self):
-        cfg = parse_config("sweep_start=1\nsweep_stop=3\nsweep_points=3\n")
-        assert cfg.sweep_grid() == (1.0, 2.0, 3.0)
+    def test_readme_key_table_names_every_key(self):
+        # the first cell of each row of the README's config table names its keys
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| key | default | meaning |\n", 1)[1].split("\n\n", 1)[0]
+        cells = [row.split("|")[1] for row in table.splitlines()]
+        assert {name for cell in cells for name in re.findall(r"`([^`]+)`", cell)} == set(_KEYS)
 
 
 class TestPoints:
@@ -129,6 +127,14 @@ class TestConfigFaults:
         assert code == 1
         assert f"line {line}:" in err and "finite" in err
 
+    @pytest.mark.parametrize("line", ["sweep_start=1", "sweep_stop=1", "sweep_points=2",
+                                      "out=x.csv"])
+    def test_removed_keys_are_unknown(self, tmp_path, capsys, line):
+        # the linear sweep duplicated sweep_values, and out duplicated sim run --out
+        code, err = self._run(tmp_path, capsys, f"scenario=fig2b\n{line}\n")
+        assert code == 1
+        assert f"line 2: unknown key '{line.split('=')[0]}'" in err
+
     def test_non_finite_sweep_value(self, tmp_path, capsys):
         code, err = self._run(tmp_path, capsys, "scenario=fig2b\nsweep_values=1,inf\n")
         assert code == 1
@@ -169,18 +175,18 @@ class TestConfigFaults:
 
     @pytest.mark.parametrize("text, line, key", [
         ("scenario=fig2b\nsweep_values=-1\n", 2, "alpha_sq"),
-        ("scenario=fig2a\nsweep_start=-1\nsweep_stop=4\nsweep_points=3\n", 2, "alpha_sq"),
+        ("scenario=fig2a\nsweep_values=-1,1.5,4\n", 2, "alpha_sq"),
         ("scenario=custom\n\nsweep_values=1,0\n", 3, "alpha_sq"),
-        ("scenario=fig2a\nsweep_start=4\nsweep_stop=0\nsweep_points=2\n", 3, "alpha_sq"),
+        ("scenario=fig2a\n\nsweep_values=4,0\n", 3, "alpha_sq"),
         ("scenario=fig4\nalpha_sq=-1\n", 2, "alpha_sq"),
         ("alpha_sq=-0.5\nscenario=fig2c\n", 1, "alpha_sq"),
         ("scenario=fig2c\nalpha_sq=0\n", 2, "alpha_sq"),
         ("alpha_sq=0\nscenario=fig2d\n", 1, "alpha_sq"),
         ("scenario=fig2c\nsweep_values=0.1,0\n", 2, "lambda"),
-        ("scenario=fig2c\nsweep_start=-0.1\nsweep_stop=0.1\nsweep_points=3\n", 2, "lambda"),
+        ("scenario=fig2c\nsweep_values=-0.1,0,0.1\n", 2, "lambda"),
         ("scenario=fig2d\nsweep_values=0\n", 2, "epsilon_abs"),
         ("scenario=fig2d\nsweep_values=0.02,-0.01\n", 2, "epsilon_abs"),
-        ("scenario=fig2d\nsweep_start=0\nsweep_stop=0.1\nsweep_points=3\n", 2, "epsilon_abs"),
+        ("scenario=fig2d\nsweep_values=0,0.05,0.1\n", 2, "epsilon_abs"),
     ])
     def test_sweep_value_the_numerics_cannot_use(self, tmp_path, capsys, text, line, key):
         code, err = self._run(tmp_path, capsys, text)
@@ -194,10 +200,8 @@ class TestConfigFaults:
         ("lambda=1.5\n", 1, "lambda"),
         ("scenario=fig2c\nsweep_values=1.5\n", 2, "swept lambda=1.5"),
         ("scenario=fig2c\ng=0\nomega_q=110\nsweep_values=0.1\n", 4, "swept lambda=0.1"),
-        ("scenario=fig2c\nsweep_start=0.1\nsweep_stop=1.5\nsweep_points=2\n", 3,
-         "swept lambda=1.5"),
-        ("scenario=fig2c\nsweep_start=-1\nsweep_stop=0.1\nsweep_points=3\n", 2,
-         "swept lambda=-1"),
+        ("scenario=fig2c\n\nsweep_values=0.1,1.5\n", 3, "swept lambda=1.5"),
+        ("scenario=fig2c\nsweep_values=-1,-0.45,0.1\n", 2, "swept lambda=-1"),
         # the default lambda grid: g = 0 makes every point resonant
         ("scenario=fig2c\ng=0\nomega_q=110\n", 2, "swept lambda=0.05"),
     ])
@@ -483,13 +487,11 @@ class TestCli:
         lines = (tmp_path / "o.csv").read_text().splitlines()
         assert "phase_correction=off" in lines[0]
         assert float(lines[2].split(",")[0]) == pytest.approx(2.0)
-
-    def test_scenario_flag_overrides(self, tmp_path, capsys):
-        cfg = self._write(tmp_path, FAST_SCENARIO)
+        # the scenario, too, is a config entry
         out = str(tmp_path / "r.csv")
         code = main([
-            "run", "--config", cfg, "--scenario", "readout", "--out", out,
-            "--set", "check_convergence=off",
+            "run", "--config", cfg, "--out", out,
+            "--set", "scenario=readout", "--set", "check_convergence=off",
         ])
         assert code == 0
         assert "# scenario=readout" in (tmp_path / "r.csv").read_text().splitlines()[0]

@@ -27,8 +27,8 @@ def _choice(*values):
 # |epsilon| <= 0.08, so that the readout amplitude needs n_max <= 40, and
 # alpha_sq <= 2.  Each key also lists values off those ranges, most of which
 # its parser or the dispersive-regime checks refuse.  Valid values can still
-# combine into a refused config (omega_q against lambda, an incomplete
-# linear sweep, a zero alpha_sq where the pulse length derives from it).
+# combine into a refused config (omega_q against lambda, a zero alpha_sq
+# where the pulse length derives from it).
 # An n_max below the truncation rule at the largest amplitude the
 # scenario drives to is a config error on the n_max line.
 _KEYS = {
@@ -46,9 +46,6 @@ _KEYS = {
         st.lists(st.floats(0.05, 0.29).map(repr), min_size=1, max_size=3).map(",".join),
         (",", "0.2,0", "-1", "0.2,nan"),
     ),
-    "sweep_start": _number(0.05, 0.29, "-0.1"),
-    "sweep_stop": _number(0.05, 0.29, "0"),
-    "sweep_points": _choice("2", "3"),
     "alpha_sq": _number(0.0, 2.0, "-1"),
     "eta_abs": _number(0.05, 6.0, "0", "-1"),
     "eta_phase": _number(-7.0, 7.0),
@@ -57,7 +54,6 @@ _KEYS = {
     "n_max": (st.sampled_from(("24", "30")), ("3", "1", "2.5", "ten", "")),
     "workers": _choice("1"),
     "check_convergence": _choice("on", "off"),
-    "out": (st.just("unused.csv"), ("",)),
 }
 
 

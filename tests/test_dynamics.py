@@ -10,6 +10,7 @@ from scipy.linalg import eigh
 from jcdrive import dynamics
 from jcdrive.dressed import dressed_basis, dressed_coherent_state
 from jcdrive.dynamics import (
+    CONVERGENCE_THRESHOLD,
     TimeDependentHamiltonian,
     TimeGrid,
     _step_exponential,
@@ -223,25 +224,23 @@ class TestHamiltonianForm:
             gap = np.max(np.abs(hamiltonian_at(ham, t) - expected))
             assert gap <= 1e-13 * np.max(np.abs(expected)), (t, gap)
 
-
-class TestWindowSemantics:
     def test_no_drive_means_static(self, params, cutoff12):
         drive = DriveParams(0.0, params.omega_c, 5.0)
         ham = lab_drive_hamiltonian(params, drive, cutoff12, "rwa")
         np.testing.assert_array_equal(hamiltonian_at(ham, 2.0), jc_hamiltonian(params, cutoff12))
 
 
-class TestFastPath:
-    """The exact path, against literal stepping and against oracles."""
+class TestExactPath:
+    """The exact path, against the literal midpoint stepper and against oracles."""
 
-    def test_fast_path_equals_sequential(self, params):
+    def test_exact_path_against_midpoint_oracle(self, params):
         cut = FockCutoff(10)
         drive = DriveParams(0.04 + 0.03j, params.omega_c - params.chi, 0.6)
         ham = lab_drive_hamiltonian(params, drive, cut, "rwa")
         grid = TimeGrid.for_duration(0.6, dt_bound(params, cut, 0.05))
         assert_stepping_converges_at_second_order(ham, basis_state(cut, "g", 0), grid)
 
-    def test_fast_path_equals_sequential_qubit_drive(self, params):
+    def test_exact_path_against_midpoint_oracle_qubit_drive(self, params):
         cut = FockCutoff(8)
         qd = QubitDriveParams(0.3, params.omega_q + 0.5, 0.11)
         ham = qubit_drive_lab_hamiltonian(params, qd, cut)
@@ -424,14 +423,15 @@ class TestPeriodicPath:
         oracle = ode_states(lambda t: hamiltonian_at(ham, t), psi0, traj.times)
         assert np.max(np.abs(traj.states - oracle)) < 2e-7
 
-    def test_fourth_order_in_the_step(self, params):
+    def test_fourth_order_in_the_step(self, params, monkeypatch):
         # m = 12 and 24 Magnus steps per period, against the frame rule's 31:
         # errors of ~9e-8 and ~5e-9, far above the oracle's own ~1e-11.
         # Both runs store the same times, inside periods
         ham, psi0, grid = self.cosine_run(params)
         errors = []
         for m in (12, 24):
-            traj = integrate(ham, psi0, grid, store_every=97, steps_per_period=m)
+            monkeypatch.setattr(dynamics, "_steps_per_period", lambda _, m=m: m)
+            traj = integrate(ham, psi0, grid, store_every=97)
             oracle = ode_states(lambda t: hamiltonian_at(ham, t), psi0, traj.times)
             errors.append(np.max(np.abs(traj.states - oracle)))
         assert 15.2 < errors[0] / errors[1] < 16.8, errors
@@ -457,7 +457,8 @@ class TestPeriodicPath:
         grid = TimeGrid(0.0, drive.T, dt)
         errors = []
         for m in (16, 32):
-            traj = integrate(ham, psi0, grid, store_every=7, steps_per_period=m)
+            monkeypatch.setattr(dynamics, "_steps_per_period", lambda _, m=m: m)
+            traj = integrate(ham, psi0, grid, store_every=7)
             oracle = ode_states(lambda t: hamiltonian_at(ham, t), psi0, traj.times)
             errors.append(np.max(np.abs(traj.states - oracle)))
             if m == 16:
@@ -467,7 +468,8 @@ class TestPeriodicPath:
 
     def test_eigendecompositions_per_run(self, params, monkeypatch):
         # the periodic path takes none; the exact path, here the rwa form of
-        # the same drive, takes one
+        # the same drive, takes one per Hamiltonian: two runs and a check
+        # of that Hamiltonian share it
         calls = []
 
         def counting(h):
@@ -481,7 +483,10 @@ class TestPeriodicPath:
         for h, expected in ((ham, 0), (rwa, 1)):
             calls.clear()
             integrate(h, psi0, grid)
+            final = integrate(h, basis_state(h.cutoff, "g", 1), grid).final
             assert len(calls) == expected
+        convergence_check(rwa, basis_state(rwa.cutoff, "g", 1), grid, final)
+        assert len(calls) == 1
 
     def test_runtime_independent_of_step_count(self, params):
         # 10^6 grid steps over ~318 drive periods: the periodic path steps
@@ -738,7 +743,7 @@ class TestConvergence:
         assert abs(alpha_ge(drive, params)[0]) ** 2 == pytest.approx(9.0)
         ham = lab_drive_hamiltonian(params, drive, cut, "rwa")
         report = _checked(ham, basis_state(cut, "g", 0), TimeGrid.for_duration(drive.T, 0.01))
-        assert report.fidelity_cutoff < 1.0 - report.threshold
+        assert report.fidelity_cutoff < 1.0 - CONVERGENCE_THRESHOLD
         assert report.fidelity_dt == 1.0
         assert not report.passed
         assert str(report).startswith("NOT converged")
@@ -750,7 +755,7 @@ class TestConvergence:
         ham = _cosine_two_level(FockCutoff(2))
         report = _checked(ham, basis_state(ham.cutoff, "g", 0), TimeGrid(0.0, 8.0, 0.25))
         assert report.steps_per_period == 1
-        assert report.fidelity_dt < 1.0 - report.threshold
+        assert report.fidelity_dt < 1.0 - CONVERGENCE_THRESHOLD
         assert not report.passed
         assert str(report).startswith("NOT converged")
 

@@ -273,7 +273,7 @@ class TestExponentials:
             expm_antihermitian(jc_hamiltonian(params, cutoff12), 0.37),
             np.kron(np.eye(2), displacement_cavity(1.2j, cutoff12.n_max)),
         ):
-            assert is_unitary(u, 1e-10)
+            assert is_unitary(u)
 
 
 class TestCoherentState:

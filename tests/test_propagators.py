@@ -199,7 +199,7 @@ class TestCavityDrivePropagator:
         cut = FockCutoff(25)
         drive = DriveParams(0.04 + 0.02j, params.omega_c - 0.17, 15.0)
         u = cavity_drive_propagator(drive, params, cut)
-        assert is_unitary(u, 1e-10)
+        assert is_unitary(u)
         n_max = cut.n_max
         assert np.max(np.abs(u[:n_max, n_max:])) < 1e-12
         assert np.max(np.abs(u[n_max:, :n_max])) < 1e-12
@@ -369,7 +369,7 @@ class TestQubitDrivePropagator:
 
     def test_photon_block_structure(self, params, cutoff12):
         u = qubit_drive_propagator(QubitDriveParams(0.2j, params.omega_q, 0.8), params, cutoff12)
-        assert is_unitary(u, 1e-10)
+        assert is_unitary(u)
         n_max = cutoff12.n_max
         for i in range(2 * n_max):
             for j in range(2 * n_max):
