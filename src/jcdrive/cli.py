@@ -5,7 +5,8 @@
 
 The config file holds key=value lines (see config); each ``--set`` appends
 one more line, so it overrides the file, and ``--set scenario=NAME`` picks
-the scenario.  The CSV goes to ``--out``, else to SCENARIO.csv.
+the scenario; a fault on such a line names its ``--set`` entry.  The CSV
+goes to ``--out``, else to SCENARIO.csv.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 """
@@ -47,7 +48,15 @@ def _load_config(args) -> "ScenarioConfig":
         text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
-    return parse_config("\n".join([text, *getattr(args, "set", [])]))
+    lines = text.splitlines()
+    sets = [(entry, line) for entry in getattr(args, "set", []) for line in entry.splitlines()]
+    try:
+        return parse_config("\n".join([*lines, *(line for _, line in sets)]))
+    except ConfigError as exc:
+        if exc.line is None or exc.line <= len(lines):
+            raise
+        # a fault on an appended line names its --set entry, not a line past the file
+        raise ConfigError(f"--set {sets[exc.line - len(lines) - 1][0]}: {exc.reason}") from None
 
 
 def main(argv=None) -> int:

@@ -19,10 +19,11 @@ import math
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
 
-from .hilbert import SystemParams, required_cutoff
+from .hilbert import FockCutoff, SystemParams, required_cutoff
 
 __all__ = [
-    "ConfigError", "ScenarioConfig", "parse_config", "cavity_cutoff", "SCENARIOS", "SWEEP_AXES",
+    "ConfigError", "ScenarioConfig", "parse_config", "cavity_cutoff", "dt_bound", "SCENARIOS",
+    "SWEEP_AXES",
 ]
 
 SCENARIOS = ("fig2a", "fig2b", "fig2c", "fig2d", "fig4", "readout", "custom")
@@ -44,13 +45,20 @@ _DEFAULT_GRIDS = {
 # threshold (4e-8 to 2e-6) from 6.7e11 rad on.  At the default |Delta| = 10
 # even 1e12 rad (epsilon = 1e-11) leaves 1 - F at rounding level.
 MAX_PHASE = 1e10
+# The largest lab-frame phase rho T of a point, rho being dt_bound's bound on
+# max|eig H|: at 8.9e14 rad doubles are 0.125 rad apart, and fig4's dt_bound
+# grid stays within 2**53 steps, where step counts and indices are exact floats.
+MAX_LAB_PHASE = 0.099 * 2**53
 
 
 class ConfigError(ValueError):
-    """Malformed configuration; carries the offending line number when known."""
+    """Malformed configuration; carries the offending line number when known.
+
+    ``reason`` is the message without its "line N: " prefix.
+    """
 
     def __init__(self, message: str, line: Optional[int] = None):
-        self.line = line
+        self.line, self.reason = line, message
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
@@ -226,9 +234,9 @@ def parse_config(text: str) -> ScenarioConfig:
     dispersive regime (omega_q = omega_c, g = 0 with omega_q derived,
     |lambda| >= 1), inconsistent derived quantities (an omega_q that contradicts the given
     lambda), an n_max below the truncation rule at the largest amplitude
-    the scenario drives to, and a point whose detuning turns through more
-    than MAX_PHASE over its pulse are errors carrying the line number.  An
-    empty file yields all defaults.
+    the scenario drives to, and a point whose detuning phase |Delta| T or
+    lab-frame phase rho T exceeds MAX_PHASE or MAX_LAB_PHASE are errors
+    carrying the line number.  An empty file yields all defaults.
     """
     values: dict = {}
     seen: dict[str, int] = {}
@@ -303,19 +311,30 @@ def parse_config(text: str) -> ScenarioConfig:
         cavity_cutoff(max(p.drive_amplitude() for p in points), cfg.n_max, seen["n_max"])
     # The detuning phase, checked where a line sets the detuning: the swept
     # lambda, omega_q, lambda or g (see MAX_PHASE for the default detuning).
+    # The lab-frame phase, checked on the first line in this order that sets
+    # one of its inputs, the sweep values standing for the swept key.
     key = next((k for k in ("omega_q", "lambda", "g") if k in seen), None)
+    fig4 = cfg.scenario == "fig4"
+    lines = {**seen, "epsilon" if axis == "epsilon_abs" else axis: seen.get("sweep_values")}
+    lab_line = next((lines[k] for k in ("eta_abs" if fig4 else "epsilon", "omega_c", "lambda",
+                                        "omega_q", "g", "alpha_sq", "n_max") if lines.get(k)), None)
     for point in points:
         line = sweep_line if axis == "lambda" else seen.get(key)
-        if line is None:
-            continue
-        phase = abs(point.system_params().delta) * point.pulse_length()
-        if phase > MAX_PHASE:
+        params, T = point.system_params(), point.pulse_length()
+        phase = abs(params.delta) * T
+        if line is not None and phase > MAX_PHASE:
             name = f"swept lambda={point.lam:g}" if axis == "lambda" else key
             raise ConfigError(
                 f"{name} gives a detuning phase |Delta| T = {phase:.3g} rad over the pulse, "
                 f"more than {MAX_PHASE:g} rad, beyond which rounding fails the convergence check",
                 line,
             )
+        cutoff = FockCutoff(cavity_cutoff(point.drive_amplitude(), point.n_max))
+        rho = 0.099 / dt_bound(params, cutoff, 0.0 if fig4 else abs(complex(point.epsilon)),
+                               point.qubit_drive_strength() if fig4 else 0.0)
+        if not rho * T <= MAX_LAB_PHASE:
+            raise ConfigError(f"lab-frame phase rho T = {rho:.3g} * {T:.3g} rad over the pulse, "
+                              f"more than 0.099 * 2**53 = {MAX_LAB_PHASE:.3g} rad", lab_line)
     return cfg
 
 
@@ -331,6 +350,26 @@ def cavity_cutoff(alpha_abs: float, n_max: Optional[int], line: Optional[int] = 
     if n_max < needed:
         raise ConfigError(f"configured n_max={n_max} below the truncation rule ({needed})", line)
     return n_max
+
+
+def dt_bound(params: SystemParams, cutoff: FockCutoff, eps_abs: float,
+             eta_abs: float = 0.0) -> float:
+    """Largest step satisfying dt * max|eig(H)| < 0.1, from a spectral-radius bound rho.
+
+    parse_config holds rho T to MAX_LAB_PHASE.  Of the scenario runs only
+    fig4's traces take this step, which sets their stored times; the test
+    suite's literal midpoint oracle steps by it, as it needs dt * rho small.
+    """
+    n = cutoff.n_max
+    rho = (
+        params.omega_c * (n - 1)
+        + 0.5 * abs(params.omega_q)
+        + abs(params.chi) * n
+        + params.g * math.sqrt(n)
+        + 2.0 * eps_abs * math.sqrt(n)
+        + eta_abs
+    )
+    return 0.099 / rho
 
 
 def _sweep_fault(point: ScenarioConfig, axis: str, value: float) -> Optional[str]:

@@ -13,6 +13,9 @@ the same table and checks its first run.  The five sweep scenarios share
 one runner, driven by the swept quantity (``config.SWEEP_AXES``) and a
 table of CSV columns.
 
+No path is held to a step, so each run's grid is the one step [0, T]; only
+fig4's two traces take the ``config.dt_bound`` grid, for their stored times.
+
 The sweeps are embarrassingly parallel over points; every input a worker
 touches is immutable, so points may be dispatched to a process pool and are
 collected back in sweep order.  Runs are deterministic: identical configs
@@ -30,7 +33,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import metrics
-from .config import SWEEP_AXES, ConfigError, ScenarioConfig, cavity_cutoff
+from .config import SWEEP_AXES, ScenarioConfig, cavity_cutoff, dt_bound
 from .dressed import dressed_basis, dressed_coherent_state, dressed_state
 from .dynamics import (
     ConvergenceReport,
@@ -44,7 +47,7 @@ from .dynamics import (
 from .hilbert import FockCutoff, SystemParams, basis_state
 from .propagators import DriveParams, QubitDriveParams, alpha_ge, lab_amplitudes
 
-__all__ = ["ScenarioResult", "run_scenario", "emit_csv", "convergence_probe", "dt_bound"]
+__all__ = ["ScenarioResult", "run_scenario", "emit_csv", "convergence_probe"]
 
 
 @dataclass(frozen=True)
@@ -92,56 +95,14 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     Rows that fail the self-convergence check are flagged (converged=false)
     but the run continues.
     """
-    try:
-        runner = _RUNNERS[config.scenario]
-    except KeyError:
-        raise ConfigError(
-            f"unknown scenario {config.scenario!r}; valid: {', '.join(_RUNNERS)}"
-        ) from None
-    return runner(config)
+    return _RUNNERS[config.scenario](config)
 
 
 # ---------------------------------------------------------------------------
 # shared machinery
 
-def dt_bound(params: SystemParams, cutoff: FockCutoff, eps_abs: float,
-             eta_abs: float = 0.0) -> float:
-    """Largest step satisfying dt * max|eig(H)| < 0.1, from a spectral-radius bound.
-
-    It is the grid step of every scenario point, and so sets fig4's stored
-    times; no run is held to it.  The literal midpoint oracle of the test
-    suite takes its step from it, since that stepper needs dt * max|eig(H)|
-    small.
-    """
-    n = cutoff.n_max
-    rho = (
-        params.omega_c * (n - 1)
-        + 0.5 * abs(params.omega_q)
-        + abs(params.chi) * n
-        + params.g * math.sqrt(n)
-        + 2.0 * eps_abs * math.sqrt(n)
-        + eta_abs
-    )
-    return 0.099 / rho
-
-
-# the most steps a grid may have: up to 2**53 the step counts and the step
-# indices that scale dt are exact both as integers and as floats
-MAX_STEPS = 2**53
-
-
-def _grid(duration: float, dt_cap: float) -> TimeGrid:
-    """TimeGrid.for_duration, refusing a grid of more than MAX_STEPS steps as a config error."""
-    if not duration / dt_cap <= MAX_STEPS:
-        raise ConfigError(
-            f"pulse length {duration:g} at dt = {dt_cap:g} needs {duration / dt_cap:.3g} "
-            f"steps, more than 2**53"
-        )
-    return TimeGrid.for_duration(duration, dt_cap)
-
-
 class Run(NamedTuple):
-    """One lab-frame evolution of a point: integrate(ham, psi0, grid) under ``drive``."""
+    """A point's lab-frame evolution under ``drive``: integrate(ham, psi0, grid), grid = [0, T]."""
 
     ham: TimeDependentHamiltonian
     psi0: np.ndarray
@@ -150,8 +111,8 @@ class Run(NamedTuple):
 
 
 def _evolve(run: Run, check: bool) -> tuple[np.ndarray, Optional[ConvergenceReport]]:
-    """The run's final state, integrated once, and when ``check`` its ConvergenceReport."""
-    final = integrate(run.ham, run.psi0, run.grid, store_every=run.grid.steps).final
+    """The run's final state, integrated in its grid's one step, and if ``check`` its report."""
+    final = integrate(run.ham, run.psi0, run.grid).final
     return final, convergence_check(run.ham, run.psi0, run.grid, final) if check else None
 
 
@@ -182,7 +143,7 @@ def _cavity_point(point: ScenarioConfig):
     eps = complex(point.epsilon)
     T = point.pulse_length()
     cutoff = FockCutoff(cavity_cutoff(point.drive_amplitude(), point.n_max))
-    grid = _grid(T, dt_bound(params, cutoff, abs(eps)))
+    grid = TimeGrid(0.0, T, T)
     epsilon = abs(eps) * np.exp(1j * np.angle(eps))  # polar, as points() sets a swept |eps|
     runs = {}
     for branch, omega_d, psi0 in (
@@ -210,12 +171,11 @@ def _qubit_drive_point(point: ScenarioConfig):
         if point.omega_drive is not None
         else params.omega_q + params.chi * (2.0 * point.alpha_sq + 2.0)
     )
-    tau_max = point.pulse_length()
     cutoff = FockCutoff(cavity_cutoff(beta_abs, point.n_max))
     basis = dressed_basis(params, cutoff, "exact")
-    drive = QubitDriveParams(eta_abs * np.exp(1j * point.eta_phase), omega, tau_max)
+    drive = QubitDriveParams(eta_abs * np.exp(1j * point.eta_phase), omega, point.pulse_length())
     ham = qubit_drive_lab_hamiltonian(params, drive, cutoff)
-    grid = _grid(tau_max, dt_bound(params, cutoff, 0.0, eta_abs=eta_abs))
+    grid = TimeGrid(0.0, drive.tau, drive.tau)
     return params, {
         label: Run(ham, dressed_coherent_state("g", beta, basis), grid, drive)
         for label, beta in (("real", beta_abs + 0j), ("imag", 1j * beta_abs))
@@ -228,10 +188,9 @@ def _readout_point(point: ScenarioConfig):
     The excited start is the bare |e,0> unless point.initial says dressed.
     """
     params = point.system_params()
-    eps = complex(point.epsilon)
-    drive = DriveParams(eps, params.omega_c - params.chi, point.pulse_length())
+    drive = DriveParams(complex(point.epsilon), params.omega_c - params.chi, point.pulse_length())
     cutoff = FockCutoff(cavity_cutoff(point.drive_amplitude(), point.n_max))
-    grid = _grid(drive.T, dt_bound(params, cutoff, abs(eps)))
+    grid = TimeGrid(0.0, drive.T, drive.T)
     ham = lab_drive_hamiltonian(params, drive, cutoff, point.drive_form)
     return params, {
         "g": Run(ham, basis_state(cutoff, "g", 0), grid, drive),
@@ -330,15 +289,17 @@ def _run_sweep(config: ScenarioConfig) -> ScenarioResult:
 
 
 def _run_fig4(config: ScenarioConfig) -> ScenarioResult:
-    """Excited-state probability vs time for beta purely real vs purely imaginary."""
+    """Excited-state probability vs time for real vs imaginary beta, on the dt_bound grid."""
     t_start = time.perf_counter()
     params, runs = _POINTS[config.scenario](config)
     real = runs["real"]
-    store_every = max(1, real.grid.steps // config.time_points)
-    trajs = {label: integrate(run.ham, run.psi0, run.grid, store_every=store_every)
+    eta_abs = config.qubit_drive_strength()
+    grid = TimeGrid.for_duration(real.drive.tau, dt_bound(params, real.ham.cutoff, 0.0, eta_abs))
+    store_every = max(1, grid.steps // config.time_points)
+    trajs = {label: integrate(run.ham, run.psi0, grid, store_every=store_every)
              for label, run in runs.items()}
     converged = not config.check_convergence or convergence_check(
-        real.ham, real.psi0, real.grid, trajs["real"].final).passed
+        real.ham, real.psi0, grid, trajs["real"].final).passed
 
     pe_r, pe_i = (metrics.excited_probability(trajs[label].states) for label in ("real", "imag"))
     columns = ("t", "P_e_beta_real", "P_e_beta_imag", "abs_diff", "converged")
@@ -348,7 +309,7 @@ def _run_fig4(config: ScenarioConfig) -> ScenarioResult:
     )
     meta = _meta(
         config, params,
-        beta_sq=f"{config.alpha_sq:g}", eta_abs=f"{config.qubit_drive_strength():g}",
+        beta_sq=f"{config.alpha_sq:g}", eta_abs=f"{eta_abs:g}",
         omega_drive=f"{real.drive.omega:g}",
         max_abs_diff=f"{float(np.max(np.abs(pe_r - pe_i))):.6f}",
         wall_time_s=f"{time.perf_counter() - t_start:.3f}",

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from jcdrive.config import ScenarioConfig
+from jcdrive.config import ScenarioConfig, dt_bound
 from jcdrive.dressed import dressed_basis, dressed_coherent_state
 from jcdrive.dynamics import TimeGrid, integrate, lab_drive_hamiltonian
 from jcdrive.hilbert import (
@@ -35,7 +35,7 @@ from jcdrive.propagators import (
     pe_simplified,
     qubit_drive_propagator,
 )
-from jcdrive.scenarios import dt_bound, _fidelity_point, run_scenario
+from jcdrive.scenarios import _fidelity_point, run_scenario
 
 from conftest import fid, ode_final
 from test_propagators import interaction_frame_h

@@ -10,7 +10,11 @@ import numpy as np
 import pytest
 
 from jcdrive.cli import main
-from jcdrive.config import _KEYS, ConfigError, ScenarioConfig, parse_config
+from jcdrive.config import (
+    _KEYS, ConfigError, ScenarioConfig, cavity_cutoff, dt_bound, parse_config,
+)
+from jcdrive.dynamics import TimeGrid
+from jcdrive.hilbert import FockCutoff
 from jcdrive.scenarios import ScenarioResult, emit_csv, run_scenario
 
 
@@ -241,20 +245,40 @@ class TestConfigFaults:
         assert code == 1
         assert "line 3:" in err and "time_points" in err
 
-    @pytest.mark.parametrize("text", [
-        "epsilon=1e-300\n",
-        "omega_c=1e17\n",
-        "scenario=fig4\neta_abs=1e-300\n",
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize("text, line", [
+        ("epsilon=1e-300\n", 1),
+        ("omega_c=1e17\n", 1),
+        ("scenario=fig4\neta_abs=1e-300\n", 2),
     ])
-    def test_step_count_beyond_exact_arithmetic(self, tmp_path, capsys, text):
-        # a grid of more than 2**53 steps is refused before any numerics
-        cfg = tmp_path / "cfg.txt"
+    def test_step_count_beyond_exact_arithmetic(self, tmp_path, capsys, command, text, line):
+        # a lab-frame phase rho T beyond 0.099 * 2**53 rad is refused on a line
+        # that sets one of its inputs, before any numerics; no line sets the
+        # detuning here, so the detuning-phase rule does not see these
+        cfg, out = tmp_path / "cfg.txt", tmp_path / "out.csv"
         cfg.write_text(text)
-        assert main(["check", "--config", str(cfg)]) == 1
+        args = ["--out", str(out)] if command == "run" else []
+        assert main([command, "--config", str(cfg), *args]) == 1
         err = capsys.readouterr().err
-        assert "config error: pulse length" in err and "at dt =" in err and "2**53" in err
-        code, err = self._run(tmp_path, capsys, text)
-        assert code == 1 and "pulse length" in err
+        assert err.startswith(f"config error: line {line}: lab-frame phase rho T = ")
+        assert "0.099 * 2**53" in err and not out.exists()
+
+    @pytest.mark.parametrize("factor, accepted", [(0.999, True), (1.001, False)])
+    def test_lab_phase_edge(self, factor, accepted):
+        # the bound is T / dt_bound <= 2**53, the most steps whose counts are
+        # exact as floats: rho T <= 0.099 * 2**53.  T = |alpha|/|epsilon| =
+        # 1/|epsilon| at alpha_sq = 1; the |epsilon| that puts rho T at factor
+        # times the bound is about 2e-12, whose drive term 2 |epsilon|
+        # sqrt(n_max) is below rounding in rho ~ 1.9e3
+        params = ScenarioConfig().system_params()
+        rho = 0.099 / dt_bound(params, FockCutoff(cavity_cutoff(1.0, None)), 0.0)
+        eps = rho / (factor * 0.099 * 2**53)
+        text = f"scenario=fig2b\nsweep_values=1\nepsilon={eps!r}\n"
+        if accepted:
+            assert parse_config(text).epsilon == eps
+        else:
+            with pytest.raises(ConfigError, match="^line 3: lab-frame phase"):
+                parse_config(text)
 
     @pytest.mark.parametrize("command", ["run", "check"])
     @pytest.mark.parametrize("text, line, key", [
@@ -495,6 +519,61 @@ class TestCli:
         ])
         assert code == 0
         assert "# scenario=readout" in (tmp_path / "r.csv").read_text().splitlines()[0]
+
+    @pytest.mark.parametrize("entry, message", [
+        ("bogus=1", "unknown key 'bogus'"),
+        ("time_points=1", "time_points must be >= 2"),
+        # the lab-frame phase rule, on a config that sets none of its inputs
+        ("omega_c=1e17", "lab-frame phase rho T = "),
+    ])
+    def test_set_fault_names_the_entry(self, tmp_path, capsys, entry, message):
+        # a fault on a --set entry names the entry, not a line past the file
+        out = tmp_path / "o.csv"
+        cfg = self._write(tmp_path, FAST_SCENARIO)
+        assert main(["run", "--config", cfg, "--out", str(out), "--set", "g=1",
+                     "--set", entry]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: --set {entry}: {message}")
+        assert not out.exists()
+
+    def test_fault_in_the_file_keeps_its_line(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, FAST_SCENARIO + "bogus=1\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv"), "--set", "g=1"]) == 1
+        assert capsys.readouterr().err.startswith("config error: line 5: unknown key 'bogus'")
+
+    @pytest.mark.parametrize("text, trace", [
+        ("scenario=fig2a\n", False),
+        ("scenario=readout\n", False),
+        ("scenario=custom\ndrive_form=cosine\nsweep_values=1,2\n", False),
+        ("scenario=fig4\n", True),
+    ])
+    def test_only_fig4_traces_take_a_step_grid(self, tmp_path, monkeypatch, text, trace):
+        # sweep and readout runs are scored at T alone, so they take the
+        # one-step grid [0, T]; fig4's two trace runs store their P_e on the
+        # dt_bound grid, while sim check integrates its first run in one step
+        import jcdrive.scenarios as scenarios
+
+        real = scenarios.integrate
+        grids = []
+
+        def record(ham, psi0, grid, **kwargs):
+            grids.append((ham.cutoff, grid))
+            return real(ham, psi0, grid, **kwargs)
+
+        monkeypatch.setattr(scenarios, "integrate", record)
+        cfg = self._write(tmp_path, text)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
+        config = parse_config(text)
+        if trace:
+            tau = config.pulse_length()
+            dt = dt_bound(config.system_params(), grids[0][0], 0.0, config.qubit_drive_strength())
+            assert [g for _, g in grids] == [TimeGrid.for_duration(tau, dt)] * 2
+            assert grids[0][1].steps > 1000
+        else:
+            assert len(grids) == 2 * len(config.points())
+            assert all(g.steps == 1 and g.t0 == 0.0 and g.t1 == g.dt for _, g in grids)
+        grids.clear()
+        assert main(["check", "--config", cfg]) == 0
+        assert [g.steps for _, g in grids] == [1]
 
     @pytest.mark.parametrize("scenario", list(SCHEMAS))
     def test_check_subcommand(self, tmp_path, capsys, scenario):

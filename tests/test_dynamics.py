@@ -37,8 +37,7 @@ from jcdrive.hilbert import (
 )
 from jcdrive.propagators import DriveParams, QubitDriveParams, alpha_ge
 from jcdrive import scenarios
-from jcdrive.config import parse_config
-from jcdrive.scenarios import dt_bound
+from jcdrive.config import dt_bound, parse_config
 
 from conftest import (
     doubled_cutoff_infidelity,
@@ -135,8 +134,10 @@ class TestIntegratorBasics:
         psi0 = basis_state(cutoff12, "g", 0)
         fine = TimeGrid.for_duration(1.0, dt_bound(params, cutoff12, 0.05))
         assert 1e-3 > 10 * fine.dt
-        coarse = integrate(ham, psi0, TimeGrid(0.0, 1.0, 1e-3))
-        assert np.max(np.abs(coarse.final - integrate(ham, psi0, fine).final)) <= 1e-12
+        fine_final = integrate(ham, psi0, fine).final
+        # the one-step grid of a sweep or readout run, too
+        for coarse in (TimeGrid(0.0, 1.0, 1e-3), TimeGrid(0.0, 1.0, 1.0)):
+            assert np.max(np.abs(integrate(ham, psi0, coarse).final - fine_final)) <= 1e-12
 
     def test_guard_spares_exact_runs(self, params):
         # dt = 0.01 is over 100x dt_bound here, but the run is exact: dt
@@ -147,9 +148,10 @@ class TestIntegratorBasics:
         psi0 = basis_state(cut, "g", 0)
         fine_dt = 2.0**-14
         assert fine_dt < dt_bound(params, cut, 0.05)
-        coarse = integrate(ham, psi0, TimeGrid(0.0, drive.T, 0.01))
         fine = integrate(ham, psi0, TimeGrid(0.0, drive.T, fine_dt))
-        assert np.max(np.abs(coarse.final - fine.final)) < 1e-12
+        # the one-step grid of a sweep or readout run, too
+        for coarse in (TimeGrid(0.0, drive.T, 0.01), TimeGrid(0.0, drive.T, drive.T)):
+            assert np.max(np.abs(integrate(ham, psi0, coarse).final - fine.final)) < 1e-12
 
     @pytest.mark.parametrize("form", ["rwa", "cosine"])
     def test_pulse_then_free_run(self, params, form):
