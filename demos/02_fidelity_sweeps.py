@@ -8,7 +8,7 @@ Two things to look for in the output:
 * the dressed description beats the bare one at every point (gap > 0), and
 * the quartic phase correction is what makes the high fidelities possible.
 
-Run:  python demos/02_fidelity_sweeps.py      (about a minute)
+Run:  python demos/02_fidelity_sweeps.py      (under a second)
 """
 
 from jcdrive import ScenarioConfig, run_scenario

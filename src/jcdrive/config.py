@@ -49,6 +49,13 @@ MAX_PHASE = 1e10
 # max|eig H|: at 8.9e14 rad doubles are 0.125 rad apart, and fig4's dt_bound
 # grid stays within 2**53 steps, where step counts and indices are exact floats.
 MAX_LAB_PHASE = 0.099 * 2**53
+# The largest cavity truncation, given or rule-chosen: at dimension 4096 one
+# dense complex matrix is 256 MiB, and one eigh of it takes about two minutes
+# on one core (1.9 s at dimension 1024 on one Xeon core, growing as the
+# cube).  No scenario default needs more than 39 levels; |alpha|^2 = 1416,
+# where the Poisson weights leave float range, needs 1654.  fig4 stores at
+# least time_points + 1 states of each trace, held to that same 256 MiB.
+MAX_N_MAX = 2048
 
 
 class ConfigError(ValueError):
@@ -216,7 +223,7 @@ _KEYS = {
     "eta_phase": ("eta_phase", _REAL, None),
     "omega_drive": ("omega_drive", _REAL, None),
     "time_points": ("time_points", _INT, _AT_LEAST_2),
-    "n_max": ("n_max", _INT, _AT_LEAST_2),
+    "n_max": ("n_max", _INT, (lambda n: 2 <= n <= MAX_N_MAX, f"between 2 and {MAX_N_MAX}")),
     "workers": ("workers", _INT, (lambda n: n >= 1, ">= 1")),
     "check_convergence": ("check_convergence", _switch, None),
 }
@@ -234,9 +241,11 @@ def parse_config(text: str) -> ScenarioConfig:
     dispersive regime (omega_q = omega_c, g = 0 with omega_q derived,
     |lambda| >= 1), inconsistent derived quantities (an omega_q that contradicts the given
     lambda), an n_max below the truncation rule at the largest amplitude
-    the scenario drives to, and a point whose detuning phase |Delta| T or
-    lab-frame phase rho T exceeds MAX_PHASE or MAX_LAB_PHASE are errors
-    carrying the line number.  An empty file yields all defaults.
+    the scenario drives to, a point whose cutoff exceeds MAX_N_MAX levels
+    (or whose fig4 traces would store more than a dense matrix at that
+    cutoff), and a point whose detuning phase |Delta| T or lab-frame phase
+    rho T exceeds MAX_PHASE or MAX_LAB_PHASE are errors carrying the line
+    number.  An empty file yields all defaults.
     """
     values: dict = {}
     seen: dict[str, int] = {}
@@ -311,11 +320,15 @@ def parse_config(text: str) -> ScenarioConfig:
         cavity_cutoff(max(p.drive_amplitude() for p in points), cfg.n_max, seen["n_max"])
     # The detuning phase, checked where a line sets the detuning: the swept
     # lambda, omega_q, lambda or g (see MAX_PHASE for the default detuning).
-    # The lab-frame phase, checked on the first line in this order that sets
-    # one of its inputs, the sweep values standing for the swept key.
+    # The rule-chosen cutoff and the lab-frame phase, each checked on the
+    # first line in its order that sets one of its inputs, the sweep values
+    # standing for the swept key.
     key = next((k for k in ("omega_q", "lambda", "g") if k in seen), None)
     fig4 = cfg.scenario == "fig4"
     lines = {**seen, "epsilon" if axis == "epsilon_abs" else axis: seen.get("sweep_values")}
+    readout = cfg.scenario == "readout"
+    amplitude_keys = ("epsilon", "lambda", "omega_q", "g") if readout else ("alpha_sq",)
+    cutoff_line = next((lines[k] for k in amplitude_keys if lines.get(k)), None)
     lab_line = next((lines[k] for k in ("eta_abs" if fig4 else "epsilon", "omega_c", "lambda",
                                         "omega_q", "g", "alpha_sq", "n_max") if lines.get(k)), None)
     for point in points:
@@ -330,6 +343,13 @@ def parse_config(text: str) -> ScenarioConfig:
                 line,
             )
         cutoff = FockCutoff(cavity_cutoff(point.drive_amplitude(), point.n_max))
+        if cutoff.n_max > MAX_N_MAX:
+            raise ConfigError(f"|alpha| = {point.drive_amplitude():.4g} needs a cutoff of "
+                              f"{cutoff.n_max} levels, more than {MAX_N_MAX}", cutoff_line)
+        if fig4 and (point.time_points + 1) * cutoff.dim > (2 * MAX_N_MAX) ** 2:
+            raise ConfigError(f"time_points={point.time_points} stores {point.time_points + 1} "
+                              f"states of dimension {cutoff.dim} per fig4 trace, more than one "
+                              f"dense matrix at n_max={MAX_N_MAX}", seen.get("time_points"))
         rho = 0.099 / dt_bound(params, cutoff, 0.0 if fig4 else abs(complex(point.epsilon)),
                                point.qubit_drive_strength() if fig4 else 0.0)
         if not rho * T <= MAX_LAB_PHASE:
@@ -357,8 +377,9 @@ def dt_bound(params: SystemParams, cutoff: FockCutoff, eps_abs: float,
     """Largest step satisfying dt * max|eig(H)| < 0.1, from a spectral-radius bound rho.
 
     parse_config holds rho T to MAX_LAB_PHASE.  Of the scenario runs only
-    fig4's traces take this step, which sets their stored times; the test
-    suite's literal midpoint oracle steps by it, as it needs dt * rho small.
+    fig4's traces take this step (or tau/time_points, where that is finer),
+    which sets their stored times; the test suite's literal midpoint oracle
+    steps by it, as it needs dt * rho small.
     """
     n = cutoff.n_max
     rho = (

@@ -9,14 +9,16 @@ separated from Fock-space truncation:
 
 Index bookkeeping for the excited branch: the state written here as
 ``dressed e, n`` is cos(theta_{n+1}) |e,n> + sin(theta_{n+1}) |g,n+1>, i.e. the
-partner lives one cavity level up.  This is the one place where an off-by-one
-slips in easily; tests pin it against direct diagonalization.
+partner lives one cavity level up.  ``DressedBasis.tables`` writes that shift
+once, as the columns of both branches' states; every state here is read off
+them, and tests pin them against direct diagonalization.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +70,24 @@ class DressedBasis:
     def n_max(self) -> int:
         return self.cutoff.n_max
 
+    @cached_property
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only dressed states as columns: (g n for n < n_max, e n for n < n_max - 1).
+
+        Doublet k rotates |g,k> and its partner |e,k-1> by theta_k; with the
+        first_order angles the whole rotation is U_D^dag.
+        """
+        n_max = self.n_max
+        k = np.arange(1, n_max)
+        partner = n_max + k - 1
+        cos_t, sin_t = np.cos(self.angles[k]), np.sin(self.angles[k])
+        rot = np.eye(2 * n_max, dtype=complex)
+        rot[k, k] = rot[partner, partner] = cos_t
+        rot[partner, k] = -sin_t
+        rot[k, partner] = sin_t
+        rot.flags.writeable = False
+        return rot[:, :n_max], rot[:, n_max : 2 * n_max - 1]
+
 
 def dressed_basis(params: SystemParams, cutoff: FockCutoff, variant: str = "exact") -> DressedBasis:
     if variant not in VARIANTS:
@@ -76,32 +96,22 @@ def dressed_basis(params: SystemParams, cutoff: FockCutoff, variant: str = "exac
     return DressedBasis(params=params, cutoff=cutoff, variant=variant, angles=angles)
 
 
+def _table(qubit: str, basis: DressedBasis) -> np.ndarray:
+    if qubit not in ("g", "e"):
+        raise ValueError(f"qubit must be 'g' or 'e', got {qubit!r}")
+    return basis.tables[qubit == "e"]
+
+
 def dressed_state(qubit: str, n: int, basis: DressedBasis) -> np.ndarray:
-    """Dressed eigenstate.
+    """Dressed eigenstate, a column of ``basis.tables``.
 
     qubit='g': cos(theta_n)|g,n> - sin(theta_n)|e,n-1>, defined for 0 <= n < n_max.
     qubit='e': cos(theta_{n+1})|e,n> + sin(theta_{n+1})|g,n+1>, needs n+1 < n_max.
     """
-    n_max = basis.n_max
-    psi = np.zeros(2 * n_max, dtype=complex)
-    if qubit == "g":
-        if not 0 <= n < n_max:
-            raise ValueError(f"Fock index {n} outside truncation 0..{n_max - 1}")
-        th = basis.angles[n]
-        psi[n] = math.cos(th)
-        if n >= 1:
-            psi[n_max + n - 1] = -math.sin(th)
-    elif qubit == "e":
-        if not 0 <= n < n_max - 1:
-            raise ValueError(
-                f"dressed (e,{n}) needs partner level {n + 1} inside truncation 0..{n_max - 1}"
-            )
-        th = basis.angles[n + 1]
-        psi[n_max + n] = math.cos(th)
-        psi[n + 1] = math.sin(th)
-    else:
-        raise ValueError(f"qubit must be 'g' or 'e', got {qubit!r}")
-    return psi
+    table = _table(qubit, basis)
+    if not 0 <= n < table.shape[1]:
+        raise ValueError(f"no dressed ({qubit},{n}) at n_max={basis.n_max}")
+    return table[:, n].copy()
 
 
 def dressed_coherent_state(qubit: str, alpha: complex, basis: DressedBasis) -> np.ndarray:
@@ -110,30 +120,14 @@ def dressed_coherent_state(qubit: str, alpha: complex, basis: DressedBasis) -> n
     The excited branch puts weight on partner levels n+1, so it needs one
     extra level of headroom over the plain coherent-state rule.
     """
-    n_max = basis.n_max
-    cos_t = np.cos(basis.angles)
-    sin_t = np.sin(basis.angles)
-    psi = np.zeros(2 * n_max, dtype=complex)
-    if qubit == "g":
-        if poisson_tail(alpha, n_max) >= 1e-10:
-            raise CutoffError(
-                f"truncation leak for |alpha|={abs(alpha):.3g}: need n_max >= "
-                f"{required_cutoff(alpha)}, got {n_max}"
-            )
-        amps = poisson_amplitudes(alpha, n_max)
-        psi[:n_max] = amps * cos_t
-        psi[n_max : 2 * n_max - 1] -= (amps * sin_t)[1:]
-    elif qubit == "e":
-        if poisson_tail(alpha, n_max - 1) >= 1e-10:
-            raise CutoffError(
-                f"truncation leak for |alpha|={abs(alpha):.3g} (e branch needs one "
-                f"level of headroom): need n_max >= {required_cutoff(alpha) + 1}, got {n_max}"
-            )
-        amps = poisson_amplitudes(alpha, n_max - 1)
-        psi[n_max : 2 * n_max - 1] = amps * cos_t[1:]
-        psi[1:n_max] = amps * sin_t[1:]
-    else:
-        raise ValueError(f"qubit must be 'g' or 'e', got {qubit!r}")
+    table = _table(qubit, basis)
+    levels = table.shape[1]
+    if poisson_tail(alpha, levels) >= 1e-10:
+        raise CutoffError(
+            f"truncation leak for |alpha|={abs(alpha):.3g} on the {qubit} branch: need n_max >= "
+            f"{required_cutoff(alpha) + basis.n_max - levels}, got {basis.n_max}"
+        )
+    psi = table @ poisson_amplitudes(alpha, levels)
     return psi / np.linalg.norm(psi)
 
 

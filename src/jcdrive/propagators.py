@@ -12,7 +12,14 @@ with displacement amplitudes
 
 where delta = omega_c - omega_d.  The removable singularities u -> 0 (the
 readout operating points) are evaluated in the numerically exact form
--i eps* T e^{iuT/2} sinc(uT/2), never by dividing small numbers.
+-i eps* T e^{iuT/2} sinc(uT/2), never by dividing small numbers.  The
+phases phi come from magnus_second_order_phase.
+
+In the lab frame the amplitudes turn at the branch cavity rates, with an
+optional quartic phase correction: lab_amplitudes holds that one formula.
+After the drive the lab-frame state is a dressed coherent state at those
+amplitudes (see dressed); from the bare |e,0> a residual branch, built from
+the first-order dressed-state table, rides along.
 
 For a classical qubit drive the Magnus series does not terminate; the
 propagator here is the first-order (average-Hamiltonian) result, accurate for
@@ -32,21 +39,18 @@ from .hilbert import (
     FockCutoff,
     SystemParams,
     displacement_cavity,
-    dispersive_unitary,
     fix_global_phase,
     poisson_amplitudes,
     poisson_tail,
     required_cutoff,
 )
-from .dressed import DressedBasis, dressed_coherent_state
+from .dressed import DressedBasis, dressed_basis, dressed_coherent_state
 
 __all__ = [
     "DriveParams",
     "QubitDriveParams",
-    "ConditionalDisplacement",
     "alpha_ge",
     "magnus_second_order_phase",
-    "conditional_displacement",
     "cavity_drive_propagator",
     "ground_final_state_lab",
     "excited_final_state_lab",
@@ -92,16 +96,6 @@ class QubitDriveParams:
         return params.omega_q + params.chi - self.omega
 
 
-@dataclass(frozen=True)
-class ConditionalDisplacement:
-    """Branch displacements and second-order phases of the cavity-drive propagator."""
-
-    alpha_g: complex
-    alpha_e: complex
-    phase_g: float
-    phase_e: float
-
-
 def _sinc_form(c: complex, y: float, t: float) -> complex:
     # c (1 - e^{iyt}) / y, written as c (-i t) e^{iyt/2} sinc(yt/2pi): exact at y = 0
     return c * (-1j * t) * np.exp(0.5j * y * t) * np.sinc(y * t / (2.0 * np.pi))
@@ -116,13 +110,6 @@ def _x_minus_sin(x: float) -> float:
             s = 1.0 - x2 / ((2 * k + 2) * (2 * k + 3)) * s
         return x * x2 / 6.0 * s
     return x - math.sin(x)
-
-
-def _omega2_phase(epsilon: complex, u: float, T: float) -> float:
-    # phi = |eps|^2 (uT - sin uT) / u^2 ; -> |eps|^2 u T^3/6 as u -> 0
-    if u == 0.0:
-        return 0.0
-    return abs(epsilon) ** 2 * _x_minus_sin(u * T) / (u * u)
 
 
 def alpha_ge(drive: DriveParams, params: SystemParams) -> tuple[complex, complex]:
@@ -157,18 +144,9 @@ def magnus_second_order_phase(drive: DriveParams, params: SystemParams, sz_sign:
     if sz_sign not in (+1, -1):
         raise ValueError("sz_sign must be +1 (g) or -1 (e)")
     u = drive.detuning(params) - sz_sign * params.chi
-    return _omega2_phase(drive.epsilon, u, drive.T)
-
-
-def conditional_displacement(drive: DriveParams, params: SystemParams) -> ConditionalDisplacement:
-    """Displacements and Stark phases summarizing the cavity-drive propagator."""
-    ag, ae = alpha_ge(drive, params)
-    return ConditionalDisplacement(
-        alpha_g=ag,
-        alpha_e=ae,
-        phase_g=magnus_second_order_phase(drive, params, +1),
-        phase_e=magnus_second_order_phase(drive, params, -1),
-    )
+    if u == 0.0:
+        return 0.0
+    return abs(drive.epsilon) ** 2 * _x_minus_sin(u * drive.T) / (u * u)
 
 
 def cavity_drive_propagator(drive: DriveParams, params: SystemParams, cutoff: FockCutoff) -> np.ndarray:
@@ -178,8 +156,8 @@ def cavity_drive_propagator(drive: DriveParams, params: SystemParams, cutoff: Fo
     precision; fails with CutoffError if the truncation cannot hold the larger
     of the two displacement amplitudes.
     """
-    cd = conditional_displacement(drive, params)
-    amax = max(abs(cd.alpha_g), abs(cd.alpha_e))
+    ag, ae = alpha_ge(drive, params)
+    amax = max(abs(ag), abs(ae))
     if cutoff.n_max < required_cutoff(amax):
         raise CutoffError(
             f"n_max={cutoff.n_max} too small for displacement |alpha|={amax:.3g}; "
@@ -187,16 +165,18 @@ def cavity_drive_propagator(drive: DriveParams, params: SystemParams, cutoff: Fo
         )
     n_max = cutoff.n_max
     u = np.zeros((2 * n_max, 2 * n_max), dtype=complex)
-    u[:n_max, :n_max] = displacement_cavity(cd.alpha_g, n_max) * np.exp(1j * cd.phase_g)
-    u[n_max:, n_max:] = displacement_cavity(cd.alpha_e, n_max) * np.exp(1j * cd.phase_e)
+    phi_g, phi_e = (magnus_second_order_phase(drive, params, s) for s in (+1, -1))
+    u[:n_max, :n_max] = displacement_cavity(ag, n_max) * np.exp(1j * phi_g)
+    u[n_max:, n_max:] = displacement_cavity(ae, n_max) * np.exp(1j * phi_e)
     return u
 
 
-def phase_corrected_amplitudes(
+def lab_amplitudes(
     drive: DriveParams,
     params: SystemParams,
+    phase_correction: bool = False,
 ) -> tuple[complex, complex]:
-    """Lab-frame amplitudes alpha~_{g/e}(T) including the quartic phase correction.
+    """Lab-frame branch amplitudes alpha~_{g/e}(T), with or without the quartic phase correction.
 
     The leading nonlinearity beyond the dispersive Hamiltonian shifts the
     cavity rotation rate by zeta = Delta * lambda^4 times the photon number;
@@ -206,11 +186,11 @@ def phase_corrected_amplitudes(
         alpha~_e = alpha_e exp(-i (omega_c + chi - zeta*(n/2 + 1)) T)
 
     with n the branch's own coherent photon number |alpha_{g/e}(T)|^2, the
-    self-consistent classical value at the end of the drive.
-    lab_amplitudes gives the uncorrected phases.
+    self-consistent classical value at the end of the drive.  Without the
+    correction zeta = 0, leaving the dispersive-frame phases (omega_c -/+ chi) T.
     """
     ag, ae = alpha_ge(drive, params)
-    zeta = params.delta * params.lam ** 4
+    zeta = params.delta * params.lam ** 4 if phase_correction else 0.0
     ng, ne = abs(ag) ** 2, abs(ae) ** 2
     wc, chi, T = params.omega_c, params.chi, drive.T
     ag_t = ag * np.exp(-1j * (wc - chi + zeta * ng / 2.0) * T)
@@ -218,20 +198,12 @@ def phase_corrected_amplitudes(
     return ag_t, ae_t
 
 
-def lab_amplitudes(
+def phase_corrected_amplitudes(
     drive: DriveParams,
     params: SystemParams,
-    phase_correction: bool = False,
 ) -> tuple[complex, complex]:
-    """Lab-frame branch amplitudes at T: phase_corrected_amplitudes with the correction,
-    alpha_{g/e} exp(-i (omega_c -/+ chi) T) without it."""
-    if phase_correction:
-        return phase_corrected_amplitudes(drive, params)
-    ag, ae = alpha_ge(drive, params)
-    return (
-        ag * np.exp(-1j * (params.omega_c - params.chi) * drive.T),
-        ae * np.exp(-1j * (params.omega_c + params.chi) * drive.T),
-    )
+    """lab_amplitudes with the quartic phase correction, the amplitudes lab-frame numerics reach."""
+    return lab_amplitudes(drive, params, phase_correction=True)
 
 
 def ground_final_state_lab(
@@ -270,8 +242,10 @@ def excited_final_state_lab(
 
     with |xi(T)> = exp(-i(omega_c - chi) a'a T) D(alpha_g) |1> (a displaced
     one-photon state) and G = (omega_q + chi) T + (phi_g - phi_e) collecting
-    the relative second-order Magnus phase.  This residual branch is what
-    limits dispersive readout contrast.
+    the relative second-order Magnus phase.  U_D^dag |g,n> is the first-order
+    dressed state (g, n), so U_D^dag |g> (x) |xi(T)> is the first_order
+    table's g columns times xi.  This residual branch is what limits
+    dispersive readout contrast.
     """
     n_max = basis.n_max
     _, ae_t = lab_amplitudes(drive, params, phase_correction)
@@ -281,22 +255,19 @@ def excited_final_state_lab(
     if initial != "bare_e0":
         raise ValueError(f"initial must be 'dressed_e0' or 'bare_e0', got {initial!r}")
 
-    cd = conditional_displacement(drive, params)
-    if n_max < required_cutoff(cd.alpha_g) + 1:
+    ag, _ = alpha_ge(drive, params)
+    if n_max < required_cutoff(ag) + 1:
         raise CutoffError(
             f"n_max={n_max} too small for the displaced one-photon branch; "
-            f"need >= {required_cutoff(cd.alpha_g) + 1}"
+            f"need >= {required_cutoff(ag) + 1}"
         )
     lam, wc, wq, chi, T = params.lam, params.omega_c, params.omega_q, params.chi, drive.T
     # |xi(T)>: displaced Fock |1>, rotated at the ground-branch cavity rate
-    one = np.zeros(n_max, dtype=complex)
-    one[1] = 1.0
-    xi = displacement_cavity(cd.alpha_g, n_max) @ one
+    xi = displacement_cavity(ag, n_max)[:, 1]
     xi = np.exp(-1j * (wc - chi) * T * np.arange(n_max)) * xi
-    g_branch = np.zeros(2 * n_max, dtype=complex)
-    g_branch[:n_max] = xi
-    g_branch = dispersive_unitary(params, basis.cutoff).conj().T @ g_branch
-    big_g = (wq + chi) * T + (cd.phase_g - cd.phase_e)
+    g_branch = dressed_basis(params, basis.cutoff, "first_order").tables[0] @ xi
+    phi_g, phi_e = (magnus_second_order_phase(drive, params, s) for s in (+1, -1))
+    big_g = (wq + chi) * T + (phi_g - phi_e)
     psi = math.cos(lam) * branch_e - np.exp(1j * big_g) * math.sin(lam) * g_branch
     return fix_global_phase(psi / np.linalg.norm(psi))
 

@@ -14,7 +14,8 @@ one runner, driven by the swept quantity (``config.SWEEP_AXES``) and a
 table of CSV columns.
 
 No path is held to a step, so each run's grid is the one step [0, T]; only
-fig4's two traces take the ``config.dt_bound`` grid, for their stored times.
+fig4's two traces take a step grid, of the ``config.dt_bound`` step or
+tau/time_points where that is finer, for their stored times.
 
 The sweeps are embarrassingly parallel over points; every input a worker
 touches is immutable, so points may be dispatched to a process pool and are
@@ -289,12 +290,18 @@ def _run_sweep(config: ScenarioConfig) -> ScenarioResult:
 
 
 def _run_fig4(config: ScenarioConfig) -> ScenarioResult:
-    """Excited-state probability vs time for real vs imaginary beta, on the dt_bound grid."""
+    """Excited-state probability vs time for real vs imaginary beta.
+
+    The grid steps by dt_bound, or by tau/time_points where that is finer, so
+    that at least time_points + 1 times are stored.
+    """
     t_start = time.perf_counter()
     params, runs = _POINTS[config.scenario](config)
     real = runs["real"]
     eta_abs = config.qubit_drive_strength()
-    grid = TimeGrid.for_duration(real.drive.tau, dt_bound(params, real.ham.cutoff, 0.0, eta_abs))
+    tau = real.drive.tau
+    dt = min(dt_bound(params, real.ham.cutoff, 0.0, eta_abs), tau / config.time_points)
+    grid = TimeGrid.for_duration(tau, dt)
     store_every = max(1, grid.steps // config.time_points)
     trajs = {label: integrate(run.ham, run.psi0, grid, store_every=store_every)
              for label, run in runs.items()}

@@ -263,6 +263,51 @@ class TestConfigFaults:
         assert err.startswith(f"config error: line {line}: lab-frame phase rho T = ")
         assert "0.099 * 2**53" in err and not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_rule_cutoff_beyond_the_cap(self, tmp_path, capsys, monkeypatch, command):
+        # readout at lambda = 1e-3 drives |alpha_g| = |eps| pi/|chi| to 157,
+        # whose rule cutoff of 25,629 levels would take 19.6 GiB per dense
+        # matrix: refused on the lambda line before the scenario is built
+        def never(config):
+            raise AssertionError("the scenario was built")
+
+        monkeypatch.setattr("jcdrive.cli.run_scenario", never)
+        monkeypatch.setattr("jcdrive.cli.convergence_probe", never)
+        cfg, out = tmp_path / "cfg.txt", tmp_path / "out.csv"
+        cfg.write_text("scenario=readout\nlambda=1e-3\n")
+        args = ["--out", str(out)] if command == "run" else []
+        assert main([command, "--config", str(cfg), *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: line 2: |alpha| = 157.1 needs a cutoff of 25629 levels")
+        assert "more than 2048" in err and not out.exists()
+
+    @pytest.mark.parametrize("text, line", [
+        ("scenario=fig2b\nsweep_values=1,1800\n", 2),     # the sweep values stand for alpha_sq
+        ("scenario=fig4\nepsilon=1\nalpha_sq=1800\n", 3),  # epsilon is no input of |beta|
+        ("scenario=readout\ng=0.5\nepsilon=1\nlambda=1e-3\n", 3),  # epsilon before lambda
+        ("scenario=readout\nomega_q=110\ng=0.01\n", 2),    # omega_q before g
+    ])
+    def test_rule_cutoff_line(self, text, line):
+        with pytest.raises(ConfigError, match="needs a cutoff of") as info:
+            parse_config(text)
+        assert info.value.line == line
+
+    def test_cutoff_cap_edges(self):
+        assert parse_config("scenario=fig2b\nn_max=2048\n").n_max == 2048
+        with pytest.raises(ConfigError, match="^line 2: n_max must be between 2 and 2048"):
+            parse_config("scenario=fig2b\nn_max=2049\n")
+        # by the rule alpha_sq = 1782 needs 2048 levels and 1783 needs 2049
+        assert parse_config("scenario=fig2b\nsweep_values=1782\n").sweep_values == (1782.0,)
+        with pytest.raises(ConfigError, match="^line 2: .* needs a cutoff of 2049 levels"):
+            parse_config("scenario=fig2b\nsweep_values=1783\n")
+
+    def test_fig4_trace_beyond_a_dense_matrix(self):
+        # the default fig4 cutoff is 28 levels, dimension 56: each trace may
+        # store (time_points + 1) * 56 <= 4096**2 amplitudes
+        assert parse_config("scenario=fig4\ntime_points=299592\n").time_points == 299592
+        with pytest.raises(ConfigError, match="^line 2: time_points=299593 stores 299594 states"):
+            parse_config("scenario=fig4\ntime_points=299593\n")
+
     @pytest.mark.parametrize("factor, accepted", [(0.999, True), (1.001, False)])
     def test_lab_phase_edge(self, factor, accepted):
         # the bound is T / dt_bound <= 2**53, the most steps whose counts are
@@ -403,6 +448,12 @@ class TestRunScenario:
         params = meta.split("params=", 1)[1].split(", ")
         assert [kv.split("=", 1)[0] for kv in params] == keys.split()
         assert columns == header
+
+    def test_fig4_rows_when_the_pulse_is_short(self):
+        # at eta_abs = 1e5 the pulse is about 65 dt_bound steps, fewer than
+        # time_points: the grid steps by tau/time_points instead
+        cfg = parse_config("scenario=fig4\neta_abs=1e5\ncheck_convergence=off\n")
+        assert len(run_scenario(cfg).rows) >= 401
 
     def test_swept_lambda_is_simulated_lambda(self):
         # omega_q=105 means lambda=0.2; the row labelled lambda=0.1 must still simulate 0.1

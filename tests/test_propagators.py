@@ -30,7 +30,6 @@ from jcdrive.propagators import (
     _x_minus_sin,
     alpha_ge,
     cavity_drive_propagator,
-    conditional_displacement,
     excited_final_state_lab,
     ground_final_state_lab,
     lab_amplitudes,
@@ -284,6 +283,21 @@ class TestExcitedFinalState:
         psi = u_d.conj().T @ psi
         target = excited_final_state_lab(drive, params, basis, initial="bare_e0")
         assert 1.0 - fid(psi, target) < 1e-10
+
+    def test_first_order_g_columns_are_u_d_dagger(self):
+        # the residual branch of the bare start is the first_order table's g
+        # columns times xi, in place of U_D^dag on the g block; xi weighs the
+        # top cavity level too, whose partner |e,n_max-2> is inside the truncation
+        cut = FockCutoff(30)
+        rng = np.random.default_rng(3)
+        xi = rng.normal(size=cut.n_max) + 1j * rng.normal(size=cut.n_max)
+        xi[-1] = 3.0
+        xi /= np.linalg.norm(xi)
+        for lam in (0.05, 0.1, 0.3):
+            params = SystemParams.from_lambda(g=1.0, lam=lam, omega_c=100.0)
+            g_columns = dressed_basis(params, cut, "first_order").tables[0]
+            rotated = dispersive_unitary(params, cut).conj().T @ np.append(xi, np.zeros(cut.n_max))
+            assert np.max(np.abs(g_columns @ xi - rotated)) < 1e-14
 
     def test_displaced_fock_photon_number(self):
         # <xi|a'a|xi> = 1 + |alpha|^2 for the displaced one-photon state
