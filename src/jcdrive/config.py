@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
 
-from .hilbert import FockCutoff, SystemParams, required_cutoff
+from .hilbert import MAX_POISSON_ALPHA_SQ, FockCutoff, SystemParams, required_cutoff
 
 __all__ = [
     "ConfigError", "ScenarioConfig", "parse_config", "cavity_cutoff", "dt_bound", "SCENARIOS",
@@ -52,9 +52,11 @@ MAX_LAB_PHASE = 0.099 * 2**53
 # The largest cavity truncation, given or rule-chosen: at dimension 4096 one
 # dense complex matrix is 256 MiB, and one eigh of it takes about two minutes
 # on one core (1.9 s at dimension 1024 on one Xeon core, growing as the
-# cube).  No scenario default needs more than 39 levels; |alpha|^2 = 1416,
-# where the Poisson weights leave float range, needs 1654.  fig4 stores at
-# least time_points + 1 states of each trace, held to that same 256 MiB.
+# cube).  No scenario default needs more than 39 levels; |alpha|^2 =
+# MAX_POISSON_ALPHA_SQ (about 1416.8), beyond which the Poisson weights of the
+# targets leave float range and the point is refused, needs 1654.  fig4
+# builds a phase table of time_points + 1 rows per trace, held to that same
+# 256 MiB.
 MAX_N_MAX = 2048
 
 
@@ -243,9 +245,10 @@ def parse_config(text: str) -> ScenarioConfig:
     lambda), an n_max below the truncation rule at the largest amplitude
     the scenario drives to, a point whose cutoff exceeds MAX_N_MAX levels
     (or whose fig4 traces would store more than a dense matrix at that
-    cutoff), and a point whose detuning phase |Delta| T or lab-frame phase
-    rho T exceeds MAX_PHASE or MAX_LAB_PHASE are errors carrying the line
-    number.  An empty file yields all defaults.
+    cutoff), a cavity-drive or fig4 point whose alpha_sq exceeds
+    MAX_POISSON_ALPHA_SQ, and a point whose detuning phase |Delta| T or
+    lab-frame phase rho T exceeds MAX_PHASE or MAX_LAB_PHASE are errors
+    carrying the line number.  An empty file yields all defaults.
     """
     values: dict = {}
     seen: dict[str, int] = {}
@@ -346,6 +349,10 @@ def parse_config(text: str) -> ScenarioConfig:
         if cutoff.n_max > MAX_N_MAX:
             raise ConfigError(f"|alpha| = {point.drive_amplitude():.4g} needs a cutoff of "
                               f"{cutoff.n_max} levels, more than {MAX_N_MAX}", cutoff_line)
+        if not readout and point.alpha_sq > MAX_POISSON_ALPHA_SQ:
+            raise ConfigError(f"alpha_sq={point.alpha_sq:g} puts the Poisson weights of the "
+                              f"target beyond float range, above |alpha|^2 = "
+                              f"{MAX_POISSON_ALPHA_SQ:.6g}", cutoff_line)
         if fig4 and (point.time_points + 1) * cutoff.dim > (2 * MAX_N_MAX) ** 2:
             raise ConfigError(f"time_points={point.time_points} stores {point.time_points + 1} "
                               f"states of dimension {cutoff.dim} per fig4 trace, more than one "

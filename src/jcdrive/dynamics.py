@@ -54,7 +54,10 @@ n = q B + r with B a multiple of the stride near stride*sqrt(N) for N
 snapshots, and exp(-i f n dt) = exp(-i f q B dt) exp(-i f r dt).  The
 rows are one broadcast product of about sqrt(N) q rows and sqrt(N) r rows,
 and no np.exp is evaluated per snapshot; the periodic path takes its R(t)
-the same way.
+the same way.  excited_trace, which fig4 calls for its P_e(t) traces, takes
+the same eigenphases to the excited rows of the eigenvectors alone and
+skips R(t), which changes no magnitude: it stores no state.  integrate and
+excited_trace store at the same steps (_stored_steps).
 
 convergence_check scores a run on two axes.  The step: a periodic run's
 own final state against a rerun at 2m steps per period (an exact run has
@@ -93,6 +96,7 @@ __all__ = [
     "lab_drive_hamiltonian",
     "qubit_drive_lab_hamiltonian",
     "integrate",
+    "excited_trace",
     "convergence_check",
     "excitation_charge",
 ]
@@ -301,20 +305,9 @@ def integrate(
     the final state is stored exactly regardless.  Both paths write the
     snapshots straight into the trajectory's array.
     """
-    dim = ham.static_part.shape[0]
-    if psi0.shape != (dim,):
-        raise ValueError(f"state dimension {psi0.shape} does not match Hamiltonian {dim}")
-    if not abs(np.linalg.norm(psi0) - 1.0) <= 1e-10:  # NaN fails too
-        raise ValueError("initial state is not normalized")
-
-    steps = grid.steps
-    dt = (grid.t1 - grid.t0) / steps
-    if store_every is None:
-        store_every = max(1, math.ceil(steps / 1000))
-    # store_every, 2 store_every, ... strictly below steps, then steps itself
-    stored = np.append(np.arange((steps - 1) // store_every + 1) * store_every, steps)
-
-    states = np.empty((len(stored), dim), dtype=complex)
+    _check_start(ham, psi0)
+    stored, dt, store_every = _stored_steps(grid, store_every)
+    states = np.empty((len(stored), len(psi0)), dtype=complex)
     psi = states[0] = psi0.astype(complex)
     if ham.exact:
         _advance_exact(ham, psi, grid.t0, stored[1:], dt, store_every, states[1:])
@@ -322,6 +315,58 @@ def integrate(
         m = _steps_per_period(ham)
         _advance_periodic(ham, psi, grid.t0, stored[1:], dt, store_every, m, states[1:])
     return Trajectory(times=grid.t0 + stored * dt, states=states)
+
+
+def excited_trace(
+    ham: TimeDependentHamiltonian,
+    psi0: np.ndarray,
+    grid: TimeGrid,
+    store_every: Optional[int] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(times, P_e): the excited-branch population at the stored times of integrate.
+
+    The same times as integrate(ham, psi0, grid, store_every), and the same
+    P_e as metrics.excited_probability of its states, without storing a
+    state: the eigenphases of ``ham.static_frame``, with the coefficients
+    of R(t_s)^dag psi0 folded in, meet only the excited rows of the
+    eigenvectors, and the frame R(t) is left out, as it changes no
+    magnitude.  Exact Hamiltonians only; raises ValueError on a periodic one.
+    """
+    if not ham.exact:
+        raise ValueError("excited_trace needs an exact (static frame) Hamiltonian; "
+                         "integrate a periodic one")
+    _check_start(ham, psi0)
+    stored, dt, stride = _stored_steps(grid, store_every)
+    rate, evals, vecs = ham.static_frame
+    n_max = ham.cutoff.n_max
+    c = vecs.conj().T @ (np.exp(1j * grid.t0 * rate) * psi0)  # R(t_s)^dag psi0
+    amps = np.empty((len(stored), n_max), dtype=complex)
+    amps[0] = psi0[n_max:]
+    np.matmul(_step_phases(evals, dt, stride, len(stored) - 2, stored[-1], c), vecs[n_max:].T,
+              out=amps[1:])
+    return grid.t0 + stored * dt, np.sum(np.abs(amps) ** 2, axis=1)
+
+
+def _check_start(ham, psi0):
+    """Raise unless psi0 is a normalized state of the Hamiltonian's dimension."""
+    dim = ham.static_part.shape[0]
+    if psi0.shape != (dim,):
+        raise ValueError(f"state dimension {psi0.shape} does not match Hamiltonian {dim}")
+    if not abs(np.linalg.norm(psi0) - 1.0) <= 1e-10:  # NaN fails too
+        raise ValueError("initial state is not normalized")
+
+
+def _stored_steps(grid, store_every):
+    """(n, dt, stride): the steps n of dt at which a run on ``grid`` is stored.
+
+    n = 0, stride, 2 stride, ... strictly below grid.steps, then grid.steps
+    itself; the stride is ``store_every``, by default about 1000 snapshots
+    over the run.
+    """
+    steps = grid.steps
+    stride = store_every if store_every is not None else max(1, math.ceil(steps / 1000))
+    stored = np.append(np.arange((steps - 1) // stride + 1) * stride, steps)
+    return stored, (grid.t1 - grid.t0) / steps, stride
 
 
 def _frame_norm(ham):

@@ -45,6 +45,7 @@ __all__ = [
     "basis_state",
     "poisson_amplitudes",
     "poisson_tail",
+    "MAX_POISSON_ALPHA_SQ",
     "fix_global_phase",
     "is_hermitian",
     "is_unitary",
@@ -53,6 +54,9 @@ __all__ = [
 # Above this |lambda| the dispersive expansion is dubious (lambda*sqrt(n) -> 1
 # already at small photon number).
 LAMBDA_WARN_THRESHOLD = 0.3
+# The largest |alpha|^2 whose vacuum amplitude e^{-|alpha|^2/2} is a normal
+# float (about 1416.8); poisson_amplitudes refuses more, parse_config too.
+MAX_POISSON_ALPHA_SQ = -2.0 * math.log(sys.float_info.min)
 
 
 class CutoffError(ValueError):
@@ -273,12 +277,13 @@ def displacement_cavity(beta: complex, n_max: int) -> np.ndarray:
 def poisson_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
     """Coherent-state amplitudes e^{-|alpha|^2/2} alpha^n / sqrt(n!) for n < n_max.
 
-    Raises ValueError above |alpha|^2 ~ 1416, where e^{-|alpha|^2/2} is subnormal.
+    Raises ValueError above |alpha|^2 = MAX_POISSON_ALPHA_SQ, where
+    e^{-|alpha|^2/2} is subnormal.
     """
+    if abs(alpha) ** 2 > MAX_POISSON_ALPHA_SQ:
+        raise ValueError(f"|alpha|^2 = {abs(alpha) ** 2:.6g}: Poisson weights beyond float range")
     amps = np.empty(n_max, dtype=complex)
     amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
-    if amps[0].real < sys.float_info.min:
-        raise ValueError(f"|alpha|^2 = {abs(alpha) ** 2:.6g}: Poisson weights beyond float range")
     for n in range(1, n_max):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
     return amps

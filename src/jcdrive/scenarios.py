@@ -15,7 +15,9 @@ table of CSV columns.
 
 No path is held to a step, so each run's grid is the one step [0, T]; only
 fig4's two traces take a step grid, of the ``config.dt_bound`` step or
-tau/time_points where that is finer, for their stored times.
+tau/time_points where that is finer, for their stored times.  They take
+P_e straight from the run's eigenbasis (``dynamics.excited_trace``) and
+store no state.
 
 The sweeps are embarrassingly parallel over points; every input a worker
 touches is immutable, so points may be dispatched to a process pool and are
@@ -27,8 +29,8 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -41,6 +43,7 @@ from .dynamics import (
     TimeDependentHamiltonian,
     TimeGrid,
     convergence_check,
+    excited_trace,
     integrate,
     lab_drive_hamiltonian,
     qubit_drive_lab_hamiltonian,
@@ -69,15 +72,14 @@ def emit_csv(result: ScenarioResult, path) -> None:
     %-format built from the cell types of the first row, so each column
     keeps the type of its first cell.
     """
-    lines = []
     meta = ", ".join(f"{k}={v}" for k, v in result.meta.items())
-    lines.append(f"# scenario={result.scenario}, params={meta}")
-    lines.append(",".join(result.columns))
+    lines = [f"# scenario={result.scenario}, params={meta}", ",".join(result.columns)]
     if result.rows:
         fmt = ",".join(_cell_format(v) for v in result.rows[0])
         # bools print as True/False under %s; lower() makes them true/false
         # and leaves the rest alone, since numbers print in lower case
-        lines.extend((fmt % tuple(row)).lower() for row in result.rows)
+        body = "\n".join([fmt] * len(result.rows)) % tuple(chain.from_iterable(result.rows))
+        lines.append(body.lower())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -245,6 +247,8 @@ def _fidelity_point(point: ScenarioConfig) -> dict:
 def _map_points(fn, items: Sequence, workers: int) -> list:
     if workers <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ProcessPoolExecutor  # imported only when a pool is asked for
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
@@ -293,7 +297,9 @@ def _run_fig4(config: ScenarioConfig) -> ScenarioResult:
     """Excited-state probability vs time for real vs imaginary beta.
 
     The grid steps by dt_bound, or by tau/time_points where that is finer, so
-    that at least time_points + 1 times are stored.
+    that at least time_points + 1 times are stored; excited_trace gives P_e
+    there.  The converged column is the real-beta run's report, through
+    _evolve on the run's one-step grid as in sim check.
     """
     t_start = time.perf_counter()
     params, runs = _POINTS[config.scenario](config)
@@ -303,22 +309,20 @@ def _run_fig4(config: ScenarioConfig) -> ScenarioResult:
     dt = min(dt_bound(params, real.ham.cutoff, 0.0, eta_abs), tau / config.time_points)
     grid = TimeGrid.for_duration(tau, dt)
     store_every = max(1, grid.steps // config.time_points)
-    trajs = {label: integrate(run.ham, run.psi0, grid, store_every=store_every)
-             for label, run in runs.items()}
-    converged = not config.check_convergence or convergence_check(
-        real.ham, real.psi0, grid, trajs["real"].final).passed
+    times, pe_r = excited_trace(real.ham, real.psi0, grid, store_every)
+    _, pe_i = excited_trace(runs["imag"].ham, runs["imag"].psi0, grid, store_every)
+    # an exact run's report depends on t0 and T alone, so the run's own grid serves
+    converged = not config.check_convergence or _evolve(real, check=True)[1].passed
 
-    pe_r, pe_i = (metrics.excited_probability(trajs[label].states) for label in ("real", "imag"))
+    abs_diff = np.abs(pe_r - pe_i)
     columns = ("t", "P_e_beta_real", "P_e_beta_imag", "abs_diff", "converged")
-    rows = tuple(
-        (t, pr, pi, abs(pr - pi), converged)
-        for t, pr, pi in zip(trajs["real"].times, pe_r, pe_i)
-    )
+    rows = tuple(zip(times.tolist(), pe_r.tolist(), pe_i.tolist(), abs_diff.tolist(),
+                     [converged] * len(times)))
     meta = _meta(
         config, params,
         beta_sq=f"{config.alpha_sq:g}", eta_abs=f"{eta_abs:g}",
         omega_drive=f"{real.drive.omega:g}",
-        max_abs_diff=f"{float(np.max(np.abs(pe_r - pe_i))):.6f}",
+        max_abs_diff=f"{float(np.max(abs_diff)):.6f}",
         wall_time_s=f"{time.perf_counter() - t_start:.3f}",
     )
     return ScenarioResult("fig4", columns, rows, meta)

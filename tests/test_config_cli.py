@@ -296,10 +296,25 @@ class TestConfigFaults:
         assert parse_config("scenario=fig2b\nn_max=2048\n").n_max == 2048
         with pytest.raises(ConfigError, match="^line 2: n_max must be between 2 and 2048"):
             parse_config("scenario=fig2b\nn_max=2049\n")
-        # by the rule alpha_sq = 1782 needs 2048 levels and 1783 needs 2049
-        assert parse_config("scenario=fig2b\nsweep_values=1782\n").sweep_values == (1782.0,)
+        # by the rule alpha_sq = 1782 needs 2048 levels and 1783 needs 2049;
+        # an alpha_sq that high is refused for its Poisson weights (see
+        # test_poisson_range_edges), so the accepted side of the edge is a
+        # readout amplitude |epsilon| pi/|chi| = 42.22
+        assert parse_config("scenario=readout\nepsilon=1.3439\n").epsilon == 1.3439
+        with pytest.raises(ConfigError, match="^line 2: .* needs a cutoff of 2049 levels"):
+            parse_config("scenario=readout\nepsilon=1.344\n")
         with pytest.raises(ConfigError, match="^line 2: .* needs a cutoff of 2049 levels"):
             parse_config("scenario=fig2b\nsweep_values=1783\n")
+
+    @pytest.mark.parametrize("text", ["scenario=fig4\nalpha_sq={}\n",
+                                      "scenario=fig2b\nsweep_values=1,{}\n"])
+    def test_poisson_range_edges(self, text):
+        # e^{-alpha_sq/2} leaves the normal floats above alpha_sq = 1416.79,
+        # within the 2,048-level cap (1654 levels there)
+        assert parse_config(text.format(1416.79)).scenario in ("fig4", "fig2b")
+        with pytest.raises(ConfigError, match="^line 2: alpha_sq=1416.8 puts the Poisson "
+                                              "weights of the target beyond float range"):
+            parse_config(text.format(1416.8))
 
     def test_fig4_trace_beyond_a_dense_matrix(self):
         # the default fig4 cutoff is 28 levels, dimension 56: each trace may
@@ -599,32 +614,38 @@ class TestCli:
     ])
     def test_only_fig4_traces_take_a_step_grid(self, tmp_path, monkeypatch, text, trace):
         # sweep and readout runs are scored at T alone, so they take the
-        # one-step grid [0, T]; fig4's two trace runs store their P_e on the
-        # dt_bound grid, while sim check integrates its first run in one step
+        # one-step grid [0, T]; fig4's two traces take their P_e from
+        # excited_trace on the dt_bound grid, while its converged flag and
+        # sim check integrate the first run in one step
         import jcdrive.scenarios as scenarios
 
-        real = scenarios.integrate
-        grids = []
+        grids = {"integrate": [], "excited_trace": []}
+        for name, calls in grids.items():
+            def record(ham, psi0, grid, *args, _real=getattr(scenarios, name), _calls=calls,
+                       **kwargs):
+                _calls.append((ham.cutoff, grid))
+                return _real(ham, psi0, grid, *args, **kwargs)
 
-        def record(ham, psi0, grid, **kwargs):
-            grids.append((ham.cutoff, grid))
-            return real(ham, psi0, grid, **kwargs)
-
-        monkeypatch.setattr(scenarios, "integrate", record)
+            monkeypatch.setattr(scenarios, name, record)
         cfg = self._write(tmp_path, text)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
         config = parse_config(text)
+        traces, runs = grids["excited_trace"], grids["integrate"]
         if trace:
             tau = config.pulse_length()
-            dt = dt_bound(config.system_params(), grids[0][0], 0.0, config.qubit_drive_strength())
-            assert [g for _, g in grids] == [TimeGrid.for_duration(tau, dt)] * 2
-            assert grids[0][1].steps > 1000
+            dt = dt_bound(config.system_params(), traces[0][0], 0.0,
+                          config.qubit_drive_strength())
+            assert [g for _, g in traces] == [TimeGrid.for_duration(tau, dt)] * 2
+            assert traces[0][1].steps > 1000
+            assert [g.steps for _, g in runs] == [1]
         else:
-            assert len(grids) == 2 * len(config.points())
-            assert all(g.steps == 1 and g.t0 == 0.0 and g.t1 == g.dt for _, g in grids)
-        grids.clear()
+            assert not traces
+            assert len(runs) == 2 * len(config.points())
+            assert all(g.steps == 1 and g.t0 == 0.0 and g.t1 == g.dt for _, g in runs)
+        for calls in grids.values():
+            calls.clear()
         assert main(["check", "--config", cfg]) == 0
-        assert [g.steps for _, g in grids] == [1]
+        assert [g.steps for _, g in grids["integrate"]] == [1] and not grids["excited_trace"]
 
     @pytest.mark.parametrize("scenario", list(SCHEMAS))
     def test_check_subcommand(self, tmp_path, capsys, scenario):
@@ -671,6 +692,17 @@ class TestCli:
         )
         assert proc.returncode == 1
         assert "config error" in proc.stderr
+
+    def test_runtime_does_not_load_the_process_pool(self):
+        # concurrent.futures and multiprocessing load only when workers > 1
+        code = (
+            "import jcdrive, jcdrive.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing' "
+            "or m == 'concurrent.futures.process'))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_runtime_does_not_load_scipy(self):
         # numpy is the only runtime dependency; scipy is a test-only oracle

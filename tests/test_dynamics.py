@@ -18,11 +18,13 @@ from jcdrive.dynamics import (
     _taylor_order,
     convergence_check,
     excitation_charge,
+    excited_trace,
     hamiltonian_at,
     integrate,
     lab_drive_hamiltonian,
     qubit_drive_lab_hamiltonian,
 )
+from jcdrive.metrics import excited_probability
 from jcdrive.hilbert import (
     FockCutoff,
     SystemParams,
@@ -350,6 +352,49 @@ class TestExactPath:
         assert elapsed < 3.0, f"{grid.steps} steps took {elapsed:.2f} s"
         assert len(traj.times) == 1001 and traj.times[-1] == pytest.approx(1000.0)
         assert np.max(np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)) < 1e-10
+
+
+class TestExcitedTrace:
+    """P_e straight from the eigenbasis against excited_probability of integrate's states."""
+
+    @staticmethod
+    def assert_matches_integrate(ham, psi0, grid, store_every):
+        times, p_e = excited_trace(ham, psi0, grid, store_every)
+        traj = integrate(ham, psi0, grid, store_every=store_every)
+        assert np.array_equal(times, traj.times)
+        assert np.max(np.abs(p_e - excited_probability(traj.states))) <= 1e-14
+        return times
+
+    def test_fig4_traces_config(self):
+        # the grid and stride _run_fig4 takes: 4057 stored times, stride 55
+        config = parse_config("scenario=fig4\nalpha_sq=9\neta_abs=1.1\ntime_points=4000\n")
+        params, runs = scenarios._POINTS["fig4"](config)
+        tau = config.pulse_length()
+        dt = min(dt_bound(params, runs["real"].ham.cutoff, 0.0, 1.1), tau / config.time_points)
+        grid = TimeGrid.for_duration(tau, dt)
+        store_every = grid.steps // config.time_points
+        assert store_every == 55
+        for run in runs.values():
+            assert len(self.assert_matches_integrate(run.ham, run.psi0, grid, store_every)) == 4057
+
+    @pytest.mark.parametrize("store_every", [None, 97])
+    def test_grid_starting_inside_the_pulse(self, params, store_every):
+        # t0 != 0: the frame R(t_s) at the start folds into the coefficients;
+        # 1000 steps, so a stride of 97 does not divide them
+        cut = FockCutoff(20)
+        ham = qubit_drive_lab_hamiltonian(params, QubitDriveParams(0.4j, params.omega_q, 2.0), cut)
+        psi0 = dressed_coherent_state("g", 1.1 - 0.3j, dressed_basis(params, cut, "exact"))
+        grid = TimeGrid(0.37, 2.37, 2e-3)
+        assert grid.steps % 97 != 0
+        times = self.assert_matches_integrate(ham, psi0, grid, store_every)
+        assert times[0] == 0.37 and times[-1] == pytest.approx(2.37)
+
+    def test_refuses_a_periodic_hamiltonian(self, params):
+        cut = FockCutoff(6)
+        ham = lab_drive_hamiltonian(params, DriveParams(0.05, params.omega_c, 1.0), cut, "cosine")
+        assert not ham.exact
+        with pytest.raises(ValueError, match="exact"):
+            excited_trace(ham, basis_state(cut, "g", 0), TimeGrid(0.0, 1.0, 0.01))
 
 
 def oracle_states(ham, psi0, grid, traj):

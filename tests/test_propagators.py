@@ -284,6 +284,33 @@ class TestExcitedFinalState:
         target = excited_final_state_lab(drive, params, basis, initial="bare_e0")
         assert 1.0 - fid(psi, target) < 1e-10
 
+    def test_bare_residual_branch_is_first_order_in_any_basis(self, params):
+        # the residual branch is U_D^dag |g> (x) |xi(T)>, the first_order
+        # table's g columns times xi, whatever basis the excited branch takes:
+        # with an exact basis, what psi holds beside that branch lies along
+        # the first_order residual, not along the exact table's g columns
+        cut = FockCutoff(30)
+        drive = DriveParams(0.05, params.omega_c - params.chi, 10.0)
+        exact = dressed_basis(params, cut, "exact")
+        psi = excited_final_state_lab(drive, params, exact, initial="bare_e0")
+        _, a_e_t = lab_amplitudes(drive, params, False)
+        branch_e = dressed_coherent_state("e", a_e_t, exact)
+        a_g, _ = alpha_ge(drive, params)
+        xi = displacement_cavity(a_g, cut.n_max)[:, 1]
+        xi = np.exp(-1j * (params.omega_c - params.chi) * drive.T * np.arange(cut.n_max)) * xi
+
+        def beside_branch_e(v):
+            v = v - np.vdot(branch_e, v) * branch_e
+            return v / np.linalg.norm(v)
+
+        residual = beside_branch_e(psi)
+        first_order, exact_g = (
+            fid(residual, beside_branch_e(b.tables[0] @ xi))
+            for b in (dressed_basis(params, cut, "first_order"), exact)
+        )
+        assert first_order == pytest.approx(1.0, abs=1e-12)
+        assert exact_g < 1.0 - 1e-6
+
     def test_first_order_g_columns_are_u_d_dagger(self):
         # the residual branch of the bare start is the first_order table's g
         # columns times xi, in place of U_D^dag on the g block; xi weighs the
