@@ -354,9 +354,9 @@ def parse_config(text: str) -> ScenarioConfig:
                               f"target beyond float range, above |alpha|^2 = "
                               f"{MAX_POISSON_ALPHA_SQ:.6g}", cutoff_line)
         if fig4 and (point.time_points + 1) * cutoff.dim > (2 * MAX_N_MAX) ** 2:
-            raise ConfigError(f"time_points={point.time_points} stores {point.time_points + 1} "
-                              f"states of dimension {cutoff.dim} per fig4 trace, more than one "
-                              f"dense matrix at n_max={MAX_N_MAX}", seen.get("time_points"))
+            raise ConfigError(f"time_points={point.time_points} gives each fig4 trace a phase table"
+                              f" of {point.time_points + 1} rows by {cutoff.dim} eigenphases, more"
+                              f" than a dense matrix at n_max={MAX_N_MAX}", seen.get("time_points"))
         rho = 0.099 / dt_bound(params, cutoff, 0.0 if fig4 else abs(complex(point.epsilon)),
                                point.qubit_drive_strength() if fig4 else 0.0)
         if not rho * T <= MAX_LAB_PHASE:

@@ -28,7 +28,6 @@ from .hilbert import (
     SystemParams,
     poisson_amplitudes,
     poisson_tail,
-    required_cutoff,
 )
 
 __all__ = [
@@ -122,10 +121,10 @@ def dressed_coherent_state(qubit: str, alpha: complex, basis: DressedBasis) -> n
     """
     table = _table(qubit, basis)
     levels = table.shape[1]
-    if poisson_tail(alpha, levels) >= 1e-10:
+    if (leak := poisson_tail(alpha, levels)) >= 1e-10:
         raise CutoffError(
-            f"truncation leak for |alpha|={abs(alpha):.3g} on the {qubit} branch: need n_max >= "
-            f"{required_cutoff(alpha) + basis.n_max - levels}, got {basis.n_max}"
+            f"Poisson weight {leak:.2e} of |alpha|={abs(alpha):.3g} lies beyond the {levels} "
+            f"levels of the {qubit} branch table at n_max={basis.n_max}; it must be below 1e-10"
         )
     psi = table @ poisson_amplitudes(alpha, levels)
     return psi / np.linalg.norm(psi)

@@ -35,10 +35,11 @@ and takes one of two paths, chosen once by TimeDependentHamiltonian.exact:
   length delta.  Each step is the fourth-order Magnus step exp(-i h Omega),
   Omega = (A_1 + A_2)/2 - i (sqrt(3)/12) h [A_2, A_1], with A_{1,2} = H_F at
   the Gauss-Legendre nodes t_k + (1/2 -/+ sqrt(3)/6) h; its exponential is
-  a scaled and squared Taylor polynomial, not an eigendecomposition.  m
-  comes from P and a bound on ||H_F(t)||_1 alone (_steps_per_period), so
-  the grid step dt only sets the stored times.  The cost is set by m, not
-  by the length of the pulse.
+  a scaled and squared Taylor polynomial, not an eigendecomposition.  A
+  step-doubling ladder (_ladder) doubles m from M0 = 4 until the final
+  states at m and 2m differ by at most CONVERGENCE_THRESHOLD per period,
+  and the run keeps the 2m stepping: dt only sets the stored times, and
+  the cost is set by m, not by the length of the pulse.
 
 Both paths are tested against oracles that share none of this machinery:
 an adaptive Runge-Kutta solver and the literal lab-frame midpoint stepper
@@ -46,26 +47,21 @@ psi_{k+1} = exp(-i dt H(t_k + dt/2)) psi_k, both in the test suite.
 
 The split and the period are read off the matrices when the Hamiltonian is
 built.  On the exact path all stored snapshots of a run come out of one
-matrix product, written straight into the trajectory, so no work scales
-with the step count.  The snapshots lie n = stride, 2 stride, ... steps
-into the run, then at its final step, so their phases, exp(-i E n dt)
-for the eigenvalues E and the frame R(t), come from angle-addition tables:
-n = q B + r with B a multiple of the stride near stride*sqrt(N) for N
-snapshots, and exp(-i f n dt) = exp(-i f q B dt) exp(-i f r dt).  The
-rows are one broadcast product of about sqrt(N) q rows and sqrt(N) r rows,
-and no np.exp is evaluated per snapshot; the periodic path takes its R(t)
-the same way.  excited_trace, which fig4 calls for its P_e(t) traces, takes
-the same eigenphases to the excited rows of the eigenvectors alone and
-skips R(t), which changes no magnitude: it stores no state.  integrate and
+matrix product, so no work scales with the step count; their phases,
+exp(-i E n dt) for the eigenvalues E and the frame R(t), come from the
+angle-addition tables of _step_phases, as do the periodic path's R(t).
+excited_trace, which fig4 calls for its P_e(t) traces, takes the same
+eigenphases to the excited rows of the eigenvectors alone and skips R(t),
+which changes no magnitude: it stores no state.  integrate and
 excited_trace store at the same steps (_stored_steps).
 
 convergence_check scores a run on two axes.  The step: a periodic run's
-own final state against a rerun at 2m steps per period (an exact run has
-no step to refine).  The cutoff: a Duhamel bound on the distance to the
-untruncated evolution, the coupling across the cutoff integrated against
-the run's own amplitudes at level n_max - 1, sampled from the exact path's
-eigendecomposition or at the whole periods of the 2m rerun.  A rerun at
-doubled cutoff, which estimates that distance instead, is a test oracle.
+own final state against the m state of its ladder, run once more (an
+exact run has no step to refine).  The cutoff: a Duhamel bound on the
+distance to the untruncated evolution, the coupling across the cutoff
+integrated against the run's own amplitudes at level n_max - 1, sampled
+from the exact path's eigendecomposition or at the whole periods of the
+ladder's 2m stepping; a rerun at doubled cutoff is a test oracle.
 """
 
 from __future__ import annotations
@@ -106,10 +102,7 @@ CONVERGENCE_THRESHOLD = 1e-8
 # of an exact run, and the factor on either path's sum
 TRUNCATION_SAMPLES = 1000
 QUADRATURE_MARGIN = 2.0
-# the periodic path's frame rule: h beta <= 1/STEPS_PER_NORM, and at least MIN_STEPS
-# steps per turn of the e^{+-2 i omega t} harmonic of H_F when P beta is small
-STEPS_PER_NORM = 16
-MIN_STEPS = 8
+M0 = 4  # steps per drive period at the first rung of the periodic path's ladder
 # the Gauss-Legendre nodes of a step are 1/2 -/+ GAUSS_NODE of the way through it
 GAUSS_NODE = math.sqrt(3.0) / 6.0
 
@@ -212,6 +205,30 @@ class TimeDependentHamiltonian:
         rate = self.omega * excitation_charge(self.cutoff)
         return rate, *eigh(self.static_part + self.drive + self.drive.conj().T - np.diag(rate))
 
+    @cached_property
+    def periodic_frame(self) -> tuple[np.ndarray, tuple, float]:
+        """(rate, parts, beta): the periodic path's frame, kept like static_frame.
+
+        Its steps take H_F - mu, mu centring the diagonal of H_0 - omega C: a
+        scalar only turns the global phase, which rate = omega C + mu puts
+        back, and centring shrinks the Taylor orders.  The frame turns element
+        (i, j) of H_0 - rate by e^{i omega t (c_i - c_j)} and of V by e^{i omega t}
+        more, so beta = || |H_0 - rate| + |V| + |V|^T ||_1 bounds ||H_F(t) - mu||_1,
+        and parts = (f, M) sums H_F(t) - mu as e^{i f_k t} M_k (M_k flattened), one
+        per turn rate: three for the cosine drive, up to 4 n_max for a dense H_0.
+        """
+        charge = excitation_charge(self.cutoff)
+        diag = np.diag(self.static_part).real - self.omega * charge
+        rate = self.omega * charge + 0.5 * (diag.max() + diag.min())
+        h0f, v_abs = self.static_part - np.diag(rate), np.abs(self.drive)
+        beta = float(np.linalg.norm(np.abs(h0f) + v_abs + v_abs.T, 1))
+        turns, dc = {}, np.rint(charge[:, None] - charge[None, :]).astype(int)
+        for part, extra in ((h0f, 0), (self.drive, 1), (self.drive.conj().T, -1)):
+            for k in set((dc[part != 0] + extra).tolist()):
+                turns[k] = turns.get(k, 0) + np.where(dc + extra == k, part, 0)
+        mats = np.array([m.ravel() for m in turns.values()])
+        return rate, (self.omega * np.array(list(turns)), mats), beta
+
 
 def hamiltonian_at(ham: TimeDependentHamiltonian, t: float) -> np.ndarray:
     """H(t) = H_0 + W + W^dag with W = e^{i omega t} V; H_0 with no drive."""
@@ -296,24 +313,19 @@ def integrate(
     """Propagate i d/dt psi = H(t) psi from grid.t0 to grid.t1.
 
     The run takes one of the two paths of the module docstring, chosen by
-    ``ham.exact``: exact (the eigendecomposition ``ham.static_frame`` of the
-    static frame Hamiltonian) or periodic (one drive period of m
-    fourth-order Magnus steps, m from the frame rule of _steps_per_period,
-    reused for the rest of the run).  On either path dt only sets the
-    stored times.  Raises if psi0 is not normalized.  Snapshots are stored
-    every ``store_every`` steps of dt (default: about 1000 over the run);
-    the final state is stored exactly regardless.  Both paths write the
-    snapshots straight into the trajectory's array.
+    ``ham.exact``: exact (the eigendecomposition ``ham.static_frame``) or
+    periodic (one drive period of Magnus steps, as many as _ladder picks,
+    reused for the rest of the run); dt only sets the stored times.  Raises
+    if psi0 is not normalized.  Snapshots are stored every ``store_every``
+    steps of dt (default: about 1000 over the run), and the final state
+    regardless, straight into the trajectory's array.
     """
     _check_start(ham, psi0)
     stored, dt, store_every = _stored_steps(grid, store_every)
     states = np.empty((len(stored), len(psi0)), dtype=complex)
     psi = states[0] = psi0.astype(complex)
-    if ham.exact:
-        _advance_exact(ham, psi, grid.t0, stored[1:], dt, store_every, states[1:])
-    else:
-        m = _steps_per_period(ham)
-        _advance_periodic(ham, psi, grid.t0, stored[1:], dt, store_every, m, states[1:])
+    advance = _advance_exact if ham.exact else _ladder  # the same arguments
+    advance(ham, psi, grid.t0, stored[1:], dt, store_every, states[1:])
     return Trajectory(times=grid.t0 + stored * dt, states=states)
 
 
@@ -369,30 +381,13 @@ def _stored_steps(grid, store_every):
     return stored, (grid.t1 - grid.t0) / steps, stride
 
 
-def _frame_norm(ham):
-    """beta = || |H_0 - omega C| + |V| + |V|^T ||_1, a bound on ||H_F(t)||_1 at every t.
-
-    The frame only changes the phases of the elements of H_0 - omega C + W + W^dag.
-    """
-    h0f = ham.static_part - np.diag(ham.omega * excitation_charge(ham.cutoff))
-    v_abs = np.abs(ham.drive)
-    return float(np.linalg.norm(np.abs(h0f) + v_abs + v_abs.T, 1))
-
-
-def _steps_per_period(ham):
-    """The frame rule: m = max(MIN_STEPS, ceil(STEPS_PER_NORM P beta)) steps per drive period."""
-    return max(MIN_STEPS, math.ceil(STEPS_PER_NORM * ham.period * _frame_norm(ham)))
-
-
 def _advance_exact(ham, psi, t_start, ends, dt, stride, out):
     """psi(t) = R(t) exp(-i (H_0 + V + V^dag - omega C)(t - t_s)) R(t_s)^dag psi(t_s).
 
     Into ``out``, at t = t_s + n dt for each n in ``ends`` (stride,
-    2 stride, ..., then a final entry), with R(t) = exp(-i omega t C); a
-    Hamiltonian with no drive has zero rates, so R = 1.  All requested
-    times come from one eigendecomposition and one matrix product; the
-    eigenphases exp(-i E n dt), with the coefficients of psi folded in,
-    and R(t) = R(t_s) exp(-i omega C n dt) come from _step_phases.
+    2 stride, ..., then a final entry), R(t) = exp(-i omega t C) (1 with no
+    drive), from one eigendecomposition and one matrix product: the phases
+    exp(-i E n dt), psi's coefficients folded in, and R(t) come from _step_phases.
     """
     rate, evals, vecs = ham.static_frame
     frame = np.exp(-1j * t_start * rate)  # R(t_s)
@@ -405,14 +400,12 @@ def _advance_exact(ham, psi, t_start, ends, dt, stride, out):
 def _step_phases(freq, dt, stride, count, last, coef=1.0):
     """coef exp(-i f n dt) for n = stride, 2 stride, ..., count stride, then n = last.
 
-    One row per n and one column per f in ``freq``; ``coef`` scales each
-    column.  By angle addition: with the block B = stride (floor(sqrt(count)) + 1),
-    n = q B + r and exp(-i f n dt) = exp(-i f q B dt) exp(-i f r dt).  The
-    lattice n = 0, stride, 2 stride, ... takes about sqrt(count) values of
-    q and of r, and its rows are one broadcast product of the q-table and
-    the r-table, ``coef`` folded into the r-table; the final entry is one
-    more row.  Those three tables are all the np.exp there is.  ``last``
-    may not precede the lattice's end.
+    One row per n and one column per f in ``freq``, ``coef`` scaling each
+    column.  By angle addition, with B = stride (floor(sqrt(count)) + 1),
+    n = q B + r and exp(-i f n dt) = exp(-i f q B dt) exp(-i f r dt): the
+    lattice's rows are one broadcast product of a q-table and an r-table of
+    about sqrt(count) rows each, ``coef`` folded into the r-table, and the
+    final entry is one more row, ``last`` not preceding the lattice's end.
     """
     if count < 0 or last < count * stride:
         raise ValueError(f"final step {last} precedes the lattice end {count} * {stride}")
@@ -429,16 +422,9 @@ def _step_phases(freq, dt, stride, count, last, coef=1.0):
 
 
 def _frame_hamiltonian(ham, parts, t):
-    """H_F(t) = R(t)^dag H(t) R(t) - omega C with the drive on, R(t) = exp(-i omega t C).
-
-    ``parts`` are the t-independent (C, H_0 - omega C, V, V^dag).  The frame
-    only changes phases: element (i, j) of H_0 - omega C + W + W^dag,
-    W = e^{i omega t} V, turns with e^{i omega t (c_i - c_j)}.
-    """
-    charge, h0f, v, v_dag = parts
-    w = np.exp(1j * ham.omega * t)
-    phase = np.exp(1j * ham.omega * t * charge)
-    return (h0f + w * v + np.conj(w) * v_dag) * phase[:, None] * phase.conj()
+    """H_F(t) - mu, the sum of e^{i f_k t} M_k over the ``parts`` (f, M) of ham.periodic_frame."""
+    freqs, mats = parts
+    return (np.exp(1j * t * freqs) @ mats).reshape(ham.static_part.shape)
 
 
 def _taylor_order(bound):
@@ -488,19 +474,16 @@ def _advance_periodic(ham, psi, t_start, ends, dt, stride, m, out, watch=None):
     """psi(t) = R(t) S_delta U_j U_P^n R(t_s)^dag psi(t_s), t - t_s = n P + j h + delta.
 
     Into ``out``, at t = t_s + k dt for each k in ``ends`` (stride,
-    2 stride, ..., then a final entry).  H_F repeats with the period P, so
-    m Magnus steps of h = P/m from t_s give U_P, and U_j is the product of
-    their first j.  Only the U_j that a requested time needs are kept, and
-    the period is stepped only when some time lies past it.
-    U_P^n is applied as n matrix-vector products; S_delta is the Magnus
-    step over [t_j, t_j + delta], skipped when delta = 0.  Every step
-    exponential is a Taylor polynomial whose degree and squaring count are
-    fixed once, from h beta + (sqrt(3)/6)(h beta)^2 with beta from
-    _frame_norm: that bounds tau ||Omega||_1 for all t and tau <= h, since
-    ||[A_2, A_1]||_1 <= 2 beta^2.  R(t) = R(t_s) exp(-i omega C k dt) takes
-    its phases from _step_phases.  With ``watch``, a list of components,
-    returns their magnitudes |psi_i(t_s + p P)| at p = 0, 1, ..., n of the
-    last time, one row per whole period (R(t) leaves magnitudes alone).
+    2 stride, ..., then a final entry).  m Magnus steps of h = P/m from t_s
+    give U_P, and U_j is the product of their first j; only the U_j that a
+    requested time needs are kept, and the period is stepped only when some
+    time lies past it.  U_P^n is n matrix-vector products; S_delta is the
+    Magnus step over [t_j, t_j + delta], skipped when delta = 0.  Every step
+    exponential has the Taylor order of h beta + (sqrt(3)/6)(h beta)^2, beta
+    from periodic_frame, which bounds tau ||Omega||_1 for tau <= h since
+    ||[A_2, A_1]||_1 <= 2 beta^2; R(t) e^{-i mu k dt} = R(t_s) e^{-i rate k dt}
+    comes from _step_phases.  With ``watch``, a list of components, returns
+    |psi_i(t_s + p P)| for p = 0, 1, ..., n of the last time, one row per period.
     """
     h = ham.period / m
     elapsed = ends * dt
@@ -509,10 +492,8 @@ def _advance_periodic(ham, psi, t_start, ends, dt, stride, m, out, watch=None):
     delta[delta < 1e-9 * h] = 0.0
     n, j = np.divmod(whole.astype(int), m)
 
-    charge = excitation_charge(ham.cutoff)
-    parts = (charge, ham.static_part - np.diag(ham.omega * charge), ham.drive, ham.drive.conj().T)
-    hb = h * _frame_norm(ham)
-    order = _taylor_order(hb + GAUSS_NODE * hb * hb)
+    rate, parts, beta = ham.periodic_frame
+    order = _taylor_order(h * beta + GAUSS_NODE * (h * beta) ** 2)
     needed = set(j.tolist())
     u = np.eye(psi.shape[0], dtype=complex)
     partial = {0: u}
@@ -525,7 +506,7 @@ def _advance_periodic(ham, psi, t_start, ends, dt, stride, m, out, watch=None):
         # of U_P do not compound the rounding of its m factors
         u = u @ (1.5 * np.eye(len(u)) - 0.5 * (u.conj().T @ u))
 
-    frame = np.exp(-1j * ham.omega * t_start * charge)  # R(t_s)
+    frame = np.exp(-1j * ham.omega * t_start * excitation_charge(ham.cutoff))  # R(t_s)
     phi = frame.conj() * psi
     seen = None
     if watch is not None:
@@ -542,27 +523,53 @@ def _advance_periodic(ham, psi, t_start, ends, dt, stride, m, out, watch=None):
         if delta_i:
             out[i] = _magnus_step(ham, parts, t_start + j_i * h, delta_i, order) @ out[i]
     out *= frame
-    out *= _step_phases(ham.omega * charge, dt, stride, len(ends) - 1, ends[-1])
+    out *= _step_phases(rate, dt, stride, len(ends) - 1, ends[-1])
     return seen
+
+
+def _ladder(ham, psi, t_start, ends, dt, stride, out, watch=None):
+    """(m, coarse, seen, estimate): a periodic run, at the steps per period m it picks.
+
+    The step-doubling ladder carries ``psi`` to ``ends[-1]`` at m and 2m
+    steps per period from m = M0, and doubles m until the estimate
+    ||psi_2m - psi_m|| there per period (at least one), the m stepping's
+    error per period, is at most CONVERGENCE_THRESHOLD, or until a doubling
+    fails to halve it while h beta <= 1 (h = P/m, beta from periodic_frame):
+    that is rounding, and the run ends unconverged.  A rung reuses the 2m
+    state of the one before; the last 2m stepping fills ``out``, watches
+    ``watch`` and is the m returned, ``coarse`` being its m state.
+    """
+    beta, m, estimate = ham.periodic_frame[2], M0, math.inf
+    periods = max(1.0, ends[-1] * dt / ham.period)
+    _advance_periodic(ham, psi, t_start, ends[-1:], dt, stride, m, out[-1:])
+    while True:
+        coarse = out[-1].copy()
+        seen = _advance_periodic(ham, psi, t_start, ends, dt, stride, 2 * m, out, watch)
+        previous, estimate = estimate, float(np.linalg.norm(out[-1] - coarse) / periods)
+        floor = ham.period * beta <= m and not estimate <= 0.5 * previous  # NaN stops too
+        if estimate <= CONVERGENCE_THRESHOLD or floor:
+            return 2 * m, coarse, seen, estimate
+        m *= 2
 
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Self-convergence of a run: a rerun at 2m steps per period, and the truncation bound.
+    """Self-convergence of a run: its step, by its ladder (_ladder), and the truncation bound.
 
-    ``steps_per_period`` is the m of a periodic run, or None for an exact
-    run: such a run has no step rerun, and ``fidelity_dt`` is 1.0.
-    ``truncation_bound`` bounds ||psi(T) - psi_N(T)||, the distance between
-    the run at cutoff n_max and the untruncated evolution of the same start
-    (see convergence_check), so ``fidelity_cutoff``, max(0, 1 - bound^2),
-    is a lower bound on their fidelity.  The run ``passed`` when both
-    fidelities reach 1 - CONVERGENCE_THRESHOLD.
+    ``steps_per_period`` is the m a periodic run used (its ladder's last 2m),
+    ``fidelity_dt`` the fidelity of its final state with the ladder's state
+    at m/2, ``step_error`` the ladder's estimate; an exact run has m None,
+    ``fidelity_dt`` 1.0 and no error.  ``fidelity_cutoff`` = max(0, 1 - B^2)
+    for the ``truncation_bound`` B (see convergence_check).  The run
+    ``passed`` when both fidelities reach 1 - CONVERGENCE_THRESHOLD and the
+    estimate is at most CONVERGENCE_THRESHOLD.
     """
 
     fidelity_dt: float
     truncation_bound: float
     steps_per_period: Optional[int]
     n_max: int
+    step_error: float = 0.0
 
     @property
     def fidelity_cutoff(self) -> float:
@@ -571,30 +578,28 @@ class ConvergenceReport:
     @property
     def passed(self) -> bool:
         floor = 1.0 - CONVERGENCE_THRESHOLD
-        return self.fidelity_dt >= floor and self.fidelity_cutoff >= floor
+        return (self.fidelity_dt >= floor and self.fidelity_cutoff >= floor
+                and self.step_error <= CONVERGENCE_THRESHOLD)
 
     def __str__(self):
-        mark = "converged" if self.passed else "NOT converged"
-        m = self.steps_per_period
-        dt_axis = "dt: exact" if m is None else f"F(m={m} vs {2 * m}) = {self.fidelity_dt:.12f}"
-        return (
-            f"{mark}: {dt_axis}, "
-            f"F(n_max={self.n_max}) >= {self.fidelity_cutoff:.12f} (truncation bound "
-            f"{self.truncation_bound:.3g}; threshold 1 - {CONVERGENCE_THRESHOLD:g})"
-        )
+        m, mark = self.steps_per_period, "converged" if self.passed else "NOT converged"
+        dt_axis = "dt: exact" if m is None else (f"F(m={m // 2} vs {m}) = {self.fidelity_dt:.12f} "
+                                                 f"({self.step_error:.2g} per period)")
+        return (f"{mark}: {dt_axis}, F(n_max={self.n_max}) >= {self.fidelity_cutoff:.12f} "
+                f"(truncation bound {self.truncation_bound:.3g}; "
+                f"threshold 1 - {CONVERGENCE_THRESHOLD:g})")
 
 
 def convergence_check(
     ham: TimeDependentHamiltonian, psi0: np.ndarray, grid: TimeGrid, final: np.ndarray
 ) -> ConvergenceReport:
-    """Score a run against a rerun at 2m steps per period, and bound its truncation error.
+    """Score a run's step against its ladder's coarse state, and bound its truncation error.
 
-    ``final`` is the state integrate(ham, psi0, grid) ended in; the check
-    does not integrate the run again.  An exact run (a static frame
-    Hamiltonian) has no stepping error, so it gets no step rerun and reports
-    the dt axis as exact.  A periodic run is rerun at 2m steps per period on
-    the same grid, m being the frame rule's, and scored by its fidelity
-    with ``final``.
+    ``final`` is the state integrate(ham, psi0, grid) ended in.  An exact
+    run (a static frame Hamiltonian) has no stepping error and reports the
+    dt axis as exact.  A periodic run's ladder is run once more, to the
+    final time alone, and ``final`` is scored against its coarse state
+    (see ConvergenceReport).
 
     Truncation is scored by the Duhamel bound (Hochbruck and Lubich, SIAM
     J. Numer. Anal. 41, 945 (2003)).  With P the projector onto the
@@ -604,25 +609,21 @@ def convergence_check(
 
         B = int_0^T ||Q H(t) P psi_N(t)|| dt.
 
-    H changes the photon number by at most one, so Q H P is the coupling of
-    level n_max - 1 into level n_max, read off the level-n_max rows of
-    ham.remake at n_max + 1 as the entrywise |H_0| + |V| + |V^dag|, which
-    bounds |H(t)| entrywise at every t.  The integrand is then at most
-    || coupling |psi_N(t)| ||, and R(t) only changes phases, so the frame
-    state's magnitudes serve.  The quadrature:
+    Q H P couples level n_max - 1 into level n_max; the entrywise
+    |H_0| + |V| + |V^dag| of those rows of ham.remake at n_max + 1 bounds
+    |H(t)| at every t, so the integrand is at most || coupling |psi_N(t)| ||,
+    on the frame state's magnitudes.  The quadrature:
 
     * exact path: the composite midpoint rule on TRUNCATION_SAMPLES
       samples of the frame state, from the run's eigendecomposition
       (``final`` is not needed);
-    * periodic path: the trapezoid rule on the whole periods that the 2m
-      rerun steps through, and its final state.
+    * periodic path: the trapezoid rule on the whole periods that the
+      ladder's 2m stepping passes, and its final state.
 
-    Either sum, times QUADRATURE_MARGIN, is reported as the bound, and
-    fidelity_cutoff = max(0, 1 - B^2) takes the same threshold as the dt
-    axis.  At the scenario defaults each sum moves by less than 1e-3
-    relative when its samples are thinned (the exact path from 16,000 to
-    250 samples, the periodic path to every other period), so the margin
-    covers a quadrature error a thousand times that.
+    Either sum, times QUADRATURE_MARGIN, is reported as the bound.  At the
+    scenario defaults each sum moves by less than 1e-3 relative when its
+    samples are thinned (the exact path from 16,000 to 250 samples, the
+    periodic path to every other period): the margin covers a thousand times that.
     """
     if ham.remake is None:
         raise ValueError("Hamiltonian has no remake recipe; cannot read the coupling "
@@ -630,7 +631,7 @@ def convergence_check(
     coupling, watch = _cut_coupling(ham)
     duration = grid.t1 - grid.t0
     if ham.exact:
-        m, fid_dt = None, 1.0
+        m, fid_dt, estimate = None, 1.0, 0.0
         rate, evals, vecs = ham.static_frame
         h = duration / TRUNCATION_SAMPLES
         c = vecs.conj().T @ (np.exp(1j * grid.t0 * rate) * psi0)  # R(t_s)^dag psi0
@@ -640,18 +641,17 @@ def convergence_check(
         flux = np.linalg.norm(np.abs(phases @ vecs[watch].T) @ coupling.T, axis=1)
         integral = h * float(np.sum(flux))
     else:
-        m = _steps_per_period(ham)
         steps = grid.steps
         fine = np.empty((1, len(psi0)), dtype=complex)
-        seen = _advance_periodic(ham, psi0.astype(complex), grid.t0, np.array([steps]),
-                                 duration / steps, steps, 2 * m, fine, watch)
-        fid_dt = float(abs(np.vdot(final, fine[0])) ** 2)
+        m, coarse, seen, estimate = _ladder(ham, psi0.astype(complex), grid.t0,
+                                            np.array([steps]), duration / steps, steps, fine, watch)
+        fid_dt = float(abs(np.vdot(final, coarse)) ** 2)
         times = np.append(np.arange(len(seen)) * ham.period, duration)
         flux = np.linalg.norm(np.vstack((seen, np.abs(fine[:, watch]))) @ coupling.T, axis=1)
         integral = 0.5 * float(np.sum((flux[1:] + flux[:-1]) * np.diff(times)))
     return ConvergenceReport(
         fidelity_dt=fid_dt, truncation_bound=QUADRATURE_MARGIN * integral,
-        steps_per_period=m, n_max=ham.cutoff.n_max,
+        steps_per_period=m, n_max=ham.cutoff.n_max, step_error=estimate,
     )
 
 

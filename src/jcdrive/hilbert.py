@@ -314,8 +314,8 @@ def coherent_state(beta: complex, cutoff: FockCutoff, qubit: str = "g") -> np.nd
     leak = poisson_tail(beta, cutoff.n_max)
     if leak >= 1e-10:
         raise CutoffError(
-            f"truncation leak {leak:.2e} >= 1e-10 for |beta|={abs(beta):.3g}; "
-            f"need n_max >= {required_cutoff(beta)}, got {cutoff.n_max}"
+            f"Poisson weight {leak:.2e} of |beta|={abs(beta):.3g} lies beyond the "
+            f"{cutoff.n_max} levels of the cutoff; it must be below 1e-10"
         )
     q = _qubit_index(qubit)
     psi = np.zeros(cutoff.dim, dtype=complex)

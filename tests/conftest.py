@@ -1,7 +1,6 @@
 """Shared fixtures and independent oracles for the test suite."""
 
 import os
-from unittest import mock
 
 # One BLAS thread, set before numpy loads BLAS: the suite's matrices are
 # small, and on a multi-core host an unpinned OpenBLAS runs some tests ~25x slower.
@@ -82,16 +81,33 @@ def doubled_cutoff_infidelity(ham, psi0, grid, final):
 
     ``final`` is the state integrate(ham, psi0, grid) ended in.  The rerun
     starts from psi0 zero-padded to 2 n_max, through ham.remake, and a
-    periodic run keeps the frame rule's m of the run, so that the two
-    differ by truncation alone.  It estimates the truncation error and does
-    not bound it; convergence_check's Duhamel bound must not fall below it.
+    periodic run is redone at the run's own steps per period, so that the
+    two differ by truncation alone.  It estimates the truncation error and
+    does not bound it; convergence_check's Duhamel bound must not fall
+    below it.
     """
     big = 2 * ham.cutoff.n_max
-    m = None if ham.exact else dynamics._steps_per_period(ham)
-    with mock.patch.object(dynamics, "_steps_per_period", lambda _: m):
-        rerun = dynamics.integrate(ham.remake(FockCutoff(big)), embed_state(psi0, big), grid,
-                                   store_every=grid.steps).final
+    rebuilt, start = ham.remake(FockCutoff(big)), embed_state(psi0, big)
+    if ham.exact:
+        rerun = dynamics.integrate(rebuilt, start, grid, store_every=grid.steps).final
+    else:
+        m = dynamics.convergence_check(ham, psi0, grid, final).steps_per_period
+        rerun = periodic_run(rebuilt, start, grid, m, store_every=grid.steps).final
     return 1.0 - fid(embed_state(final, big), rerun)
+
+
+def periodic_run(ham, psi0, grid, m, store_every=None):
+    """integrate(ham, psi0, grid, store_every) on a periodic Hamiltonian at m steps per period.
+
+    The stored times and stepping of the periodic path, with m forced
+    rather than picked by the step-doubling ladder.
+    """
+    stored, dt, stride = dynamics._stored_steps(grid, store_every)
+    states = np.empty((len(stored), len(psi0)), dtype=complex)
+    states[0] = psi0
+    dynamics._advance_periodic(ham, psi0.astype(complex), grid.t0, stored[1:], dt, stride, m,
+                               states[1:])
+    return dynamics.Trajectory(times=grid.t0 + stored * dt, states=states)
 
 
 def _schroedinger_rhs(h_of_t):

@@ -317,10 +317,11 @@ class TestConfigFaults:
             parse_config(text.format(1416.8))
 
     def test_fig4_trace_beyond_a_dense_matrix(self):
-        # the default fig4 cutoff is 28 levels, dimension 56: each trace may
-        # store (time_points + 1) * 56 <= 4096**2 amplitudes
+        # the default fig4 cutoff is 28 levels, dimension 56: the phase table
+        # of each trace may hold (time_points + 1) * 56 <= 4096**2 entries
         assert parse_config("scenario=fig4\ntime_points=299592\n").time_points == 299592
-        with pytest.raises(ConfigError, match="^line 2: time_points=299593 stores 299594 states"):
+        with pytest.raises(ConfigError, match="^line 2: time_points=299593 gives each fig4 trace "
+                                              "a phase table of 299594 rows by 56 eigenphases"):
             parse_config("scenario=fig4\ntime_points=299593\n")
 
     @pytest.mark.parametrize("factor, accepted", [(0.999, True), (1.001, False)])
@@ -546,6 +547,16 @@ class TestCli:
         cfg = self._write(tmp_path, FAST_SCENARIO)
         assert main(["run", "--config", cfg]) == 2
         assert "numerical failure: eigenvalues did not converge" in capsys.readouterr().err
+
+    def test_leak_message_states_what_failed(self, tmp_path, capsys):
+        # alpha^2 = 300 parses at the rule's 416 levels, but its Poisson tail
+        # beyond them is 1.4e-10: the message gives the weight, the levels
+        # and the tolerance, and asks for no cutoff below the one it had
+        cfg = self._write(tmp_path, "scenario=fig4\nalpha_sq=300\n")
+        assert main(["check", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "Poisson weight 1.43e-10" in err and "416 levels" in err and "1e-10" in err
+        assert "need n_max" not in err
 
     @pytest.mark.parametrize("command", ["run", "check"])
     def test_n_max_below_truncation_rule_is_config_error(self, tmp_path, capsys, command):

@@ -48,6 +48,7 @@ from conftest import (
     midpoint_states,
     ode_final,
     ode_states,
+    periodic_run,
 )
 
 
@@ -454,6 +455,28 @@ class TestPeriodicPath:
         oracle = ode_states(lambda t: hamiltonian_at(ham, t0 + t), psi0, traj.times - t0)
         assert np.max(np.abs(traj.states - oracle)) < 1e-6
 
+    @pytest.mark.parametrize("breaking", [0.0, 0.1])
+    def test_frame_hamiltonian_from_its_harmonics(self, params, breaking):
+        # the steps' H_F(t) - mu, summed from the turn rates of
+        # periodic_frame, against R(t)^dag H(t) R(t) - omega C built
+        # literally; mu is one scalar, and a sigma_x in H_0 adds odd turns
+        cut = FockCutoff(5)
+        ops = build_mode_operators(cut)
+        omega = params.omega_c - params.chi
+        ham = TimeDependentHamiltonian(
+            static_part=jc_hamiltonian(params, cut) + breaking * (ops.sp + ops.sm), cutoff=cut,
+            drive=(0.3 + 0.2j) * ops.a + (0.3 - 0.2j) * ops.a_dag, omega=omega,
+        )
+        rate, parts, _ = ham.periodic_frame
+        charge = excitation_charge(cut)
+        mu = rate - omega * charge
+        assert np.ptp(mu) < 1e-12
+        for t in (0.0, 0.37, 12.9):
+            r = np.exp(-1j * omega * t * charge)
+            literal = (r.conj()[:, None] * hamiltonian_at(ham, t) * r) - np.diag(rate)
+            np.testing.assert_allclose(dynamics._frame_hamiltonian(ham, parts, t), literal,
+                                       rtol=0, atol=1e-12)
+
     def test_charge_breaking_static_part_has_the_full_period(self, params):
         # sigma_x in H_0 changes C by one, so H_F turns at omega, not 2 omega
         cut = FockCutoff(4)
@@ -470,27 +493,32 @@ class TestPeriodicPath:
         oracle = ode_states(lambda t: hamiltonian_at(ham, t), psi0, traj.times)
         assert np.max(np.abs(traj.states - oracle)) < 2e-7
 
-    def test_fourth_order_in_the_step(self, params, monkeypatch):
-        # m = 12 and 24 Magnus steps per period, against the frame rule's 31:
-        # errors of ~9e-8 and ~5e-9, far above the oracle's own ~1e-11.
-        # Both runs store the same times, inside periods
+    def test_fourth_order_in_the_step(self, params):
+        # m = 12 and 24 Magnus steps per period, forced: errors of ~9e-8
+        # and ~5e-9, far above the oracle's own ~1e-11.  Both runs store
+        # the same times, inside periods
         ham, psi0, grid = self.cosine_run(params)
         errors = []
         for m in (12, 24):
-            monkeypatch.setattr(dynamics, "_steps_per_period", lambda _, m=m: m)
-            traj = integrate(ham, psi0, grid, store_every=97)
+            traj = periodic_run(ham, psi0, grid, m, store_every=97)
             oracle = ode_states(lambda t: hamiltonian_at(ham, t), psi0, traj.times)
             errors.append(np.max(np.abs(traj.states - oracle)))
         assert 15.2 < errors[0] / errors[1] < 16.8, errors
 
-    def test_squaring_branch_against_ode_oracle(self, params, monkeypatch):
-        # omega = 10 omega_c makes the frame rate omega C large: at m = 16
-        # steps per period every step exponential has a bound on
-        # h ||Omega||_1 between 1/2 and 1 and is squared once.  The pulse ends
-        # after 4.8 periods; dt is not h, so the stored times also take
-        # remainder steps S_delta.
+    @staticmethod
+    def fast_frame_run(params):
+        # omega = 10 omega_c makes the frame rate omega C large.  The pulse
+        # ends after 4.8 periods; dt is not h, so the stored times also take
+        # remainder steps S_delta
         cut = FockCutoff(4)
         omega, dt = 10.0 * params.omega_c, 2.5e-4
+        drive = DriveParams(0.4 + 0.3j, omega, 60 * dt)
+        ham = lab_drive_hamiltonian(params, drive, cut, "cosine")
+        return ham, basis_state(cut, "g", 0), TimeGrid(0.0, drive.T, dt)
+
+    def test_squaring_branch_against_ode_oracle(self, params, monkeypatch):
+        # at m = 8 steps per period, forced, every step exponential has a
+        # bound on h ||Omega||_1 between 1/2 and 1 and is squared once
         orders = []
 
         def recording(h, tau, order):
@@ -498,20 +526,59 @@ class TestPeriodicPath:
             return _step_exponential(h, tau, order)
 
         monkeypatch.setattr(dynamics, "_step_exponential", recording)
-        psi0 = basis_state(cut, "g", 0)
-        drive = DriveParams(0.4 + 0.3j, omega, 60 * dt)
-        ham = lab_drive_hamiltonian(params, drive, cut, "cosine")
-        grid = TimeGrid(0.0, drive.T, dt)
+        ham, psi0, grid = self.fast_frame_run(params)
         errors = []
-        for m in (16, 32):
-            monkeypatch.setattr(dynamics, "_steps_per_period", lambda _, m=m: m)
-            traj = integrate(ham, psi0, grid, store_every=7)
+        for m in (8, 16):
+            traj = periodic_run(ham, psi0, grid, m, store_every=7)
             oracle = ode_states(lambda t: hamiltonian_at(ham, t), psi0, traj.times)
             errors.append(np.max(np.abs(traj.states - oracle)))
-            if m == 16:
+            if m == 8:
                 assert {s for _, s in orders} == {1}
         assert errors[0] < 2e-6
         assert 15.2 < errors[0] / errors[1] < 16.8, errors
+
+    def test_ladder_on_the_fast_frame(self, params):
+        # the ladder stops at m = 16 vs 32 (estimates 2.3e-7, 1.4e-8, then
+        # 9e-10 per period), where a rule on ||H_F||_1 took 184 steps
+        ham, psi0, grid = self.fast_frame_run(params)
+        traj = integrate(ham, psi0, grid, store_every=7)
+        report = convergence_check(ham, psi0, grid, traj.final)
+        assert report.steps_per_period <= 32 and report.passed, str(report)
+        oracle = ode_states(lambda t: hamiltonian_at(ham, t), psi0, traj.times)
+        assert np.max(np.abs(traj.states - oracle)) < 1e-6
+
+    def test_magnus_steps_per_checked_run(self, monkeypatch):
+        # the default cosine sweep's alpha^2 = 4 excited point, 1274 periods:
+        # the run and its check each take the ladder's 4 + 8 steps of one
+        # period and one remainder step apiece, where a rule on ||H_F||_1
+        # took 34 and its 2m rerun 67
+        calls = []
+        step = dynamics._magnus_step
+        monkeypatch.setattr(dynamics, "_magnus_step", lambda *a: calls.append(a) or step(*a))
+        config = parse_config("scenario=custom\ndrive_form=cosine\nsweep_values=4\n")
+        _, runs = scenarios._POINTS["custom"](config.points()[0])
+        run = runs["e"]
+        final = integrate(run.ham, run.psi0, run.grid).final
+        report = convergence_check(run.ham, run.psi0, run.grid, final)
+        assert report.passed is True and report.steps_per_period == 8, str(report)
+        assert len(calls) <= 28, len(calls)
+
+    def test_ladder_ends_at_the_rounding_floor(self, params, monkeypatch):
+        # a threshold no estimate can reach: the ladder still stops, once a
+        # doubling no longer halves its estimate (from 2.3e-7 per period at
+        # m = 4 vs 8 down to about 1e-14), and the run reads NOT converged
+        monkeypatch.setattr(dynamics, "CONVERGENCE_THRESHOLD", 1e-30)
+        rungs = []
+        advance = dynamics._advance_periodic
+        monkeypatch.setattr(dynamics, "_advance_periodic",
+                            lambda *a, **k: rungs.append(a[6]) or advance(*a, **k))
+        ham, psi0, grid = self.fast_frame_run(params)
+        final = integrate(ham, psi0, grid).final
+        assert max(rungs) <= 2**12 and len(rungs) <= 11, rungs
+        report = convergence_check(ham, psi0, grid, final)
+        assert report.steps_per_period == max(rungs)
+        assert 1e-30 < report.step_error < 1e-12, report.step_error
+        assert not report.passed and str(report).startswith("NOT converged")
 
     def test_eigendecompositions_per_run(self, params, monkeypatch):
         # the periodic path takes none; the exact path, here the rwa form of
@@ -537,7 +604,7 @@ class TestPeriodicPath:
 
     def test_runtime_independent_of_step_count(self, params):
         # 10^6 grid steps over ~318 drive periods: the periodic path steps
-        # one period (m from the frame rule) and ~1000 snapshot remainders
+        # one period per rung of the ladder and ~1000 snapshot remainders
         cut = FockCutoff(4)
         omega = params.omega_c - params.chi
         ham = lab_drive_hamiltonian(params, DriveParams(0.05, omega, 10.0), cut, "cosine")
@@ -758,8 +825,8 @@ class TestConvergence:
 
     def test_scores_the_state_it_is_given(self, params):
         # a periodic run's dt axis compares the given final state with the
-        # 2m rerun, so handing it the start, |<0|alpha>|^2 = e^-1 away from
-        # the end, fails it; the run is not integrated again
+        # ladder's coarse state, so handing it the start, |<0|alpha>|^2 =
+        # e^-1 away from the end, fails it; the run is not integrated again
         cut = FockCutoff(8)
         drive = DriveParams(0.05, params.omega_c - params.chi, 1.0 / 0.05)
         ham = lab_drive_hamiltonian(params, drive, cut, "cosine")
@@ -769,8 +836,8 @@ class TestConvergence:
 
     def test_grid_step_over_many_drive_periods(self):
         # 0.25 cos(60 t)(a + a'): each grid step of dt = 0.25 spans about
-        # five drive periods, but the periodic path steps each period by the
-        # frame rule, so the stored states still follow the drive
+        # five drive periods, but the periodic path steps each period as
+        # finely as its ladder asks, so the stored states still follow the drive
         ham = _cosine_two_level(FockCutoff(2))
         psi0 = basis_state(ham.cutoff, "g", 0)
         grid = TimeGrid(0.0, 8.0, 0.25)
@@ -795,13 +862,12 @@ class TestConvergence:
         assert not report.passed
         assert str(report).startswith("NOT converged")
 
-    def test_too_few_steps_per_period_fails(self, monkeypatch):
-        # a frame rule far too coarse for the drive: m against 2m disagrees
-        monkeypatch.setattr(dynamics, "STEPS_PER_NORM", 0.01)
-        monkeypatch.setattr(dynamics, "MIN_STEPS", 1)
+    def test_too_few_steps_per_period_fails(self):
+        # a final state stepped at one step per period, far too coarse for
+        # the drive, disagrees with the ladder's coarse state
         ham = _cosine_two_level(FockCutoff(2))
-        report = _checked(ham, basis_state(ham.cutoff, "g", 0), TimeGrid(0.0, 8.0, 0.25))
-        assert report.steps_per_period == 1
+        psi0, grid = basis_state(ham.cutoff, "g", 0), TimeGrid(0.0, 8.0, 0.25)
+        report = convergence_check(ham, psi0, grid, periodic_run(ham, psi0, grid, 1).final)
         assert report.fidelity_dt < 1.0 - CONVERGENCE_THRESHOLD
         assert not report.passed
         assert str(report).startswith("NOT converged")

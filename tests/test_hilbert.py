@@ -300,7 +300,8 @@ class TestCoherentState:
         assert np.all(psi[: cutoff12.n_max] == 0)
 
     def test_cutoff_too_small(self):
-        with pytest.raises(CutoffError):
+        with pytest.raises(CutoffError, match="beyond the 12 levels of the cutoff; it must be "
+                                              "below 1e-10"):
             coherent_state(3.0, FockCutoff(12))
 
 
