@@ -214,8 +214,8 @@ class TimeDependentHamiltonian:
         back, and centring shrinks the Taylor orders.  The frame turns element
         (i, j) of H_0 - rate by e^{i omega t (c_i - c_j)} and of V by e^{i omega t}
         more, so beta = || |H_0 - rate| + |V| + |V|^T ||_1 bounds ||H_F(t) - mu||_1,
-        and parts = (f, M) sums H_F(t) - mu as e^{i f_k t} M_k (M_k flattened), one
-        per turn rate: three for the cosine drive, up to 4 n_max for a dense H_0.
+        and parts = (f, M) sums H_F(t) - mu as e^{i f_k t} M_k, M_k flattened, one per
+        turn rate: three for the cosine drive, up to 4 n_max for a dense H_0.
         """
         charge = excitation_charge(self.cutoff)
         diag = np.diag(self.static_part).real - self.omega * charge
@@ -225,9 +225,8 @@ class TimeDependentHamiltonian:
         turns, dc = {}, np.rint(charge[:, None] - charge[None, :]).astype(int)
         for part, extra in ((h0f, 0), (self.drive, 1), (self.drive.conj().T, -1)):
             for k in set((dc[part != 0] + extra).tolist()):
-                turns[k] = turns.get(k, 0) + np.where(dc + extra == k, part, 0)
-        mats = np.array([m.ravel() for m in turns.values()])
-        return rate, (self.omega * np.array(list(turns)), mats), beta
+                turns[k] = turns.get(k, 0) + np.where(dc + extra == k, part, 0).ravel()
+        return rate, (self.omega * np.array(list(turns)), np.array(list(turns.values()))), beta
 
 
 def hamiltonian_at(ham: TimeDependentHamiltonian, t: float) -> np.ndarray:
@@ -531,15 +530,18 @@ def _ladder(ham, psi, t_start, ends, dt, stride, out, watch=None):
     """(m, coarse, seen, estimate): a periodic run, at the steps per period m it picks.
 
     The step-doubling ladder carries ``psi`` to ``ends[-1]`` at m and 2m
-    steps per period from m = M0, and doubles m until the estimate
-    ||psi_2m - psi_m|| there per period (at least one), the m stepping's
-    error per period, is at most CONVERGENCE_THRESHOLD, or until a doubling
-    fails to halve it while h beta <= 1 (h = P/m, beta from periodic_frame):
-    that is rounding, and the run ends unconverged.  A rung reuses the 2m
-    state of the one before; the last 2m stepping fills ``out``, watches
-    ``watch`` and is the m returned, ``coarse`` being its m state.
+    steps per period, from m = M0 (doubled while one 2m step would span the
+    run, as both steppings would then be that step), and doubles m until the
+    estimate ||psi_2m - psi_m|| there per period (at least one), the m
+    stepping's error per period, is at most CONVERGENCE_THRESHOLD, or until
+    a doubling fails to halve it while h beta <= 1 (h = P/m, beta from
+    periodic_frame): that is rounding, and the run ends unconverged.  The
+    last 2m stepping fills ``out``, watches ``watch`` and is the m returned;
+    ``coarse`` is its m state at the last time.
     """
     beta, m, estimate = ham.periodic_frame[2], M0, math.inf
+    while 2 * m * ends[-1] * dt < ham.period:
+        m *= 2
     periods = max(1.0, ends[-1] * dt / ham.period)
     _advance_periodic(ham, psi, t_start, ends[-1:], dt, stride, m, out[-1:])
     while True:
@@ -558,11 +560,10 @@ class ConvergenceReport:
 
     ``steps_per_period`` is the m a periodic run used (its ladder's last 2m),
     ``fidelity_dt`` the fidelity of its final state with the ladder's state
-    at m/2, ``step_error`` the ladder's estimate; an exact run has m None,
-    ``fidelity_dt`` 1.0 and no error.  ``fidelity_cutoff`` = max(0, 1 - B^2)
-    for the ``truncation_bound`` B (see convergence_check).  The run
-    ``passed`` when both fidelities reach 1 - CONVERGENCE_THRESHOLD and the
-    estimate is at most CONVERGENCE_THRESHOLD.
+    at m/2, ``step_error`` the ladder's estimate (an exact run: None, 1.0, 0).
+    ``fidelity_cutoff`` = max(0, 1 - B^2) for the ``truncation_bound`` B (see
+    convergence_check).  The run ``passed`` when both fidelities reach
+    1 - CONVERGENCE_THRESHOLD and the estimate is at most CONVERGENCE_THRESHOLD.
     """
 
     fidelity_dt: float

@@ -547,6 +547,18 @@ class TestPeriodicPath:
         oracle = ode_states(lambda t: hamiltonian_at(ham, t), psi0, traj.times)
         assert np.max(np.abs(traj.states - oracle)) < 1e-6
 
+    def test_run_shorter_than_a_step(self, params):
+        # 0.124 periods fit in one step at m = 8, where the m = 4 and 8
+        # steppings are one and the same step and estimate nothing: the
+        # ladder starts where a 2m step no longer spans the run
+        ham, psi0, _ = self.fast_frame_run(params)
+        grid = TimeGrid(0.0, 0.124 * ham.period, 0.124 * ham.period)
+        final = integrate(ham, psi0, grid).final
+        report = convergence_check(ham, psi0, grid, final)
+        assert report.steps_per_period >= 16 and report.passed, str(report)
+        oracle = ode_final(lambda t: hamiltonian_at(ham, t), psi0, grid.t1)
+        assert np.max(np.abs(final - oracle)) < 1e-9
+
     def test_magnus_steps_per_checked_run(self, monkeypatch):
         # the default cosine sweep's alpha^2 = 4 excited point, 1274 periods:
         # the run and its check each take the ladder's 4 + 8 steps of one
