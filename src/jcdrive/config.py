@@ -55,8 +55,8 @@ MAX_LAB_PHASE = 0.099 * 2**53
 # cube).  No scenario default needs more than 39 levels; |alpha|^2 =
 # MAX_POISSON_ALPHA_SQ (about 1416.8), beyond which the Poisson weights of the
 # targets leave float range and the point is refused, needs 1654.  fig4
-# builds a phase table of time_points + 1 rows per trace, held to that same
-# 256 MiB.
+# builds a phase table of time_points + 1 stored times per trace, held to
+# that same 256 MiB.
 MAX_N_MAX = 2048
 
 

@@ -22,7 +22,13 @@ and takes one of two paths, chosen once by TimeDependentHamiltonian.exact:
       psi(t) = R(t) exp(-i (H_0 + V + V^dag - omega C)(t - t_s)) R(t_s)^dag psi(t_s),
 
   from one eigendecomposition, t_s being the start of the run; a
-  Hamiltonian with no drive is the case V = 0, omega = 0.
+  Hamiltonian with no drive is the case V = 0, omega = 0.  That
+  eigendecomposition is real for every Hamiltonian the scenarios build:
+  H_0 is H_JC, real, and V is e^{i phi} times a real matrix that lowers C
+  by one, so the gauge G = exp(-i phi C) makes G^dag H_F G real, and
+  H_F = G vr E vr^T G^dag with vr real orthogonal (static_frame).  Where
+  G^dag H_F G is not real, vr is complex and the same code runs with
+  complex products.
 * periodic: any other drive (the cosine drive, whose V also raises C) has
   an H_F that repeats with the period P = pi/omega, or 2 pi/omega when H_0
   breaks C (see TimeDependentHamiltonian).  One period of m steps of
@@ -49,11 +55,13 @@ The split and the period are read off the matrices when the Hamiltonian is
 built.  On the exact path all stored snapshots of a run come out of one
 matrix product, so no work scales with the step count; their phases,
 exp(-i E n dt) for the eigenvalues E and the frame R(t), come from the
-angle-addition tables of _step_phases, as do the periodic path's R(t).
-excited_trace, which fig4 calls for its P_e(t) traces, takes the same
-eigenphases to the excited rows of the eigenvectors alone and skips R(t),
-which changes no magnitude: it stores no state.  integrate and
-excited_trace store at the same steps (_stored_steps).
+angle-addition tables of _step_phases, one row per frequency, as do the
+periodic path's R(t).  excited_trace, which fig4 calls for its P_e(t)
+traces, takes the same eigenphases to the excited rows of vr alone, in
+one real matrix product on the table's real and imaginary parts, and
+skips R(t) G, a phase per component, which changes no magnitude: it
+stores no state.  integrate and excited_trace store at the same steps
+(_stored_steps).
 
 convergence_check scores a run on two axes.  The step: a periodic run's
 own final state against the m state of its ladder, run once more (an
@@ -192,18 +200,38 @@ class TimeDependentHamiltonian:
         object.__setattr__(self, "period", period)
 
     @cached_property
-    def static_frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(omega C, E, vectors): the frame's rates and the eigensystem of the exact path's H_F.
+    def static_frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(omega C, E, gauge, vr): the frame's rates and the eigensystem of the exact path's H_F.
 
         H_F = H_0 + V + V^dag - omega C is static on the exact path; with no
-        drive it is H_0, and the rates are zero.  Computed on first use and
-        kept, so every run of this Hamiltonian and its convergence checks
-        share one eigendecomposition.
+        drive it is H_0, and the rates are zero.  Its eigenvectors are
+        gauge[:, None] * vr, the columns of G vr: the gauge G = exp(-i phi C),
+        phi the phase of the drive's largest element (0 with no drive), turns
+        an element of H_F that changes C by d by e^{-i d phi}, so
+        G^dag H_F G is real when H_0 is real and V is e^{i phi} times a real
+        matrix that lowers C by one (the rwa cavity drive and the qubit
+        drive).  Then vr is the real orthogonal eigenbasis of that matrix,
+        from one real eigh; where G^dag H_F G is not real beyond the rounding
+        of the phases phi C, vr is its complex unitary eigenbasis.  Computed on
+        first use and kept, so every run of this Hamiltonian and its
+        convergence checks share one eigendecomposition.
         """
+        charge = excitation_charge(self.cutoff)
         if self.drive is None:
-            return np.zeros(self.cutoff.dim), *eigh(self.static_part)
-        rate = self.omega * excitation_charge(self.cutoff)
-        return rate, *eigh(self.static_part + self.drive + self.drive.conj().T - np.diag(rate))
+            rate, h, phase = np.zeros(self.cutoff.dim), self.static_part, 0.0
+        else:
+            rate = self.omega * charge
+            h = self.static_part + self.drive + self.drive.conj().T - np.diag(rate)
+            phase = float(np.angle(self.drive.flat[np.argmax(np.abs(self.drive))]))
+        gauge = np.exp(-1j * phase * charge)
+        h = gauge.conj()[:, None] * h * gauge  # G^dag H_F G
+        # each phase phi c rounds by about eps |phi| c: an imaginary part within
+        # that of its element is rounding, and any larger one makes h complex
+        rounding = 8.0 * np.finfo(float).eps * (1.0 + abs(phase) * charge[-1])
+        if np.all(np.abs(h.imag) <= rounding * np.abs(h)):
+            h = h.real
+        evals, vr = eigh(h)
+        return rate, evals, gauge, vr
 
     @cached_property
     def periodic_frame(self) -> tuple[np.ndarray, tuple, float]:
@@ -339,23 +367,27 @@ def excited_trace(
     The same times as integrate(ham, psi0, grid, store_every), and the same
     P_e as metrics.excited_probability of its states, without storing a
     state: the eigenphases of ``ham.static_frame``, with the coefficients
-    of R(t_s)^dag psi0 folded in, meet only the excited rows of the
-    eigenvectors, and the frame R(t) is left out, as it changes no
-    magnitude.  Exact Hamiltonians only; raises ValueError on a periodic one.
+    of (R(t_s) G)^dag psi0 folded in, meet only the excited rows of vr, and
+    the frame R(t) and the gauge G are left out, as a phase per component
+    changes no magnitude.  With a real vr that is one real matrix product.
+    Exact Hamiltonians only; raises ValueError on a periodic one.
     """
     if not ham.exact:
         raise ValueError("excited_trace needs an exact (static frame) Hamiltonian; "
                          "integrate a periodic one")
     _check_start(ham, psi0)
     stored, dt, stride = _stored_steps(grid, store_every)
-    rate, evals, vecs = ham.static_frame
+    rate, evals, gauge, vr = ham.static_frame
     n_max = ham.cutoff.n_max
-    c = vecs.conj().T @ (np.exp(1j * grid.t0 * rate) * psi0)  # R(t_s)^dag psi0
-    amps = np.empty((len(stored), n_max), dtype=complex)
-    amps[0] = psi0[n_max:]
-    np.matmul(_step_phases(evals, dt, stride, len(stored) - 2, stored[-1], c), vecs[n_max:].T,
-              out=amps[1:])
-    return grid.t0 + stored * dt, np.sum(np.abs(amps) ** 2, axis=1)
+    c = vr.conj().T @ (np.exp(1j * grid.t0 * rate) * gauge.conj() * psi0)  # (R(t_s) G)^dag psi0
+    amps = _in_basis(vr[n_max:], _step_phases(evals, dt, stride, len(stored) - 2, stored[-1], c))
+    parts = amps.view(float)  # real and imaginary parts side by side, one pair per time
+    parts *= parts
+    sums = parts.sum(axis=0)
+    p_e = np.empty(len(stored))
+    p_e[0] = np.sum(np.abs(psi0[n_max:]) ** 2)
+    p_e[1:] = sums[0::2] + sums[1::2]
+    return grid.t0 + stored * dt, p_e
 
 
 def _check_start(ham, psi0):
@@ -385,39 +417,51 @@ def _advance_exact(ham, psi, t_start, ends, dt, stride, out):
 
     Into ``out``, at t = t_s + n dt for each n in ``ends`` (stride,
     2 stride, ..., then a final entry), R(t) = exp(-i omega t C) (1 with no
-    drive), from one eigendecomposition and one matrix product: the phases
+    drive), from one eigendecomposition, H_F = G vr E vr^dag G^dag
+    (``ham.static_frame``), and one matrix product: the phases
     exp(-i E n dt), psi's coefficients folded in, and R(t) come from _step_phases.
     """
-    rate, evals, vecs = ham.static_frame
-    frame = np.exp(-1j * t_start * rate)  # R(t_s)
-    c = vecs.conj().T @ (frame.conj() * psi)
+    rate, evals, gauge, vr = ham.static_frame
+    frame = np.exp(-1j * t_start * rate) * gauge  # R(t_s) G
+    c = vr.conj().T @ (frame.conj() * psi)
     count, last = len(ends) - 1, ends[-1]
-    np.matmul(_step_phases(evals, dt, stride, count, last, c), vecs.T * frame, out=out)
-    out *= _step_phases(rate, dt, stride, count, last)
+    np.matmul(_step_phases(evals, dt, stride, count, last, c).T, vr.T * frame, out=out)
+    out *= _step_phases(rate, dt, stride, count, last).T
+
+
+def _in_basis(vr, table):
+    """vr @ table for a complex ``table``: one real product, on its float view, when vr is real."""
+    if np.isrealobj(vr):
+        return (vr @ table.view(float)).view(complex)
+    return vr @ table
 
 
 def _step_phases(freq, dt, stride, count, last, coef=1.0):
     """coef exp(-i f n dt) for n = stride, 2 stride, ..., count stride, then n = last.
 
-    One row per n and one column per f in ``freq``, ``coef`` scaling each
-    column.  By angle addition, with B = stride (floor(sqrt(count)) + 1),
-    n = q B + r and exp(-i f n dt) = exp(-i f q B dt) exp(-i f r dt): the
-    lattice's rows are one broadcast product of a q-table and an r-table of
-    about sqrt(count) rows each, ``coef`` folded into the r-table, and the
-    final entry is one more row, ``last`` not preceding the lattice's end.
+    One row per f in ``freq``, ``coef`` scaling each row, and one column per
+    n, the columns of a row adjacent in memory, so that a row's real and
+    imaginary parts are one float row (_in_basis).  By angle addition, with
+    B = stride (floor(sqrt(count)) + 1), n = q B + r and
+    exp(-i f n dt) = exp(-i f q B dt) exp(-i f r dt): the lattice's columns
+    are one broadcast product of a q-table and an r-table of about
+    sqrt(count) columns each, ``coef`` folded into the r-table, and the
+    final entry is one more column, ``last`` not preceding the lattice's end.
     """
     if count < 0 or last < count * stride:
         raise ValueError(f"final step {last} precedes the lattice end {count} * {stride}")
     per_block = math.isqrt(count) + 1
     block = stride * per_block
-    blocks = count // per_block + 1  # blocks * per_block > count: the lattice reaches count
-    q_table = np.exp(-1j * np.outer(np.arange(blocks) * block * dt, freq))
-    r_table = coef * np.exp(-1j * np.outer(np.arange(0, block, stride) * dt, freq))
-    out = np.empty((blocks * per_block + 1, len(freq)), dtype=complex)
-    lattice = out[:-1].reshape(blocks, per_block, len(freq))
-    np.multiply(q_table[:, None, :], r_table[None, :, :], out=lattice)
-    out[count + 1] = coef * np.exp(-1j * np.outer(last * dt, freq))
-    return out[1 : count + 2]
+    # blocks * per_block > count + 1: the lattice has a column for the final entry too
+    blocks = (count + 1) // per_block + 1
+    coef = np.reshape(coef, (-1, 1))
+    q_table = np.exp(-1j * np.outer(freq, np.arange(blocks) * block * dt))
+    r_table = coef * np.exp(-1j * np.outer(freq, np.arange(0, block, stride) * dt))
+    out = np.empty((len(freq), blocks, per_block), dtype=complex)
+    np.multiply(q_table[:, :, None], r_table[:, None, :], out=out)
+    out = out.reshape(len(freq), -1)
+    out[:, count + 1 : count + 2] = coef * np.exp(-1j * np.outer(freq, last * dt))
+    return out[:, 1 : count + 2]
 
 
 def _frame_hamiltonian(ham, parts, t):
@@ -522,7 +566,7 @@ def _advance_periodic(ham, psi, t_start, ends, dt, stride, m, out, watch=None):
         if delta_i:
             out[i] = _magnus_step(ham, parts, t_start + j_i * h, delta_i, order) @ out[i]
     out *= frame
-    out *= _step_phases(rate, dt, stride, len(ends) - 1, ends[-1])
+    out *= _step_phases(rate, dt, stride, len(ends) - 1, ends[-1]).T
     return seen
 
 
@@ -633,13 +677,13 @@ def convergence_check(
     duration = grid.t1 - grid.t0
     if ham.exact:
         m, fid_dt, estimate = None, 1.0, 0.0
-        rate, evals, vecs = ham.static_frame
+        rate, evals, gauge, vr = ham.static_frame
         h = duration / TRUNCATION_SAMPLES
-        c = vecs.conj().T @ (np.exp(1j * grid.t0 * rate) * psi0)  # R(t_s)^dag psi0
+        c = vr.conj().T @ (np.exp(1j * grid.t0 * rate) * gauge.conj() * psi0)  # (R(t_s) G)^dag psi0
         # samples at (k - 1/2) h, k = 1..K: the lattice k h with exp(+i E h/2) folded in
         phases = _step_phases(evals, h, 1, TRUNCATION_SAMPLES - 1, TRUNCATION_SAMPLES,
                               c * np.exp(0.5j * h * evals))
-        flux = np.linalg.norm(np.abs(phases @ vecs[watch].T) @ coupling.T, axis=1)
+        flux = np.linalg.norm(coupling @ np.abs(_in_basis(vr[watch], phases)), axis=0)
         integral = h * float(np.sum(flux))
     else:
         steps = grid.steps

@@ -67,8 +67,10 @@ class ScenarioResult:
 def emit_csv(result: ScenarioResult, path) -> None:
     """Write UTF-8 CSV: one '# scenario=...' metadata comment, header, data rows.
 
-    Floats carry 12 significant digits so a round-trip read reproduces them;
-    ints print whole and bools as true/false.  Every row takes one
+    Floats print as %.12g: 12 significant digits, correctly rounded, so a
+    read-back value is within 5e-12 relative of the float written, with no
+    exponent where it is not needed and nan/inf as such; ints print whole
+    and bools as true/false.  Every row takes one
     %-format built from the cell types of the first row, so each column
     keeps the type of its first cell.
     """
@@ -89,7 +91,7 @@ def _cell_format(v) -> str:
         return "%s"
     if isinstance(v, (int, np.integer)):
         return "%d"
-    return "%.11e"
+    return "%.12g"
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:

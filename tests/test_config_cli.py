@@ -1,7 +1,9 @@
 """Config parsing, CSV emission, and the sim command line."""
 
 import cmath
+import math
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -409,7 +411,7 @@ class TestEmitCsv:
                 return "true" if v else "false"
             if isinstance(v, (int, np.integer)):
                 return str(int(v))
-            return f"{float(v):.11e}"
+            return f"{float(v):.12g}"
 
         rows = (
             (0.5, 3, True, np.float64(-1.0 / 3.0), np.int64(-7), 1e-300, False),
@@ -422,6 +424,20 @@ class TestEmitCsv:
         body = path.read_bytes().split(b"\n", 2)[2]
         expected = "".join(",".join(cell(v) for v in row) + "\n" for row in rows)
         assert body == expected.encode("utf-8")
+
+    def test_12g_reads_back_as_the_11e_cell(self):
+        # the same 12 correctly rounded significant digits in either form,
+        # so both cells parse to the same double, bit for bit
+        rng = np.random.default_rng(12)
+        values = [
+            *(rng.normal(size=400) * 10.0 ** rng.integers(-300, 301, size=400)),
+            *rng.uniform(-2.2e-308, 2.2e-308, size=50),  # subnormal
+            0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+            1e300, -1e300, 1e-300, -1e-300, math.nan, math.inf, -math.inf,
+        ]
+        for v in values:
+            got, want = float("%.12g" % v), float("%.11e" % v)
+            assert struct.pack("<d", got) == struct.pack("<d", want), (v, "%.12g" % v)
 
 
 FAST_SCENARIO = """

@@ -1,5 +1,6 @@
 """The integrator: exactness, the exact and periodic paths, convergence."""
 
+import cmath
 import math
 import time
 
@@ -295,6 +296,44 @@ class TestExactPath:
         oracle = ode_final(lambda t: hamiltonian_at(ham, t0 + t), psi0, grid.t1 - t0)
         assert 1.0 - fid(exact, oracle) < 1e-10
 
+    @pytest.mark.parametrize("phase", [0.0, math.pi / 3, 2.1, -math.pi / 2])
+    @pytest.mark.parametrize("drive_kind", ["cavity", "qubit"])
+    def test_real_gauge_eigensystem(self, params, drive_kind, phase):
+        # H_F = G vr diag(E) vr^T G^dag with vr real orthogonal, at any drive phase
+        cut = FockCutoff(20)
+        if drive_kind == "qubit":
+            qd = QubitDriveParams(0.3 * cmath.exp(1j * phase), params.omega_q + 0.5, 1.0)
+            ham = qubit_drive_lab_hamiltonian(params, qd, cut)
+        else:
+            drive = DriveParams(0.4 * cmath.exp(1j * phase), params.omega_c - params.chi, 1.0)
+            ham = lab_drive_hamiltonian(params, drive, cut, "rwa")
+        rate, evals, gauge, vr = ham.static_frame
+        assert np.isrealobj(vr)
+        assert np.max(np.abs(vr.T @ vr - np.eye(cut.dim))) <= 1e-13
+        h_f = ham.static_part + ham.drive + ham.drive.conj().T - np.diag(rate)
+        vecs = gauge[:, None] * vr
+        norm = np.linalg.norm(h_f, 2)
+        assert np.linalg.norm(vecs @ np.diag(evals) @ vecs.conj().T - h_f, 2) <= 1e-13 * norm
+        assert np.max(np.abs(evals - np.linalg.eigvalsh(h_f))) <= 1e-13 * norm
+
+    def test_complex_gauge_falls_back_to_a_complex_eigenbasis(self, params):
+        # a complex C-conserving coupling in H_0 leaves G^dag H_F G complex:
+        # vr is complex, and integrate and excited_trace still meet the oracle
+        cut = FockCutoff(8)
+        ops = build_mode_operators(cut)
+        h0 = jc_hamiltonian(params, cut) + 0.2j * ops.a_dag @ ops.sm - 0.2j * ops.sp @ ops.a
+        ham = TimeDependentHamiltonian(static_part=h0, cutoff=cut, drive=(0.3 + 0.2j) * ops.a,
+                                       omega=params.omega_c - params.chi)
+        assert ham.exact and np.iscomplexobj(ham.static_frame[3])
+        psi0 = (basis_state(cut, "g", 1) + basis_state(cut, "e", 1)) / math.sqrt(2)
+        grid = TimeGrid(0.3, 0.8, 0.005)
+        traj = integrate(ham, psi0, grid, store_every=10)
+        times, p_e = excited_trace(ham, psi0, grid, store_every=10)
+        assert np.array_equal(times, traj.times) and len(times) == 11
+        oracle = ode_states(lambda t: hamiltonian_at(ham, 0.3 + t), psi0, times - 0.3)
+        assert max(1.0 - fid(a, b) for a, b in zip(traj.states, oracle)) < 1e-10
+        assert np.max(np.abs(p_e - excited_probability(oracle))) < 1e-10
+
     def test_charge_split_decides_exactness(self, params):
         cut = FockCutoff(6)
         drive = DriveParams(0.05 - 0.02j, params.omega_c - params.chi, 3.0)
@@ -366,9 +405,12 @@ class TestExcitedTrace:
         assert np.max(np.abs(p_e - excited_probability(traj.states))) <= 1e-14
         return times
 
-    def test_fig4_traces_config(self):
-        # the grid and stride _run_fig4 takes: 4057 stored times, stride 55
-        config = parse_config("scenario=fig4\nalpha_sq=9\neta_abs=1.1\ntime_points=4000\n")
+    @pytest.mark.parametrize("eta_phase", [0.0, 1.0])
+    def test_fig4_traces_config(self, eta_phase):
+        # the grid and stride _run_fig4 takes: 4057 stored times, stride 55;
+        # at eta_phase = 1 the gauge is not the identity
+        config = parse_config("scenario=fig4\nalpha_sq=9\neta_abs=1.1\ntime_points=4000\n"
+                              f"eta_phase={eta_phase}\n")
         params, runs = scenarios._POINTS["fig4"](config)
         tau = config.pulse_length()
         dt = min(dt_bound(params, runs["real"].ham.cutoff, 0.0, 1.1), tau / config.time_points)
@@ -678,7 +720,8 @@ class TestStepPhases:
 
     def _check(self, freq, count, stride, last, dt=DT, atol=1e-13, coef=1.0):
         steps = np.append(np.arange(1, count + 1) * stride, last)
-        expected = coef * np.exp(-1j * np.outer(steps * dt, freq))
+        # one row per frequency, one column per step
+        expected = (coef * np.exp(-1j * np.outer(steps * dt, freq))).T
         got = _step_phases(freq, dt, stride, count, last, coef)
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= atol
@@ -716,7 +759,7 @@ class TestStepPhases:
 
     def test_zero_steps_give_ones(self):
         got = _step_phases(self._freq(1.0, 1, size=4), 0.1, 3, 0, 0)
-        assert np.array_equal(got, np.ones((1, 4), dtype=complex))
+        assert np.array_equal(got, np.ones((4, 1), dtype=complex))
 
     @pytest.mark.parametrize("stride", [1, 9])
     def test_phases_up_to_1e4_rad(self, stride):
@@ -730,13 +773,13 @@ class TestStepPhases:
         self._check(freq, **self.FIG4, dt=0.0137, atol=8 * 2.0**-53 * 1e4)
 
     def test_tables_stay_small(self, monkeypatch):
-        # about 2 sqrt(len) table rows of np.exp, not one per entry
+        # about 2 sqrt(len) table columns (steps) of np.exp, not one per entry
         freq = self._freq(3e3, self.FIG4["last"])
-        exp, rows = np.exp, []
-        monkeypatch.setattr(np, "exp", lambda x: rows.append(x.shape[0]) or exp(x))
+        exp, columns = np.exp, []
+        monkeypatch.setattr(np, "exp", lambda x: columns.append(x.shape[-1]) or exp(x))
         _step_phases(freq, self.DT, **self.FIG4)
         monkeypatch.undo()
-        assert sum(rows) <= 2 * (math.isqrt(self.FIG4["count"] + 1) + 2)
+        assert sum(columns) <= 2 * (math.isqrt(self.FIG4["count"] + 1) + 2)
 
 
 class TestRwaVersusCosine:
