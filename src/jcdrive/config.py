@@ -54,9 +54,9 @@ MAX_LAB_PHASE = 0.099 * 2**53
 # on one core (1.9 s at dimension 1024 on one Xeon core, growing as the
 # cube).  No scenario default needs more than 39 levels; |alpha|^2 =
 # MAX_POISSON_ALPHA_SQ (about 1416.8), beyond which the Poisson weights of the
-# targets leave float range and the point is refused, needs 1654.  fig4
-# builds a phase table of time_points + 1 stored times per trace, held to
-# that same 256 MiB.
+# targets leave float range and the point is refused, needs 1654.  Each
+# fig4 trace builds a phase table of one row per eigenphase and one column
+# per stored time, time_points + 1 columns, held to that same 256 MiB.
 MAX_N_MAX = 2048
 
 
@@ -355,7 +355,7 @@ def parse_config(text: str) -> ScenarioConfig:
                               f"{MAX_POISSON_ALPHA_SQ:.6g}", cutoff_line)
         if fig4 and (point.time_points + 1) * cutoff.dim > (2 * MAX_N_MAX) ** 2:
             raise ConfigError(f"time_points={point.time_points} gives each fig4 trace a phase table"
-                              f" of {point.time_points + 1} rows by {cutoff.dim} eigenphases, more"
+                              f" of {cutoff.dim} eigenphases by {point.time_points + 1} times, more"
                               f" than a dense matrix at n_max={MAX_N_MAX}", seen.get("time_points"))
         rho = 0.099 / dt_bound(params, cutoff, 0.0 if fig4 else abs(complex(point.epsilon)),
                                point.qubit_drive_strength() if fig4 else 0.0)

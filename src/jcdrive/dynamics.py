@@ -63,13 +63,13 @@ skips R(t) G, a phase per component, which changes no magnitude: it
 stores no state.  integrate and excited_trace store at the same steps
 (_stored_steps).
 
-convergence_check scores a run on two axes.  The step: a periodic run's
-own final state against the m state of its ladder, run once more (an
-exact run has no step to refine).  The cutoff: a Duhamel bound on the
-distance to the untruncated evolution, the coupling across the cutoff
-integrated against the run's own amplitudes at level n_max - 1, sampled
-from the exact path's eigendecomposition or at the whole periods of the
-ladder's 2m stepping; a rerun at doubled cutoff is a test oracle.
+convergence_check makes a run and scores it on two axes.  The step: a
+periodic run's final state, its ladder's 2m stepping, against the
+ladder's m state (an exact run has none to refine).  The cutoff: a
+Duhamel bound on the distance to the untruncated evolution, the coupling
+across the cutoff integrated against the run's own amplitudes at level
+n_max - 1, sampled from the exact path's eigendecomposition or at the
+whole periods of the 2m stepping; a doubled-cutoff rerun is a test oracle.
 """
 
 from __future__ import annotations
@@ -600,7 +600,7 @@ def _ladder(ham, psi, t_start, ends, dt, stride, out, watch=None):
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Self-convergence of a run: its step, by its ladder (_ladder), and the truncation bound.
+    """A run made by convergence_check: its ``final`` state, its step, and its truncation bound.
 
     ``steps_per_period`` is the m a periodic run used (its ladder's last 2m),
     ``fidelity_dt`` the fidelity of its final state with the ladder's state
@@ -614,6 +614,7 @@ class ConvergenceReport:
     truncation_bound: float
     steps_per_period: Optional[int]
     n_max: int
+    final: np.ndarray = field(repr=False, compare=False)
     step_error: float = 0.0
 
     @property
@@ -635,16 +636,13 @@ class ConvergenceReport:
                 f"threshold 1 - {CONVERGENCE_THRESHOLD:g})")
 
 
-def convergence_check(
-    ham: TimeDependentHamiltonian, psi0: np.ndarray, grid: TimeGrid, final: np.ndarray
-) -> ConvergenceReport:
-    """Score a run's step against its ladder's coarse state, and bound its truncation error.
+def convergence_check(ham: TimeDependentHamiltonian, psi0: np.ndarray,
+                      grid: TimeGrid) -> ConvergenceReport:
+    """Make the run integrate(ham, psi0, grid) makes, score its step, bound its truncation error.
 
-    ``final`` is the state integrate(ham, psi0, grid) ended in.  An exact
-    run (a static frame Hamiltonian) has no stepping error and reports the
-    dt axis as exact.  A periodic run's ladder is run once more, to the
-    final time alone, and ``final`` is scored against its coarse state
-    (see ConvergenceReport).
+    The report's ``final`` is that run's final state: integrate's own on the
+    exact path, which has no stepping error (the dt axis reads exact); on the
+    periodic path its ladder's 2m stepping, scored against the m stepping's.
 
     Truncation is scored by the Duhamel bound (Hochbruck and Lubich, SIAM
     J. Numer. Anal. 41, 945 (2003)).  With P the projector onto the
@@ -660,8 +658,7 @@ def convergence_check(
     on the frame state's magnitudes.  The quadrature:
 
     * exact path: the composite midpoint rule on TRUNCATION_SAMPLES
-      samples of the frame state, from the run's eigendecomposition
-      (``final`` is not needed);
+      samples of the frame state, from the run's eigendecomposition;
     * periodic path: the trapezoid rule on the whole periods that the
       ladder's 2m stepping passes, and its final state.
 
@@ -676,6 +673,7 @@ def convergence_check(
     coupling, watch = _cut_coupling(ham)
     duration = grid.t1 - grid.t0
     if ham.exact:
+        final = integrate(ham, psi0, grid).final  # grid positional: bench/spans.py reads args[2]
         m, fid_dt, estimate = None, 1.0, 0.0
         rate, evals, gauge, vr = ham.static_frame
         h = duration / TRUNCATION_SAMPLES
@@ -686,17 +684,19 @@ def convergence_check(
         flux = np.linalg.norm(coupling @ np.abs(_in_basis(vr[watch], phases)), axis=0)
         integral = h * float(np.sum(flux))
     else:
+        _check_start(ham, psi0)
         steps = grid.steps
         fine = np.empty((1, len(psi0)), dtype=complex)
         m, coarse, seen, estimate = _ladder(ham, psi0.astype(complex), grid.t0,
                                             np.array([steps]), duration / steps, steps, fine, watch)
+        final = fine[0]
         fid_dt = float(abs(np.vdot(final, coarse)) ** 2)
         times = np.append(np.arange(len(seen)) * ham.period, duration)
         flux = np.linalg.norm(np.vstack((seen, np.abs(fine[:, watch]))) @ coupling.T, axis=1)
         integral = 0.5 * float(np.sum((flux[1:] + flux[:-1]) * np.diff(times)))
     return ConvergenceReport(
         fidelity_dt=fid_dt, truncation_bound=QUADRATURE_MARGIN * integral,
-        steps_per_period=m, n_max=ham.cutoff.n_max, step_error=estimate,
+        steps_per_period=m, n_max=ham.cutoff.n_max, final=final, step_error=estimate,
     )
 
 

@@ -107,7 +107,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 # shared machinery
 
 class Run(NamedTuple):
-    """A point's lab-frame evolution under ``drive``: integrate(ham, psi0, grid), grid = [0, T]."""
+    """A point's lab-frame evolution under ``drive`` on grid = [0, T], made once by _evolve."""
 
     ham: TimeDependentHamiltonian
     psi0: np.ndarray
@@ -116,9 +116,9 @@ class Run(NamedTuple):
 
 
 def _evolve(run: Run, check: bool) -> tuple[np.ndarray, Optional[ConvergenceReport]]:
-    """The run's final state, integrated in its grid's one step, and if ``check`` its report."""
-    final = integrate(run.ham, run.psi0, run.grid).final
-    return final, convergence_check(run.ham, run.psi0, run.grid, final) if check else None
+    """The run's final state and, if ``check``, its report: convergence_check makes that run."""
+    report = convergence_check(run.ham, run.psi0, run.grid) if check else None
+    return (report or integrate(run.ham, run.psi0, run.grid)).final, report
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,7 @@ def doubled_cutoff_infidelity(ham, psi0, grid, final):
     if ham.exact:
         rerun = dynamics.integrate(rebuilt, start, grid, store_every=grid.steps).final
     else:
-        m = dynamics.convergence_check(ham, psi0, grid, final).steps_per_period
+        m = dynamics.convergence_check(ham, psi0, grid).steps_per_period
         rerun = periodic_run(rebuilt, start, grid, m, store_every=grid.steps).final
     return 1.0 - fid(embed_state(final, big), rerun)
 

@@ -320,10 +320,10 @@ class TestConfigFaults:
 
     def test_fig4_trace_beyond_a_dense_matrix(self):
         # the default fig4 cutoff is 28 levels, dimension 56: the phase table
-        # of each trace may hold (time_points + 1) * 56 <= 4096**2 entries
+        # of each trace may hold 56 * (time_points + 1) <= 4096**2 entries
         assert parse_config("scenario=fig4\ntime_points=299592\n").time_points == 299592
         with pytest.raises(ConfigError, match="^line 2: time_points=299593 gives each fig4 trace "
-                                              "a phase table of 299594 rows by 56 eigenphases"):
+                                              "a phase table of 56 eigenphases by 299594 times"):
             parse_config("scenario=fig4\ntime_points=299593\n")
 
     @pytest.mark.parametrize("factor, accepted", [(0.999, True), (1.001, False)])
@@ -641,12 +641,13 @@ class TestCli:
     ])
     def test_only_fig4_traces_take_a_step_grid(self, tmp_path, monkeypatch, text, trace):
         # sweep and readout runs are scored at T alone, so they take the
-        # one-step grid [0, T]; fig4's two traces take their P_e from
+        # one-step grid [0, T], made once, by integrate or, when checked, by
+        # convergence_check; fig4's two traces take their P_e from
         # excited_trace on the dt_bound grid, while its converged flag and
-        # sim check integrate the first run in one step
+        # sim check make the first run in one step
         import jcdrive.scenarios as scenarios
 
-        grids = {"integrate": [], "excited_trace": []}
+        grids = {"integrate": [], "convergence_check": [], "excited_trace": []}
         for name, calls in grids.items():
             def record(ham, psi0, grid, *args, _real=getattr(scenarios, name), _calls=calls,
                        **kwargs):
@@ -657,7 +658,7 @@ class TestCli:
         cfg = self._write(tmp_path, text)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
         config = parse_config(text)
-        traces, runs = grids["excited_trace"], grids["integrate"]
+        traces, runs = grids["excited_trace"], grids["integrate"] + grids["convergence_check"]
         if trace:
             tau = config.pulse_length()
             dt = dt_bound(config.system_params(), traces[0][0], 0.0,
@@ -672,7 +673,8 @@ class TestCli:
         for calls in grids.values():
             calls.clear()
         assert main(["check", "--config", cfg]) == 0
-        assert [g.steps for _, g in grids["integrate"]] == [1] and not grids["excited_trace"]
+        assert [g.steps for _, g in grids["convergence_check"]] == [1]
+        assert not grids["integrate"] and not grids["excited_trace"]
 
     @pytest.mark.parametrize("scenario", list(SCHEMAS))
     def test_check_subcommand(self, tmp_path, capsys, scenario):
@@ -688,18 +690,19 @@ class TestCli:
         # swept lambda = 0.1, not the lambda = 0.2 that omega_q implies
         import jcdrive.scenarios as scenarios
 
-        real = scenarios.integrate
         cfg = self._write(tmp_path, "scenario=fig2c\nomega_q=105\nsweep_values=0.1,0.2\n"
                                     "alpha_sq=1\ncheck_convergence=off\n")
+        # an unchecked run is integrate's, a checked one convergence_check's
+        makers = {name: getattr(scenarios, name) for name in ("integrate", "convergence_check")}
         first = {}
         for command in ("run", "check"):
             calls = []
+            for name, real in makers.items():
+                def record(ham, psi0, grid, *args, _real=real, _calls=calls, **kwargs):
+                    _calls.append((ham, psi0, grid))
+                    return _real(ham, psi0, grid, *args, **kwargs)
 
-            def record(ham, psi0, grid, **kwargs):
-                calls.append((ham, psi0, grid))
-                return real(ham, psi0, grid, **kwargs)
-
-            monkeypatch.setattr(scenarios, "integrate", record)
+                monkeypatch.setattr(scenarios, name, record)
             out = ["--out", str(tmp_path / "o.csv")] if command == "run" else []
             assert main([command, "--config", cfg, *out]) == 0
             first[command] = calls[0]

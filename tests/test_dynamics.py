@@ -12,6 +12,7 @@ from jcdrive import dynamics
 from jcdrive.dressed import dressed_basis, dressed_coherent_state
 from jcdrive.dynamics import (
     CONVERGENCE_THRESHOLD,
+    ConvergenceReport,
     TimeDependentHamiltonian,
     TimeGrid,
     _step_exponential,
@@ -191,12 +192,17 @@ class TestIntegratorBasics:
     def test_rejects_unnormalized_state(self, params, cutoff12):
         ham = static_hamiltonian(params, cutoff12)
         grid = TimeGrid.for_duration(0.1, 1e-5)
+        # convergence_check makes a periodic run without integrate
+        cosine = lab_drive_hamiltonian(params, DriveParams(0.05, params.omega_c, 0.1), cutoff12,
+                                       "cosine")
         # a NaN norm must fail the check too, not slip past a "> tol" test
         for index, value in ((0, 0.7), (1, math.nan), (0, math.inf)):
             psi0 = basis_state(cutoff12, "g", 0)
             psi0[index] = value
             with pytest.raises(ValueError, match="normalized"):
                 integrate(ham, psi0, grid)
+            with pytest.raises(ValueError, match="normalized"):
+                convergence_check(cosine, psi0, grid)
 
 
 class TestHamiltonianForm:
@@ -584,7 +590,7 @@ class TestPeriodicPath:
         # 9e-10 per period), where a rule on ||H_F||_1 took 184 steps
         ham, psi0, grid = self.fast_frame_run(params)
         traj = integrate(ham, psi0, grid, store_every=7)
-        report = convergence_check(ham, psi0, grid, traj.final)
+        report = convergence_check(ham, psi0, grid)
         assert report.steps_per_period <= 32 and report.passed, str(report)
         oracle = ode_states(lambda t: hamiltonian_at(ham, t), psi0, traj.times)
         assert np.max(np.abs(traj.states - oracle)) < 1e-6
@@ -596,26 +602,24 @@ class TestPeriodicPath:
         ham, psi0, _ = self.fast_frame_run(params)
         grid = TimeGrid(0.0, 0.124 * ham.period, 0.124 * ham.period)
         final = integrate(ham, psi0, grid).final
-        report = convergence_check(ham, psi0, grid, final)
+        report = convergence_check(ham, psi0, grid)
         assert report.steps_per_period >= 16 and report.passed, str(report)
         oracle = ode_final(lambda t: hamiltonian_at(ham, t), psi0, grid.t1)
         assert np.max(np.abs(final - oracle)) < 1e-9
 
     def test_magnus_steps_per_checked_run(self, monkeypatch):
         # the default cosine sweep's alpha^2 = 4 excited point, 1274 periods:
-        # the run and its check each take the ladder's 4 + 8 steps of one
-        # period and one remainder step apiece, where a rule on ||H_F||_1
-        # took 34 and its 2m rerun 67
+        # the checked run is its check's ladder, 4 + 8 steps of one period
+        # and one remainder step per rung, stepped once; a rule on
+        # ||H_F||_1 took 34 and its 2m rerun 67
         calls = []
         step = dynamics._magnus_step
         monkeypatch.setattr(dynamics, "_magnus_step", lambda *a: calls.append(a) or step(*a))
         config = parse_config("scenario=custom\ndrive_form=cosine\nsweep_values=4\n")
         _, runs = scenarios._POINTS["custom"](config.points()[0])
-        run = runs["e"]
-        final = integrate(run.ham, run.psi0, run.grid).final
-        report = convergence_check(run.ham, run.psi0, run.grid, final)
+        _, report = scenarios._evolve(runs["e"], True)
         assert report.passed is True and report.steps_per_period == 8, str(report)
-        assert len(calls) <= 28, len(calls)
+        assert len(calls) <= 14, len(calls)
 
     def test_ladder_ends_at_the_rounding_floor(self, params, monkeypatch):
         # a threshold no estimate can reach: the ladder still stops, once a
@@ -627,9 +631,9 @@ class TestPeriodicPath:
         monkeypatch.setattr(dynamics, "_advance_periodic",
                             lambda *a, **k: rungs.append(a[6]) or advance(*a, **k))
         ham, psi0, grid = self.fast_frame_run(params)
-        final = integrate(ham, psi0, grid).final
+        integrate(ham, psi0, grid)
         assert max(rungs) <= 2**12 and len(rungs) <= 11, rungs
-        report = convergence_check(ham, psi0, grid, final)
+        report = convergence_check(ham, psi0, grid)
         assert report.steps_per_period == max(rungs)
         assert 1e-30 < report.step_error < 1e-12, report.step_error
         assert not report.passed and str(report).startswith("NOT converged")
@@ -651,9 +655,9 @@ class TestPeriodicPath:
         for h, expected in ((ham, 0), (rwa, 1)):
             calls.clear()
             integrate(h, psi0, grid)
-            final = integrate(h, basis_state(h.cutoff, "g", 1), grid).final
+            integrate(h, basis_state(h.cutoff, "g", 1), grid)
             assert len(calls) == expected
-        convergence_check(rwa, basis_state(rwa.cutoff, "g", 1), grid, final)
+        convergence_check(rwa, basis_state(rwa.cutoff, "g", 1), grid)
         assert len(calls) == 1
 
     def test_runtime_independent_of_step_count(self, params):
@@ -831,11 +835,6 @@ class TestFrameConsistency:
         assert fid(psi, psi_lab) >= 0.99
 
 
-def _checked(ham, psi0, grid):
-    """The convergence report of the run's own final state."""
-    return convergence_check(ham, psi0, grid, integrate(ham, psi0, grid).final)
-
-
 def static_hamiltonian_with_remake(params, cutoff):
     return TimeDependentHamiltonian(
         static_part=jc_hamiltonian(params, cutoff), cutoff=cutoff,
@@ -862,7 +861,7 @@ class TestConvergence:
         )
         psi0 = basis_state(cutoff12, "g", 0)
         grid = TimeGrid.for_duration(1.0, dt_bound(params, cutoff12, 0.0))
-        report = _checked(ham, psi0, grid)
+        report = convergence_check(ham, psi0, grid)
         assert report.passed and report.steps_per_period is None and report.fidelity_dt == 1.0
         assert "converged" in str(report) and "dt: exact" in str(report)
 
@@ -875,19 +874,41 @@ class TestConvergence:
         ham = lab_drive_hamiltonian(params, drive, cut, "rwa")
         grid = TimeGrid.for_duration(T, dt_bound(params, cut, eps))
         psi0 = basis_state(cut, "g", 0)
-        report = _checked(ham, psi0, grid)
+        report = convergence_check(ham, psi0, grid)
         assert report.passed, str(report)
 
-    def test_scores_the_state_it_is_given(self, params):
-        # a periodic run's dt axis compares the given final state with the
-        # ladder's coarse state, so handing it the start, |<0|alpha>|^2 =
-        # e^-1 away from the end, fails it; the run is not integrated again
-        cut = FockCutoff(8)
-        drive = DriveParams(0.05, params.omega_c - params.chi, 1.0 / 0.05)
-        ham = lab_drive_hamiltonian(params, drive, cut, "cosine")
-        psi0 = basis_state(cut, "g", 0)
-        grid = TimeGrid.for_duration(drive.T, 0.05)
-        assert convergence_check(ham, psi0, grid, psi0).fidelity_dt < 0.5
+    @pytest.mark.parametrize("failing", [
+        {"fidelity_dt": 1.0 - 1e-7}, {"truncation_bound": 1e-3}, {"step_error": 1e-6},
+    ])
+    def test_report_fails_on_each_axis(self, failing):
+        # a report that passes, with one axis at a time past the threshold
+        fields = dict(fidelity_dt=1.0, truncation_bound=0.0, steps_per_period=8, n_max=4,
+                      final=np.zeros(8, dtype=complex), step_error=0.0)
+        assert ConvergenceReport(**fields).passed is True
+        report = ConvergenceReport(**{**fields, **failing})
+        assert report.passed is False
+        assert str(report).startswith("NOT converged")
+
+    @pytest.mark.parametrize("form", ["cosine", "rwa"])
+    def test_checked_run_is_the_unchecked_run(self, form):
+        # the check makes the run it scores: the default point's final
+        # states, on the periodic and the exact path, are the unchecked
+        # runs' bit for bit
+        config = parse_config(f"scenario=custom\ndrive_form={form}\n")
+        _, runs = scenarios._POINTS["custom"](config.points()[0])
+        for run in runs.values():
+            assert run.ham.exact is (form == "rwa")
+            checked, report = scenarios._evolve(run, True)
+            assert report.passed, str(report)
+            assert np.array_equal(checked, scenarios._evolve(run, False)[0])
+
+    def test_checked_run_ends_where_integrate_stores_last(self):
+        # a periodic run on a grid of 32 steps, stored every third: the
+        # check's one final time ends in the state integrate stores last
+        ham = _cosine_two_level(FockCutoff(2))
+        run = scenarios.Run(ham, basis_state(ham.cutoff, "g", 0), TimeGrid(0.0, 8.0, 0.25), None)
+        final = integrate(run.ham, run.psi0, run.grid, store_every=3).final
+        assert np.array_equal(scenarios._evolve(run, True)[0], final)
 
     def test_grid_step_over_many_drive_periods(self):
         # 0.25 cos(60 t)(a + a'): each grid step of dt = 0.25 spans about
@@ -900,7 +921,7 @@ class TestConvergence:
         assert len(traj.times) == 33
         oracle = ode_states(lambda t: hamiltonian_at(ham, t), psi0, traj.times)
         assert np.max(np.abs(traj.states - oracle)) < 1e-6
-        report = convergence_check(ham, psi0, grid, traj.final)
+        report = convergence_check(ham, psi0, grid)
         assert report.passed, str(report)
 
     def test_cutoff_too_small_for_the_drive_fails(self, params):
@@ -911,26 +932,17 @@ class TestConvergence:
         drive = DriveParams(eps, params.omega_c - params.chi, 3.0 / eps)
         assert abs(alpha_ge(drive, params)[0]) ** 2 == pytest.approx(9.0)
         ham = lab_drive_hamiltonian(params, drive, cut, "rwa")
-        report = _checked(ham, basis_state(cut, "g", 0), TimeGrid.for_duration(drive.T, 0.01))
+        grid = TimeGrid.for_duration(drive.T, 0.01)
+        report = convergence_check(ham, basis_state(cut, "g", 0), grid)
         assert report.fidelity_cutoff < 1.0 - CONVERGENCE_THRESHOLD
         assert report.fidelity_dt == 1.0
         assert not report.passed
         assert str(report).startswith("NOT converged")
 
-    def test_too_few_steps_per_period_fails(self):
-        # a final state stepped at one step per period, far too coarse for
-        # the drive, disagrees with the ladder's coarse state
-        ham = _cosine_two_level(FockCutoff(2))
-        psi0, grid = basis_state(ham.cutoff, "g", 0), TimeGrid(0.0, 8.0, 0.25)
-        report = convergence_check(ham, psi0, grid, periodic_run(ham, psi0, grid, 1).final)
-        assert report.fidelity_dt < 1.0 - CONVERGENCE_THRESHOLD
-        assert not report.passed
-        assert str(report).startswith("NOT converged")
-
     def test_static_case_has_no_truncation_flux(self, params, cutoff12):
         # H_0 alone from |g,0>, the dark state: nothing reaches level n_max - 1
-        report = _checked(static_hamiltonian_with_remake(params, cutoff12),
-                          basis_state(cutoff12, "g", 0), TimeGrid(0.0, 1.0, 0.01))
+        report = convergence_check(static_hamiltonian_with_remake(params, cutoff12),
+                                   basis_state(cutoff12, "g", 0), TimeGrid(0.0, 1.0, 0.01))
         assert report.truncation_bound < 1e-12 and report.passed
 
     def test_embed_state(self):
@@ -948,9 +960,8 @@ class TestTruncationBoundAgainstTheOracle:
     """
 
     def _pin(self, run):
-        final = integrate(run.ham, run.psi0, run.grid, store_every=run.grid.steps).final
-        report = convergence_check(run.ham, run.psi0, run.grid, final)
-        oracle = doubled_cutoff_infidelity(run.ham, run.psi0, run.grid, final)
+        report = convergence_check(run.ham, run.psi0, run.grid)
+        oracle = doubled_cutoff_infidelity(run.ham, run.psi0, run.grid, report.final)
         assert report.truncation_bound**2 >= oracle, (report.truncation_bound, oracle)
         return report
 
