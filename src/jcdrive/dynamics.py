@@ -41,7 +41,12 @@ and takes one of two paths, chosen once by TimeDependentHamiltonian.exact:
   length delta.  Each step is the fourth-order Magnus step exp(-i h Omega),
   Omega = (A_1 + A_2)/2 - i (sqrt(3)/12) h [A_2, A_1], with A_{1,2} = H_F at
   the Gauss-Legendre nodes t_k + (1/2 -/+ sqrt(3)/6) h; its exponential is
-  a scaled and squared Taylor polynomial, not an eigendecomposition.  A
+  a scaled and squared Taylor polynomial, not an eigendecomposition,
+  evaluated by Paterson-Stockmeyer in about 2 sqrt(K) products for degree
+  K.  The steps of a period are built as (k, d, d) stacks of at most
+  STACK_BYTES, their A's from one product and their commutators from one
+  stacked product; S_delta is applied to the state it acts on, as K
+  matrix-vector products 2^s times over, and never formed.  A
   step-doubling ladder (_ladder) doubles m from M0 = 4 until the final
   states at m and 2m differ by at most CONVERGENCE_THRESHOLD per period,
   and the run keeps the 2m stepping: dt only sets the stored times, and
@@ -113,6 +118,9 @@ QUADRATURE_MARGIN = 2.0
 M0 = 4  # steps per drive period at the first rung of the periodic path's ladder
 # the Gauss-Legendre nodes of a step are 1/2 -/+ GAUSS_NODE of the way through it
 GAUSS_NODE = math.sqrt(3.0) / 6.0
+# the byte budget of one (k, d, d) stack of the periodic path's step matrices:
+# two steps at d = 32, one from d = 33 up
+STACK_BYTES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -464,12 +472,6 @@ def _step_phases(freq, dt, stride, count, last, coef=1.0):
     return out[:, 1 : count + 2]
 
 
-def _frame_hamiltonian(ham, parts, t):
-    """H_F(t) - mu, the sum of e^{i f_k t} M_k over the ``parts`` (f, M) of ham.periodic_frame."""
-    freqs, mats = parts
-    return (np.exp(1j * t * freqs) @ mats).reshape(ham.static_part.shape)
-
-
 def _taylor_order(bound):
     """(K, s) for exp(A) with ||A||_1 <= bound: scale A by 2^-s to norm <= 1/2, then take
     the smallest Taylor degree K whose first dropped term b^{K+1}/(K+1)! is below 2^-53."""
@@ -482,35 +484,91 @@ def _taylor_order(bound):
     return degree, s
 
 
+def _magnus_omegas(ham, starts, taus):
+    """Omega of the fourth-order Magnus step over [t, t + tau]: a (k, d, d) stack, one per (t, tau).
+
+    Omega = (A_1 + A_2)/2 - i (sqrt(3)/12) tau [A_2, A_1] with A_{1,2} = H_F - mu
+    at the Gauss-Legendre nodes t + (1/2 -/+ sqrt(3)/6) tau, each the sum of
+    e^{i f_k t} M_k over the parts (f, M) of ham.periodic_frame.  The
+    commutator takes one stacked product X = A_2 A_1, as [A_2, A_1] = X - X^dag
+    for Hermitian A's, and Omega = Y + Y^dag with
+    Y = (A_1 + A_2)/4 - i (sqrt(3)/12) tau X is Hermitian to the last bit.
+    """
+    freqs, mats = ham.periodic_frame[1]
+    dim = ham.static_part.shape[0]
+    p1 = np.exp(1j * np.outer(starts + (0.5 - GAUSS_NODE) * taus, freqs))
+    p2 = np.exp(1j * np.outer(starts + (0.5 + GAUSS_NODE) * taus, freqs))
+    # A_1, -i (sqrt(3)/12) tau A_2 and (A_1 + A_2)/4, from one product
+    phases = np.concatenate((p1, (-0.5j * GAUSS_NODE) * taus[:, None] * p2, 0.25 * (p1 + p2)))
+    a1, a2, y = (phases @ mats).reshape(3, len(starts), dim, dim)
+    y += a2 @ a1
+    return y + y.conj().swapaxes(1, 2)
+
+
+def _scaled(h, tau, squarings):
+    """A = -i tau h / 2^s, one tau per matrix of the stack h (or one for all)."""
+    return ((-1j / 2.0**squarings) * np.asarray(tau, dtype=float))[..., None, None] * h
+
+
 def _step_exponential(h, tau, order):
-    """exp(-i tau h) by a Taylor polynomial in Horner form, scaled and squared.
+    """exp(-i tau h) for h one matrix or a (k, d, d) stack, tau a scalar or one per matrix.
 
     ``order`` = (K, s) from _taylor_order for a bound on tau ||h||_1: the
-    degree-K polynomial of A = -i tau h / 2^s, squared s times.
+    degree-K Taylor polynomial of A = -i tau h / 2^s, squared s times.  The
+    polynomial is evaluated by Paterson and Stockmeyer (SIAM J. Comput. 2,
+    60 (1973)): with the powers A, ..., A^q, it is Horner's rule in A^q on
+    blocks of q terms, q - 1 + K // q products (one fewer when the top block
+    is the lone A^K term) instead of K - 1; q is the smallest that minimises
+    that count.
     """
     degree, squarings = order
-    a = (-1j * tau / 2.0**squarings) * h
-    e = a / degree
-    e.reshape(-1)[:: len(h) + 1] += 1.0  # the diagonal, in place
-    for k in range(degree - 1, 0, -1):
-        e = a @ e
-        e *= 1.0 / k
-        e.reshape(-1)[:: len(h) + 1] += 1.0
+    a = _scaled(h, tau, squarings)
+    q = min(range(1, degree + 1), key=lambda q: q - 1 + degree // q - (degree % q == 0))
+    powers = [a]
+    for _ in range(q - 1):
+        powers.append(powers[-1] @ a)
+    coef = [1.0 / math.factorial(k) for k in range(degree + 1)]
+    lead = degree - degree % q  # the top block's first term
+    if lead == degree:  # a lone top term: coef[K] A^q takes no product
+        e, lead = coef[degree] * powers[-1], lead - q
+    else:
+        e = np.zeros_like(a)
+    for start in range(lead, -1, -q):
+        if start < lead:
+            e = e @ powers[-1]
+        for c, power in zip(coef[start + 1 : start + q], powers):
+            e += c * power
+        e.reshape(*e.shape[:-2], -1)[..., :: e.shape[-1] + 1] += coef[start]  # the diagonals
     for _ in range(squarings):
         e = e @ e
     return e
 
 
-def _magnus_step(ham, parts, t, tau, order):
-    """exp(-i tau Omega), the fourth-order Magnus step over [t, t + tau].
+def _step_action(h, tau, order, psi):
+    """exp(-i tau h) psi for a (k, d, d) stack h, one tau and one state of the (k, d) psi per matrix.
 
-    Omega = (A_1 + A_2)/2 - i (sqrt(3)/12) tau [A_2, A_1] with A_{1,2} = H_F at
-    the Gauss-Legendre nodes t + (1/2 -/+ sqrt(3)/6) tau.
+    The polynomial of _step_exponential, Taylor degree K of A = -i tau h / 2^s,
+    applied to the states by Horner's rule, K matrix-vector products, 2^s
+    times over: no step matrix is formed.
     """
-    a1 = _frame_hamiltonian(ham, parts, t + (0.5 - GAUSS_NODE) * tau)
-    a2 = _frame_hamiltonian(ham, parts, t + (0.5 + GAUSS_NODE) * tau)
-    omega = 0.5 * (a1 + a2) - (0.5j * GAUSS_NODE * tau) * (a2 @ a1 - a1 @ a2)
-    return _step_exponential(omega, tau, order)
+    degree, squarings = order
+    a = _scaled(h, tau, squarings)
+    v = psi[..., None]
+    for _ in range(2**squarings):
+        w = v
+        for k in range(degree, 0, -1):  # v + A (v + A (v + ...) / 2) / 1
+            w = a @ w
+            w *= 1.0 / k
+            w += v
+        v = w
+    return v[..., 0]
+
+
+def _batches(count, dim):
+    """range(count) in runs of consecutive indices, each run at most STACK_BYTES of complex
+    (dim, dim) matrices and at least one matrix."""
+    size = max(1, STACK_BYTES // (16 * dim * dim))
+    return [np.arange(k, min(k + size, count)) for k in range(0, count, size)]
 
 
 def _advance_periodic(ham, psi, t_start, ends, dt, stride, m, out, watch=None):
@@ -520,10 +578,14 @@ def _advance_periodic(ham, psi, t_start, ends, dt, stride, m, out, watch=None):
     2 stride, ..., then a final entry).  m Magnus steps of h = P/m from t_s
     give U_P, and U_j is the product of their first j; only the U_j that a
     requested time needs are kept, and the period is stepped only when some
-    time lies past it.  U_P^n is n matrix-vector products; S_delta is the
-    Magnus step over [t_j, t_j + delta], skipped when delta = 0.  Every step
-    exponential has the Taylor order of h beta + (sqrt(3)/6)(h beta)^2, beta
-    from periodic_frame, which bounds tau ||Omega||_1 for tau <= h since
+    time lies past it.  The steps are exponentiated as (k, d, d) stacks
+    (_magnus_omegas, _step_exponential), k at most STACK_BYTES worth and at
+    least one, so memory does not grow with m.  U_P^n is n matrix-vector
+    products; S_delta is the Magnus step over [t_j, t_j + delta], skipped
+    when delta = 0 and otherwise applied to the state (_step_action), the
+    remainders of all times stacked the same way.  Every step exponential
+    has the Taylor order of h beta + (sqrt(3)/6)(h beta)^2, beta from
+    periodic_frame, which bounds tau ||Omega||_1 for tau <= h since
     ||[A_2, A_1]||_1 <= 2 beta^2; R(t) e^{-i mu k dt} = R(t_s) e^{-i rate k dt}
     comes from _step_phases.  With ``watch``, a list of components, returns
     |psi_i(t_s + p P)| for p = 0, 1, ..., n of the last time, one row per period.
@@ -535,15 +597,19 @@ def _advance_periodic(ham, psi, t_start, ends, dt, stride, m, out, watch=None):
     delta[delta < 1e-9 * h] = 0.0
     n, j = np.divmod(whole.astype(int), m)
 
-    rate, parts, beta = ham.periodic_frame
+    rate, _, beta = ham.periodic_frame
     order = _taylor_order(h * beta + GAUSS_NODE * (h * beta) ** 2)
+    dim = psi.shape[0]
     needed = set(j.tolist())
-    u = np.eye(psi.shape[0], dtype=complex)
+    u = np.eye(dim, dtype=complex)
     partial = {0: u}
-    for k in range(m if n[-1] > 0 else max(needed)):
-        u = _magnus_step(ham, parts, t_start + k * h, h, order) @ u
-        if k + 1 in needed:
-            partial[k + 1] = u
+    for k in _batches(m if n[-1] > 0 else max(needed), dim):
+        taus = np.full(len(k), h)
+        steps = _step_exponential(_magnus_omegas(ham, t_start + k * h, taus), taus, order)
+        for k_i, step in zip(k.tolist(), steps):
+            u = step @ u
+            if k_i + 1 in needed:
+                partial[k_i + 1] = u
     if n[-1] > 0:
         # one Newton-Schulz step to the nearest unitary, so that n products
         # of U_P do not compound the rounding of its m factors
@@ -556,15 +622,18 @@ def _advance_periodic(ham, psi, t_start, ends, dt, stride, m, out, watch=None):
         seen = np.empty((n[-1] + 1, len(watch)))
         seen[0] = np.abs(phi[watch])
     periods = 0
-    for i, (n_i, j_i, delta_i) in enumerate(zip(n, j, delta)):
+    for i, (n_i, j_i) in enumerate(zip(n, j)):
         while periods < n_i:
             phi = u @ phi
             periods += 1
             if watch is not None:
                 seen[periods] = np.abs(phi[watch])
         out[i] = partial[j_i] @ phi
-        if delta_i:
-            out[i] = _magnus_step(ham, parts, t_start + j_i * h, delta_i, order) @ out[i]
+    remainders = np.flatnonzero(delta)
+    for batch in _batches(len(remainders), dim):
+        rows = remainders[batch]
+        omegas = _magnus_omegas(ham, t_start + j[rows] * h, delta[rows])
+        out[rows] = _step_action(omegas, delta[rows], order, out[rows])
     out *= frame
     out *= _step_phases(rate, dt, stride, len(ends) - 1, ends[-1]).T
     return seen

@@ -58,6 +58,12 @@ def static_hamiltonian(params, cutoff):
     return TimeDependentHamiltonian(static_part=jc_hamiltonian(params, cutoff), cutoff=cutoff)
 
 
+def frame_harmonics(ham, t):
+    """H_F(t) - mu at one t, summed from the turn rates of ham.periodic_frame."""
+    freqs, mats = ham.periodic_frame[1]
+    return (np.exp(1j * t * freqs) @ mats).reshape(ham.static_part.shape)
+
+
 class TestTimeGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -505,8 +511,8 @@ class TestPeriodicPath:
 
     @pytest.mark.parametrize("breaking", [0.0, 0.1])
     def test_frame_hamiltonian_from_its_harmonics(self, params, breaking):
-        # the steps' H_F(t) - mu, summed from the turn rates of
-        # periodic_frame, against R(t)^dag H(t) R(t) - omega C built
+        # H_F(t) - mu, summed from the turn rates of periodic_frame as the
+        # steps sum it, against R(t)^dag H(t) R(t) - omega C built
         # literally; mu is one scalar, and a sigma_x in H_0 adds odd turns
         cut = FockCutoff(5)
         ops = build_mode_operators(cut)
@@ -515,15 +521,14 @@ class TestPeriodicPath:
             static_part=jc_hamiltonian(params, cut) + breaking * (ops.sp + ops.sm), cutoff=cut,
             drive=(0.3 + 0.2j) * ops.a + (0.3 - 0.2j) * ops.a_dag, omega=omega,
         )
-        rate, parts, _ = ham.periodic_frame
+        rate = ham.periodic_frame[0]
         charge = excitation_charge(cut)
         mu = rate - omega * charge
         assert np.ptp(mu) < 1e-12
         for t in (0.0, 0.37, 12.9):
             r = np.exp(-1j * omega * t * charge)
             literal = (r.conj()[:, None] * hamiltonian_at(ham, t) * r) - np.diag(rate)
-            np.testing.assert_allclose(dynamics._frame_hamiltonian(ham, parts, t), literal,
-                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(frame_harmonics(ham, t), literal, rtol=0, atol=1e-12)
 
     def test_charge_breaking_static_part_has_the_full_period(self, params):
         # sigma_x in H_0 changes C by one, so H_F turns at omega, not 2 omega
@@ -565,15 +570,15 @@ class TestPeriodicPath:
         return ham, basis_state(cut, "g", 0), TimeGrid(0.0, drive.T, dt)
 
     def test_squaring_branch_against_ode_oracle(self, params, monkeypatch):
-        # at m = 8 steps per period, forced, every step exponential has a
-        # bound on h ||Omega||_1 between 1/2 and 1 and is squared once
+        # at m = 8 steps per period, forced, every step exponential, stacked
+        # or applied to a state, has a bound on h ||Omega||_1 between 1/2
+        # and 1 and is squared once
         orders = []
-
-        def recording(h, tau, order):
-            orders.append(order)
-            return _step_exponential(h, tau, order)
-
-        monkeypatch.setattr(dynamics, "_step_exponential", recording)
+        stacked, action = dynamics._step_exponential, dynamics._step_action
+        monkeypatch.setattr(dynamics, "_step_exponential",
+                            lambda h, tau, order: orders.append(order) or stacked(h, tau, order))
+        monkeypatch.setattr(dynamics, "_step_action", lambda h, tau, order, psi:
+                            orders.append(order) or action(h, tau, order, psi))
         ham, psi0, grid = self.fast_frame_run(params)
         errors = []
         for m in (8, 16):
@@ -581,9 +586,65 @@ class TestPeriodicPath:
             oracle = ode_states(lambda t: hamiltonian_at(ham, t), psi0, traj.times)
             errors.append(np.max(np.abs(traj.states - oracle)))
             if m == 8:
-                assert {s for _, s in orders} == {1}
+                assert orders and {s for _, s in orders} == {1}, orders
         assert errors[0] < 2e-6
         assert 15.2 < errors[0] / errors[1] < 16.8, errors
+
+    def test_omega_from_one_product(self, params):
+        # a stack of steps of distinct starts and lengths on the fast frame:
+        # Omega = Y + Y^dag is Hermitian bit for bit, and matches the
+        # two-product form (A_1 + A_2)/2 - i (sqrt(3)/12) tau (A_2 A_1 - A_1 A_2)
+        ham, _, _ = self.fast_frame_run(params)
+        h, node = ham.period / 8, dynamics.GAUSS_NODE
+        starts, taus = np.array([0.0, 1.0, 2.5, 7.0]) * h, np.array([1.0, 0.3, 0.77, 1.0]) * h
+        omegas = dynamics._magnus_omegas(ham, starts, taus)
+        assert np.array_equal(omegas, omegas.conj().swapaxes(1, 2))
+        for omega, t, tau in zip(omegas, starts, taus):
+            a1 = frame_harmonics(ham, t + (0.5 - node) * tau)
+            a2 = frame_harmonics(ham, t + (0.5 + node) * tau)
+            two = 0.5 * (a1 + a2) - (0.5j * node * tau) * (a2 @ a1 - a1 @ a2)
+            assert np.max(np.abs(omega - two)) <= 1e-14
+
+    def test_remainder_step_applied_to_the_state(self, params):
+        # S_delta on a state, as the Taylor polynomial applied 2^s times,
+        # against the stacked step matrix times the state; m = 8 squares once
+        ham, _, _ = self.fast_frame_run(params)
+        h = ham.period / 8
+        beta = ham.periodic_frame[2]
+        order = _taylor_order(h * beta + dynamics.GAUSS_NODE * (h * beta) ** 2)
+        assert order[1] == 1
+        starts, deltas = np.array([0.0, 3.0, 5.0]) * h, np.array([0.9, 0.41, 0.05]) * h
+        omegas = dynamics._magnus_omegas(ham, starts, deltas)
+        rng = np.random.default_rng(3)
+        psi = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        applied = dynamics._step_action(omegas, deltas, order, psi)
+        steps = _step_exponential(omegas, deltas, order)
+        for row, step, state in zip(applied, steps, psi):
+            assert np.max(np.abs(row - step @ state)) <= 1e-14
+
+    def test_stacks_within_the_byte_budget(self, params, monkeypatch):
+        # at dimension 400 one step matrix (2.56 MB) exceeds STACK_BYTES:
+        # every stack, of whole steps or of remainders, holds one matrix,
+        # at m = 4 and at m = 8 alike
+        stacks = []
+        stacked, action = dynamics._step_exponential, dynamics._step_action
+        monkeypatch.setattr(dynamics, "_step_exponential",
+                            lambda h, *a: stacks.append(h.shape) or stacked(h, *a))
+        monkeypatch.setattr(dynamics, "_step_action",
+                            lambda h, *a: stacks.append(h.shape) or action(h, *a))
+        cut = FockCutoff(200)
+        omega = params.omega_c - params.chi
+        ham = lab_drive_hamiltonian(params, DriveParams(0.05, omega, 1.0), cut, "cosine")
+        psi0 = basis_state(cut, "g", 0)
+        grid = TimeGrid(0.0, 0.6 * ham.period, 0.1 * ham.period)  # j = 0, 1, 2 and remainders
+        for m in (4, 8):
+            stacks.clear()
+            traj = periodic_run(ham, psi0, grid, m, store_every=2)
+            per_stack = max(1, dynamics.STACK_BYTES // (16 * 400 * 400))
+            assert per_stack == 1 and len(stacks) >= 3, stacks
+            assert all(shape[0] <= per_stack and shape[1:] == (400, 400) for shape in stacks), stacks
+            assert np.max(np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)) < 1e-12
 
     def test_ladder_on_the_fast_frame(self, params):
         # the ladder stops at m = 16 vs 32 (estimates 2.3e-7, 1.4e-8, then
@@ -611,15 +672,19 @@ class TestPeriodicPath:
         # the default cosine sweep's alpha^2 = 4 excited point, 1274 periods:
         # the checked run is its check's ladder, 4 + 8 steps of one period
         # and one remainder step per rung, stepped once; a rule on
-        # ||H_F||_1 took 34 and its 2m rerun 67
-        calls = []
-        step = dynamics._magnus_step
-        monkeypatch.setattr(dynamics, "_magnus_step", lambda *a: calls.append(a) or step(*a))
+        # ||H_F||_1 took 34 and its 2m rerun 67.  Steps are counted as the
+        # lengths of the stacks exponentiated plus the remainders applied
+        steps = []
+        stacked, action = dynamics._step_exponential, dynamics._step_action
+        monkeypatch.setattr(dynamics, "_step_exponential",
+                            lambda h, *a: steps.append(len(h)) or stacked(h, *a))
+        monkeypatch.setattr(dynamics, "_step_action",
+                            lambda h, *a: steps.append(len(h)) or action(h, *a))
         config = parse_config("scenario=custom\ndrive_form=cosine\nsweep_values=4\n")
         _, runs = scenarios._POINTS["custom"](config.points()[0])
         _, report = scenarios._evolve(runs["e"], True)
         assert report.passed is True and report.steps_per_period == 8, str(report)
-        assert len(calls) <= 14, len(calls)
+        assert 0 < sum(steps) <= 14, steps
 
     def test_ladder_ends_at_the_rounding_floor(self, params, monkeypatch):
         # a threshold no estimate can reach: the ladder still stops, once a
@@ -691,6 +756,22 @@ class TestStepExponential:
             e = _step_exponential(h, tau, order)
             assert np.max(np.abs(e - expm_antihermitian(h, tau))) <= 1e-13
             assert np.linalg.norm(e.conj().T @ e - np.eye(dim), 2) <= 1e-13
+
+    @pytest.mark.parametrize("largest", [0.45, 3.0])
+    def test_stack_with_distinct_steps(self, largest):
+        # one call on a stack of five matrices with their own tau, under
+        # the one order of the largest bound: no squaring, then s = 3
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(5, 16, 16)) + 1j * rng.normal(size=(5, 16, 16))
+        h = x + x.conj().swapaxes(1, 2)
+        bounds = largest * np.array([1.0, 0.5, 0.1, 0.03, 0.7])
+        taus = bounds / np.linalg.norm(h, 1, axis=(1, 2))
+        order = _taylor_order(largest)
+        assert (order[1] > 0) == (largest > 0.5), order
+        e = _step_exponential(h, taus, order)
+        assert e.shape == h.shape
+        for step, matrix, tau in zip(e, h, taus):
+            assert np.max(np.abs(step - expm_antihermitian(matrix, tau))) <= 1e-13
 
     def test_takes_the_given_degree_and_squarings(self):
         # (K, s) = (3, 2): the cubic Taylor polynomial of A = -i tau h / 4, squared twice
