@@ -54,7 +54,9 @@ MAX_LAB_PHASE = 0.099 * 2**53
 # on one core (1.9 s at dimension 1024 on one Xeon core, growing as the
 # cube).  No scenario default needs more than 39 levels; |alpha|^2 =
 # MAX_POISSON_ALPHA_SQ (about 1416.8), beyond which the Poisson weights of the
-# targets leave float range and the point is refused, needs 1654.  Each
+# targets leave float range and the point is refused, needs 1668, and the
+# rule reaches 2048 at |alpha|^2 of about 1769, which only a readout
+# amplitude |epsilon| pi/|chi| can drive to.  Each
 # fig4 trace builds a phase table of one row per eigenphase and one column
 # per stored time, time_points + 1 columns, held to that same 256 MiB.
 MAX_N_MAX = 2048
@@ -368,10 +370,9 @@ def parse_config(text: str) -> ScenarioConfig:
 def cavity_cutoff(alpha_abs: float, n_max: Optional[int], line: Optional[int] = None) -> int:
     """The cavity truncation for a run that reaches amplitude |alpha|: ``n_max``, or the rule's.
 
-    The rule is required_cutoff(|alpha|) + 2, the 2 being headroom for the
-    excited-branch partner level; an ``n_max`` below it is refused.
+    The rule is required_cutoff(|alpha|); an ``n_max`` below it is refused.
     """
-    needed = required_cutoff(alpha_abs) + 2
+    needed = required_cutoff(alpha_abs)
     if n_max is None:
         return needed
     if n_max < needed:

@@ -22,13 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hilbert import (
-    CutoffError,
-    FockCutoff,
-    SystemParams,
-    poisson_amplitudes,
-    poisson_tail,
-)
+from .hilbert import FockCutoff, SystemParams, check_leak, poisson_amplitudes
 
 __all__ = [
     "DressedBasis",
@@ -116,16 +110,12 @@ def dressed_state(qubit: str, n: int, basis: DressedBasis) -> np.ndarray:
 def dressed_coherent_state(qubit: str, alpha: complex, basis: DressedBasis) -> np.ndarray:
     """Poisson-weighted superposition of dressed states, normalized.
 
-    The excited branch puts weight on partner levels n+1, so it needs one
-    extra level of headroom over the plain coherent-state rule.
+    The excited branch's table holds n_max - 1 levels, its partner levels
+    n+1 filling the last; check_leak tests the levels the table holds.
     """
     table = _table(qubit, basis)
     levels = table.shape[1]
-    if (leak := poisson_tail(alpha, levels)) >= 1e-10:
-        raise CutoffError(
-            f"Poisson weight {leak:.2e} of |alpha|={abs(alpha):.3g} lies beyond the {levels} "
-            f"levels of the {qubit} branch table at n_max={basis.n_max}; it must be below 1e-10"
-        )
+    check_leak(alpha, levels)
     psi = table @ poisson_amplitudes(alpha, levels)
     return psi / np.linalg.norm(psi)
 

@@ -33,7 +33,11 @@ __all__ = [
     "ModeOperators",
     "CutoffError",
     "DispersiveRegimeWarning",
+    "LEAK_TOLERANCE",
+    "CUTOFF_HEADROOM",
+    "MIN_CUTOFF",
     "required_cutoff",
+    "check_leak",
     "build_mode_operators",
     "jc_hamiltonian",
     "dispersive_hamiltonian",
@@ -57,6 +61,19 @@ LAMBDA_WARN_THRESHOLD = 0.3
 # The largest |alpha|^2 whose vacuum amplitude e^{-|alpha|^2/2} is a normal
 # float (about 1416.8); poisson_amplitudes refuses more, parse_config too.
 MAX_POISSON_ALPHA_SQ = -2.0 * math.log(sys.float_info.min)
+# The one truncation tolerance: the Poisson weight a coherent state may leave
+# beyond the levels that hold it.  check_leak tests it, required_cutoff meets it.
+LEAK_TOLERANCE = 1e-10
+# Levels required_cutoff adds above the Poisson quantile.  The excited
+# branch's table holds one level fewer (its partner level n+1 must fit), and
+# the drives and the dressing push weight above the quantile: with 3, fig4
+# at alpha_sq = 0.1, lambda = 0.4, g = 1.5 fails its truncation bound.
+CUTOFF_HEADROOM = 4
+# The fewest levels required_cutoff gives.  Near the vacuum the quantile is
+# one or two levels, and the qubit drive itself climbs the dressed ladder by
+# about lambda per level: fig4 at alpha = 0, lambda = 0.4, g = 1.5 fails its
+# truncation bound at 7 levels.
+MIN_CUTOFF = 8
 
 
 class CutoffError(ValueError):
@@ -149,13 +166,52 @@ class FockCutoff:
 
 
 def required_cutoff(alpha: complex) -> int:
-    """Truncation adequacy rule: n_max >= ceil(|alpha|^2 + 6|alpha| + 10).
+    """Truncation rule: the fewest levels L holding all but LEAK_TOLERANCE of
+    the Poisson weight of |alpha>, plus CUTOFF_HEADROOM, and at least MIN_CUTOFF.
 
-    Keeps the Poisson weight beyond the cutoff under ~1e-9 (mean + 6 sigma),
-    below every fidelity tolerance used in this package.
+    L is found from log-space weights summed from the top, so the rule holds
+    above MAX_POISSON_ALPHA_SQ too, where poisson_amplitudes refuses (readout
+    amplitudes reach that far within the 2,048-level cap).  The sum runs
+    from the floor of the mean, at and above which at least half the weight
+    lies, to the level from which Bernstein's inequality leaves at most
+    1e-18.  Above |alpha|^2 = 2**26, where that window spans some 10^5
+    levels and no dense truncation could hold the state, L is the Bernstein
+    level for LEAK_TOLERANCE itself: an upper bound on the quantile, a
+    little above it.
     """
-    a = abs(alpha)
-    return math.ceil(a * a + 6.0 * a + 10.0)
+    mean = abs(alpha) ** 2
+    if mean == 0.0:  # the vacuum holds all the weight
+        levels = 1
+    elif mean > 2.0**26:
+        levels = _bernstein_level(mean, LEAK_TOLERANCE)
+    else:
+        start, log_mean = math.floor(mean), math.log(mean)
+        n = np.arange(start + 1.0, _bernstein_level(mean, 1e-18))
+        log_start = start * log_mean - mean - math.lgamma(start + 1.0)
+        log_w = np.cumsum(np.concatenate(([log_start], log_mean - np.log(n))))
+        tails = np.cumsum(np.exp(log_w)[::-1])[::-1]  # tails[k]: weight on levels >= start + k
+        levels = start + int(np.argmax(tails < LEAK_TOLERANCE))
+    return max(levels + CUTOFF_HEADROOM, MIN_CUTOFF)
+
+
+def _bernstein_level(mean: float, weight: float) -> int:
+    """A level at and beyond which Poisson(mean) holds at most ``weight``.
+
+    Bernstein's inequality P(N >= mean + t) <= exp(-t^2 / (2 (mean + t/3))),
+    solved for t at the given weight.
+    """
+    c = -math.log(weight)
+    return math.ceil(mean + c / 3.0 + math.sqrt(c * c / 9.0 + 2.0 * c * mean))
+
+
+def check_leak(alpha: complex, levels: int) -> None:
+    """Raise CutoffError unless |alpha> leaves below LEAK_TOLERANCE beyond ``levels`` levels."""
+    leak = poisson_tail(alpha, levels)
+    if not leak < LEAK_TOLERANCE:
+        raise CutoffError(
+            f"Poisson weight {leak:.2e} of |alpha|={abs(alpha):.3g} lies beyond {levels} "
+            f"levels; it must be below {LEAK_TOLERANCE:g}"
+        )
 
 
 class ModeOperators(NamedTuple):
@@ -307,16 +363,11 @@ def basis_state(cutoff: FockCutoff, qubit: str, n: int) -> np.ndarray:
 def coherent_state(beta: complex, cutoff: FockCutoff, qubit: str = "g") -> np.ndarray:
     """Product state |qubit> (x) |beta> on the truncated space, renormalized.
 
-    Fails with CutoffError if the truncation leak (Poisson weight beyond the
-    cutoff) is not below 1e-10, so renormalization never masks an inadequate
+    Fails through check_leak if the cutoff leaves LEAK_TOLERANCE or more of
+    the Poisson weight out, so renormalization never masks an inadequate
     cutoff.
     """
-    leak = poisson_tail(beta, cutoff.n_max)
-    if leak >= 1e-10:
-        raise CutoffError(
-            f"Poisson weight {leak:.2e} of |beta|={abs(beta):.3g} lies beyond the "
-            f"{cutoff.n_max} levels of the cutoff; it must be below 1e-10"
-        )
+    check_leak(beta, cutoff.n_max)
     q = _qubit_index(qubit)
     psi = np.zeros(cutoff.dim, dtype=complex)
     amps = poisson_amplitudes(beta, cutoff.n_max)

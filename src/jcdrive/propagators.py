@@ -38,10 +38,10 @@ from .hilbert import (
     CutoffError,
     FockCutoff,
     SystemParams,
+    check_leak,
     displacement_cavity,
     fix_global_phase,
     poisson_amplitudes,
-    poisson_tail,
     required_cutoff,
 )
 from .dressed import DressedBasis, dressed_basis, dressed_coherent_state
@@ -256,10 +256,10 @@ def excited_final_state_lab(
         raise ValueError(f"initial must be 'dressed_e0' or 'bare_e0', got {initial!r}")
 
     ag, _ = alpha_ge(drive, params)
-    if n_max < required_cutoff(ag) + 1:
+    if n_max < required_cutoff(ag):
         raise CutoffError(
             f"n_max={n_max} too small for the displaced one-photon branch; "
-            f"need >= {required_cutoff(ag) + 1}"
+            f"need >= {required_cutoff(ag)}"
         )
     lam, wc, wq, chi, T = params.lam, params.omega_c, params.omega_q, params.chi, drive.T
     # |xi(T)>: displaced Fock |1>, rotated at the ground-branch cavity rate
@@ -318,13 +318,11 @@ def pe_full(
     0.03-0.04, and at the fig4 defaults (|beta|^2 = 4, |eta| = 5.5,
     tau = 1.14) by 0.08 for real and 0.8 for imaginary beta.
 
-    k_max must leave a Poisson tail below 1e-10.  The Poisson weights are
+    The k_max + 1 levels must pass check_leak.  The Poisson weights are
     those of poisson_amplitudes, which raises above |beta|^2 of about 1416
     (far beyond the dispersive regime's critical photon number 1/(4 lam^2)).
     """
-    tail = poisson_tail(beta, k_max + 1)
-    if tail >= 1e-10:
-        raise ValueError(f"Poisson tail {tail:.2e} beyond k_max={k_max}; increase k_max")
+    check_leak(beta, k_max + 1)
     w = np.abs(poisson_amplitudes(beta, k_max + 1)) ** 2
     lam, chi, wc = params.lam, params.chi, params.omega_c
     nu, tau, omega = qd.nu(params), qd.tau, qd.omega

@@ -73,7 +73,7 @@ def test_criterion_1_internal_identity_suite(params):
         for x in np.linspace(0.5, 2.0 * math.pi, 5):
             eps, duration = f * chi, x / chi
             drive = DriveParams(eps, params.omega_c - chi, duration)
-            cut = FockCutoff(required_cutoff(f * x) + 2)
+            cut = FockCutoff(required_cutoff(f * x))
             basis = dressed_basis(params, cut, "first_order")
             psi = cavity_drive_propagator(drive, params, cut) @ basis_state(cut, "g", 0)
             psi = expm_antihermitian(dispersive_hamiltonian(params, cut), duration) @ psi
@@ -100,7 +100,7 @@ def test_criterion_2_magnus_exactness(params):
     ]
     for f, x, dfrac in cases:
         drive = DriveParams(f * chi, params.omega_c - dfrac * chi, x / chi)
-        cut = FockCutoff(required_cutoff(f * x) + 2)
+        cut = FockCutoff(required_cutoff(f * x))
         psi0 = (basis_state(cut, "g", 0) + 1j * basis_state(cut, "e", 0)) / math.sqrt(2)
         num = ode_final(interaction_frame_h(params, drive, cut), psi0, drive.T)
         ana = cavity_drive_propagator(drive, params, cut) @ psi0

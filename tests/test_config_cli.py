@@ -17,7 +17,7 @@ from jcdrive.config import (
 )
 from jcdrive.dynamics import TimeGrid
 from jcdrive.hilbert import FockCutoff
-from jcdrive.scenarios import ScenarioResult, emit_csv, run_scenario
+from jcdrive.scenarios import ScenarioResult, convergence_probe, emit_csv, run_scenario
 
 
 class TestParseConfig:
@@ -164,10 +164,10 @@ class TestConfigFaults:
         assert "line 2:" in err and "n_max" in err
 
     @pytest.mark.parametrize("text, needed", [
-        ("scenario=fig2a\nsweep_values=4,1", 28),          # the largest swept alpha_sq
+        ("scenario=fig2a\nsweep_values=4,1", 27),          # the largest swept alpha_sq
         ("scenario=fig2d\nalpha_sq=9", 39),                # alpha_sq held fixed
-        ("scenario=fig4\nalpha_sq=4", 28),                 # |beta| = 2
-        ("scenario=readout\nepsilon=0.05j", 24),           # |alpha_g| = 0.05 pi / 0.1
+        ("scenario=fig4\nalpha_sq=4", 27),                 # |beta| = 2
+        ("scenario=readout\nepsilon=0.05j", 23),           # |alpha_g| = 0.05 pi / 0.1
     ])
     def test_n_max_against_the_largest_amplitude(self, text, needed):
         assert parse_config(f"{text}\nn_max={needed}\n").n_max == needed
@@ -268,7 +268,7 @@ class TestConfigFaults:
     @pytest.mark.parametrize("command", ["run", "check"])
     def test_rule_cutoff_beyond_the_cap(self, tmp_path, capsys, monkeypatch, command):
         # readout at lambda = 1e-3 drives |alpha_g| = |eps| pi/|chi| to 157,
-        # whose rule cutoff of 25,629 levels would take 19.6 GiB per dense
+        # whose rule cutoff of 25,685 levels would take 39.3 GiB per dense
         # matrix: refused on the lambda line before the scenario is built
         def never(config):
             raise AssertionError("the scenario was built")
@@ -280,7 +280,7 @@ class TestConfigFaults:
         args = ["--out", str(out)] if command == "run" else []
         assert main([command, "--config", str(cfg), *args]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: line 2: |alpha| = 157.1 needs a cutoff of 25629 levels")
+        assert err.startswith("config error: line 2: |alpha| = 157.1 needs a cutoff of 25685 levels")
         assert "more than 2048" in err and not out.exists()
 
     @pytest.mark.parametrize("text, line", [
@@ -298,33 +298,33 @@ class TestConfigFaults:
         assert parse_config("scenario=fig2b\nn_max=2048\n").n_max == 2048
         with pytest.raises(ConfigError, match="^line 2: n_max must be between 2 and 2048"):
             parse_config("scenario=fig2b\nn_max=2049\n")
-        # by the rule alpha_sq = 1782 needs 2048 levels and 1783 needs 2049;
+        # by the rule alpha_sq = 1769 needs 2048 levels and 1769.5 needs 2049;
         # an alpha_sq that high is refused for its Poisson weights (see
         # test_poisson_range_edges), so the accepted side of the edge is a
-        # readout amplitude |epsilon| pi/|chi| = 42.22
-        assert parse_config("scenario=readout\nepsilon=1.3439\n").epsilon == 1.3439
+        # readout amplitude |epsilon| pi/|chi| = 42.05
+        assert parse_config("scenario=readout\nepsilon=1.3385\n").epsilon == 1.3385
         with pytest.raises(ConfigError, match="^line 2: .* needs a cutoff of 2049 levels"):
-            parse_config("scenario=readout\nepsilon=1.344\n")
+            parse_config("scenario=readout\nepsilon=1.339\n")
         with pytest.raises(ConfigError, match="^line 2: .* needs a cutoff of 2049 levels"):
-            parse_config("scenario=fig2b\nsweep_values=1783\n")
+            parse_config("scenario=fig2b\nsweep_values=1769.5\n")
 
     @pytest.mark.parametrize("text", ["scenario=fig4\nalpha_sq={}\n",
                                       "scenario=fig2b\nsweep_values=1,{}\n"])
     def test_poisson_range_edges(self, text):
         # e^{-alpha_sq/2} leaves the normal floats above alpha_sq = 1416.79,
-        # within the 2,048-level cap (1654 levels there)
+        # within the 2,048-level cap (1668 levels there)
         assert parse_config(text.format(1416.79)).scenario in ("fig4", "fig2b")
         with pytest.raises(ConfigError, match="^line 2: alpha_sq=1416.8 puts the Poisson "
                                               "weights of the target beyond float range"):
             parse_config(text.format(1416.8))
 
     def test_fig4_trace_beyond_a_dense_matrix(self):
-        # the default fig4 cutoff is 28 levels, dimension 56: the phase table
-        # of each trace may hold 56 * (time_points + 1) <= 4096**2 entries
-        assert parse_config("scenario=fig4\ntime_points=299592\n").time_points == 299592
-        with pytest.raises(ConfigError, match="^line 2: time_points=299593 gives each fig4 trace "
-                                              "a phase table of 56 eigenphases by 299594 times"):
-            parse_config("scenario=fig4\ntime_points=299593\n")
+        # the default fig4 cutoff is 27 levels, dimension 54: the phase table
+        # of each trace may hold 54 * (time_points + 1) <= 4096**2 entries
+        assert parse_config("scenario=fig4\ntime_points=310688\n").time_points == 310688
+        with pytest.raises(ConfigError, match="^line 2: time_points=310689 gives each fig4 trace "
+                                              "a phase table of 54 eigenphases by 310690 times"):
+            parse_config("scenario=fig4\ntime_points=310689\n")
 
     @pytest.mark.parametrize("factor, accepted", [(0.999, True), (1.001, False)])
     def test_lab_phase_edge(self, factor, accepted):
@@ -377,6 +377,26 @@ class TestConfigFaults:
         code, err = self._run(tmp_path, capsys, f"scenario=fig4\ncheck_convergence=off\neta_abs={value}\n")
         assert code == 1
         assert "line 3:" in err and "eta_abs" in err
+
+
+class TestTruncationHeadroom:
+    """Rule-chosen cutoffs pass the truncation bound where the rule is tightest.
+
+    At lambda = 0.4 with g = 1.5, fig4 at alpha_sq = 0 fails its bound with
+    a floor of 7 levels (B = 2.4e-4), and at alpha_sq = 0.1 with a headroom
+    of 3 (B = 1.6e-4); the check fails above B = 1e-4.
+    """
+
+    @pytest.mark.filterwarnings("ignore::jcdrive.hilbert.DispersiveRegimeWarning")
+    @pytest.mark.parametrize("text", [
+        "scenario=fig4\nalpha_sq=0\n",
+        "scenario=fig4\nalpha_sq=1\nlambda=0.3\n",
+        "scenario=readout\nlambda=0.3\n",
+        "scenario=fig4\nalpha_sq=0\nlambda=0.4\ng=1.5\n",    # pins MIN_CUTOFF
+        "scenario=fig4\nalpha_sq=0.1\nlambda=0.4\ng=1.5\n",  # pins CUTOFF_HEADROOM
+    ])
+    def test_convergence_at_the_rule_cutoff(self, text):
+        assert convergence_probe(parse_config(text)).passed
 
 
 class TestEmitCsv:
@@ -564,23 +584,26 @@ class TestCli:
         assert main(["run", "--config", cfg]) == 2
         assert "numerical failure: eigenvalues did not converge" in capsys.readouterr().err
 
-    def test_leak_message_states_what_failed(self, tmp_path, capsys):
-        # alpha^2 = 300 parses at the rule's 416 levels, but its Poisson tail
-        # beyond them is 1.4e-10: the message gives the weight, the levels
-        # and the tolerance, and asks for no cutoff below the one it had
-        cfg = self._write(tmp_path, "scenario=fig4\nalpha_sq=300\n")
-        assert main(["check", "--config", cfg]) == 2
-        err = capsys.readouterr().err
-        assert "Poisson weight 1.43e-10" in err and "416 levels" in err and "1e-10" in err
-        assert "need n_max" not in err
+    @pytest.mark.parametrize("text", ["scenario=fig4\nalpha_sq=300\n",
+                                      "scenario=fig2b\nsweep_values=140\n"])
+    def test_rule_cutoff_passes_the_leak_checks(self, tmp_path, capsys, text):
+        # the rule's levels hold all but 1e-10 of the Poisson weight, as the
+        # leak checks require: these configs once parsed at a cutoff that the
+        # checks then refused, and exited 2
+        cfg, out = self._write(tmp_path, text), tmp_path / "o.csv"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        converged = header.index("converged")
+        assert rows and all(row[converged] == "true" for row in rows)
+        assert main(["check", "--config", cfg]) == 0
 
     @pytest.mark.parametrize("command", ["run", "check"])
     def test_n_max_below_truncation_rule_is_config_error(self, tmp_path, capsys, command):
-        # |alpha| = 1 needs n_max >= 19
+        # |alpha| = 1 needs n_max >= 17
         cfg = self._write(tmp_path, FAST_SCENARIO + "n_max=5\n")
         assert main([command, "--config", cfg]) == 1
         assert capsys.readouterr().err == (
-            "config error: line 5: configured n_max=5 below the truncation rule (19)\n"
+            "config error: line 5: configured n_max=5 below the truncation rule (17)\n"
         )
 
     @pytest.mark.parametrize("command", ["run", "check"])

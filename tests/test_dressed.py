@@ -174,6 +174,20 @@ class TestDressedCoherentState:
         with pytest.raises(CutoffError):
             dressed_coherent_state("e", alpha, basis)
 
+    def test_leak_message_states_what_failed(self, params):
+        # alpha^2 = 9 needs 35 levels by the rule's quantile: at n_max = 35 the
+        # ground branch holds them and the excited branch holds 34.  The
+        # message gives the weight, the levels and the tolerance, and asks
+        # for no cutoff
+        basis = dressed_basis(params, FockCutoff(35), "exact")
+        dressed_coherent_state("g", 3.0, basis)
+        with pytest.raises(CutoffError) as info:
+            dressed_coherent_state("e", 3.0, basis)
+        assert str(info.value) == (
+            "Poisson weight 1.56e-10 of |alpha|=3 lies beyond 34 levels; it must be below 1e-10"
+        )
+        assert "need n_max" not in str(info.value)
+
 
 class TestEffectiveQubit:
     def test_vacuum(self):

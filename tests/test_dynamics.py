@@ -1063,7 +1063,7 @@ class TestTruncationBoundAgainstTheOracle:
 
     @pytest.mark.parametrize("branch", ["g", "e"])
     def test_n_max_at_the_truncation_rule(self, params, branch):
-        # alpha^2 = 4 at n_max = required_cutoff(2) = 26, the rule itself
+        # alpha^2 = 4 at n_max = required_cutoff(2) = 27, the rule the scenarios take
         cut = FockCutoff(required_cutoff(2.0))
         omega_d = params.omega_c + (params.chi if branch == "e" else -params.chi)
         drive = DriveParams(0.05, omega_d, 2.0 / 0.05)

@@ -6,7 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
+from jcdrive.dressed import dressed_basis, dressed_coherent_state
 from jcdrive.hilbert import (
+    CUTOFF_HEADROOM,
+    LEAK_TOLERANCE,
+    MAX_POISSON_ALPHA_SQ,
+    MIN_CUTOFF,
     CutoffError,
     DispersiveRegimeWarning,
     FockCutoff,
@@ -23,8 +28,10 @@ from jcdrive.hilbert import (
     is_unitary,
     jc_hamiltonian,
     poisson_amplitudes,
+    poisson_tail,
     required_cutoff,
 )
+from jcdrive.propagators import QubitDriveParams, pe_full
 
 from conftest import fid
 
@@ -78,8 +85,10 @@ class TestSystemParams:
         assert FockCutoff(2).dim == 4
 
     def test_truncation_rule(self):
-        assert required_cutoff(0.0) == 10
-        assert required_cutoff(2.0) == math.ceil(4 + 12 + 10)
+        # the vacuum takes the floor; Poisson(4) keeps all but 1e-10 of its
+        # weight in 23 levels, and the rule adds the headroom
+        assert required_cutoff(0.0) == MIN_CUTOFF == 8
+        assert required_cutoff(2.0) == 23 + CUTOFF_HEADROOM == 27
 
 
 class TestModeOperators:
@@ -300,9 +309,53 @@ class TestCoherentState:
         assert np.all(psi[: cutoff12.n_max] == 0)
 
     def test_cutoff_too_small(self):
-        with pytest.raises(CutoffError, match="beyond the 12 levels of the cutoff; it must be "
-                                              "below 1e-10"):
+        with pytest.raises(CutoffError, match="beyond 12 levels; it must be below 1e-10"):
             coherent_state(3.0, FockCutoff(12))
+
+
+class TestTruncationRule:
+    """required_cutoff against the poisson_tail recursion the leak checks test."""
+
+    # alpha^2 drawn over the range a config accepts for a coherent state, up
+    # to 1416.79 (whose square root squares back within it), with the
+    # near-vacuum amplitudes where the floor takes over
+    ALPHA_SQ = np.concatenate((
+        [0.0, 1e-300, 1e-12, 1e-6, 1e-3, 0.1, 1416.79],
+        np.random.default_rng(7).uniform(0.0, MAX_POISSON_ALPHA_SQ, 120),
+    ))
+
+    @pytest.mark.parametrize("alpha_sq", ALPHA_SQ)
+    def test_quantile_is_minimal(self, alpha_sq):
+        alpha = math.sqrt(alpha_sq)
+        n_max = required_cutoff(alpha)
+        levels = n_max - CUTOFF_HEADROOM
+        assert poisson_tail(alpha, levels) < LEAK_TOLERANCE
+        if n_max > MIN_CUTOFF:
+            assert not poisson_tail(alpha, levels - 1) < LEAK_TOLERANCE
+        # the excited branch's table: n_max - 1 levels
+        assert poisson_tail(alpha, n_max - 1) < LEAK_TOLERANCE
+
+    @pytest.mark.parametrize("alpha_sq", np.linspace(MAX_POISSON_ALPHA_SQ, 1769.0, 6))
+    def test_readout_amplitudes_beyond_float_range(self, alpha_sq):
+        # poisson_amplitudes refuses these; the tail is summed from lgamma
+        # weights instead, up to the 2,048-level cap
+        def tail(levels):
+            return math.fsum(math.exp(n * math.log(alpha_sq) - alpha_sq - math.lgamma(n + 1.0))
+                             for n in range(levels, levels + 400))
+
+        levels = required_cutoff(math.sqrt(alpha_sq)) - CUTOFF_HEADROOM
+        assert tail(levels) < LEAK_TOLERANCE <= tail(levels - 1)
+        assert levels + CUTOFF_HEADROOM <= 2048
+
+    @pytest.mark.parametrize("alpha_sq", [0.0, 1e-6, 0.5, 1.0, 4.0, 9.0, 17.3, 30.0, 50.0])
+    def test_rule_cutoff_passes_the_leak_checks(self, params, alpha_sq):
+        beta = math.sqrt(alpha_sq) * np.exp(0.4j)
+        cut = FockCutoff(required_cutoff(beta))
+        coherent_state(beta, cut)
+        basis = dressed_basis(params, cut, "exact")
+        for branch in "ge":
+            dressed_coherent_state(branch, beta, basis)
+        pe_full(QubitDriveParams(0.55, params.omega_q, 1.14), params, beta, cut.n_max - 1)
 
 
 def test_fix_global_phase():

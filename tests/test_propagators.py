@@ -480,7 +480,7 @@ class TestPeFull:
         for b2 in (1.0, 9.0, 100.0, 625.0):
             k_max = next(k for k in range(2000) if gammainc(k + 1, b2) < 1e-10)
             pe_full(qd, params, math.sqrt(b2), k_max)
-            with pytest.raises(ValueError, match="Poisson tail"):
+            with pytest.raises(ValueError, match="Poisson weight"):
                 pe_full(qd, params, math.sqrt(b2), k_max - 1)
 
     def test_refuses_weights_beyond_float_range(self, params):
