@@ -56,9 +56,11 @@ MAX_LAB_PHASE = 0.099 * 2**53
 # MAX_POISSON_ALPHA_SQ (about 1416.8), beyond which the Poisson weights of the
 # targets leave float range and the point is refused, needs 1668, and the
 # rule reaches 2048 at |alpha|^2 of about 1769, which only a readout
-# amplitude |epsilon| pi/|chi| can drive to.  Each
-# fig4 trace builds a phase table of one row per eigenphase and one column
-# per stored time, time_points + 1 columns, held to that same 256 MiB.
+# amplitude |epsilon| pi/|chi| can drive to; an amplitude whose rule
+# cutoff leaves float range is refused with them.  Each fig4 trace stores at
+# least time_points + 1 rows: two P_e arrays, their times, and a CSV row
+# apiece.  Each row costs a pass over the cutoff's dimension, so the rows
+# times the dimension are held to the entries of that same dense matrix.
 MAX_N_MAX = 2048
 
 
@@ -246,8 +248,9 @@ def parse_config(text: str) -> ScenarioConfig:
     |lambda| >= 1), inconsistent derived quantities (an omega_q that contradicts the given
     lambda), an n_max below the truncation rule at the largest amplitude
     the scenario drives to, a point whose cutoff exceeds MAX_N_MAX levels
-    (or whose fig4 traces would store more than a dense matrix at that
-    cutoff), a cavity-drive or fig4 point whose alpha_sq exceeds
+    or leaves float range (or whose fig4 traces would store more rows than
+    a dense matrix at MAX_N_MAX has entries, over the cutoff's dimension),
+    a cavity-drive or fig4 point whose alpha_sq exceeds
     MAX_POISSON_ALPHA_SQ, and a point whose detuning phase |Delta| T or
     lab-frame phase rho T exceeds MAX_PHASE or MAX_LAB_PHASE are errors
     carrying the line number.  An empty file yields all defaults.
@@ -321,19 +324,25 @@ def parse_config(text: str) -> ScenarioConfig:
                 f"contradicting lambda={cfg.lam:g}",
                 seen["omega_q"],
             )
-    if cfg.n_max is not None:
-        cavity_cutoff(max(p.drive_amplitude() for p in points), cfg.n_max, seen["n_max"])
-    # The detuning phase, checked where a line sets the detuning: the swept
-    # lambda, omega_q, lambda or g (see MAX_PHASE for the default detuning).
     # The rule-chosen cutoff and the lab-frame phase, each checked on the
     # first line in its order that sets one of its inputs, the sweep values
     # standing for the swept key.
-    key = next((k for k in ("omega_q", "lambda", "g") if k in seen), None)
     fig4 = cfg.scenario == "fig4"
     lines = {**seen, "epsilon" if axis == "epsilon_abs" else axis: seen.get("sweep_values")}
     readout = cfg.scenario == "readout"
     amplitude_keys = ("epsilon", "lambda", "omega_q", "g") if readout else ("alpha_sq",)
     cutoff_line = next((lines[k] for k in amplitude_keys if lines.get(k)), None)
+    amplitude = max(p.drive_amplitude() for p in points)
+    try:
+        required_cutoff(amplitude)
+    except OverflowError:  # |alpha|^2, or the rule's level, beyond float range
+        raise ConfigError(f"|alpha| = {amplitude:.4g} needs a cutoff beyond float range, more "
+                          f"than {MAX_N_MAX} levels", cutoff_line) from None
+    if cfg.n_max is not None:
+        cavity_cutoff(amplitude, cfg.n_max, seen["n_max"])
+    # The detuning phase, checked where a line sets the detuning: the swept
+    # lambda, omega_q, lambda or g (see MAX_PHASE for the default detuning).
+    key = next((k for k in ("omega_q", "lambda", "g") if k in seen), None)
     lab_line = next((lines[k] for k in ("eta_abs" if fig4 else "epsilon", "omega_c", "lambda",
                                         "omega_q", "g", "alpha_sq", "n_max") if lines.get(k)), None)
     for point in points:
@@ -355,10 +364,12 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"alpha_sq={point.alpha_sq:g} puts the Poisson weights of the "
                               f"target beyond float range, above |alpha|^2 = "
                               f"{MAX_POISSON_ALPHA_SQ:.6g}", cutoff_line)
-        if fig4 and (point.time_points + 1) * cutoff.dim > (2 * MAX_N_MAX) ** 2:
-            raise ConfigError(f"time_points={point.time_points} gives each fig4 trace a phase table"
-                              f" of {cutoff.dim} eigenphases by {point.time_points + 1} times, more"
-                              f" than a dense matrix at n_max={MAX_N_MAX}", seen.get("time_points"))
+        rows = (2 * MAX_N_MAX) ** 2 // cutoff.dim
+        if fig4 and point.time_points + 1 > rows:
+            raise ConfigError(f"time_points={point.time_points} gives each fig4 trace "
+                              f"{point.time_points + 1} stored rows, more than the {rows} that "
+                              f"dimension {cutoff.dim} allows: rows times dimension may not exceed "
+                              f"a dense matrix at n_max={MAX_N_MAX}", seen.get("time_points"))
         rho = 0.099 / dt_bound(params, cutoff, 0.0 if fig4 else abs(complex(point.epsilon)),
                                point.qubit_drive_strength() if fig4 else 0.0)
         if not rho * T <= MAX_LAB_PHASE:

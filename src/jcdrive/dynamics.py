@@ -57,16 +57,20 @@ an adaptive Runge-Kutta solver and the literal lab-frame midpoint stepper
 psi_{k+1} = exp(-i dt H(t_k + dt/2)) psi_k, both in the test suite.
 
 The split and the period are read off the matrices when the Hamiltonian is
-built.  On the exact path all stored snapshots of a run come out of one
-matrix product, so no work scales with the step count; their phases,
-exp(-i E n dt) for the eigenvalues E and the frame R(t), come from the
-angle-addition tables of _step_phases, one row per frequency, as do the
-periodic path's R(t).  excited_trace, which fig4 calls for its P_e(t)
-traces, takes the same eigenphases to the excited rows of vr alone, in
-one real matrix product on the table's real and imaginary parts, and
-skips R(t) G, a phase per component, which changes no magnitude: it
-stores no state.  integrate and excited_trace store at the same steps
-(_stored_steps).
+built.  On the exact path no work scales with the step count: every
+stored snapshot of a run is a product of its phases, exp(-i E n dt) for
+the eigenvalues E and the frame R(t), with the eigenbasis.  One kernel,
+_phase_blocks, makes every such phase by angle addition and hands it out
+one column block of stored times at a time, into one reused buffer of
+about PHASE_BLOCK_BYTES, and each caller contracts a block before the
+next: memory grows with the matrix size and sqrt(stored times), never
+with eigenphases times stored times.  Its callers are the exact path's
+snapshots, the periodic path's R(t), the exact truncation bound's samples
+and excited_trace, which fig4 calls for its P_e(t) traces: it takes the
+eigenphases to the excited rows of vr alone, in one real matrix product
+per block on the block's real and imaginary parts, and skips R(t) G, a
+phase per component, which changes no magnitude, so it stores no state.
+integrate and excited_trace store at the same steps (_stored_steps).
 
 convergence_check makes a run and scores it on two axes.  The step: a
 periodic run's final state, its ladder's 2m stepping, against the
@@ -121,6 +125,11 @@ GAUSS_NODE = math.sqrt(3.0) / 6.0
 # the byte budget of one (k, d, d) stack of the periodic path's step matrices:
 # two steps at d = 32, one from d = 33 up
 STACK_BYTES = 1 << 15
+# the byte budget of one column block of phases (_phase_blocks), which holds
+# at least one row of its angle-addition lattice: fig4's 78 eigenphases by
+# 64 stored times, one row, 78 KiB.  Blocks of 64-128 KiB took the two cold
+# fig4 traces about 8 ms, 256-512 KiB about 9 ms, and 1 MiB 11 ms.
+PHASE_BLOCK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -377,8 +386,12 @@ def excited_trace(
     state: the eigenphases of ``ham.static_frame``, with the coefficients
     of (R(t_s) G)^dag psi0 folded in, meet only the excited rows of vr, and
     the frame R(t) and the gauge G are left out, as a phase per component
-    changes no magnitude.  With a real vr that is one real matrix product.
-    Exact Hamiltonians only; raises ValueError on a periodic one.
+    changes no magnitude.  The eigenphases come in column blocks of stored
+    times (_phase_blocks), and each block's squared amplitudes are summed
+    into P_e before the next, so beyond P_e and the times the trace holds
+    only O(dim (sqrt(stored times) + block)) numbers.  With a real vr each
+    block is one real matrix product.  Exact Hamiltonians only; raises
+    ValueError on a periodic one.
     """
     if not ham.exact:
         raise ValueError("excited_trace needs an exact (static frame) Hamiltonian; "
@@ -388,13 +401,14 @@ def excited_trace(
     rate, evals, gauge, vr = ham.static_frame
     n_max = ham.cutoff.n_max
     c = vr.conj().T @ (np.exp(1j * grid.t0 * rate) * gauge.conj() * psi0)  # (R(t_s) G)^dag psi0
-    amps = _in_basis(vr[n_max:], _step_phases(evals, dt, stride, len(stored) - 2, stored[-1], c))
-    parts = amps.view(float)  # real and imaginary parts side by side, one pair per time
-    parts *= parts
-    sums = parts.sum(axis=0)
     p_e = np.empty(len(stored))
     p_e[0] = np.sum(np.abs(psi0[n_max:]) ** 2)
-    p_e[1:] = sums[0::2] + sums[1::2]
+    later, excited = p_e[1:], vr[n_max:]
+    for cols, block in _phase_blocks(evals, dt, stride, len(stored) - 2, stored[-1], c):
+        parts = _in_basis(excited, block).view(float)  # real and imaginary parts side by side
+        parts *= parts
+        sums = parts.sum(axis=0)
+        later[cols] = sums[0::2] + sums[1::2]
     return grid.t0 + stored * dt, p_e
 
 
@@ -426,15 +440,21 @@ def _advance_exact(ham, psi, t_start, ends, dt, stride, out):
     Into ``out``, at t = t_s + n dt for each n in ``ends`` (stride,
     2 stride, ..., then a final entry), R(t) = exp(-i omega t C) (1 with no
     drive), from one eigendecomposition, H_F = G vr E vr^dag G^dag
-    (``ham.static_frame``), and one matrix product: the phases
-    exp(-i E n dt), psi's coefficients folded in, and R(t) come from _step_phases.
+    (``ham.static_frame``).  _phase_blocks gives the phases exp(-i E n dt),
+    psi's coefficients folded in, and R(t) one column block of times at a
+    time; each block's snapshots are one matrix product written into
+    ``out`` and then turned by R(t).
     """
     rate, evals, gauge, vr = ham.static_frame
     frame = np.exp(-1j * t_start * rate) * gauge  # R(t_s) G
     c = vr.conj().T @ (frame.conj() * psi)
-    count, last = len(ends) - 1, ends[-1]
-    np.matmul(_step_phases(evals, dt, stride, count, last, c).T, vr.T * frame, out=out)
-    out *= _step_phases(rate, dt, stride, count, last).T
+    basis, dim = vr.T * frame, len(evals)
+    # the eigenphases and R(t) from one kernel: rows [0, dim) and [dim, 2 dim) of each block
+    for cols, block in _phase_blocks(np.concatenate((evals, rate)), dt, stride, len(ends) - 1,
+                                     ends[-1], np.concatenate((c, np.ones(dim)))):
+        rows = out[cols]
+        np.matmul(block[:dim].T, basis, out=rows)
+        rows *= block[dim:].T
 
 
 def _in_basis(vr, table):
@@ -444,32 +464,46 @@ def _in_basis(vr, table):
     return vr @ table
 
 
-def _step_phases(freq, dt, stride, count, last, coef=1.0):
-    """coef exp(-i f n dt) for n = stride, 2 stride, ..., count stride, then n = last.
+def _phase_blocks(freq, dt, stride, count, last, coef=1.0):
+    """coef exp(-i f n dt), n = stride, 2 stride, ..., count stride, then last, in column blocks.
 
     One row per f in ``freq``, ``coef`` scaling each row, and one column per
     n, the columns of a row adjacent in memory, so that a row's real and
-    imaginary parts are one float row (_in_basis).  By angle addition, with
+    imaginary parts are one float row (_in_basis).  Yields (cols, block):
+    ``block`` holds the columns ``cols`` of that table, a slice of
+    range(count + 1), in order, and is a view of one buffer that the next
+    block overwrites, so a caller contracts each block before asking for the
+    next and the whole table never exists.  By angle addition, with
     B = stride (floor(sqrt(count)) + 1), n = q B + r and
-    exp(-i f n dt) = exp(-i f q B dt) exp(-i f r dt): the lattice's columns
-    are one broadcast product of a q-table and an r-table of about
-    sqrt(count) columns each, ``coef`` folded into the r-table, and the
-    final entry is one more column, ``last`` not preceding the lattice's end.
+    exp(-i f n dt) = exp(-i f q B dt) exp(-i f r dt): the lattice
+    n = 0, stride, 2 stride, ... is the product of a q-table and an r-table
+    of about sqrt(count) columns each, ``coef`` folded into the r-table, and
+    a block is the product for as many whole q's as PHASE_BLOCK_BYTES holds
+    (at least one), without its n = 0 column; the final entry is one more
+    column, ``last`` not preceding the lattice's end.
     """
     if count < 0 or last < count * stride:
         raise ValueError(f"final step {last} precedes the lattice end {count} * {stride}")
-    per_block = math.isqrt(count) + 1
-    block = stride * per_block
-    # blocks * per_block > count + 1: the lattice has a column for the final entry too
-    blocks = (count + 1) // per_block + 1
+    per_q = math.isqrt(count) + 1
+    span = stride * per_q
+    # qs * per_q > count + 1: the lattice has a column for the final entry too
+    qs = (count + 1) // per_q + 1
     coef = np.reshape(coef, (-1, 1))
-    q_table = np.exp(-1j * np.outer(freq, np.arange(blocks) * block * dt))
-    r_table = coef * np.exp(-1j * np.outer(freq, np.arange(0, block, stride) * dt))
-    out = np.empty((len(freq), blocks, per_block), dtype=complex)
-    np.multiply(q_table[:, :, None], r_table[:, None, :], out=out)
-    out = out.reshape(len(freq), -1)
-    out[:, count + 1 : count + 2] = coef * np.exp(-1j * np.outer(freq, last * dt))
-    return out[:, 1 : count + 2]
+    q_table = np.exp(-1j * np.outer(freq, np.arange(qs) * span * dt))
+    r_table = coef * np.exp(-1j * np.outer(freq, np.arange(0, span, stride) * dt))
+    final = (coef * np.exp(-1j * np.outer(freq, last * dt)))[:, 0]
+    per_block = max(1, PHASE_BLOCK_BYTES // (16 * len(freq) * per_q))
+    buffer = np.empty((len(freq), per_block, per_q), dtype=complex)
+    lattice = buffer.reshape(len(freq), -1)
+    for q in range(0, qs, per_block):
+        k = min(per_block, qs - q)
+        np.multiply(q_table[:, q : q + k, None], r_table[:, None, :], out=buffer[:, :k])
+        start, stop = q * per_q, min((q + k) * per_q, count + 2)  # lattice columns n / stride
+        if stop == count + 2:
+            lattice[:, stop - 1 - start] = final
+        first = max(start, 1)
+        if stop > first:
+            yield slice(first - 1, stop - 1), lattice[:, first - start : stop - start]
 
 
 def _taylor_order(bound):
@@ -587,7 +621,7 @@ def _advance_periodic(ham, psi, t_start, ends, dt, stride, m, out, watch=None):
     has the Taylor order of h beta + (sqrt(3)/6)(h beta)^2, beta from
     periodic_frame, which bounds tau ||Omega||_1 for tau <= h since
     ||[A_2, A_1]||_1 <= 2 beta^2; R(t) e^{-i mu k dt} = R(t_s) e^{-i rate k dt}
-    comes from _step_phases.  With ``watch``, a list of components, returns
+    comes from _phase_blocks.  With ``watch``, a list of components, returns
     |psi_i(t_s + p P)| for p = 0, 1, ..., n of the last time, one row per period.
     """
     h = ham.period / m
@@ -635,7 +669,8 @@ def _advance_periodic(ham, psi, t_start, ends, dt, stride, m, out, watch=None):
         omegas = _magnus_omegas(ham, t_start + j[rows] * h, delta[rows])
         out[rows] = _step_action(omegas, delta[rows], order, out[rows])
     out *= frame
-    out *= _step_phases(rate, dt, stride, len(ends) - 1, ends[-1]).T
+    for cols, block in _phase_blocks(rate, dt, stride, len(ends) - 1, ends[-1]):
+        out[cols] *= block.T
     return seen
 
 
@@ -748,9 +783,10 @@ def convergence_check(ham: TimeDependentHamiltonian, psi0: np.ndarray,
         h = duration / TRUNCATION_SAMPLES
         c = vr.conj().T @ (np.exp(1j * grid.t0 * rate) * gauge.conj() * psi0)  # (R(t_s) G)^dag psi0
         # samples at (k - 1/2) h, k = 1..K: the lattice k h with exp(+i E h/2) folded in
-        phases = _step_phases(evals, h, 1, TRUNCATION_SAMPLES - 1, TRUNCATION_SAMPLES,
-                              c * np.exp(0.5j * h * evals))
-        flux = np.linalg.norm(coupling @ np.abs(_in_basis(vr[watch], phases)), axis=0)
+        flux = np.empty(TRUNCATION_SAMPLES)
+        for cols, block in _phase_blocks(evals, h, 1, TRUNCATION_SAMPLES - 1, TRUNCATION_SAMPLES,
+                                         c * np.exp(0.5j * h * evals)):
+            flux[cols] = np.linalg.norm(coupling @ np.abs(_in_basis(vr[watch], block)), axis=0)
         integral = h * float(np.sum(flux))
     else:
         _check_start(ham, psi0)

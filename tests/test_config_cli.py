@@ -319,12 +319,29 @@ class TestConfigFaults:
             parse_config(text.format(1416.8))
 
     def test_fig4_trace_beyond_a_dense_matrix(self):
-        # the default fig4 cutoff is 27 levels, dimension 54: the phase table
-        # of each trace may hold 54 * (time_points + 1) <= 4096**2 entries
+        # the default fig4 cutoff is 27 levels, dimension 54: each trace may
+        # store time_points + 1 rows with 54 * (time_points + 1) <= 4096**2
         assert parse_config("scenario=fig4\ntime_points=310688\n").time_points == 310688
         with pytest.raises(ConfigError, match="^line 2: time_points=310689 gives each fig4 trace "
-                                              "a phase table of 54 eigenphases by 310690 times"):
+                                              "310690 stored rows, more than the 310689 that "
+                                              "dimension 54 allows"):
             parse_config("scenario=fig4\ntime_points=310689\n")
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize("text", ["scenario=readout\nepsilon=1e300\n",
+                                      "scenario=readout\nepsilon=1e300\nn_max=20\n",
+                                      "scenario=readout\nepsilon=1e308\n"])
+    def test_rule_cutoff_beyond_float_range(self, tmp_path, capsys, command, text):
+        # |alpha_g| = |epsilon| pi/|chi| = 3.1e301 (inf at 1e308): |alpha|^2
+        # overflows, so the rule has no level count, and the amplitude is
+        # beyond the cap on the epsilon line, before any n_max is compared
+        cfg, out = tmp_path / "cfg.txt", tmp_path / "out.csv"
+        cfg.write_text(text)
+        args = ["--out", str(out)] if command == "run" else []
+        assert main([command, "--config", str(cfg), *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: line 2: |alpha| = ")
+        assert "needs a cutoff beyond float range, more than 2048 levels" in err
 
     @pytest.mark.parametrize("factor, accepted", [(0.999, True), (1.001, False)])
     def test_lab_phase_edge(self, factor, accepted):

@@ -3,6 +3,7 @@
 import cmath
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from jcdrive.dynamics import (
     ConvergenceReport,
     TimeDependentHamiltonian,
     TimeGrid,
+    _phase_blocks,
     _step_exponential,
-    _step_phases,
     _taylor_order,
     convergence_check,
     excitation_charge,
@@ -451,6 +452,25 @@ class TestExcitedTrace:
         with pytest.raises(ValueError, match="exact"):
             excited_trace(ham, basis_state(cut, "g", 0), TimeGrid(0.0, 1.0, 0.01))
 
+    def test_memory_does_not_grow_with_eigenphases_times_stored_times(self):
+        # fig4's 78 eigenphases at 200,001 stored times: a whole phase table
+        # would take 250 MB; the trace holds P_e, its times and a few MB
+        config = parse_config("scenario=fig4\nalpha_sq=9\neta_abs=1.1\n")
+        run = scenarios._POINTS["fig4"](config)[1]["real"]
+        assert run.ham.cutoff.dim == 78
+        tau = config.pulse_length()
+        grid = TimeGrid.for_duration(tau, tau / 200_000)
+        run.ham.static_frame  # the Hamiltonian's eigendecomposition, kept by it, not the trace's
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            times, p_e = excited_trace(run.ham, run.psi0, grid, 1)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert len(p_e) == len(times) == 200_001
+        assert peak - times.nbytes - p_e.nbytes < 4e6, peak
+
 
 def oracle_states(ham, psi0, grid, traj):
     """The literal midpoint oracle on ``grid`` at the steps where ``traj`` stored a state."""
@@ -791,12 +811,12 @@ class TestStepExponential:
         assert _taylor_order(30.0) == (14, 6)
 
 
-class TestStepPhases:
-    """The angle-addition phase tables against one np.exp per entry.
+class TestPhaseBlocks:
+    """The angle-addition phase kernel, block by block, against one np.exp per entry.
 
     dt is a power of two and the frequencies are multiples of 2^-24, so
     every product f n dt below is exact in double precision on both sides
-    and the comparison sees only the tables.  With other values each side
+    and the comparison sees only the kernel.  With other values each side
     rounds f n dt once, at |f n dt| 2^-53 (about 1e-12 at 1e4 rad), which
     test_general_frequencies_round_like_np_exp allows for.
     """
@@ -804,12 +824,18 @@ class TestStepPhases:
     DT = 2.0**-6
 
     def _check(self, freq, count, stride, last, dt=DT, atol=1e-13, coef=1.0):
+        """Each block against its columns of the whole table; returns the block widths."""
         steps = np.append(np.arange(1, count + 1) * stride, last)
         # one row per frequency, one column per step
         expected = (coef * np.exp(-1j * np.outer(steps * dt, freq))).T
-        got = _step_phases(freq, dt, stride, count, last, coef)
-        assert got.shape == expected.shape
-        assert np.max(np.abs(got - expected)) <= atol
+        widths = []
+        for cols, block in _phase_blocks(freq, dt, stride, count, last, coef):
+            assert cols.start == sum(widths) and cols.stop > cols.start  # in order, none empty
+            assert block.shape == (len(freq), cols.stop - cols.start)
+            assert np.max(np.abs(block - expected[:, cols])) <= atol
+            widths.append(block.shape[1])
+        assert sum(widths) == count + 1
+        return widths
 
     def _freq(self, max_phase, n_max, size=78, seed=0, dyadic=True):
         # frequencies of both signs, the largest reaching about max_phase at step n_max
@@ -822,7 +848,8 @@ class TestStepPhases:
     FIG4 = dict(count=4055, stride=55, last=55 * 4055 + 17)
 
     def test_fig4_shape(self):
-        self._check(self._freq(3e3, self.FIG4["last"]), **self.FIG4)
+        widths = self._check(self._freq(3e3, self.FIG4["last"]), **self.FIG4)
+        assert len(widths) > 1 and max(widths) < self.FIG4["count"] // 4
 
     def test_coefficients_fold_into_every_row(self):
         rng = np.random.default_rng(4)
@@ -835,16 +862,18 @@ class TestStepPhases:
         # entry: a final entry inside the lattice has no row order to follow
         freq = self._freq(1.0, 1, size=4)
         with pytest.raises(ValueError, match="precedes the lattice end"):
-            _step_phases(freq, self.DT, 55, 400, 55 * 400 - 1)
+            next(_phase_blocks(freq, self.DT, 55, 400, 55 * 400 - 1))
         self._check(freq, 400, 55, 55 * 400)  # on the end itself is allowed
 
     @pytest.mark.parametrize("last", [0, 7, 123456])
     def test_single_entry(self, last):
-        self._check(self._freq(50.0, max(last, 1), size=5, seed=2), 0, 1, last)
+        assert self._check(self._freq(50.0, max(last, 1), size=5, seed=2), 0, 1, last) == [1]
 
     def test_zero_steps_give_ones(self):
-        got = _step_phases(self._freq(1.0, 1, size=4), 0.1, 3, 0, 0)
-        assert np.array_equal(got, np.ones((4, 1), dtype=complex))
+        blocks = [(cols, block.copy()) for cols, block in
+                  _phase_blocks(self._freq(1.0, 1, size=4), 0.1, 3, 0, 0)]
+        assert len(blocks) == 1 and blocks[0][0] == slice(0, 1)
+        assert np.array_equal(blocks[0][1], np.ones((4, 1), dtype=complex))
 
     @pytest.mark.parametrize("stride", [1, 9])
     def test_phases_up_to_1e4_rad(self, stride):
@@ -858,13 +887,37 @@ class TestStepPhases:
         self._check(freq, **self.FIG4, dt=0.0137, atol=8 * 2.0**-53 * 1e4)
 
     def test_tables_stay_small(self, monkeypatch):
-        # about 2 sqrt(len) table columns (steps) of np.exp, not one per entry
+        # about 2 sqrt(len) table columns (steps) of np.exp, not one per
+        # entry, and none per block
         freq = self._freq(3e3, self.FIG4["last"])
         exp, columns = np.exp, []
         monkeypatch.setattr(np, "exp", lambda x: columns.append(x.shape[-1]) or exp(x))
-        _step_phases(freq, self.DT, **self.FIG4)
+        for _ in _phase_blocks(freq, self.DT, **self.FIG4):
+            pass
         monkeypatch.undo()
         assert sum(columns) <= 2 * (math.isqrt(self.FIG4["count"] + 1) + 2)
+
+    # The lattice n / stride = 0, 1, ..., count + 1 (its last column the final
+    # entry) is cut into blocks of whole rows of isqrt(count) + 1 columns, at
+    # least one row to a block, and its n = 0 column is dropped.  A row of
+    # 10 columns and 4 frequencies is ROW bytes; with two rows to a block the
+    # first block yields 19 columns and each later one 20.
+    ROW = 10 * 4 * 16
+
+    @pytest.mark.parametrize("count, block_bytes, widths", [
+        (98, 2 * ROW, [19, 20, 20, 20, 20]),  # the lattice is a whole number of blocks
+        (99, 2 * ROW, [19, 20, 20, 20, 20, 1]),  # count + 1 = 100 columns, 5 blocks' worth,
+                                                 # and the last block only the final entry
+        (97, 2 * ROW, [19, 20, 20, 20, 19]),  # a short last block
+        (99, 3 * ROW, [29, 30, 30, 11]),
+        (99, 1, [9] + [10] * 9 + [1]),  # a budget below one row: one row to a block
+        (0, 1, [1]),  # count = 0: n = 0 alone yields nothing, then the final entry
+        (0, 1 << 16, [1]),  # count = 0: n = 0 and the final entry in one block
+    ])
+    def test_block_edges(self, monkeypatch, count, block_bytes, widths):
+        monkeypatch.setattr(dynamics, "PHASE_BLOCK_BYTES", block_bytes)
+        last = 7 * count + 3
+        assert self._check(self._freq(3e2, last, size=4, seed=5), count, 7, last) == widths
 
 
 class TestRwaVersusCosine:
