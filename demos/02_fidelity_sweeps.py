@@ -31,12 +31,10 @@ plain = run_scenario(
     ScenarioConfig(scenario="fig2b", sweep_values=(4.0,), phase_correction=False,
                    check_convergence=False)
 )
-r0 = dict(zip(result.columns, result.rows[2]))     # |alpha|^2 = 4 row above
-r1 = dict(zip(plain.columns, plain.rows[0]))
 print(
     f"\nphase-matching ablation at |alpha|^2 = 4: "
-    f"F_D = {r0['F_D_g']:.5f} with the quartic correction, "
-    f"{r1['F_D_g']:.5f} without"
+    f"F_D = {result.column('F_D_g')[2]:.5f} with the quartic correction, "  # row 2: alpha^2 = 4
+    f"{plain.column('F_D_g')[0]:.5f} without"
 )
 
 try:
@@ -45,9 +43,9 @@ try:
     matplotlib.use("Agg")
     import matplotlib.pyplot as plt
 
-    a2 = [row[0] for row in result.rows]
-    one_minus_fd = [1.0 - dict(zip(cols, row))["F_D_g"] for row in result.rows]
-    gaps = [dict(zip(cols, row))["gap_g"] for row in result.rows]
+    a2 = result.column("alpha_sq")
+    one_minus_fd = [1.0 - f for f in result.column("F_D_g")]
+    gaps = result.column("gap_g")
     fig, (ax1, ax2) = plt.subplots(1, 2, figsize=(9, 3.3), constrained_layout=True)
     ax1.semilogy(a2, one_minus_fd, "o-")
     ax1.set_xlabel(r"$|\alpha|^2$")

@@ -9,16 +9,14 @@ the outcome depends on arg(beta), not just on the photon number.
 Run:  python demos/03_qubit_drive_phase.py
 """
 
-import numpy as np
-
 from jcdrive import ScenarioConfig, run_scenario
 
 config = ScenarioConfig(scenario="fig4", alpha_sq=4.0, check_convergence=False)
 result = run_scenario(config)
 
-t = np.array([row[0] for row in result.rows])
-pe_real = np.array([row[1] for row in result.rows])
-pe_imag = np.array([row[2] for row in result.rows])
+t = result.column("t")
+pe_real = result.column("P_e_beta_real")
+pe_imag = result.column("P_e_beta_imag")
 
 print(f"drive: |eta| = {result.meta['eta_abs']}, omega = {result.meta['omega_drive']}")
 print(f"max |P_e(beta real) - P_e(beta imag)| = {result.meta['max_abs_diff']}")

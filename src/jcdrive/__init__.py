@@ -7,7 +7,7 @@ Library layout:
 * :mod:`jcdrive.propagators` closed-form drive propagators (Magnus expansion)
 * :mod:`jcdrive.dynamics`    full lab-frame numerical time evolution
 * :mod:`jcdrive.metrics`     fidelities, populations, entanglement measures
-* :mod:`jcdrive.scenarios`   sweep engine and CSV emission
+* :mod:`jcdrive.scenarios`   sweep engine, column-major result tables and CSV emission
 * :mod:`jcdrive.cli`         the ``sim`` command
 """
 

@@ -17,6 +17,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import ConfigError, parse_config
 from .scenarios import convergence_probe, emit_csv, run_scenario
 
@@ -80,9 +82,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot write {out!r}: {exc}", file=sys.stderr)
         return 2
-    converged = outcome.columns.index("converged")
-    flagged = sum(1 for row in outcome.rows if not row[converged])
-    print(f"{config.scenario}: {len(outcome.rows)} rows -> {out}"
+    converged = outcome.column("converged")
+    flagged = len(converged) - np.count_nonzero(converged)
+    print(f"{config.scenario}: {len(converged)} rows -> {out}"
           + (f" ({flagged} rows flagged not converged)" if flagged else ""))
     return 0
 

@@ -19,6 +19,11 @@ tau/time_points where that is finer, for their stored times.  They take
 P_e straight from the run's eigenbasis (``dynamics.excited_trace``) and
 store no state.
 
+A runner returns a ScenarioResult, column-major: one sequence per CSV
+column, so fig4 hands over its time and P_e arrays as they are, and
+``emit_csv`` formats them without building a tuple per row.  ``rows`` is a
+read-only row-major view, built only when it is read.
+
 The sweeps are embarrassingly parallel over points; every input a worker
 touches is immutable, so points may be dispatched to a process pool and are
 collected back in sweep order.  Runs are deterministic: identical configs
@@ -30,7 +35,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -54,14 +59,35 @@ from .propagators import DriveParams, QubitDriveParams, alpha_ge, lab_amplitudes
 __all__ = ["ScenarioResult", "run_scenario", "emit_csv", "convergence_probe"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioResult:
-    """Labeled rows of scalar outputs for CSV emission."""
+    """One scenario's result table, column-major: ``data[j]`` is column ``columns[j]``.
+
+    A column is a NumPy array where the runner has one (fig4's times and
+    traces) and a tuple of scalars otherwise; all columns have one length.
+    ``rows`` is the row-major view, built when first read.  Results compare
+    by identity (``eq=False``): array columns have no single truth value.
+    """
 
     scenario: str
     columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    data: tuple[Sequence, ...]
     meta: dict
+
+    def __post_init__(self):
+        if len(self.data) != len(self.columns):
+            raise ValueError(f"{len(self.data)} columns of data for {len(self.columns)} names")
+        if len({len(col) for col in self.data}) > 1:
+            raise ValueError(f"columns of unequal lengths {[len(col) for col in self.data]}")
+
+    def column(self, name: str) -> Sequence:
+        """The column called ``name``."""
+        return self.data[self.columns.index(name)]
+
+    @cached_property
+    def rows(self) -> tuple[tuple, ...]:
+        """The table row by row; array columns give Python scalars."""
+        return tuple(zip(*(_as_list(col) for col in self.data)))
 
 
 def emit_csv(result: ScenarioResult, path) -> None:
@@ -70,28 +96,42 @@ def emit_csv(result: ScenarioResult, path) -> None:
     Floats print as %.12g: 12 significant digits, correctly rounded, so a
     read-back value is within 5e-12 relative of the float written, with no
     exponent where it is not needed and nan/inf as such; ints print whole
-    and bools as true/false.  Every row takes one
-    %-format built from the cell types of the first row, so each column
-    keeps the type of its first cell.
+    and bools as true/false.  A column's type is its dtype, or for a tuple
+    the type of its first cell.  The cells go column by column into one
+    flat row-major list, and the body is one %-format of it.
     """
     meta = ", ".join(f"{k}={v}" for k, v in result.meta.items())
     lines = [f"# scenario={result.scenario}, params={meta}", ",".join(result.columns)]
-    if result.rows:
-        fmt = ",".join(_cell_format(v) for v in result.rows[0])
-        # bools print as True/False under %s; lower() makes them true/false
-        # and leaves the rest alone, since numbers print in lower case
-        body = "\n".join([fmt] * len(result.rows)) % tuple(chain.from_iterable(result.rows))
-        lines.append(body.lower())
+    width = len(result.data)
+    count = len(result.data[0]) if width else 0
+    if count:
+        cells: list = [None] * (count * width)
+        formats = []
+        for j, col in enumerate(result.data):
+            fmt, values = _column_cells(_as_list(col))
+            cells[j::width] = values
+            formats.append(fmt)
+        lines.append("\n".join([",".join(formats)] * count) % tuple(cells))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _cell_format(v) -> str:
-    if isinstance(v, bool):
-        return "%s"
-    if isinstance(v, (int, np.integer)):
-        return "%d"
-    return "%.12g"
+_BOOL_TEXT = {False: "false", True: "true"}  # NumPy bools hash and compare equal to these
+
+
+def _as_list(col: Sequence) -> Sequence:
+    """A column's cells as Python scalars where it is an array."""
+    return col.tolist() if isinstance(col, np.ndarray) else col
+
+
+def _column_cells(cells: Sequence) -> tuple[str, Sequence]:
+    """A non-empty column's %-format and its cells: bools become true/false under %s."""
+    first = cells[0]
+    if isinstance(first, (bool, np.bool_)):
+        return "%s", list(map(_BOOL_TEXT.__getitem__, cells))
+    if isinstance(first, (int, np.integer)):
+        return "%d", cells
+    return "%.12g", cells
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
@@ -288,10 +328,10 @@ def _run_sweep(config: ScenarioConfig) -> ScenarioResult:
     axis = config.sweep_axis
     scored = _map_points(_fidelity_point, config.points(), config.workers)
     columns = (*_SWEEP_COLUMNS[config.scenario], "converged", "wall_time_s")
-    rows = tuple((v, *(p[c] for c in columns)) for v, p in zip(config.sweep_grid(), scored))
+    data = (config.sweep_grid(), *(tuple(p[c] for p in scored) for c in columns))
     extra = {} if axis == "alpha_sq" else {"alpha_sq": f"{config.alpha_sq:g}"}
     return ScenarioResult(
-        config.scenario, (axis, *columns), rows, _meta(config, config.system_params(), **extra)
+        config.scenario, (axis, *columns), data, _meta(config, config.system_params(), **extra)
     )
 
 
@@ -318,8 +358,7 @@ def _run_fig4(config: ScenarioConfig) -> ScenarioResult:
 
     abs_diff = np.abs(pe_r - pe_i)
     columns = ("t", "P_e_beta_real", "P_e_beta_imag", "abs_diff", "converged")
-    rows = tuple(zip(times.tolist(), pe_r.tolist(), pe_i.tolist(), abs_diff.tolist(),
-                     [converged] * len(times)))
+    data = (times, pe_r, pe_i, abs_diff, np.full(times.shape, converged))
     meta = _meta(
         config, params,
         beta_sq=f"{config.alpha_sq:g}", eta_abs=f"{eta_abs:g}",
@@ -327,7 +366,7 @@ def _run_fig4(config: ScenarioConfig) -> ScenarioResult:
         max_abs_diff=f"{float(np.max(abs_diff)):.6f}",
         wall_time_s=f"{time.perf_counter() - t_start:.3f}",
     )
-    return ScenarioResult("fig4", columns, rows, meta)
+    return ScenarioResult("fig4", columns, data, meta)
 
 
 def _run_readout(config: ScenarioConfig) -> ScenarioResult:
@@ -358,13 +397,13 @@ def _run_readout(config: ScenarioConfig) -> ScenarioResult:
         "alpha_g_abs_analytic", "alpha_e_abs_analytic", "n_g_sim", "n_e_sim",
         "predicted_spurious_n", "rel_error", "converged", "wall_time_s",
     )
-    rows = ((abs(ag), abs(ae), n_g, n_e, predicted, rel_error, converged,
-             time.perf_counter() - t_start),)
+    row = (abs(ag), abs(ae), n_g, n_e, predicted, rel_error, converged,
+           time.perf_counter() - t_start)
     meta = _meta(
         config, params, T=f"{drive.T:g}", omega_d=f"{drive.omega_d:g}",
         initial=config.initial or "bare",
     )
-    return ScenarioResult("readout", columns, rows, meta)
+    return ScenarioResult("readout", columns, tuple((v,) for v in row), meta)
 
 
 _RUNNERS = {"fig4": _run_fig4, "readout": _run_readout, **dict.fromkeys(SWEEP_AXES, _run_sweep)}

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from jcdrive.cli import main
 from jcdrive.config import (
     _KEYS, ConfigError, ScenarioConfig, cavity_cutoff, dt_bound, parse_config,
 )
-from jcdrive.dynamics import TimeGrid
+from jcdrive.dynamics import TimeGrid, excited_trace
 from jcdrive.hilbert import FockCutoff
-from jcdrive.scenarios import ScenarioResult, convergence_probe, emit_csv, run_scenario
+from jcdrive.scenarios import (
+    _POINTS, ScenarioResult, convergence_probe, emit_csv, run_scenario,
+)
 
 
 class TestParseConfig:
@@ -416,51 +419,86 @@ class TestTruncationHeadroom:
         assert convergence_probe(parse_config(text)).passed
 
 
+def _cell(v) -> str:
+    """The per-cell oracle: one cell as emit_csv must write it."""
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return f"{float(v):.12g}"
+
+
+# every emit_csv case runs on tuple columns and on NumPy arrays of the
+# dtype the cells infer (float64, int64 or bool)
+COLUMN_KINDS = pytest.mark.parametrize("as_column", [tuple, np.asarray], ids=["tuples", "arrays"])
+
+
 class TestEmitCsv:
-    def test_empty_result(self, tmp_path):
-        res = ScenarioResult("fig2b", ("a", "b"), (), {"g": "1"})
+    @COLUMN_KINDS
+    def test_empty_table(self, tmp_path, as_column):
+        data = (as_column(np.empty(0)), as_column(np.empty(0, dtype=bool)))
+        res = ScenarioResult("fig2b", ("a", "b"), data, {"g": "1"})
         path = tmp_path / "out.csv"
         emit_csv(res, path)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("# scenario=fig2b, params=")
         assert lines[1] == "a,b"
         assert len(lines) == 2
+        assert res.rows == ()
 
-    def test_round_trip_12_digits(self, tmp_path):
+    @COLUMN_KINDS
+    def test_round_trip_12_digits(self, tmp_path, as_column):
         values = (0.123456789012345, 1.0 / 3.0, 9.87654321e-7)
-        res = ScenarioResult("custom", ("x", "y", "z"), (values,), {})
+        res = ScenarioResult("custom", ("x", "y", "z"), tuple(as_column([v]) for v in values), {})
         path = tmp_path / "rt.csv"
         emit_csv(res, path)
+        lines = path.read_text().splitlines()
+        assert lines[1] == "x,y,z"
+        assert len(lines) == 3 and len(lines[2].split(",")) == 3  # one row of three cells
         back = np.genfromtxt(path, delimiter=",", skip_header=2)
         np.testing.assert_allclose(back, values, rtol=1e-11)
 
-    def test_bool_cells(self, tmp_path):
-        res = ScenarioResult("custom", ("ok",), ((True,), (False,)), {})
+    @COLUMN_KINDS
+    def test_bool_cells(self, tmp_path, as_column):
+        res = ScenarioResult("custom", ("ok",), (as_column([True, False, False, True]),), {})
         path = tmp_path / "b.csv"
         emit_csv(res, path)
-        lines = path.read_text().splitlines()
-        assert lines[2] == "true" and lines[3] == "false"
+        assert path.read_text().splitlines()[2:] == ["true", "false", "false", "true"]
 
+    # columns of 7 types: float, int, bool varying by row, numpy float64,
+    # numpy int64, float near the range ends, bool
+    MIXED = (
+        (0.5, np.nan, 0.0),
+        (3, -2**40, 0),
+        (True, False, True),
+        (np.float64(-1.0 / 3.0), np.inf, -0.0),
+        (np.int64(-7), np.int64(0), np.int64(12345678901)),
+        (1e-300, -2.5e17, 9.87654321e-7),
+        (False, True, True),
+    )
 
-    def test_same_bytes_as_per_cell_formatting(self, tmp_path):
-        def cell(v):
-            if isinstance(v, bool):
-                return "true" if v else "false"
-            if isinstance(v, (int, np.integer)):
-                return str(int(v))
-            return f"{float(v):.12g}"
-
-        rows = (
-            (0.5, 3, True, np.float64(-1.0 / 3.0), np.int64(-7), 1e-300, False),
-            (np.nan, -2**40, False, np.inf, np.int64(0), -2.5e17, True),
-            (0.0, 0, True, -0.0, np.int64(12345678901), 9.87654321e-7, True),
-        )
-        res = ScenarioResult("custom", tuple("abcdefg"), rows, {"g": "1"})
+    @COLUMN_KINDS
+    @pytest.mark.parametrize("count", [3, 1], ids=["three_rows", "one_row"])
+    def test_same_bytes_as_per_cell_formatting(self, tmp_path, as_column, count):
+        data = tuple(as_column(col[:count]) for col in self.MIXED)
+        if as_column is np.asarray:
+            assert [c.dtype.kind for c in data] == list("fibfifb")
+        res = ScenarioResult("custom", tuple("abcdefg"), data, {"g": "1"})
         path = tmp_path / "mixed.csv"
         emit_csv(res, path)
         body = path.read_bytes().split(b"\n", 2)[2]
-        expected = "".join(",".join(cell(v) for v in row) + "\n" for row in rows)
+        expected = "".join(",".join(_cell(v) for v in row) + "\n" for row in zip(*data))
         assert body == expected.encode("utf-8")
+        # the row view holds the same cells (nan is no cell's equal, so compare as text)
+        assert [list(map(_cell, row)) for row in res.rows] == [list(map(_cell, row))
+                                                                for row in zip(*data)]
+        assert len(res.rows) == count
+
+    def test_columns_of_one_length_one_per_name(self):
+        with pytest.raises(ValueError, match="unequal lengths"):
+            ScenarioResult("custom", ("a", "b"), ((1.0, 2.0), (1.0,)), {})
+        with pytest.raises(ValueError, match="1 columns of data for 2 names"):
+            ScenarioResult("custom", ("a", "b"), ((1.0,),), {})
 
     def test_12g_reads_back_as_the_11e_cell(self):
         # the same 12 correctly rounded significant digits in either form,
@@ -524,6 +562,40 @@ class TestRunScenario:
         cfg = parse_config("scenario=fig4\neta_abs=1e5\ncheck_convergence=off\n")
         assert len(run_scenario(cfg).rows) >= 401
 
+    def test_fig4_columns_are_the_traces(self, tmp_path):
+        # the P_e columns are excited_trace's arrays, on the grid the runner
+        # picks: the dt_bound step, or tau/time_points where that is finer
+        cfg = parse_config("scenario=fig4\nalpha_sq=1\ntime_points=10\ncheck_convergence=off\n")
+        result = run_scenario(cfg)
+        emit_csv(result, tmp_path / "fig4.csv")
+        assert "rows" not in vars(result)  # no row view until one is read
+        params, runs = _POINTS["fig4"](cfg)
+        real = runs["real"]
+        tau = real.drive.tau
+        dt = min(dt_bound(params, real.ham.cutoff, 0.0, cfg.qubit_drive_strength()),
+                 tau / cfg.time_points)
+        grid = TimeGrid.for_duration(tau, dt)
+        every = max(1, grid.steps // cfg.time_points)
+        times, pe_r = excited_trace(real.ham, real.psi0, grid, every)
+        _, pe_i = excited_trace(runs["imag"].ham, runs["imag"].psi0, grid, every)
+        for name, want in (("t", times), ("P_e_beta_real", pe_r), ("P_e_beta_imag", pe_i),
+                           ("abs_diff", np.abs(pe_r - pe_i))):
+            np.testing.assert_array_equal(result.column(name), want)
+        assert result.column("converged").tolist() == [True] * len(times)
+        assert result.rows == tuple(zip(*result.data))
+        assert len(result.rows) == len(times) >= 11
+
+    def test_fig4_converged_column_is_the_check(self, tmp_path, monkeypatch):
+        # a failed check flags every row, and the CSV writes each flag as false
+        monkeypatch.setattr("jcdrive.scenarios.convergence_check",
+                            lambda ham, psi0, grid: SimpleNamespace(passed=False, final=psi0))
+        result = run_scenario(parse_config("scenario=fig4\nalpha_sq=1\ntime_points=10\n"))
+        path = tmp_path / "fig4.csv"
+        emit_csv(result, path)
+        body = path.read_text().splitlines()[2:]
+        assert len(body) == len(result.column("t")) >= 11
+        assert all(line.endswith(",false") for line in body)
+
     def test_swept_lambda_is_simulated_lambda(self):
         # omega_q=105 means lambda=0.2; the row labelled lambda=0.1 must still simulate 0.1
         sweep = "scenario=fig2c\nsweep_values=0.1,0.2\nalpha_sq=1\ncheck_convergence=off\n"
@@ -575,15 +647,19 @@ class TestCli:
         text = (tmp_path / "result.csv").read_text()
         assert text.startswith("# scenario=fig2b")
 
-    def test_flagged_rows_counted_from_the_converged_column(self, tmp_path, capsys, monkeypatch):
-        rows = ((1.0, 3, True, 0.5), (2.0, 4, False, 0.5), (3.0, 5, False, 0.5))
-        result = ScenarioResult("custom", ("x", "k", "converged", "wall_time_s"), rows, {})
+    @COLUMN_KINDS
+    def test_flagged_rows_counted_from_the_converged_column(self, tmp_path, capsys, monkeypatch,
+                                                            as_column):
+        data = ((1.0, 2.0, 3.0), (3, 4, 5), (True, False, False), (0.5, 0.5, 0.5))
+        result = ScenarioResult("custom", ("x", "k", "converged", "wall_time_s"),
+                                tuple(map(as_column, data)), {})
         monkeypatch.setattr("jcdrive.cli.run_scenario", lambda config: result)
         out = str(tmp_path / "f.csv")
         assert main(["run", "--config", self._write(tmp_path, ""), "--out", out]) == 0
         assert capsys.readouterr().out == (
             f"fig2a: 3 rows -> {out} (2 rows flagged not converged)\n"
         )
+        assert "rows" not in vars(result)  # counted without the row view
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = self._write(tmp_path, "scenario=fig9\n")
