@@ -32,8 +32,8 @@ and takes one of two paths, chosen once by TimeDependentHamiltonian.exact:
 * periodic: any other drive (the cosine drive, whose V also raises C) has
   an H_F that repeats with the period P = pi/omega, or 2 pi/omega when H_0
   breaks C (see TimeDependentHamiltonian).  One period of m steps of
-  h = P/m gives the period propagator U_P, and a time
-  t - t_s = n P + j h + delta is reached as
+  h = P/m gives the period propagator U_P, and the run's end, at
+  t - t_s = n P + j h + delta, is reached as
 
       psi(t) = R(t) S_delta U_j U_P^n R(t_s)^dag psi(t_s),
 
@@ -49,28 +49,24 @@ and takes one of two paths, chosen once by TimeDependentHamiltonian.exact:
   matrix-vector products 2^s times over, and never formed.  A
   step-doubling ladder (_ladder) doubles m from M0 = 4 until the final
   states at m and 2m differ by at most CONVERGENCE_THRESHOLD per period,
-  and the run keeps the 2m stepping: dt only sets the stored times, and
-  the cost is set by m, not by the length of the pulse.
+  and the run keeps the 2m stepping: the cost is set by m, not by the
+  length of the pulse.
 
-Both paths are tested against oracles that share none of this machinery:
-an adaptive Runge-Kutta solver and the literal lab-frame midpoint stepper
-psi_{k+1} = exp(-i dt H(t_k + dt/2)) psi_k, both in the test suite.
+integrate computes a run's final state alone, on either path; the grid's
+dt enters none of its arithmetic.  Both paths are tested against oracles
+that share none of this machinery: an adaptive Runge-Kutta solver and the
+literal lab-frame midpoint stepper psi_{k+1} = exp(-i dt H(t_k + dt/2)) psi_k.
 
 The split and the period are read off the matrices when the Hamiltonian is
-built.  On the exact path no work scales with the step count: every
-stored snapshot of a run is a product of its phases, exp(-i E n dt) for
-the eigenvalues E and the frame R(t), with the eigenbasis.  One kernel,
-_phase_blocks, makes every such phase by angle addition and hands it out
-one column block of stored times at a time, into one reused buffer of
-about PHASE_BLOCK_BYTES, and each caller contracts a block before the
-next: memory grows with the matrix size and sqrt(stored times), never
-with eigenphases times stored times.  Its callers are the exact path's
-snapshots, the periodic path's R(t), the exact truncation bound's samples
-and excited_trace, which fig4 calls for its P_e(t) traces: it takes the
-eigenphases to the excited rows of vr alone, in one real matrix product
-per block on the block's real and imaginary parts, and skips R(t) G, a
-phase per component, which changes no magnitude, so it stores no state.
-integrate and excited_trace store at the same steps (_stored_steps).
+built.  Many times of one exact run are its eigenphases exp(-i E n dt)
+with the eigenbasis.  One kernel, _phase_blocks, makes those phases by
+angle addition and hands them out one column block of times at a time,
+in one reused buffer of about PHASE_BLOCK_BYTES, so memory never grows
+with eigenphases times times.  Its callers are the exact truncation
+bound's samples and excited_trace, fig4's P_e(t) at the stored steps of a
+grid (_stored_steps): it takes the eigenphases to the excited rows of vr
+alone, one real matrix product per block, and skips R(t) G, a phase per
+component, which changes no magnitude, so it stores no state.
 
 convergence_check makes a run and scores it on two axes.  The step: a
 periodic run's final state, its ladder's 2m stepping, against the
@@ -338,7 +334,7 @@ def qubit_drive_lab_hamiltonian(
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Stored evolution snapshots; the final state is always exact (undownsampled)."""
+    """A run's two ends: ``times`` (t0, t1) and ``states`` (psi0, psi(t1)), one per row."""
 
     times: np.ndarray
     states: np.ndarray
@@ -348,29 +344,25 @@ class Trajectory:
         return self.states[-1]
 
 
-def integrate(
-    ham: TimeDependentHamiltonian,
-    psi0: np.ndarray,
-    grid: TimeGrid,
-    store_every: Optional[int] = None,
-) -> Trajectory:
-    """Propagate i d/dt psi = H(t) psi from grid.t0 to grid.t1.
+def integrate(ham: TimeDependentHamiltonian, psi0: np.ndarray, grid: TimeGrid) -> Trajectory:
+    """Propagate i d/dt psi = H(t) psi from grid.t0 to grid.t1; the run's final state.
 
     The run takes one of the two paths of the module docstring, chosen by
-    ``ham.exact``: exact (the eigendecomposition ``ham.static_frame``) or
-    periodic (one drive period of Magnus steps, as many as _ladder picks,
-    reused for the rest of the run); dt only sets the stored times.  Raises
-    if psi0 is not normalized.  Snapshots are stored every ``store_every``
-    steps of dt (default: about 1000 over the run), and the final state
-    regardless, straight into the trajectory's array.
+    ``ham.exact``: exact (the eigendecomposition ``ham.static_frame``, in
+    closed form at t1 - t0) or periodic (one drive period of Magnus steps,
+    as many as _ladder picks, reused for the rest of the run).  Only the
+    run's final time is computed, and the grid's dt plays no part; P_e at
+    many times of an exact run comes from excited_trace.  Raises if psi0 is
+    not normalized.
     """
     _check_start(ham, psi0)
-    stored, dt, store_every = _stored_steps(grid, store_every)
-    states = np.empty((len(stored), len(psi0)), dtype=complex)
-    psi = states[0] = psi0.astype(complex)
-    advance = _advance_exact if ham.exact else _ladder  # the same arguments
-    advance(ham, psi, grid.t0, stored[1:], dt, store_every, states[1:])
-    return Trajectory(times=grid.t0 + stored * dt, states=states)
+    psi0 = psi0.astype(complex)
+    duration = grid.t1 - grid.t0
+    if ham.exact:
+        final = _advance_exact(ham, psi0, grid.t0, duration)
+    else:
+        final = _ladder(ham, psi0, grid.t0, duration)[1]
+    return Trajectory(times=np.array([grid.t0, grid.t1]), states=np.stack((psi0, final)))
 
 
 def excited_trace(
@@ -379,28 +371,28 @@ def excited_trace(
     grid: TimeGrid,
     store_every: Optional[int] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(times, P_e): the excited-branch population at the stored times of integrate.
+    """(times, P_e): the excited-branch population every ``store_every`` steps of the grid.
 
-    The same times as integrate(ham, psi0, grid, store_every), and the same
-    P_e as metrics.excited_probability of its states, without storing a
-    state: the eigenphases of ``ham.static_frame``, with the coefficients
-    of (R(t_s) G)^dag psi0 folded in, meet only the excited rows of vr, and
-    the frame R(t) and the gauge G are left out, as a phase per component
-    changes no magnitude.  The eigenphases come in column blocks of stored
-    times (_phase_blocks), and each block's squared amplitudes are summed
-    into P_e before the next, so beyond P_e and the times the trace holds
-    only O(dim (sqrt(stored times) + block)) numbers.  With a real vr each
-    block is one real matrix product.  Exact Hamiltonians only; raises
-    ValueError on a periodic one.
+    The times of _stored_steps (by default about 1000 over the run, and the
+    grid's end regardless), and at each the P_e of metrics.excited_probability,
+    without storing a state: the eigenphases of ``ham.static_frame``, with
+    the coefficients of (R(t_s) G)^dag psi0 folded in, meet only the excited
+    rows of vr, and R(t) G is left out, as a phase per component changes no
+    magnitude.  The eigenphases come in column blocks of stored times
+    (_phase_blocks), each block's squared amplitudes summed into P_e before
+    the next, so beyond P_e and the times the trace holds only
+    O(dim (sqrt(stored times) + block)) numbers.  With a real vr each block
+    is one real matrix product.  Exact Hamiltonians only; raises ValueError
+    on a periodic one.
     """
     if not ham.exact:
         raise ValueError("excited_trace needs an exact (static frame) Hamiltonian; "
                          "integrate a periodic one")
     _check_start(ham, psi0)
     stored, dt, stride = _stored_steps(grid, store_every)
-    rate, evals, gauge, vr = ham.static_frame
+    _, evals, _, vr = ham.static_frame
     n_max = ham.cutoff.n_max
-    c = vr.conj().T @ (np.exp(1j * grid.t0 * rate) * gauge.conj() * psi0)  # (R(t_s) G)^dag psi0
+    c = _eigen_coefficients(ham, psi0, grid.t0)
     p_e = np.empty(len(stored))
     p_e[0] = np.sum(np.abs(psi0[n_max:]) ** 2)
     later, excited = p_e[1:], vr[n_max:]
@@ -422,10 +414,10 @@ def _check_start(ham, psi0):
 
 
 def _stored_steps(grid, store_every):
-    """(n, dt, stride): the steps n of dt at which a run on ``grid`` is stored.
+    """(n, dt, stride): the steps n of dt at which excited_trace samples a run on ``grid``.
 
     n = 0, stride, 2 stride, ... strictly below grid.steps, then grid.steps
-    itself; the stride is ``store_every``, by default about 1000 snapshots
+    itself; the stride is ``store_every``, by default about 1000 samples
     over the run.
     """
     steps = grid.steps
@@ -434,27 +426,24 @@ def _stored_steps(grid, store_every):
     return stored, (grid.t1 - grid.t0) / steps, stride
 
 
-def _advance_exact(ham, psi, t_start, ends, dt, stride, out):
+def _eigen_coefficients(ham, psi, t_start):
+    """c = vr^dag (R(t_s) G)^dag psi: psi in the eigenbasis R(t_s) G vr of an exact run."""
+    rate, _, gauge, vr = ham.static_frame
+    return vr.conj().T @ (np.exp(1j * t_start * rate) * gauge.conj() * psi)
+
+
+def _advance_exact(ham, psi, t_start, duration):
     """psi(t) = R(t) exp(-i (H_0 + V + V^dag - omega C)(t - t_s)) R(t_s)^dag psi(t_s).
 
-    Into ``out``, at t = t_s + n dt for each n in ``ends`` (stride,
-    2 stride, ..., then a final entry), R(t) = exp(-i omega t C) (1 with no
+    At t - t_s = ``duration``, with R(t) = exp(-i omega t C) (1 with no
     drive), from one eigendecomposition, H_F = G vr E vr^dag G^dag
-    (``ham.static_frame``).  _phase_blocks gives the phases exp(-i E n dt),
-    psi's coefficients folded in, and R(t) one column block of times at a
-    time; each block's snapshots are one matrix product written into
-    ``out`` and then turned by R(t).
+    (``ham.static_frame``): the coefficients of psi turned by
+    exp(-i E duration), taken back through the basis R(t_s) G vr, and
+    turned by R(t) R(t_s)^dag = exp(-i omega duration C).
     """
     rate, evals, gauge, vr = ham.static_frame
-    frame = np.exp(-1j * t_start * rate) * gauge  # R(t_s) G
-    c = vr.conj().T @ (frame.conj() * psi)
-    basis, dim = vr.T * frame, len(evals)
-    # the eigenphases and R(t) from one kernel: rows [0, dim) and [dim, 2 dim) of each block
-    for cols, block in _phase_blocks(np.concatenate((evals, rate)), dt, stride, len(ends) - 1,
-                                     ends[-1], np.concatenate((c, np.ones(dim)))):
-        rows = out[cols]
-        np.matmul(block[:dim].T, basis, out=rows)
-        rows *= block[dim:].T
+    phases = _eigen_coefficients(ham, psi, t_start) * np.exp(-1j * evals * duration)
+    return phases @ (vr.T * (np.exp(-1j * t_start * rate) * gauge)) * np.exp(-1j * rate * duration)
 
 
 def _in_basis(vr, table):
@@ -518,8 +507,8 @@ def _taylor_order(bound):
     return degree, s
 
 
-def _magnus_omegas(ham, starts, taus):
-    """Omega of the fourth-order Magnus step over [t, t + tau]: a (k, d, d) stack, one per (t, tau).
+def _magnus_omegas(ham, starts, tau):
+    """Omega of the fourth-order Magnus step over [t, t + tau]: a (k, d, d) stack, one per start t.
 
     Omega = (A_1 + A_2)/2 - i (sqrt(3)/12) tau [A_2, A_1] with A_{1,2} = H_F - mu
     at the Gauss-Legendre nodes t + (1/2 -/+ sqrt(3)/6) tau, each the sum of
@@ -530,22 +519,22 @@ def _magnus_omegas(ham, starts, taus):
     """
     freqs, mats = ham.periodic_frame[1]
     dim = ham.static_part.shape[0]
-    p1 = np.exp(1j * np.outer(starts + (0.5 - GAUSS_NODE) * taus, freqs))
-    p2 = np.exp(1j * np.outer(starts + (0.5 + GAUSS_NODE) * taus, freqs))
+    p1 = np.exp(1j * np.outer(starts + (0.5 - GAUSS_NODE) * tau, freqs))
+    p2 = np.exp(1j * np.outer(starts + (0.5 + GAUSS_NODE) * tau, freqs))
     # A_1, -i (sqrt(3)/12) tau A_2 and (A_1 + A_2)/4, from one product
-    phases = np.concatenate((p1, (-0.5j * GAUSS_NODE) * taus[:, None] * p2, 0.25 * (p1 + p2)))
+    phases = np.concatenate((p1, (-0.5j * GAUSS_NODE) * tau * p2, 0.25 * (p1 + p2)))
     a1, a2, y = (phases @ mats).reshape(3, len(starts), dim, dim)
     y += a2 @ a1
     return y + y.conj().swapaxes(1, 2)
 
 
 def _scaled(h, tau, squarings):
-    """A = -i tau h / 2^s, one tau per matrix of the stack h (or one for all)."""
-    return ((-1j / 2.0**squarings) * np.asarray(tau, dtype=float))[..., None, None] * h
+    """A = -i tau h / 2^s."""
+    return ((-1j / 2.0**squarings) * tau) * h
 
 
 def _step_exponential(h, tau, order):
-    """exp(-i tau h) for h one matrix or a (k, d, d) stack, tau a scalar or one per matrix.
+    """exp(-i tau h) for h one matrix or a (k, d, d) stack, one tau for all.
 
     ``order`` = (K, s) from _taylor_order for a bound on tau ||h||_1: the
     degree-K Taylor polynomial of A = -i tau h / 2^s, squared s times.  The
@@ -579,23 +568,22 @@ def _step_exponential(h, tau, order):
 
 
 def _step_action(h, tau, order, psi):
-    """exp(-i tau h) psi for a (k, d, d) stack h, one tau and one state of the (k, d) psi per matrix.
+    """exp(-i tau h) psi for one (d, d) matrix h and one state psi.
 
     The polynomial of _step_exponential, Taylor degree K of A = -i tau h / 2^s,
-    applied to the states by Horner's rule, K matrix-vector products, 2^s
+    applied to the state by Horner's rule, K matrix-vector products, 2^s
     times over: no step matrix is formed.
     """
     degree, squarings = order
     a = _scaled(h, tau, squarings)
-    v = psi[..., None]
     for _ in range(2**squarings):
-        w = v
-        for k in range(degree, 0, -1):  # v + A (v + A (v + ...) / 2) / 1
+        w = psi
+        for k in range(degree, 0, -1):  # psi + A (psi + A (psi + ...) / 2) / 1
             w = a @ w
             w *= 1.0 / k
-            w += v
-        v = w
-    return v[..., 0]
+            w += psi
+        psi = w
+    return psi
 
 
 def _batches(count, dim):
@@ -605,100 +593,82 @@ def _batches(count, dim):
     return [np.arange(k, min(k + size, count)) for k in range(0, count, size)]
 
 
-def _advance_periodic(ham, psi, t_start, ends, dt, stride, m, out, watch=None):
-    """psi(t) = R(t) S_delta U_j U_P^n R(t_s)^dag psi(t_s), t - t_s = n P + j h + delta.
+def _advance_periodic(ham, psi, t_start, duration, m, watch=None):
+    """(final, seen): psi(t) = R(t) S_delta U_j U_P^n R(t_s)^dag psi(t_s), t - t_s = duration.
 
-    Into ``out``, at t = t_s + k dt for each k in ``ends`` (stride,
-    2 stride, ..., then a final entry).  m Magnus steps of h = P/m from t_s
-    give U_P, and U_j is the product of their first j; only the U_j that a
-    requested time needs are kept, and the period is stepped only when some
-    time lies past it.  The steps are exponentiated as (k, d, d) stacks
-    (_magnus_omegas, _step_exponential), k at most STACK_BYTES worth and at
-    least one, so memory does not grow with m.  U_P^n is n matrix-vector
-    products; S_delta is the Magnus step over [t_j, t_j + delta], skipped
-    when delta = 0 and otherwise applied to the state (_step_action), the
-    remainders of all times stacked the same way.  Every step exponential
-    has the Taylor order of h beta + (sqrt(3)/6)(h beta)^2, beta from
-    periodic_frame, which bounds tau ||Omega||_1 for tau <= h since
-    ||[A_2, A_1]||_1 <= 2 beta^2; R(t) e^{-i mu k dt} = R(t_s) e^{-i rate k dt}
-    comes from _phase_blocks.  With ``watch``, a list of components, returns
-    |psi_i(t_s + p P)| for p = 0, 1, ..., n of the last time, one row per period.
+    duration = n P + j h + delta: m Magnus steps of h = P/m from t_s give
+    U_P, and U_j is the product of their first j; the period is stepped
+    whole only when n > 0, else only up to its j-th step.  The steps are
+    exponentiated as (k, d, d) stacks (_magnus_omegas, _step_exponential),
+    k at most STACK_BYTES worth and at least one, so memory does not grow
+    with m.  U_P^n is n matrix-vector products; S_delta is the Magnus step
+    over [t_j, t_j + delta], skipped when delta = 0 and otherwise applied to
+    the state (_step_action).  Every step exponential has the Taylor order
+    of h beta + (sqrt(3)/6)(h beta)^2, beta from periodic_frame, which
+    bounds tau ||Omega||_1 for tau <= h since ||[A_2, A_1]||_1 <= 2 beta^2;
+    R(t) e^{-i mu duration} = R(t_s) e^{-i rate duration}.  With ``watch``,
+    a list of components, ``seen`` lists |psi_i(t_s + p P)| for
+    p = 0, 1, ..., n, one row per period; without, it is None.
     """
     h = ham.period / m
-    elapsed = ends * dt
-    whole = np.floor(elapsed / h + 1e-9)  # steps of h, a whole number up to rounding
-    delta = elapsed - whole * h
-    delta[delta < 1e-9 * h] = 0.0
-    n, j = np.divmod(whole.astype(int), m)
+    whole = math.floor(duration / h + 1e-9)  # steps of h, a whole number up to rounding
+    delta = duration - whole * h
+    n, j = divmod(whole, m)
 
     rate, _, beta = ham.periodic_frame
     order = _taylor_order(h * beta + GAUSS_NODE * (h * beta) ** 2)
     dim = psi.shape[0]
-    needed = set(j.tolist())
-    u = np.eye(dim, dtype=complex)
-    partial = {0: u}
-    for k in _batches(m if n[-1] > 0 else max(needed), dim):
-        taus = np.full(len(k), h)
-        steps = _step_exponential(_magnus_omegas(ham, t_start + k * h, taus), taus, order)
+    u = u_j = np.eye(dim, dtype=complex)
+    for k in _batches(m if n > 0 else j, dim):
+        steps = _step_exponential(_magnus_omegas(ham, t_start + k * h, h), h, order)
         for k_i, step in zip(k.tolist(), steps):
             u = step @ u
-            if k_i + 1 in needed:
-                partial[k_i + 1] = u
-    if n[-1] > 0:
+            if k_i + 1 == j:
+                u_j = u
+    if n > 0:
         # one Newton-Schulz step to the nearest unitary, so that n products
         # of U_P do not compound the rounding of its m factors
         u = u @ (1.5 * np.eye(len(u)) - 0.5 * (u.conj().T @ u))
 
     frame = np.exp(-1j * ham.omega * t_start * excitation_charge(ham.cutoff))  # R(t_s)
     phi = frame.conj() * psi
-    seen = None
-    if watch is not None:
-        seen = np.empty((n[-1] + 1, len(watch)))
-        seen[0] = np.abs(phi[watch])
-    periods = 0
-    for i, (n_i, j_i) in enumerate(zip(n, j)):
-        while periods < n_i:
-            phi = u @ phi
-            periods += 1
-            if watch is not None:
-                seen[periods] = np.abs(phi[watch])
-        out[i] = partial[j_i] @ phi
-    remainders = np.flatnonzero(delta)
-    for batch in _batches(len(remainders), dim):
-        rows = remainders[batch]
-        omegas = _magnus_omegas(ham, t_start + j[rows] * h, delta[rows])
-        out[rows] = _step_action(omegas, delta[rows], order, out[rows])
-    out *= frame
-    for cols, block in _phase_blocks(rate, dt, stride, len(ends) - 1, ends[-1]):
-        out[cols] *= block.T
-    return seen
+    seen = None if watch is None else [np.abs(phi[watch])]
+    for _ in range(n):
+        phi = u @ phi
+        if watch is not None:
+            seen.append(np.abs(phi[watch]))
+    final = u_j @ phi
+    if delta >= 1e-9 * h:
+        omega = _magnus_omegas(ham, np.array([t_start + j * h]), delta)[0]
+        final = _step_action(omega, delta, order, final)
+    return final * frame * np.exp(-1j * rate * duration), seen
 
 
-def _ladder(ham, psi, t_start, ends, dt, stride, out, watch=None):
-    """(m, coarse, seen, estimate): a periodic run, at the steps per period m it picks.
+def _ladder(ham, psi, t_start, duration, watch=None):
+    """(m, final, coarse, seen, estimate): a periodic run, at the steps per period m it picks.
 
-    The step-doubling ladder carries ``psi`` to ``ends[-1]`` at m and 2m
+    The step-doubling ladder carries ``psi`` over ``duration`` at m and 2m
     steps per period, from m = M0 (doubled while one 2m step would span the
     run, as both steppings would then be that step), and doubles m until the
-    estimate ||psi_2m - psi_m|| there per period (at least one), the m
-    stepping's error per period, is at most CONVERGENCE_THRESHOLD, or until
-    a doubling fails to halve it while h beta <= 1 (h = P/m, beta from
-    periodic_frame): that is rounding, and the run ends unconverged.  The
-    last 2m stepping fills ``out``, watches ``watch`` and is the m returned;
-    ``coarse`` is its m state at the last time.
+    estimate ||psi_2m - psi_m|| per period (at least one), the m stepping's
+    error per period, is at most CONVERGENCE_THRESHOLD, or until a doubling
+    fails to halve it while h beta <= 1 (h = P/m, beta from periodic_frame):
+    that is rounding, and the run ends unconverged.  The last 2m stepping
+    gives ``final``, watches ``watch`` and is the m returned; ``coarse`` is
+    its m state.
     """
     beta, m, estimate = ham.periodic_frame[2], M0, math.inf
-    while 2 * m * ends[-1] * dt < ham.period:
+    while 2 * m * duration < ham.period:
         m *= 2
-    periods = max(1.0, ends[-1] * dt / ham.period)
-    _advance_periodic(ham, psi, t_start, ends[-1:], dt, stride, m, out[-1:])
+    periods = max(1.0, duration / ham.period)
+    final = _advance_periodic(ham, psi, t_start, duration, m)[0]
     while True:
-        coarse = out[-1].copy()
-        seen = _advance_periodic(ham, psi, t_start, ends, dt, stride, 2 * m, out, watch)
-        previous, estimate = estimate, float(np.linalg.norm(out[-1] - coarse) / periods)
+        coarse = final
+        final, seen = _advance_periodic(ham, psi, t_start, duration, 2 * m, watch)
+        previous, estimate = estimate, float(np.linalg.norm(final - coarse) / periods)
         floor = ham.period * beta <= m and not estimate <= 0.5 * previous  # NaN stops too
         if estimate <= CONVERGENCE_THRESHOLD or floor:
-            return 2 * m, coarse, seen, estimate
+            return 2 * m, final, coarse, seen, estimate
         m *= 2
 
 
@@ -779,9 +749,9 @@ def convergence_check(ham: TimeDependentHamiltonian, psi0: np.ndarray,
     if ham.exact:
         final = integrate(ham, psi0, grid).final  # grid positional: bench/spans.py reads args[2]
         m, fid_dt, estimate = None, 1.0, 0.0
-        rate, evals, gauge, vr = ham.static_frame
+        _, evals, _, vr = ham.static_frame
         h = duration / TRUNCATION_SAMPLES
-        c = vr.conj().T @ (np.exp(1j * grid.t0 * rate) * gauge.conj() * psi0)  # (R(t_s) G)^dag psi0
+        c = _eigen_coefficients(ham, psi0, grid.t0)
         # samples at (k - 1/2) h, k = 1..K: the lattice k h with exp(+i E h/2) folded in
         flux = np.empty(TRUNCATION_SAMPLES)
         for cols, block in _phase_blocks(evals, h, 1, TRUNCATION_SAMPLES - 1, TRUNCATION_SAMPLES,
@@ -790,14 +760,11 @@ def convergence_check(ham: TimeDependentHamiltonian, psi0: np.ndarray,
         integral = h * float(np.sum(flux))
     else:
         _check_start(ham, psi0)
-        steps = grid.steps
-        fine = np.empty((1, len(psi0)), dtype=complex)
-        m, coarse, seen, estimate = _ladder(ham, psi0.astype(complex), grid.t0,
-                                            np.array([steps]), duration / steps, steps, fine, watch)
-        final = fine[0]
+        m, final, coarse, seen, estimate = _ladder(ham, psi0.astype(complex), grid.t0, duration,
+                                                   watch)
         fid_dt = float(abs(np.vdot(final, coarse)) ** 2)
         times = np.append(np.arange(len(seen)) * ham.period, duration)
-        flux = np.linalg.norm(np.vstack((seen, np.abs(fine[:, watch]))) @ coupling.T, axis=1)
+        flux = np.linalg.norm(np.vstack((seen, np.abs(final[watch]))) @ coupling.T, axis=1)
         integral = 0.5 * float(np.sum((flux[1:] + flux[:-1]) * np.diff(times)))
     return ConvergenceReport(
         fidelity_dt=fid_dt, truncation_bound=QUADRATURE_MARGIN * integral,

@@ -54,7 +54,7 @@ def excited_probability(psi: np.ndarray):
     """Population of the excited qubit branch, summed over all photon numbers.
 
     A stack of states (states along the last axis), such as integrate's
-    snapshots, gives an array of populations; fig4 stores no states and
+    two ends, gives an array of populations; fig4 stores no states and
     takes its traces from dynamics.excited_trace instead.
     """
     n_max = psi.shape[-1] // 2

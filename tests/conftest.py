@@ -89,25 +89,20 @@ def doubled_cutoff_infidelity(ham, psi0, grid, final):
     big = 2 * ham.cutoff.n_max
     rebuilt, start = ham.remake(FockCutoff(big)), embed_state(psi0, big)
     if ham.exact:
-        rerun = dynamics.integrate(rebuilt, start, grid, store_every=grid.steps).final
+        rerun = dynamics.integrate(rebuilt, start, grid).final
     else:
         m = dynamics.convergence_check(ham, psi0, grid).steps_per_period
-        rerun = periodic_run(rebuilt, start, grid, m, store_every=grid.steps).final
+        rerun = periodic_run(rebuilt, start, grid, m)
     return 1.0 - fid(embed_state(final, big), rerun)
 
 
-def periodic_run(ham, psi0, grid, m, store_every=None):
-    """integrate(ham, psi0, grid, store_every) on a periodic Hamiltonian at m steps per period.
+def periodic_run(ham, psi0, grid, m):
+    """integrate(ham, psi0, grid).final on a periodic Hamiltonian at m steps per period.
 
-    The stored times and stepping of the periodic path, with m forced
-    rather than picked by the step-doubling ladder.
+    The stepping of the periodic path, with m forced rather than picked by
+    the step-doubling ladder.
     """
-    stored, dt, stride = dynamics._stored_steps(grid, store_every)
-    states = np.empty((len(stored), len(psi0)), dtype=complex)
-    states[0] = psi0
-    dynamics._advance_periodic(ham, psi0.astype(complex), grid.t0, stored[1:], dt, stride, m,
-                               states[1:])
-    return dynamics.Trajectory(times=grid.t0 + stored * dt, states=states)
+    return dynamics._advance_periodic(ham, psi0.astype(complex), grid.t0, grid.t1 - grid.t0, m)[0]
 
 
 def _schroedinger_rhs(h_of_t):

@@ -65,6 +65,23 @@ def frame_harmonics(ham, t):
     return (np.exp(1j * t * freqs) @ mats).reshape(ham.static_part.shape)
 
 
+def run_finals(ham, psi0, t0, ends, m=None):
+    """The final state of the run from t0 to each of ``ends``, one run and one row each.
+
+    integrate's, or with ``m`` the periodic path's at m steps per period
+    (periodic_run); the grid's dt plays no part, so each grid is one step.
+    """
+    grids = [TimeGrid(t0, t1, t1 - t0) for t1 in ends]
+    if m is None:
+        return np.array([integrate(ham, psi0, grid).final for grid in grids])
+    return np.array([periodic_run(ham, psi0, grid, m) for grid in grids])
+
+
+def ends_every(grid, stride):
+    """The times grid.t0 + n dt, n = stride, 2 stride, ... below grid.steps, then grid.t1."""
+    return np.append(grid.t0 + np.arange(stride, grid.steps, stride) * grid.dt, grid.t1)
+
+
 class TestTimeGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -117,30 +134,28 @@ class TestIntegratorBasics:
         assert 1.0 - fid(traj.final, coherent_state(alpha, cut, "g")) < 1e-8
 
     def test_norms_along_trajectory(self, params):
+        # a run's two ends, and the final states of 50 run lengths up to T
         cut = FockCutoff(20)
         drive = DriveParams(0.05, params.omega_c - params.chi, 15.0)
         ham = lab_drive_hamiltonian(params, drive, cut, "rwa")
-        grid = TimeGrid.for_duration(T := 15.0, dt_bound(params, cut, 0.05))
-        traj = integrate(ham, basis_state(cut, "g", 0), grid, store_every=max(1, grid.steps // 50))
-        norms = np.linalg.norm(traj.states, axis=1)
+        psi0 = basis_state(cut, "g", 0)
+        traj = integrate(ham, psi0, TimeGrid.for_duration(T := 15.0, dt_bound(params, cut, 0.05)))
+        assert np.array_equal(traj.times, [0.0, T]) and np.array_equal(traj.states[0], psi0)
+        norms = np.linalg.norm(run_finals(ham, psi0, 0.0, np.linspace(0.0, T, 51)[1:]), axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-10
-        assert traj.times[0] == 0.0 and traj.times[-1] == pytest.approx(T)
 
     def test_energy_conservation_static(self, params, cutoff12):
         ham = static_hamiltonian(params, cutoff12)
         h = ham.static_part
         psi0 = (basis_state(cutoff12, "g", 1) + basis_state(cutoff12, "e", 2)) / math.sqrt(2)
-        grid = TimeGrid.for_duration(3.0, 0.9 * 0.1 / (120.0 * cutoff12.n_max))
-        traj = integrate(ham, psi0, grid, store_every=max(1, grid.steps // 20))
         e0 = np.real(np.vdot(psi0, h @ psi0))
         scale = np.linalg.norm(h, 2)
-        for state in traj.states:
+        for state in run_finals(ham, psi0, 0.0, np.linspace(0.0, 3.0, 21)[1:]):
             assert abs(np.real(np.vdot(state, h @ state)) - e0) < 1e-8 * scale
 
     def test_coarse_dt_spares_periodic_runs(self, params, cutoff12):
         # a cosine drive takes the periodic path, whose steps per period come
-        # from the frame: dt = 1e-3, about 14x dt_bound, only sets the stored
-        # times
+        # from the frame: dt = 1e-3, about 14x dt_bound, plays no part
         drive = DriveParams(0.05, params.omega_c - params.chi, 1.0)
         ham = lab_drive_hamiltonian(params, drive, cutoff12, "cosine")
         psi0 = basis_state(cutoff12, "g", 0)
@@ -149,11 +164,11 @@ class TestIntegratorBasics:
         fine_final = integrate(ham, psi0, fine).final
         # the one-step grid of a sweep or readout run, too
         for coarse in (TimeGrid(0.0, 1.0, 1e-3), TimeGrid(0.0, 1.0, 1.0)):
-            assert np.max(np.abs(integrate(ham, psi0, coarse).final - fine_final)) <= 1e-12
+            assert np.array_equal(integrate(ham, psi0, coarse).final, fine_final)
 
     def test_guard_spares_exact_runs(self, params):
         # dt = 0.01 is over 100x dt_bound here, but the run is exact: dt
-        # only sets the stored times
+        # plays no part
         cut = FockCutoff(12)
         drive = DriveParams(0.05, params.omega_c - params.chi, 1.0)
         ham = lab_drive_hamiltonian(params, drive, cut, "rwa")
@@ -163,24 +178,24 @@ class TestIntegratorBasics:
         fine = integrate(ham, psi0, TimeGrid(0.0, drive.T, fine_dt))
         # the one-step grid of a sweep or readout run, too
         for coarse in (TimeGrid(0.0, drive.T, 0.01), TimeGrid(0.0, drive.T, drive.T)):
-            assert np.max(np.abs(integrate(ham, psi0, coarse).final - fine.final)) < 1e-12
+            assert np.array_equal(integrate(ham, psi0, coarse).final, fine.final)
 
     @pytest.mark.parametrize("form", ["rwa", "cosine"])
     def test_pulse_then_free_run(self, params, form):
         # a pulse followed by free evolution is two runs: the drive on [0, T]
         # (exact or periodic path), then no drive from where the pulse ended.
         # The free run keeps omega, which plays no part without a drive.  The
-        # oracle integrates one piecewise H(t) across both runs.
+        # final states of 8 run lengths in each, one run each, against an
+        # oracle that integrates one piecewise H(t) across both runs.
         cut = FockCutoff(8)
         eps, omega, T = 0.4 + 0.3j, params.omega_c - params.chi, 0.5
         pulse = lab_drive_hamiltonian(params, DriveParams(eps, omega, T), cut, form)
         h_jc = jc_hamiltonian(params, cut)
         free = TimeDependentHamiltonian(static_part=h_jc, cutoff=cut, omega=omega)
-        dt_cap = dt_bound(params, cut, abs(eps))
         psi0 = basis_state(cut, "g", 0)
-        on = integrate(pulse, psi0, TimeGrid.for_duration(T, dt_cap), store_every=50)
-        off = integrate(free, on.final, TimeGrid.for_duration(0.4, dt_cap, T), store_every=50)
-        assert off.times[0] == on.times[-1] == T
+        on_ends, off_ends = np.linspace(0.0, T, 9)[1:], T + np.linspace(0.0, 0.4, 9)[1:]
+        on = run_finals(pulse, psi0, 0.0, on_ends)
+        off = run_finals(free, on[-1], T, off_ends)
 
         ops = build_mode_operators(cut)
         v = eps * ops.a + (np.conj(eps) * ops.a_dag if form == "cosine" else 0.0)
@@ -191,10 +206,8 @@ class TestIntegratorBasics:
             w = np.exp(1j * omega * t) * v
             return h_jc + w + w.conj().T
 
-        times = np.concatenate((on.times, off.times[1:]))
-        oracle = ode_states(h_of_t, psi0, times)
-        states = np.concatenate((on.states, off.states[1:]))
-        assert np.max(np.abs(states - oracle)) < 1e-8
+        oracle = ode_states(h_of_t, psi0, np.concatenate((on_ends, off_ends)))
+        assert np.max(np.abs(np.concatenate((on, off)) - oracle)) < 1e-8
 
     def test_rejects_unnormalized_state(self, params, cutoff12):
         ham = static_hamiltonian(params, cutoff12)
@@ -340,11 +353,11 @@ class TestExactPath:
         assert ham.exact and np.iscomplexobj(ham.static_frame[3])
         psi0 = (basis_state(cut, "g", 1) + basis_state(cut, "e", 1)) / math.sqrt(2)
         grid = TimeGrid(0.3, 0.8, 0.005)
-        traj = integrate(ham, psi0, grid, store_every=10)
         times, p_e = excited_trace(ham, psi0, grid, store_every=10)
-        assert np.array_equal(times, traj.times) and len(times) == 11
+        assert len(times) == 11 and times[0] == 0.3
         oracle = ode_states(lambda t: hamiltonian_at(ham, 0.3 + t), psi0, times - 0.3)
-        assert max(1.0 - fid(a, b) for a, b in zip(traj.states, oracle)) < 1e-10
+        finals = run_finals(ham, psi0, 0.3, times[1:])
+        assert max(1.0 - fid(a, b) for a, b in zip(finals, oracle[1:])) < 1e-10
         assert np.max(np.abs(p_e - excited_probability(oracle))) < 1e-10
 
     def test_charge_split_decides_exactness(self, params):
@@ -391,32 +404,53 @@ class TestExactPath:
         oracle = ode_final(lambda t: hamiltonian_at(ham, t), psi0, 0.3)
         assert 1.0 - fid(final, oracle) < 1e-10
 
+
+def phase_rounding(ham, duration):
+    """2 |E t| 2^-53 at the largest eigenphase E t of an exact run of ``duration``.
+
+    Two computations of one phase E t, each rounding it once by up to
+    |E t| 2^-53 (see TestPhaseBlocks), differ by up to twice that, and a
+    P_e summed from unit-norm amplitudes with them by about as much.
+    """
+    return 2 * 2.0**-53 * np.max(np.abs(ham.static_frame[1])) * duration
+
+
+class TestExcitedTrace:
+    """P_e straight from the eigenbasis against excited_probability of integrate's final states."""
+
+    @staticmethod
+    def assert_matches_integrate(ham, psi0, grid, store_every, samples=25):
+        """At about ``samples`` stored times spread over the run, one integrate call each.
+
+        integrate's closed form takes exp(-i E t) from one np.exp per phase,
+        so the oracle shares no phase table with the trace's _phase_blocks.
+        """
+        times, p_e = excited_trace(ham, psi0, grid, store_every)
+        assert times[0] == grid.t0 and p_e[0] == pytest.approx(excited_probability(psi0), abs=1e-15)
+        picks = np.unique(np.linspace(1, len(times) - 1, samples).round().astype(int))
+        finals = run_finals(ham, psi0, grid.t0, times[picks])
+        gap = np.max(np.abs(p_e[picks] - excited_probability(finals)))
+        assert gap <= phase_rounding(ham, times[-1] - grid.t0), gap
+        return times
+
     def test_runtime_independent_of_step_count(self, params):
-        # 5 M midpoint steps: the exact path costs a few eigendecompositions
-        # and ~1000 snapshots, not per-step Python work
+        # 5 M midpoint steps: the trace costs one eigendecomposition and
+        # ~1000 stored times, not per-step Python work
         cut = FockCutoff(4)
         qd = QubitDriveParams(0.3, params.omega_q + 0.5, 1000.0)
         ham = qubit_drive_lab_hamiltonian(params, qd, cut)
         grid = TimeGrid(0.0, 1000.0, 1000.0 / 5_000_000)
         assert grid.steps == 5_000_000
+        psi0 = basis_state(cut, "g", 1)
         start = time.perf_counter()
-        traj = integrate(ham, basis_state(cut, "g", 1), grid)
+        times, p_e = excited_trace(ham, psi0, grid)
         elapsed = time.perf_counter() - start
         assert elapsed < 3.0, f"{grid.steps} steps took {elapsed:.2f} s"
-        assert len(traj.times) == 1001 and traj.times[-1] == pytest.approx(1000.0)
-        assert np.max(np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)) < 1e-10
-
-
-class TestExcitedTrace:
-    """P_e straight from the eigenbasis against excited_probability of integrate's states."""
-
-    @staticmethod
-    def assert_matches_integrate(ham, psi0, grid, store_every):
-        times, p_e = excited_trace(ham, psi0, grid, store_every)
-        traj = integrate(ham, psi0, grid, store_every=store_every)
-        assert np.array_equal(times, traj.times)
-        assert np.max(np.abs(p_e - excited_probability(traj.states))) <= 1e-14
-        return times
+        assert len(times) == 1001 and times[-1] == pytest.approx(1000.0)
+        assert np.all((p_e > -1e-10) & (p_e < 1.0 + 1e-10))
+        final = integrate(ham, psi0, grid).final
+        assert abs(np.linalg.norm(final) - 1.0) < 1e-10
+        assert abs(p_e[-1] - excited_probability(final)) <= phase_rounding(ham, 1000.0)
 
     @pytest.mark.parametrize("eta_phase", [0.0, 1.0])
     def test_fig4_traces_config(self, eta_phase):
@@ -472,26 +506,21 @@ class TestExcitedTrace:
         assert peak - times.nbytes - p_e.nbytes < 4e6, peak
 
 
-def oracle_states(ham, psi0, grid, traj):
-    """The literal midpoint oracle on ``grid`` at the steps where ``traj`` stored a state."""
-    dt = (grid.t1 - grid.t0) / grid.steps
-    steps = np.rint((traj.times - grid.t0) / dt).astype(int)
-    return midpoint_states(lambda t: hamiltonian_at(ham, grid.t0 + t), psi0, dt, steps)
-
-
-def max_state_error(traj, states):
-    """Largest elementwise gap over every stored state, not only the final one."""
-    assert traj.states.shape == states.shape
-    return float(np.max(np.abs(traj.states - states)))
-
-
 def assert_stepping_converges_at_second_order(ham, psi0, grid):
-    """Literal stepping approaches the exact path as dt^2: halving dt quarters the error."""
-    store_every = max(1, grid.steps // 100)
+    """Literal stepping approaches the exact path as dt^2: halving dt quarters the error.
+
+    The largest elementwise gap over about 100 step counts n up to the
+    grid's, against the exact path's final state of a run of n steps, one
+    run each: the error all along the run, not only at its end.
+    """
+    stride = max(1, grid.steps // 100)
     errors = []
-    for g, every in ((grid, store_every), (TimeGrid(grid.t0, grid.t1, grid.dt / 2), 2 * store_every)):
-        exact = integrate(ham, psi0, g, store_every=every)
-        errors.append(max_state_error(exact, oracle_states(ham, psi0, g, exact)))
+    for g, every in ((grid, stride), (TimeGrid(grid.t0, grid.t1, grid.dt / 2), 2 * stride)):
+        dt = (g.t1 - g.t0) / g.steps
+        steps = np.append(np.arange(every, g.steps, every), g.steps)
+        exact = run_finals(ham, psi0, g.t0, g.t0 + steps * dt)
+        oracle = midpoint_states(lambda t: hamiltonian_at(ham, g.t0 + t), psi0, dt, steps)
+        errors.append(float(np.max(np.abs(exact - oracle))))
     assert errors[0] < 1e-6
     assert 3.9 < errors[0] / errors[1] < 4.1, errors
 
@@ -512,22 +541,22 @@ class TestPeriodicPath:
         return ham, basis_state(cut, "g", 0), grid
 
     def test_cosine_run_against_ode_oracle(self, params):
-        # store_every=97 against 200 grid steps per period: snapshots inside periods
+        # run lengths 97 grid steps apart against 200 per period: ends inside periods
         ham, psi0, grid = self.cosine_run(params)
-        traj = integrate(ham, psi0, grid, store_every=97)
-        oracle = ode_states(lambda t: hamiltonian_at(ham, t), psi0, traj.times)
-        assert np.max(np.abs(traj.states - oracle)) < 1e-6
+        ends = ends_every(grid, 97)
+        oracle = ode_states(lambda t: hamiltonian_at(ham, t), psi0, ends)
+        assert np.max(np.abs(run_finals(ham, psi0, 0.0, ends) - oracle)) < 1e-6
         final = ode_final(lambda t: hamiltonian_at(ham, t), psi0, grid.t1)
-        assert 1.0 - fid(traj.final, final) < 1e-10
+        assert 1.0 - fid(integrate(ham, psi0, grid).final, final) < 1e-10
 
     def test_run_starting_inside_the_pulse(self, params):
         # t0 = 333 dt, not a whole period: the frame R(t_s) at the run's
         # start is not the identity
         ham, psi0, grid = self.cosine_run(params)
         t0 = 333 * grid.dt
-        traj = integrate(ham, psi0, TimeGrid(t0, grid.t1, grid.dt), store_every=97)
-        oracle = ode_states(lambda t: hamiltonian_at(ham, t0 + t), psi0, traj.times - t0)
-        assert np.max(np.abs(traj.states - oracle)) < 1e-6
+        ends = ends_every(TimeGrid(t0, grid.t1, grid.dt), 97)
+        oracle = ode_states(lambda t: hamiltonian_at(ham, t0 + t), psi0, ends - t0)
+        assert np.max(np.abs(run_finals(ham, psi0, t0, ends) - oracle)) < 1e-6
 
     @pytest.mark.parametrize("breaking", [0.0, 0.1])
     def test_frame_hamiltonian_from_its_harmonics(self, params, breaking):
@@ -562,27 +591,25 @@ class TestPeriodicPath:
         )
         assert ham.period == 2.0 * math.pi / omega
         psi0 = basis_state(cut, "g", 1)
-        traj = integrate(ham, psi0, TimeGrid(0.0, 1200 * dt, dt), store_every=97)
-        oracle = ode_states(lambda t: hamiltonian_at(ham, t), psi0, traj.times)
-        assert np.max(np.abs(traj.states - oracle)) < 2e-7
+        ends = ends_every(TimeGrid(0.0, 1200 * dt, dt), 97)
+        oracle = ode_states(lambda t: hamiltonian_at(ham, t), psi0, ends)
+        assert np.max(np.abs(run_finals(ham, psi0, 0.0, ends) - oracle)) < 2e-7
 
     def test_fourth_order_in_the_step(self, params):
         # m = 12 and 24 Magnus steps per period, forced: errors of ~9e-8
-        # and ~5e-9, far above the oracle's own ~1e-11.  Both runs store
-        # the same times, inside periods
+        # and ~5e-9, far above the oracle's own ~1e-11.  Both steppings end
+        # runs of the same lengths, inside periods
         ham, psi0, grid = self.cosine_run(params)
-        errors = []
-        for m in (12, 24):
-            traj = periodic_run(ham, psi0, grid, m, store_every=97)
-            oracle = ode_states(lambda t: hamiltonian_at(ham, t), psi0, traj.times)
-            errors.append(np.max(np.abs(traj.states - oracle)))
+        ends = ends_every(grid, 97)
+        oracle = ode_states(lambda t: hamiltonian_at(ham, t), psi0, ends)
+        errors = [np.max(np.abs(run_finals(ham, psi0, 0.0, ends, m) - oracle)) for m in (12, 24)]
         assert 15.2 < errors[0] / errors[1] < 16.8, errors
 
     @staticmethod
     def fast_frame_run(params):
         # omega = 10 omega_c makes the frame rate omega C large.  The pulse
-        # ends after 4.8 periods; dt is not h, so the stored times also take
-        # remainder steps S_delta
+        # ends after 4.8 periods; dt is not h, so runs ending at the grid's
+        # times also take remainder steps S_delta
         cut = FockCutoff(4)
         omega, dt = 10.0 * params.omega_c, 2.5e-4
         drive = DriveParams(0.4 + 0.3j, omega, 60 * dt)
@@ -600,81 +627,85 @@ class TestPeriodicPath:
         monkeypatch.setattr(dynamics, "_step_action", lambda h, tau, order, psi:
                             orders.append(order) or action(h, tau, order, psi))
         ham, psi0, grid = self.fast_frame_run(params)
+        ends = ends_every(grid, 7)
+        oracle = ode_states(lambda t: hamiltonian_at(ham, t), psi0, ends)
         errors = []
         for m in (8, 16):
-            traj = periodic_run(ham, psi0, grid, m, store_every=7)
-            oracle = ode_states(lambda t: hamiltonian_at(ham, t), psi0, traj.times)
-            errors.append(np.max(np.abs(traj.states - oracle)))
+            errors.append(np.max(np.abs(run_finals(ham, psi0, 0.0, ends, m) - oracle)))
             if m == 8:
                 assert orders and {s for _, s in orders} == {1}, orders
         assert errors[0] < 2e-6
         assert 15.2 < errors[0] / errors[1] < 16.8, errors
 
     def test_omega_from_one_product(self, params):
-        # a stack of steps of distinct starts and lengths on the fast frame:
-        # Omega = Y + Y^dag is Hermitian bit for bit, and matches the
-        # two-product form (A_1 + A_2)/2 - i (sqrt(3)/12) tau (A_2 A_1 - A_1 A_2)
+        # stacks of steps of distinct starts on the fast frame, one length
+        # per stack: Omega = Y + Y^dag is Hermitian bit for bit, and matches
+        # the two-product form (A_1 + A_2)/2 - i (sqrt(3)/12) tau (A_2 A_1 - A_1 A_2)
         ham, _, _ = self.fast_frame_run(params)
         h, node = ham.period / 8, dynamics.GAUSS_NODE
-        starts, taus = np.array([0.0, 1.0, 2.5, 7.0]) * h, np.array([1.0, 0.3, 0.77, 1.0]) * h
-        omegas = dynamics._magnus_omegas(ham, starts, taus)
-        assert np.array_equal(omegas, omegas.conj().swapaxes(1, 2))
-        for omega, t, tau in zip(omegas, starts, taus):
-            a1 = frame_harmonics(ham, t + (0.5 - node) * tau)
-            a2 = frame_harmonics(ham, t + (0.5 + node) * tau)
-            two = 0.5 * (a1 + a2) - (0.5j * node * tau) * (a2 @ a1 - a1 @ a2)
-            assert np.max(np.abs(omega - two)) <= 1e-14
+        starts = np.array([0.0, 1.0, 2.5, 7.0]) * h
+        for tau in (h, 0.3 * h, 0.77 * h):
+            omegas = dynamics._magnus_omegas(ham, starts, tau)
+            assert np.array_equal(omegas, omegas.conj().swapaxes(1, 2))
+            for omega, t in zip(omegas, starts):
+                a1 = frame_harmonics(ham, t + (0.5 - node) * tau)
+                a2 = frame_harmonics(ham, t + (0.5 + node) * tau)
+                two = 0.5 * (a1 + a2) - (0.5j * node * tau) * (a2 @ a1 - a1 @ a2)
+                assert np.max(np.abs(omega - two)) <= 1e-14
 
     def test_remainder_step_applied_to_the_state(self, params):
         # S_delta on a state, as the Taylor polynomial applied 2^s times,
-        # against the stacked step matrix times the state; m = 8 squares once
+        # against the step matrix times the state; m = 8 squares once
         ham, _, _ = self.fast_frame_run(params)
         h = ham.period / 8
         beta = ham.periodic_frame[2]
         order = _taylor_order(h * beta + dynamics.GAUSS_NODE * (h * beta) ** 2)
         assert order[1] == 1
         starts, deltas = np.array([0.0, 3.0, 5.0]) * h, np.array([0.9, 0.41, 0.05]) * h
-        omegas = dynamics._magnus_omegas(ham, starts, deltas)
         rng = np.random.default_rng(3)
         psi = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
         psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-        applied = dynamics._step_action(omegas, deltas, order, psi)
-        steps = _step_exponential(omegas, deltas, order)
-        for row, step, state in zip(applied, steps, psi):
-            assert np.max(np.abs(row - step @ state)) <= 1e-14
+        for start, delta, state in zip(starts, deltas, psi):
+            omega = dynamics._magnus_omegas(ham, np.array([start]), delta)[0]
+            applied = dynamics._step_action(omega, delta, order, state)
+            step = _step_exponential(omega, delta, order)
+            assert np.max(np.abs(applied - step @ state)) <= 1e-14
 
     def test_stacks_within_the_byte_budget(self, params, monkeypatch):
         # at dimension 400 one step matrix (2.56 MB) exceeds STACK_BYTES:
-        # every stack, of whole steps or of remainders, holds one matrix,
-        # at m = 4 and at m = 8 alike
-        stacks = []
+        # every stack of whole steps holds one matrix, at m = 4 and at
+        # m = 8 alike, and each run applies its one remainder to its state
+        stacks, remainders = [], []
         stacked, action = dynamics._step_exponential, dynamics._step_action
         monkeypatch.setattr(dynamics, "_step_exponential",
                             lambda h, *a: stacks.append(h.shape) or stacked(h, *a))
         monkeypatch.setattr(dynamics, "_step_action",
-                            lambda h, *a: stacks.append(h.shape) or action(h, *a))
+                            lambda h, *a: remainders.append(h.shape) or action(h, *a))
         cut = FockCutoff(200)
         omega = params.omega_c - params.chi
         ham = lab_drive_hamiltonian(params, DriveParams(0.05, omega, 1.0), cut, "cosine")
         psi0 = basis_state(cut, "g", 0)
-        grid = TimeGrid(0.0, 0.6 * ham.period, 0.1 * ham.period)  # j = 0, 1, 2 and remainders
+        ends = np.array([0.2, 0.6]) * ham.period  # j = 0, 2 at m = 4 and 1, 4 at m = 8
         for m in (4, 8):
             stacks.clear()
-            traj = periodic_run(ham, psi0, grid, m, store_every=2)
+            remainders.clear()
+            finals = run_finals(ham, psi0, 0.0, ends, m)
             per_stack = max(1, dynamics.STACK_BYTES // (16 * 400 * 400))
-            assert per_stack == 1 and len(stacks) >= 3, stacks
+            assert per_stack == 1 and len(stacks) >= 2, stacks
             assert all(shape[0] <= per_stack and shape[1:] == (400, 400) for shape in stacks), stacks
-            assert np.max(np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)) < 1e-12
+            assert remainders == [(400, 400)] * 2, remainders
+            assert np.max(np.abs(np.linalg.norm(finals, axis=1) - 1.0)) < 1e-12
 
     def test_ladder_on_the_fast_frame(self, params):
         # the ladder stops at m = 16 vs 32 (estimates 2.3e-7, 1.4e-8, then
-        # 9e-10 per period), where a rule on ||H_F||_1 took 184 steps
+        # 9e-10 per period), where a rule on ||H_F||_1 took 184 steps; runs
+        # of the grid's shorter lengths each take their own ladder
         ham, psi0, grid = self.fast_frame_run(params)
-        traj = integrate(ham, psi0, grid, store_every=7)
         report = convergence_check(ham, psi0, grid)
         assert report.steps_per_period <= 32 and report.passed, str(report)
-        oracle = ode_states(lambda t: hamiltonian_at(ham, t), psi0, traj.times)
-        assert np.max(np.abs(traj.states - oracle)) < 1e-6
+        ends = ends_every(grid, 7)
+        oracle = ode_states(lambda t: hamiltonian_at(ham, t), psi0, ends)
+        assert np.max(np.abs(run_finals(ham, psi0, 0.0, ends) - oracle)) < 1e-6
 
     def test_run_shorter_than_a_step(self, params):
         # 0.124 periods fit in one step at m = 8, where the m = 4 and 8
@@ -693,13 +724,13 @@ class TestPeriodicPath:
         # the checked run is its check's ladder, 4 + 8 steps of one period
         # and one remainder step per rung, stepped once; a rule on
         # ||H_F||_1 took 34 and its 2m rerun 67.  Steps are counted as the
-        # lengths of the stacks exponentiated plus the remainders applied
+        # lengths of the stacks exponentiated plus one per remainder applied
         steps = []
         stacked, action = dynamics._step_exponential, dynamics._step_action
         monkeypatch.setattr(dynamics, "_step_exponential",
                             lambda h, *a: steps.append(len(h)) or stacked(h, *a))
         monkeypatch.setattr(dynamics, "_step_action",
-                            lambda h, *a: steps.append(len(h)) or action(h, *a))
+                            lambda h, *a: steps.append(1) or action(h, *a))
         config = parse_config("scenario=custom\ndrive_form=cosine\nsweep_values=4\n")
         _, runs = scenarios._POINTS["custom"](config.points()[0])
         _, report = scenarios._evolve(runs["e"], True)
@@ -714,7 +745,7 @@ class TestPeriodicPath:
         rungs = []
         advance = dynamics._advance_periodic
         monkeypatch.setattr(dynamics, "_advance_periodic",
-                            lambda *a, **k: rungs.append(a[6]) or advance(*a, **k))
+                            lambda *a, **k: rungs.append(a[4]) or advance(*a, **k))
         ham, psi0, grid = self.fast_frame_run(params)
         integrate(ham, psi0, grid)
         assert max(rungs) <= 2**12 and len(rungs) <= 11, rungs
@@ -747,7 +778,7 @@ class TestPeriodicPath:
 
     def test_runtime_independent_of_step_count(self, params):
         # 10^6 grid steps over ~318 drive periods: the periodic path steps
-        # one period per rung of the ladder and ~1000 snapshot remainders
+        # one period per rung of the ladder, whatever the grid
         cut = FockCutoff(4)
         omega = params.omega_c - params.chi
         ham = lab_drive_hamiltonian(params, DriveParams(0.05, omega, 10.0), cut, "cosine")
@@ -757,8 +788,8 @@ class TestPeriodicPath:
         traj = integrate(ham, basis_state(cut, "g", 0), grid)
         elapsed = time.perf_counter() - start
         assert elapsed < 3.0, f"{grid.steps} steps took {elapsed:.2f} s"
-        assert len(traj.times) == 1001 and traj.times[-1] == pytest.approx(10.0)
-        assert np.max(np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)) < 1e-10
+        assert np.array_equal(traj.times, [0.0, 10.0])
+        assert abs(np.linalg.norm(traj.final) - 1.0) < 1e-10
 
 
 class TestStepExponential:
@@ -778,20 +809,20 @@ class TestStepExponential:
             assert np.linalg.norm(e.conj().T @ e - np.eye(dim), 2) <= 1e-13
 
     @pytest.mark.parametrize("largest", [0.45, 3.0])
-    def test_stack_with_distinct_steps(self, largest):
-        # one call on a stack of five matrices with their own tau, under
-        # the one order of the largest bound: no squaring, then s = 3
+    def test_stack_under_one_order(self, largest):
+        # one call on a stack of five matrices of distinct norms and one
+        # tau, under the one order of the largest bound: no squaring, then s = 3
         rng = np.random.default_rng(11)
         x = rng.normal(size=(5, 16, 16)) + 1j * rng.normal(size=(5, 16, 16))
         h = x + x.conj().swapaxes(1, 2)
-        bounds = largest * np.array([1.0, 0.5, 0.1, 0.03, 0.7])
-        taus = bounds / np.linalg.norm(h, 1, axis=(1, 2))
+        norms = np.array([1.0, 0.5, 0.1, 0.03, 0.7])
+        h *= (norms / np.linalg.norm(h, 1, axis=(1, 2)))[:, None, None]
         order = _taylor_order(largest)
         assert (order[1] > 0) == (largest > 0.5), order
-        e = _step_exponential(h, taus, order)
+        e = _step_exponential(h, largest, order)
         assert e.shape == h.shape
-        for step, matrix, tau in zip(e, h, taus):
-            assert np.max(np.abs(step - expm_antihermitian(matrix, tau))) <= 1e-13
+        for step, matrix in zip(e, h):
+            assert np.max(np.abs(step - expm_antihermitian(matrix, largest))) <= 1e-13
 
     def test_takes_the_given_degree_and_squarings(self):
         # (K, s) = (3, 2): the cubic Taylor polynomial of A = -i tau h / 4, squared twice
@@ -843,7 +874,7 @@ class TestPhaseBlocks:
         f *= max_phase / (n_max * self.DT) / np.max(np.abs(f))
         return np.round(f * 2.0**24) / 2.0**24 if dyadic else f
 
-    # what integrate asks for on a fig4 run: the stored steps after 0,
+    # what excited_trace asks for on a fig4 run: the stored steps after 0,
     # stride, 2 stride, ..., 4055 stride, then the final step, off the stride
     FIG4 = dict(count=4055, stride=55, last=55 * 4055 + 17)
 
@@ -1036,25 +1067,18 @@ class TestConvergence:
             assert report.passed, str(report)
             assert np.array_equal(checked, scenarios._evolve(run, False)[0])
 
-    def test_checked_run_ends_where_integrate_stores_last(self):
-        # a periodic run on a grid of 32 steps, stored every third: the
-        # check's one final time ends in the state integrate stores last
-        ham = _cosine_two_level(FockCutoff(2))
-        run = scenarios.Run(ham, basis_state(ham.cutoff, "g", 0), TimeGrid(0.0, 8.0, 0.25), None)
-        final = integrate(run.ham, run.psi0, run.grid, store_every=3).final
-        assert np.array_equal(scenarios._evolve(run, True)[0], final)
-
     def test_grid_step_over_many_drive_periods(self):
         # 0.25 cos(60 t)(a + a'): each grid step of dt = 0.25 spans about
         # five drive periods, but the periodic path steps each period as
-        # finely as its ladder asks, so the stored states still follow the drive
+        # finely as its ladder asks, so the final states of runs ending at
+        # each of the grid's 32 times follow the drive
         ham = _cosine_two_level(FockCutoff(2))
         psi0 = basis_state(ham.cutoff, "g", 0)
         grid = TimeGrid(0.0, 8.0, 0.25)
-        traj = integrate(ham, psi0, grid)
-        assert len(traj.times) == 33
-        oracle = ode_states(lambda t: hamiltonian_at(ham, t), psi0, traj.times)
-        assert np.max(np.abs(traj.states - oracle)) < 1e-6
+        ends = ends_every(grid, 1)
+        assert len(ends) == 32
+        oracle = ode_states(lambda t: hamiltonian_at(ham, t), psi0, ends)
+        assert np.max(np.abs(run_finals(ham, psi0, 0.0, ends) - oracle)) < 1e-6
         report = convergence_check(ham, psi0, grid)
         assert report.passed, str(report)
 
