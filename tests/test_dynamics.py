@@ -1067,6 +1067,14 @@ class TestConvergence:
             assert report.passed, str(report)
             assert np.array_equal(checked, scenarios._evolve(run, False)[0])
 
+    def test_checked_run_ends_where_integrate_stores_last(self):
+        # a periodic run on a grid of 32 steps of about five drive periods
+        # each: the check's one final time ends in integrate's final state
+        ham = _cosine_two_level(FockCutoff(2))
+        run = scenarios.Run(ham, basis_state(ham.cutoff, "g", 0), TimeGrid(0.0, 8.0, 0.25), None)
+        final = integrate(run.ham, run.psi0, run.grid).final
+        assert np.array_equal(scenarios._evolve(run, True)[0], final)
+
     def test_grid_step_over_many_drive_periods(self):
         # 0.25 cos(60 t)(a + a'): each grid step of dt = 0.25 spans about
         # five drive periods, but the periodic path steps each period as
