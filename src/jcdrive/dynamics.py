@@ -35,10 +35,16 @@ and takes one of two paths, chosen once by TimeDependentHamiltonian.exact:
   h = P/m gives the period propagator U_P, and the run's end, at
   t - t_s = n P + j h + delta, is reached as
 
-      psi(t) = R(t) S_delta U_j U_P^n R(t_s)^dag psi(t_s),
+      psi(t) = R(t) G S_delta U_j U_P^n G^dag R(t_s)^dag psi(t_s),
 
-  with U_j the product of the first j steps and S_delta the same step over
-  length delta.  Each step is the fourth-order Magnus step exp(-i h Omega),
+  with U_j the product of the first j steps, S_delta the same step over
+  length delta, and the steps taken in the exact path's gauge G.  For the
+  cosine drive the harmonics of G^dag H_F G are real, so
+  G^dag H_F(-t) G = (G^dag H_F(t) G)^*: from a start at a whole multiple
+  of P/2 (every scenario run starts at 0) and at even m, step m - 1 - k of
+  a period is step k transposed, and only the first m/2 are
+  exponentiated, U_P = U_h^T U_h (see _advance_periodic).
+  Each step is the fourth-order Magnus step exp(-i h Omega),
   Omega = (A_1 + A_2)/2 - i (sqrt(3)/12) h [A_2, A_1], with A_{1,2} = H_F at
   the Gauss-Legendre nodes t_k + (1/2 -/+ sqrt(3)/6) h; its exponential is
   a scaled and squared Taylor polynomial, not an eigendecomposition,
@@ -81,7 +87,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -213,61 +219,91 @@ class TimeDependentHamiltonian:
         object.__setattr__(self, "period", period)
 
     @cached_property
+    def gauge(self) -> tuple[np.ndarray, float]:
+        """(G, rounding): the gauge G = exp(-i phi C) of both frames and the rounding of its phases.
+
+        phi is the phase of the drive's largest element (0 with no drive).
+        G^dag X G multiplies an element X_ij, which raises C by
+        d = c_i - c_j, by e^{i d phi}, so it makes real a V that is e^{i phi}
+        times a real matrix lowering C by one (the rwa cavity drive and the
+        qubit drive), and the cosine drive eps a + eps* a^dag with phi = arg eps.
+        Each phase phi c rounds by about eps |phi| c, so an imaginary part of
+        G^dag X G within ``rounding`` of its element's magnitude is rounding
+        (_gauged).
+        """
+        charge = excitation_charge(self.cutoff)
+        phase = 0.0
+        if self.drive is not None:
+            phase = float(np.angle(self.drive.flat[np.argmax(np.abs(self.drive))]))
+        rounding = 8.0 * np.finfo(float).eps * (1.0 + abs(phase) * charge[-1])
+        return np.exp(-1j * phase * charge), rounding
+
+    @cached_property
     def static_frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(omega C, E, gauge, vr): the frame's rates and the eigensystem of the exact path's H_F.
 
         H_F = H_0 + V + V^dag - omega C is static on the exact path; with no
         drive it is H_0, and the rates are zero.  Its eigenvectors are
-        gauge[:, None] * vr, the columns of G vr: the gauge G = exp(-i phi C),
-        phi the phase of the drive's largest element (0 with no drive), turns
-        an element of H_F that changes C by d by e^{-i d phi}, so
-        G^dag H_F G is real when H_0 is real and V is e^{i phi} times a real
-        matrix that lowers C by one (the rwa cavity drive and the qubit
-        drive).  Then vr is the real orthogonal eigenbasis of that matrix,
-        from one real eigh; where G^dag H_F G is not real beyond the rounding
-        of the phases phi C, vr is its complex unitary eigenbasis.  Computed on
+        gauge[:, None] * vr, the columns of G vr for the gauge G of
+        ``self.gauge``: G^dag H_F G is real when H_0 is real and V is
+        e^{i phi} times a real matrix that lowers C by one (the rwa cavity
+        drive and the qubit drive).  Then vr is the real orthogonal eigenbasis
+        of that matrix, from one real eigh; where G^dag H_F G is not real
+        beyond rounding, vr is its complex unitary eigenbasis.  Computed on
         first use and kept, so every run of this Hamiltonian and its
         convergence checks share one eigendecomposition.
         """
-        charge = excitation_charge(self.cutoff)
         if self.drive is None:
-            rate, h, phase = np.zeros(self.cutoff.dim), self.static_part, 0.0
+            rate, h = np.zeros(self.cutoff.dim), self.static_part
         else:
-            rate = self.omega * charge
+            rate = self.omega * excitation_charge(self.cutoff)
             h = self.static_part + self.drive + self.drive.conj().T - np.diag(rate)
-            phase = float(np.angle(self.drive.flat[np.argmax(np.abs(self.drive))]))
-        gauge = np.exp(-1j * phase * charge)
-        h = gauge.conj()[:, None] * h * gauge  # G^dag H_F G
-        # each phase phi c rounds by about eps |phi| c: an imaginary part within
-        # that of its element is rounding, and any larger one makes h complex
-        rounding = 8.0 * np.finfo(float).eps * (1.0 + abs(phase) * charge[-1])
-        if np.all(np.abs(h.imag) <= rounding * np.abs(h)):
-            h = h.real
-        evals, vr = eigh(h)
-        return rate, evals, gauge, vr
+        h, real = _gauged(self, h)  # G^dag H_F G
+        evals, vr = eigh(h.real if real else h)
+        return rate, evals, self.gauge[0], vr
 
     @cached_property
-    def periodic_frame(self) -> tuple[np.ndarray, tuple, float]:
-        """(rate, parts, beta): the periodic path's frame, kept like static_frame.
+    def periodic_frame(self) -> tuple[np.ndarray, tuple, float, bool]:
+        """(rate, parts, beta, real): the periodic path's frame, kept like static_frame.
 
-        Its steps take H_F - mu, mu centring the diagonal of H_0 - omega C: a
-        scalar only turns the global phase, which rate = omega C + mu puts
-        back, and centring shrinks the Taylor orders.  The frame turns element
-        (i, j) of H_0 - rate by e^{i omega t (c_i - c_j)} and of V by e^{i omega t}
-        more, so beta = || |H_0 - rate| + |V| + |V|^T ||_1 bounds ||H_F(t) - mu||_1,
-        and parts = (f, M) sums H_F(t) - mu as e^{i f_k t} M_k, M_k flattened, one per
-        turn rate: three for the cosine drive, up to 4 n_max for a dense H_0.
+        Its steps take G^dag (H_F - mu) G, in the gauge G of ``self.gauge``,
+        mu centring the diagonal of H_0 - omega C: a scalar only turns the
+        global phase, which rate = omega C + mu puts back, and centring
+        shrinks the Taylor orders.  The frame turns element (i, j) of
+        H_0 - rate by e^{i omega t (c_i - c_j)} and of V by e^{i omega t}
+        more, so beta = || |H_0 - rate| + |V| + |V|^T ||_1 bounds
+        ||H_F(t) - mu||_1, and parts = (f, M) sums G^dag (H_F(t) - mu) G as
+        e^{i f_k t} M_k, M_k flattened, one per turn rate: three for the
+        cosine drive, up to 4 n_max for a dense H_0.  ``real`` says that
+        every M_k is real beyond the gauge's rounding, and then the M_k are
+        kept real: the gauged H_F(-t) is the conjugate of the gauged H_F(t),
+        which _advance_periodic uses to step half of a period.
         """
         charge = excitation_charge(self.cutoff)
         diag = np.diag(self.static_part).real - self.omega * charge
         rate = self.omega * charge + 0.5 * (diag.max() + diag.min())
         h0f, v_abs = self.static_part - np.diag(rate), np.abs(self.drive)
         beta = float(np.linalg.norm(np.abs(h0f) + v_abs + v_abs.T, 1))
+        (h0f, real_h0), (v, real_v) = _gauged(self, h0f), _gauged(self, self.drive)
+        real = real_h0 and real_v
+        if real:
+            h0f, v = h0f.real, v.real
         turns, dc = {}, np.rint(charge[:, None] - charge[None, :]).astype(int)
-        for part, extra in ((h0f, 0), (self.drive, 1), (self.drive.conj().T, -1)):
+        for part, extra in ((h0f, 0), (v, 1), (v.conj().T, -1)):
             for k in set((dc[part != 0] + extra).tolist()):
                 turns[k] = turns.get(k, 0) + np.where(dc + extra == k, part, 0).ravel()
-        return rate, (self.omega * np.array(list(turns)), np.array(list(turns.values()))), beta
+        parts = (self.omega * np.array(list(turns)), np.array(list(turns.values())))
+        return rate, parts, beta, real
+
+
+def _gauged(ham, h):
+    """(G^dag h G, real) for a (d, d) matrix h, G from ham.gauge.
+
+    ``real`` says that every imaginary part is within the gauge's rounding.
+    """
+    gauge, rounding = ham.gauge
+    h = gauge.conj()[:, None] * h * gauge
+    return h, bool(np.all(np.abs(h.imag) <= rounding * np.abs(h)))
 
 
 def hamiltonian_at(ham: TimeDependentHamiltonian, t: float) -> np.ndarray:
@@ -533,6 +569,18 @@ def _scaled(h, tau, squarings):
     return ((-1j / 2.0**squarings) * tau) * h
 
 
+@lru_cache(maxsize=None)
+def _polynomial_plan(degree):
+    """(q, coef, lead) of _step_exponential's Paterson-Stockmeyer evaluation at Taylor degree K.
+
+    q is the smallest power that minimises q - 1 + K // q products (one
+    fewer when the top block is the lone A^K term), coef the Taylor
+    coefficients 1/k!, k = 0..K, and lead the top block's first term.
+    """
+    q = min(range(1, degree + 1), key=lambda q: q - 1 + degree // q - (degree % q == 0))
+    return q, tuple(1.0 / math.factorial(k) for k in range(degree + 1)), degree - degree % q
+
+
 def _step_exponential(h, tau, order):
     """exp(-i tau h) for h one matrix or a (k, d, d) stack, one tau for all.
 
@@ -540,18 +588,15 @@ def _step_exponential(h, tau, order):
     degree-K Taylor polynomial of A = -i tau h / 2^s, squared s times.  The
     polynomial is evaluated by Paterson and Stockmeyer (SIAM J. Comput. 2,
     60 (1973)): with the powers A, ..., A^q, it is Horner's rule in A^q on
-    blocks of q terms, q - 1 + K // q products (one fewer when the top block
-    is the lone A^K term) instead of K - 1; q is the smallest that minimises
-    that count.
+    blocks of q terms, q - 1 + K // q products instead of K - 1, with q and
+    the coefficients planned once per degree (_polynomial_plan).
     """
     degree, squarings = order
     a = _scaled(h, tau, squarings)
-    q = min(range(1, degree + 1), key=lambda q: q - 1 + degree // q - (degree % q == 0))
+    q, coef, lead = _polynomial_plan(degree)
     powers = [a]
     for _ in range(q - 1):
         powers.append(powers[-1] @ a)
-    coef = [1.0 / math.factorial(k) for k in range(degree + 1)]
-    lead = degree - degree % q  # the top block's first term
     if lead == degree:  # a lone top term: coef[K] A^q takes no product
         e, lead = coef[degree] * powers[-1], lead - q
     else:
@@ -594,15 +639,28 @@ def _batches(count, dim):
 
 
 def _advance_periodic(ham, psi, t_start, duration, m, watch=None):
-    """(final, seen): psi(t) = R(t) S_delta U_j U_P^n R(t_s)^dag psi(t_s), t - t_s = duration.
+    """(final, seen): psi(t) = R(t) G S_delta U_j U_P^n (R(t_s) G)^dag psi(t_s), t - t_s = duration.
 
     duration = n P + j h + delta: m Magnus steps of h = P/m from t_s give
-    U_P, and U_j is the product of their first j; the period is stepped
-    whole only when n > 0, else only up to its j-th step.  The steps are
-    exponentiated as (k, d, d) stacks (_magnus_omegas, _step_exponential),
-    k at most STACK_BYTES worth and at least one, so memory does not grow
-    with m.  U_P^n is n matrix-vector products; S_delta is the Magnus step
-    over [t_j, t_j + delta], skipped when delta = 0 and otherwise applied to
+    U_P, and U_j is the product of their first j, all of the gauged
+    G^dag (H_F - mu) G of ham.periodic_frame; G is folded into R(t_s) and
+    R(t) as on the exact path.  The steps are exponentiated as (k, d, d)
+    stacks (_magnus_omegas, _step_exponential), k at most STACK_BYTES worth
+    and at least one, so memory does not grow with m.
+
+    Only the first half of a period is stepped when the gauged harmonics
+    are real, m is even and t_s is a whole multiple of P/2, within the
+    rounding of t_s.  The gauged H_F(t) is then the conjugate of the
+    gauged H_F(2 t_s - t), and periodic in P, and the Gauss-Legendre
+    Magnus step is time-symmetric (Blanes, Casas, Oteo and Ros, Phys.
+    Rep. 470, 151 (2009)), so step m - 1 - k is step k transposed: with
+    U_h the product of the first m/2 steps, U_P = U_h^T U_h, and
+    U_j = U_{m-j}^* U_P for j > m/2.  Any other run steps the whole period.
+    A run shorter than a period (n = 0) stops at step j, or at step m/2
+    when it mirrors a j > m/2.
+
+    U_P^n is n matrix-vector products; S_delta is the Magnus step over
+    [t_j, t_j + delta], skipped when delta = 0 and otherwise applied to
     the state (_step_action).  Every step exponential has the Taylor order
     of h beta + (sqrt(3)/6)(h beta)^2, beta from periodic_frame, which
     bounds tau ||Omega||_1 for tau <= h since ||[A_2, A_1]||_1 <= 2 beta^2;
@@ -615,22 +673,35 @@ def _advance_periodic(ham, psi, t_start, duration, m, watch=None):
     delta = duration - whole * h
     n, j = divmod(whole, m)
 
-    rate, _, beta = ham.periodic_frame
+    rate, _, beta, real = ham.periodic_frame
+    halves = 2.0 * t_start / ham.period
+    aligned = abs(halves - round(halves)) <= 16 * np.finfo(float).eps * max(1.0, abs(halves))
+    mirror = real and m % 2 == 0 and aligned
+    flip = mirror and j > m // 2  # U_j = U_{m-j}^* U_P
+    half = mirror and (n > 0 or flip)  # U_P = U_h^T U_h
+    stepped = m // 2 if half else m if n > 0 else j
+    kept = m - j if flip else j
     order = _taylor_order(h * beta + GAUSS_NODE * (h * beta) ** 2)
     dim = psi.shape[0]
-    u = u_j = np.eye(dim, dtype=complex)
-    for k in _batches(m if n > 0 else j, dim):
+    u = u_kept = np.eye(dim, dtype=complex)
+    for k in _batches(stepped, dim):
         steps = _step_exponential(_magnus_omegas(ham, t_start + k * h, h), h, order)
         for k_i, step in zip(k.tolist(), steps):
             u = step @ u
-            if k_i + 1 == j:
-                u_j = u
+            if k_i + 1 == kept:
+                u_kept = u
+    if half:
+        # U_h^T copied to C order first: the product with the transposed
+        # view raised cosine_pulse's peak RSS by 0.12 MB
+        u = np.ascontiguousarray(u.T) @ u
     if n > 0:
         # one Newton-Schulz step to the nearest unitary, so that n products
         # of U_P do not compound the rounding of its m factors
         u = u @ (1.5 * np.eye(len(u)) - 0.5 * (u.conj().T @ u))
+    u_j = u_kept.conj() @ u if flip else u_kept
 
-    frame = np.exp(-1j * ham.omega * t_start * excitation_charge(ham.cutoff))  # R(t_s)
+    charge = excitation_charge(ham.cutoff)
+    frame = np.exp(-1j * ham.omega * t_start * charge) * ham.gauge[0]  # R(t_s) G
     phi = frame.conj() * psi
     seen = None if watch is None else [np.abs(phi[watch])]
     for _ in range(n):

@@ -60,7 +60,7 @@ def static_hamiltonian(params, cutoff):
 
 
 def frame_harmonics(ham, t):
-    """H_F(t) - mu at one t, summed from the turn rates of ham.periodic_frame."""
+    """G^dag (H_F(t) - mu) G at one t, summed from the gauged turn rates of ham.periodic_frame."""
     freqs, mats = ham.periodic_frame[1]
     return (np.exp(1j * t * freqs) @ mats).reshape(ham.static_part.shape)
 
@@ -560,9 +560,11 @@ class TestPeriodicPath:
 
     @pytest.mark.parametrize("breaking", [0.0, 0.1])
     def test_frame_hamiltonian_from_its_harmonics(self, params, breaking):
-        # H_F(t) - mu, summed from the turn rates of periodic_frame as the
-        # steps sum it, against R(t)^dag H(t) R(t) - omega C built
-        # literally; mu is one scalar, and a sigma_x in H_0 adds odd turns
+        # G^dag (H_F(t) - mu) G, summed from the turn rates of periodic_frame
+        # as the steps sum it, against R(t)^dag H(t) R(t) - omega C built
+        # literally and taken into the gauge G = exp(-i arg(eps) C); mu is
+        # one scalar, and a sigma_x in H_0 adds odd turns, which the gauge
+        # leaves complex
         cut = FockCutoff(5)
         ops = build_mode_operators(cut)
         omega = params.omega_c - params.chi
@@ -570,12 +572,14 @@ class TestPeriodicPath:
             static_part=jc_hamiltonian(params, cut) + breaking * (ops.sp + ops.sm), cutoff=cut,
             drive=(0.3 + 0.2j) * ops.a + (0.3 - 0.2j) * ops.a_dag, omega=omega,
         )
-        rate = ham.periodic_frame[0]
+        rate, _, _, real = ham.periodic_frame
+        assert real == (breaking == 0.0)
         charge = excitation_charge(cut)
         mu = rate - omega * charge
         assert np.ptp(mu) < 1e-12
+        gauge = np.exp(-1j * cmath.phase(0.3 + 0.2j) * charge)
         for t in (0.0, 0.37, 12.9):
-            r = np.exp(-1j * omega * t * charge)
+            r = np.exp(-1j * omega * t * charge) * gauge
             literal = (r.conj()[:, None] * hamiltonian_at(ham, t) * r) - np.diag(rate)
             np.testing.assert_allclose(frame_harmonics(ham, t), literal, rtol=0, atol=1e-12)
 
@@ -696,6 +700,71 @@ class TestPeriodicPath:
             assert remainders == [(400, 400)] * 2, remainders
             assert np.max(np.abs(np.linalg.norm(finals, axis=1) - 1.0)) < 1e-12
 
+    @pytest.mark.parametrize("omega_c", [100.0, -100.0])
+    @pytest.mark.parametrize("halves", [0, 3])
+    def test_second_half_is_the_first_transposed(self, omega_c, halves):
+        # a complex eps, a drive frequency of either sign, and a start at 0
+        # or 3P/2: the gauged harmonics are real, and the Magnus steps of the
+        # period's second half, stepped literally, multiply to the product
+        # of its first half transposed
+        params = SystemParams.from_lambda(g=1.0, lam=0.1, omega_c=omega_c)
+        omega = params.omega_c - params.chi
+        ham = lab_drive_hamiltonian(params, DriveParams(0.4 + 0.3j, omega, 1.0), FockCutoff(6),
+                                    "cosine")
+        assert ham.periodic_frame[3] and (ham.omega > 0) == (omega_c > 0)
+        m = 8
+        h, beta = ham.period / m, ham.periodic_frame[2]
+        order = _taylor_order(h * beta + dynamics.GAUSS_NODE * (h * beta) ** 2)
+        starts = halves * ham.period / 2 + np.arange(m) * h
+        steps = _step_exponential(dynamics._magnus_omegas(ham, starts, h), h, order)
+        first, second = np.eye(12), np.eye(12)
+        for step in steps[: m // 2]:
+            first = step @ first
+        for step in steps[m // 2 :]:
+            second = step @ second
+        assert np.max(np.abs(second - first.T)) <= 1e-14
+
+    @pytest.mark.parametrize("case", ["start 0", "start 333 dt", "charge-breaking H_0", "odd m"])
+    def test_steps_exponentiated_per_run(self, params, monkeypatch, case):
+        # runs of 2.3 and 2.7 periods, whose ends fall before and after the
+        # middle of a period: a run from t = 0 on real gauged harmonics
+        # exponentiates half of the period's m steps, and ends where a run
+        # stepping all m of them does; a start inside a half period, complex
+        # harmonics (a sigma_x in H_0 with a complex drive) and an odd m
+        # step the whole period
+        ham, psi0, grid = self.cosine_run(params)
+        m, t0 = 8, 0.0
+        if case == "start 333 dt":
+            t0 = 333 * grid.dt
+        elif case == "charge-breaking H_0":
+            ops = build_mode_operators(ham.cutoff)
+            ham = TimeDependentHamiltonian(
+                static_part=ham.static_part + 0.1 * (ops.sp + ops.sm), cutoff=ham.cutoff,
+                drive=ham.drive, omega=ham.omega,
+            )
+            assert not ham.periodic_frame[3]
+        elif case == "odd m":
+            m = 7
+        formed = []
+        stacked = dynamics._step_exponential
+        monkeypatch.setattr(dynamics, "_step_exponential",
+                            lambda h, *a: formed.append(len(h)) or stacked(h, *a))
+        ends = t0 + np.array([2.3, 2.7]) * ham.period
+        finals = run_finals(ham, psi0, t0, ends, m)
+        per_run = m // 2 if case == "start 0" else m
+        assert sum(formed) == 2 * per_run, formed
+        if case == "start 0":
+            # the same runs, and one ending inside the first period after
+            # its middle, with the real flag cleared: every step formed
+            ends = np.append(ends, 0.7 * ham.period)
+            mirrored = run_finals(ham, psi0, t0, ends, m)
+            ham.__dict__["periodic_frame"] = (*ham.periodic_frame[:3], False)
+            formed.clear()
+            whole = run_finals(ham, psi0, t0, ends, m)
+            assert sum(formed) == 2 * m + 5, formed
+            assert np.max(np.abs(mirrored - whole)) <= 1e-13
+            assert np.array_equal(mirrored[:2], finals)
+
     def test_ladder_on_the_fast_frame(self, params):
         # the ladder stops at m = 16 vs 32 (estimates 2.3e-7, 1.4e-8, then
         # 9e-10 per period), where a rule on ||H_F||_1 took 184 steps; runs
@@ -721,10 +790,11 @@ class TestPeriodicPath:
 
     def test_magnus_steps_per_checked_run(self, monkeypatch):
         # the default cosine sweep's alpha^2 = 4 excited point, 1274 periods:
-        # the checked run is its check's ladder, 4 + 8 steps of one period
-        # and one remainder step per rung, stepped once; a rule on
-        # ||H_F||_1 took 34 and its 2m rerun 67.  Steps are counted as the
-        # lengths of the stacks exponentiated plus one per remainder applied
+        # the checked run is its check's ladder, 2 + 4 steps of half a
+        # period at m = 4 and 8 and one remainder step per rung, stepped
+        # once; stepping the whole period took 4 + 8, a rule on ||H_F||_1
+        # took 34 and its 2m rerun 67.  Steps are counted as the lengths of
+        # the stacks exponentiated plus one per remainder applied
         steps = []
         stacked, action = dynamics._step_exponential, dynamics._step_action
         monkeypatch.setattr(dynamics, "_step_exponential",
@@ -735,7 +805,7 @@ class TestPeriodicPath:
         _, runs = scenarios._POINTS["custom"](config.points()[0])
         _, report = scenarios._evolve(runs["e"], True)
         assert report.passed is True and report.steps_per_period == 8, str(report)
-        assert 0 < sum(steps) <= 14, steps
+        assert 0 < sum(steps) <= 8, steps
 
     def test_ladder_ends_at_the_rounding_floor(self, params, monkeypatch):
         # a threshold no estimate can reach: the ladder still stops, once a
