@@ -62,15 +62,6 @@ MAX_LAB_PHASE = 0.099 * 2**53
 # apiece.  Each row costs a pass over the cutoff's dimension, so the rows
 # times the dimension are held to the entries of that same dense matrix.
 MAX_N_MAX = 2048
-# The most drive periods a cosine-drive point may span.  The periodic path
-# applies its period propagator once per period, as a matrix-vector product
-# and a watch of two components, for each stepping of its ladder: at least
-# two steppings per branch, four per cavity point.  One period took 2.0 us
-# at dimension 34 and 4.0 us at 78 (one Xeon core, one BLAS thread), so the
-# cap is 8-16 s of that loop per point at desk-scale cutoffs, where
-# epsilon = 1e-7 at alpha_sq = 1 (3.2e8 periods) would take hours.  It stays
-# until the period propagator is diagonalised once instead (ROADMAP item 3).
-MAX_PERIODS = 10**6
 
 
 class ConfigError(ValueError):
@@ -261,11 +252,8 @@ def parse_config(text: str) -> ScenarioConfig:
     a dense matrix at MAX_N_MAX has entries, over the cutoff's dimension),
     a cavity-drive or fig4 point whose alpha_sq exceeds
     MAX_POISSON_ALPHA_SQ, and a point whose detuning phase |Delta| T or
-    lab-frame phase rho T exceeds MAX_PHASE or MAX_LAB_PHASE, and a
-    cosine-drive point whose pulse spans more than MAX_PERIODS drive periods
-    (on the first line that sets the amplitude epsilon, or another input of
-    the count) are errors carrying the line number.  An empty file yields
-    all defaults.
+    lab-frame phase rho T exceeds MAX_PHASE or MAX_LAB_PHASE are errors
+    carrying the line number.  An empty file yields all defaults.
     """
     values: dict = {}
     seen: dict[str, int] = {}
@@ -355,9 +343,6 @@ def parse_config(text: str) -> ScenarioConfig:
     # The detuning phase, checked where a line sets the detuning: the swept
     # lambda, omega_q, lambda or g (see MAX_PHASE for the default detuning).
     key = next((k for k in ("omega_q", "lambda", "g") if k in seen), None)
-    period_keys = ("omega_c",) if readout else ("epsilon", "alpha_sq", "omega_c")
-    period_line = next((lines[k] for k in (*period_keys, "lambda", "omega_q", "g", "drive_form")
-                        if lines.get(k)), None)
     lab_line = next((lines[k] for k in ("eta_abs" if fig4 else "epsilon", "omega_c", "lambda",
                                         "omega_q", "g", "alpha_sq", "n_max") if lines.get(k)), None)
     for point in points:
@@ -385,12 +370,6 @@ def parse_config(text: str) -> ScenarioConfig:
                               f"{point.time_points + 1} stored rows, more than the {rows} that "
                               f"dimension {cutoff.dim} allows: rows times dimension may not exceed "
                               f"a dense matrix at n_max={MAX_N_MAX}", seen.get("time_points"))
-        # the cosine drive's H_F repeats with P = pi/|omega_d|, omega_d = omega_c -/+ chi
-        periods = T * (abs(params.omega_c) + abs(params.chi)) / math.pi
-        if point.drive_form == "cosine" and not fig4 and periods > MAX_PERIODS:
-            raise ConfigError(f"drive_form=cosine steps a pulse of {periods:.3g} drive periods, "
-                              f"more than {MAX_PERIODS:g}, each a matrix-vector product per "
-                              f"stepping of the periodic path", period_line)
         rho = 0.099 / dt_bound(params, cutoff, 0.0 if fig4 else abs(complex(point.epsilon)),
                                point.qubit_drive_strength() if fig4 else 0.0)
         if not rho * T <= MAX_LAB_PHASE:

@@ -52,7 +52,8 @@ and takes one of two paths, chosen once by TimeDependentHamiltonian.exact:
   K.  The steps of a period are built as (k, d, d) stacks of at most
   STACK_BYTES, their A's from one product and their commutators from one
   stacked product; S_delta is applied to the state it acts on, as K
-  matrix-vector products 2^s times over, and never formed.  A
+  matrix-vector products 2^s times over, and never formed; U_P^n takes
+  log2(n) squarings and at most TRUNCATION_SAMPLES products.  A
   step-doubling ladder (_ladder) doubles m from M0 = 4 until the final
   states at m and 2m differ by at most CONVERGENCE_THRESHOLD per period,
   and the run keeps the 2m stepping: the cost is set by m, not by the
@@ -419,7 +420,7 @@ def excited_trace(
     the next, so beyond P_e and the times the trace holds only
     O(dim (sqrt(stored times) + block)) numbers.  With a real vr each block
     is one real matrix product.  Exact Hamiltonians only; raises ValueError
-    on a periodic one.
+    on a periodic one, and on a ``store_every`` that is not a positive int.
     """
     if not ham.exact:
         raise ValueError("excited_trace needs an exact (static frame) Hamiltonian; "
@@ -454,8 +455,11 @@ def _stored_steps(grid, store_every):
 
     n = 0, stride, 2 stride, ... strictly below grid.steps, then grid.steps
     itself; the stride is ``store_every``, by default about 1000 samples
-    over the run.
+    over the run, and otherwise must be a positive int.
     """
+    if store_every is not None and not (isinstance(store_every, (int, np.integer))
+                                        and store_every > 0):
+        raise ValueError(f"store_every must be a positive int, got {store_every!r}")
     steps = grid.steps
     stride = store_every if store_every is not None else max(1, math.ceil(steps / 1000))
     stored = np.append(np.arange((steps - 1) // stride + 1) * stride, steps)
@@ -659,14 +663,19 @@ def _advance_periodic(ham, psi, t_start, duration, m, watch=None):
     A run shorter than a period (n = 0) stops at step j, or at step m/2
     when it mirrors a j > m/2.
 
-    U_P^n is n matrix-vector products; S_delta is the Magnus step over
-    [t_j, t_j + delta], skipped when delta = 0 and otherwise applied to
-    the state (_step_action).  Every step exponential has the Taylor order
-    of h beta + (sqrt(3)/6)(h beta)^2, beta from periodic_frame, which
-    bounds tau ||Omega||_1 for tau <= h since ||[A_2, A_1]||_1 <= 2 beta^2;
-    R(t) e^{-i mu duration} = R(t_s) e^{-i rate duration}.  With ``watch``,
-    a list of components, ``seen`` lists |psi_i(t_s + p P)| for
-    p = 0, 1, ..., n, one row per period; without, it is None.
+    U_P^n = (U_P^span)^q U_P^r, span the least power of two with
+    q = floor(n/span) <= TRUNCATION_SAMPLES: the state takes U_P^r bit by
+    bit while U_P is squared, then, after the Newton-Schulz step that U_P
+    also takes (_unitarised), q products of U_P^span; at
+    n <= TRUNCATION_SAMPLES that is n products of U_P.  S_delta is the
+    Magnus step over [t_j, t_j + delta], skipped when delta = 0 and
+    otherwise applied to the state (_step_action).  Every step exponential
+    has the Taylor order of h beta + (sqrt(3)/6)(h beta)^2, beta from
+    periodic_frame, which bounds tau ||Omega||_1 for tau <= h since
+    ||[A_2, A_1]||_1 <= 2 beta^2; R(t) e^{-i mu duration} =
+    R(t_s) e^{-i rate duration}.  With ``watch``, a list of components,
+    ``seen`` is (times - t_s, rows |psi_i|) at the whole periods
+    0, r + span, r + 2 span, ..., n; without, None.
     """
     h = ham.period / m
     whole = math.floor(duration / h + 1e-9)  # steps of h, a whole number up to rounding
@@ -694,17 +703,23 @@ def _advance_periodic(ham, psi, t_start, duration, m, watch=None):
         # U_h^T copied to C order first: the product with the transposed
         # view raised cosine_pulse's peak RSS by 0.12 MB
         u = np.ascontiguousarray(u.T) @ u
-    if n > 0:
-        # one Newton-Schulz step to the nearest unitary, so that n products
-        # of U_P do not compound the rounding of its m factors
-        u = u @ (1.5 * np.eye(len(u)) - 0.5 * (u.conj().T @ u))
+    if n > 0:  # so that products of U_P do not compound the rounding of its m factors
+        u = _unitarised(u)
     u_j = u_kept.conj() @ u if flip else u_kept
 
     charge = excitation_charge(ham.cutoff)
     frame = np.exp(-1j * ham.omega * t_start * charge) * ham.gauge[0]  # R(t_s) G
     phi = frame.conj() * psi
     seen = None if watch is None else [np.abs(phi[watch])]
-    for _ in range(n):
+    span = 1  # U_P^n = (U_P^span)^q U_P^r: the bits of r applied while U_P is squared
+    while n // span > TRUNCATION_SAMPLES:
+        if n & span:
+            phi = u @ phi
+        u = u @ u
+        span *= 2
+    if span > 1:
+        u = _unitarised(u)
+    for _ in range(n // span):
         phi = u @ phi
         if watch is not None:
             seen.append(np.abs(phi[watch]))
@@ -712,7 +727,14 @@ def _advance_periodic(ham, psi, t_start, duration, m, watch=None):
     if delta >= 1e-9 * h:
         omega = _magnus_omegas(ham, np.array([t_start + j * h]), delta)[0]
         final = _step_action(omega, delta, order, final)
+    if watch is not None:
+        seen = np.append(0, n % span + span * np.arange(1, n // span + 1)) * ham.period, seen
     return final * frame * np.exp(-1j * rate * duration), seen
+
+
+def _unitarised(u):
+    """u (3 - u^dag u)/2: one Newton-Schulz step from a near-unitary u to the nearest unitary."""
+    return u @ (1.5 * np.eye(len(u)) - 0.5 * (u.conj().T @ u))
 
 
 def _ladder(ham, psi, t_start, duration, watch=None):
@@ -749,10 +771,12 @@ class ConvergenceReport:
 
     ``steps_per_period`` is the m a periodic run used (its ladder's last 2m),
     ``fidelity_dt`` the fidelity of its final state with the ladder's state
-    at m/2, ``step_error`` the ladder's estimate (an exact run: None, 1.0, 0).
-    ``fidelity_cutoff`` = max(0, 1 - B^2) for the ``truncation_bound`` B (see
-    convergence_check).  The run ``passed`` when both fidelities reach
-    1 - CONVERGENCE_THRESHOLD and the estimate is at most CONVERGENCE_THRESHOLD.
+    at m/2, both normalised, ``step_error`` the ladder's estimate and
+    ``norm_drift`` |(norm of its final state) - 1| (an exact run, a unitary
+    closed form: None, 1.0, 0, 0).  ``fidelity_cutoff`` = max(0, 1 - B^2)
+    for the ``truncation_bound`` B (see convergence_check).  The run
+    ``passed`` when both fidelities reach 1 - CONVERGENCE_THRESHOLD and the
+    estimate and the drift are at most CONVERGENCE_THRESHOLD.
     """
 
     fidelity_dt: float
@@ -761,6 +785,7 @@ class ConvergenceReport:
     n_max: int
     final: np.ndarray = field(repr=False, compare=False)
     step_error: float = 0.0
+    norm_drift: float = 0.0
 
     @property
     def fidelity_cutoff(self) -> float:
@@ -770,12 +795,14 @@ class ConvergenceReport:
     def passed(self) -> bool:
         floor = 1.0 - CONVERGENCE_THRESHOLD
         return (self.fidelity_dt >= floor and self.fidelity_cutoff >= floor
-                and self.step_error <= CONVERGENCE_THRESHOLD)
+                and self.step_error <= CONVERGENCE_THRESHOLD
+                and self.norm_drift <= CONVERGENCE_THRESHOLD)
 
     def __str__(self):
         m, mark = self.steps_per_period, "converged" if self.passed else "NOT converged"
         dt_axis = "dt: exact" if m is None else (f"F(m={m // 2} vs {m}) = {self.fidelity_dt:.12f} "
-                                                 f"({self.step_error:.2g} per period)")
+                                                 f"({self.step_error:.2g} per period, "
+                                                 f"norm drift {self.norm_drift:.2g})")
         return (f"{mark}: {dt_axis}, F(n_max={self.n_max}) >= {self.fidelity_cutoff:.12f} "
                 f"(truncation bound {self.truncation_bound:.3g}; "
                 f"threshold 1 - {CONVERGENCE_THRESHOLD:g})")
@@ -804,13 +831,14 @@ def convergence_check(ham: TimeDependentHamiltonian, psi0: np.ndarray,
 
     * exact path: the composite midpoint rule on TRUNCATION_SAMPLES
       samples of the frame state, from the run's eigendecomposition;
-    * periodic path: the trapezoid rule on the whole periods that the
-      ladder's 2m stepping passes, and its final state.
+    * periodic path: the trapezoid rule on the at most TRUNCATION_SAMPLES + 1
+      whole periods that the ladder's 2m stepping watches, and its final state.
 
-    Either sum, times QUADRATURE_MARGIN, is reported as the bound.  At the
-    scenario defaults each sum moves by less than 1e-3 relative when its
-    samples are thinned (the exact path from 16,000 to 250 samples, the
-    periodic path to every other period): the margin covers a thousand times that.
+    Either sum, times QUADRATURE_MARGIN, is reported as the bound.  Thinning
+    moves each sum little: the exact path's by under 1e-3 relative from
+    16,000 to 250 samples at the scenario defaults, the periodic path's by
+    at most 1.1e-4 from every period of the default cosine sweeps (custom,
+    fig2d, custom at epsilon = 0.005) and 2.3e-3 at 250 samples.
     """
     if ham.remake is None:
         raise ValueError("Hamiltonian has no remake recipe; cannot read the coupling "
@@ -819,7 +847,7 @@ def convergence_check(ham: TimeDependentHamiltonian, psi0: np.ndarray,
     duration = grid.t1 - grid.t0
     if ham.exact:
         final = integrate(ham, psi0, grid).final  # grid positional: bench/spans.py reads args[2]
-        m, fid_dt, estimate = None, 1.0, 0.0
+        m, fid_dt, estimate, drift = None, 1.0, 0.0, 0.0
         _, evals, _, vr = ham.static_frame
         h = duration / TRUNCATION_SAMPLES
         c = _eigen_coefficients(ham, psi0, grid.t0)
@@ -833,13 +861,17 @@ def convergence_check(ham: TimeDependentHamiltonian, psi0: np.ndarray,
         _check_start(ham, psi0)
         m, final, coarse, seen, estimate = _ladder(ham, psi0.astype(complex), grid.t0, duration,
                                                    watch)
-        fid_dt = float(abs(np.vdot(final, coarse)) ** 2)
-        times = np.append(np.arange(len(seen)) * ham.period, duration)
-        flux = np.linalg.norm(np.vstack((seen, np.abs(final[watch]))) @ coupling.T, axis=1)
+        norm = float(np.linalg.norm(final))
+        fid_dt = float((abs(np.vdot(final, coarse)) / (norm * np.linalg.norm(coarse))) ** 2)
+        drift = abs(norm - 1.0)
+        times, rows = seen
+        times = np.append(times, duration)
+        flux = np.linalg.norm(np.vstack((rows, np.abs(final[watch]))) @ coupling.T, axis=1)
         integral = 0.5 * float(np.sum((flux[1:] + flux[:-1]) * np.diff(times)))
     return ConvergenceReport(
         fidelity_dt=fid_dt, truncation_bound=QUADRATURE_MARGIN * integral,
         steps_per_period=m, n_max=ham.cutoff.n_max, final=final, step_error=estimate,
+        norm_drift=drift,
     )
 
 

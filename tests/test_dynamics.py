@@ -479,6 +479,13 @@ class TestExcitedTrace:
         times = self.assert_matches_integrate(ham, psi0, grid, store_every)
         assert times[0] == 0.37 and times[-1] == pytest.approx(2.37)
 
+    @pytest.mark.parametrize("store_every", [0, -3, 2.5])
+    def test_refuses_a_stride_that_is_not_a_positive_int(self, params, store_every):
+        cut = FockCutoff(4)
+        ham = qubit_drive_lab_hamiltonian(params, QubitDriveParams(0.3, params.omega_q, 1.0), cut)
+        with pytest.raises(ValueError, match="store_every must be a positive int"):
+            excited_trace(ham, basis_state(cut, "g", 1), TimeGrid(0.0, 1.0, 0.01), store_every)
+
     def test_refuses_a_periodic_hamiltonian(self, params):
         cut = FockCutoff(6)
         ham = lab_drive_hamiltonian(params, DriveParams(0.05, params.omega_c, 1.0), cut, "cosine")
@@ -548,6 +555,62 @@ class TestPeriodicPath:
         assert np.max(np.abs(run_finals(ham, psi0, 0.0, ends) - oracle)) < 1e-6
         final = ode_final(lambda t: hamiltonian_at(ham, t), psi0, grid.t1)
         assert 1.0 - fid(integrate(ham, psi0, grid).final, final) < 1e-10
+
+    @pytest.mark.parametrize("samples", [2, 1])
+    def test_squared_cosine_run_against_ode_oracle(self, params, monkeypatch, samples):
+        # the same runs with U_P squared: at 2 samples the 5-period run
+        # takes U_P^5 = (U_P^2)^2 U_P, at 1 sample (U_P^4) U_P, and runs of
+        # 3 and 4 periods take their own remainders
+        monkeypatch.setattr(dynamics, "TRUNCATION_SAMPLES", samples)
+        self.test_cosine_run_against_ode_oracle(params)
+
+    @pytest.mark.parametrize("periods", [0, 1, 4, 5, 8, 9, 13, 14, 15])
+    def test_squared_period_propagator(self, params, monkeypatch, periods):
+        # at 4 samples a run of n periods takes U_P^n = (U_P^span)^q U_P^r
+        # with q = n // span <= 4: span 2 from n = 5, 4 from n = 10, and
+        # r = 2 at n = 14 takes only the second bit.  Against the run that
+        # applies U_P once per period: the same final state, and the watched
+        # magnitudes at the whole periods it samples, which the check's
+        # trapezoid takes with their times
+        ham, psi0, _ = self.cosine_run(params)
+        psi0 = psi0.astype(complex)
+        duration = (periods + 0.3) * ham.period
+        grid = TimeGrid(0.0, duration, duration)
+        coupling, watch = dynamics._cut_coupling(ham)
+        m = convergence_check(ham, psi0, grid).steps_per_period
+        final, (_, rows) = dynamics._advance_periodic(ham, psi0, 0.0, duration, m, watch)
+        monkeypatch.setattr(dynamics, "TRUNCATION_SAMPLES", 4)
+        squared, (times, seen) = dynamics._advance_periodic(ham, psi0, 0.0, duration, m, watch)
+        assert np.max(np.abs(squared - final)) <= 1e-13
+        assert len(times) == len(seen) <= 4 + 1
+        at = times / ham.period
+        assert np.array_equal(at, np.rint(at)) and at[0] == 0 and at[-1] == periods
+        assert np.all(np.diff(at) > 0)
+        assert np.max(np.abs(np.array(seen) - np.array(rows)[at.astype(int)])) <= 1e-13
+        if periods <= 4:  # no squaring: the same products in the same order
+            assert np.array_equal(squared, final) and np.array_equal(seen, rows)
+        report = convergence_check(ham, psi0, grid)
+        assert report.steps_per_period == m
+        sampled = np.vstack((np.array(rows)[at.astype(int)], np.abs(final[watch])))
+        flux = np.linalg.norm(sampled @ coupling.T, axis=1)
+        trapezoid = 0.5 * np.sum((flux[1:] + flux[:-1]) * np.diff(np.append(times, duration)))
+        assert report.truncation_bound == pytest.approx(dynamics.QUADRATURE_MARGIN * trapezoid,
+                                                        rel=1e-12)
+
+    def test_squared_run_thins_the_truncation_bound(self):
+        # the default cosine sweep's alpha^2 = 4 point, 1272 periods, sampled
+        # every other period: both runs' bounds within 1e-4 of the trapezoid
+        # over every period (7.4e-5 and 6.8e-5), their final states within 1e-13
+        config = parse_config("scenario=custom\ndrive_form=cosine\nsweep_values=4\n")
+        _, runs = scenarios._POINTS["custom"](config.points()[0])
+        for run in runs.values():
+            thinned = convergence_check(run.ham, run.psi0, run.grid)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(dynamics, "TRUNCATION_SAMPLES", 10**6)
+                every = convergence_check(run.ham, run.psi0, run.grid)
+            assert thinned.passed and every.passed
+            assert thinned.truncation_bound == pytest.approx(every.truncation_bound, rel=1e-4)
+            assert np.max(np.abs(thinned.final - every.final)) <= 1e-13
 
     def test_run_starting_inside_the_pulse(self, params):
         # t0 = 333 dt, not a whole period: the frame R(t_s) at the run's
@@ -1114,6 +1177,7 @@ class TestConvergence:
 
     @pytest.mark.parametrize("failing", [
         {"fidelity_dt": 1.0 - 1e-7}, {"truncation_bound": 1e-3}, {"step_error": 1e-6},
+        {"norm_drift": 1e-6},
     ])
     def test_report_fails_on_each_axis(self, failing):
         # a report that passes, with one axis at a time past the threshold
@@ -1123,6 +1187,17 @@ class TestConvergence:
         report = ConvergenceReport(**{**fields, **failing})
         assert report.passed is False
         assert str(report).startswith("NOT converged")
+
+    def test_long_cosine_pulse_fidelity_at_most_one(self):
+        # fig2d's cosine pulse at |epsilon| = 0.001, 63,700 periods: the
+        # ladder's fidelity is taken between normalised final states, where
+        # the raw overlap read 1.000000000015, and the norm drift is its own axis
+        config = parse_config("scenario=fig2d\ndrive_form=cosine\nsweep_values=0.001\n")
+        report = scenarios.convergence_probe(config)
+        assert report.passed and report.steps_per_period == 8, str(report)
+        assert report.fidelity_dt <= 1.0 + 4 * np.finfo(float).eps
+        assert 0.0 < report.norm_drift < 1e-12
+        assert f"norm drift {report.norm_drift:.2g})" in str(report)
 
     @pytest.mark.parametrize("form", ["cosine", "rwa"])
     def test_checked_run_is_the_unchecked_run(self, form):
