@@ -1,19 +1,20 @@
 """Command line interface: ``sim run`` executes a scenario, ``sim check`` reports convergence.
 
-    sim run   --config FILE [--out CSV] [--set KEY=VALUE ...]
+    sim run   --config FILE [--out CSV] [--set KEY=VALUE]...
     sim check --config FILE
 
 The config file holds key=value lines (see config); each ``--set`` appends
 one more line, so it overrides the file, and ``--set scenario=NAME`` picks
 the scenario; a fault on such a line names its ``--set`` entry.  The CSV
-goes to ``--out``, else to SCENARIO.csv.
+goes to ``--out``, else to SCENARIO.csv.  ``--opt=VALUE`` is ``--opt VALUE``, only
+``--set`` repeats, options are never abbreviated, and ``-h``/``--help`` prints the usage.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure.
+Exit codes: 0 success, 1 usage or configuration error (an unreadable or
+non-UTF-8 config too), 2 numerical failure.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
 
@@ -24,34 +25,42 @@ from .scenarios import convergence_probe, emit_csv, run_scenario
 
 __all__ = ["main", "entry"]
 
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sim",
-        description="Driven qubit-cavity simulations: figure sweeps and readout analysis.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="run a scenario and write its CSV")
-    run_p.add_argument("--config", required=True, help="key=value config file")
-    run_p.add_argument("--out", help="output CSV path (default: SCENARIO.csv)")
-    run_p.add_argument(
-        "--set", action="append", default=[], metavar="KEY=VALUE",
-        help="override a config entry; repeatable",
-    )
-
-    check_p = sub.add_parser("check", help="convergence report for the configured scenario")
-    check_p.add_argument("--config", required=True, help="key=value config file")
-    return parser
+USAGE = ("usage: sim run   --config FILE [--out CSV] [--set KEY=VALUE]...\n"
+         "       sim check --config FILE\n")
+_OPTIONS = {"run": ("--config", "--out", "--set"), "check": ("--config",)}
 
 
-def _load_config(args) -> "ScenarioConfig":
+def _parse_args(argv) -> tuple[str, dict]:
+    """``(command, {option: value, "--set": [entries]})``; ValueError outside USAGE."""
+    args = iter(argv)
+    command = next(args, None)
+    if command not in _OPTIONS:
+        raise ValueError("missing command" if command is None else f"unknown command {command!r}")
+    options = {"--set": []}
+    for arg in args:
+        name, eq, value = arg.partition("=")
+        if name not in _OPTIONS[command]:
+            raise ValueError(f"{command}: unrecognised argument {arg!r}")
+        if not eq and (value := next(args, "-")).startswith("-"):
+            raise ValueError(f"{command}: {name} needs a value")
+        if name == "--set":
+            options[name].append(value)
+        elif name in options:
+            raise ValueError(f"{command}: {name} given more than once")
+        else:
+            options[name] = value
+    if "--config" not in options:
+        raise ValueError(f"{command}: --config FILE is required")
+    return command, options
+
+
+def _load_config(path: str, entries: list[str]) -> "ScenarioConfig":
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     lines = text.splitlines()
-    sets = [(entry, line) for entry in getattr(args, "set", []) for line in entry.splitlines()]
+    sets = [(entry, line) for entry in entries for line in entry.splitlines()]
     try:
         return parse_config("\n".join([*lines, *(line for _, line in sets)]))
     except ConfigError as exc:
@@ -62,10 +71,18 @@ def _load_config(args) -> "ScenarioConfig":
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(USAGE, end="")
+        return 0
     try:
-        config = _load_config(args)
-        outcome = run_scenario(config) if args.command == "run" else convergence_probe(config)
+        command, options = _parse_args(argv)
+    except ValueError as exc:
+        print(f"usage error: {exc}\n{USAGE}", end="", file=sys.stderr)
+        return 1
+    try:
+        config = _load_config(options["--config"], options["--set"])
+        outcome = run_scenario(config) if command == "run" else convergence_probe(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -73,10 +90,10 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 
-    if args.command == "check":
+    if command == "check":
         print(f"{config.scenario}: {outcome}")
         return 0 if outcome.passed else 2
-    out = args.out or f"{config.scenario}.csv"
+    out = options.get("--out") or f"{config.scenario}.csv"
     try:
         emit_csv(outcome, out)
     except OSError as exc:

@@ -690,6 +690,50 @@ class TestCli:
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/no/such/file.cfg"]) == 1
 
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        # a decoding fault is a config error on the file, not a numerical failure
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"scenario=custom\n# caf\xe9\n")
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {str(cfg)!r}: 'utf-8' codec ")
+
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus"], ["run"], ["run", "--config"],
+        ["run", "--config", "CFG", "--config", "CFG"],
+        ["run", "--config", "CFG", "--bogus", "1"],
+        ["run", "--conf", "CFG"],
+        ["check", "--config", "CFG", "--out", "x"],
+    ], ids=lambda argv: " ".join(argv) or "no arguments")
+    def test_usage_error(self, tmp_path, capsys, argv):
+        # a command line outside the grammar exits 1, like a config error,
+        # without raising SystemExit
+        cfg = self._write(tmp_path, FAST_SCENARIO)
+        assert main([cfg if arg == "CFG" else arg for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: ") and captured.err.count("usage: sim") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["run", "-h"], ["check", "--help"]],
+                             ids=" ".join)
+    def test_help(self, capsys, argv):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: sim run ") and captured.err == ""
+
+    def test_options_joined_by_equals(self, tmp_path, capsys):
+        # --opt=VALUE is --opt VALUE; a --set value keeps its own '='
+        cfg = self._write(tmp_path, FAST_SCENARIO)
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        assert main(["run", "--config", cfg, "--out", str(spaced), "--set", "sweep_values=2"]) == 0
+        assert main(["run", f"--config={cfg}", f"--out={joined}", "--set=sweep_values=2"]) == 0
+        # every cell but the last, wall_time_s
+        spaced_rows, joined_rows = (
+            [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+            for path in (spaced, joined)
+        )
+        assert spaced_rows == joined_rows and joined_rows[2].startswith("2,")
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("eigenvalues did not converge")
@@ -871,6 +915,20 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_run_does_not_load_argparse(self, tmp_path):
+        # the command line is parsed directly: neither argparse nor the
+        # gettext and locale modules its messages pull in are loaded by a run
+        argv = ["run", "--config", self._write(tmp_path, FAST_SCENARIO),
+                "--out", str(tmp_path / "o.csv")]
+        code = (
+            "import sys; from jcdrive.cli import main; "
+            f"assert main({argv!r}) == 0; "
+            "print(sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
 
     def test_runtime_does_not_load_scipy(self):
         # numpy is the only runtime dependency; scipy is a test-only oracle
