@@ -79,8 +79,16 @@ def reduced_qubit(psi: np.ndarray) -> np.ndarray:
 
 
 def entanglement_entropy(psi: np.ndarray) -> float:
-    """Von Neumann entropy of the reduced qubit, in bits; 0 iff the pure state factorizes."""
-    evals = np.linalg.eigvalsh(reduced_qubit(psi))
-    evals = np.clip(evals.real, 0.0, 1.0)
-    nz = evals[evals > 1e-300]
-    return max(0.0, float(-np.sum(nz * np.log2(nz))))
+    """Von Neumann entropy, in bits, of the reduced qubit of psi/||psi||; 0 iff psi factorizes.
+
+    Its smaller eigenvalue p = 2 det / (1 + sqrt(1 - 4 det)) takes det rho from
+    the qubit branch b of larger norm and the other's part s_perp orthogonal
+    to b, |b|^2 |s_perp|^2 / ||psi||^4, exact to rounding where an eigensolver's
+    1e-16 would swamp p (about lam^6 |alpha|^4 on a dressed coherent state).
+    """
+    big, small = sorted(psi.reshape(2, -1), key=np.linalg.norm, reverse=True)
+    nb, ns = np.vdot(big, big).real, np.vdot(small, small).real
+    perp = small - (np.vdot(big, small) / nb) * big
+    det = nb * np.vdot(perp, perp).real / (nb + ns) ** 2
+    p = 2.0 * det / (1.0 + np.sqrt(max(0.0, 1.0 - 4.0 * det)))
+    return float(-(p * np.log2(p) + (1.0 - p) * np.log1p(-p) / np.log(2.0))) if p > 0.0 else 0.0

@@ -5,7 +5,7 @@ and compares against the closed-form dressed-coherent-state predictions.
 A point is a ScenarioConfig (``ScenarioConfig.points()``: one per swept
 value, or the config itself for fig4 and readout).  There are three kinds
 of point, each with one builder that returns its runs (Hamiltonian,
-initial state, time grid, drive): a cavity-drive fidelity point (fig2a-d,
+initial state, length, drive): a cavity-drive fidelity point (fig2a-d,
 custom), the fig4 qubit-drive point and the readout point; ``_POINTS``
 maps each scenario to its builder.  ``sim run`` scores every run of every
 point; ``sim check`` (``convergence_probe``) builds the first point through
@@ -13,11 +13,11 @@ the same table and checks its first run.  The five sweep scenarios share
 one runner, driven by the swept quantity (``config.SWEEP_AXES``) and a
 table of CSV columns.
 
-No path is held to a step, so each run's grid is the one step [0, T]; only
-fig4's two traces take a step grid, of the ``config.dt_bound`` step or
-tau/time_points where that is finer, for their stored times.  They take
-P_e straight from the run's eigenbasis (``dynamics.excited_trace``) and
-store no state.
+No path is held to a step, so ``_evolve`` makes each run on the one-step
+grid [0, T] that it builds from the run's length; only fig4's two traces
+take a step grid, of the ``config.dt_bound`` step or tau/time_points where
+that is finer, for their stored times.  They take P_e straight from the
+run's eigenbasis (``dynamics.excited_trace``) and store no state.
 
 A runner returns a ScenarioResult, column-major: one sequence per CSV
 column, so fig4 hands over its time and P_e arrays as they are, and
@@ -147,18 +147,19 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 # shared machinery
 
 class Run(NamedTuple):
-    """A point's lab-frame evolution under ``drive`` on grid = [0, T], made once by _evolve."""
+    """A point's lab-frame evolution under ``drive`` on [0, T], made once by _evolve."""
 
     ham: TimeDependentHamiltonian
     psi0: np.ndarray
-    grid: TimeGrid
+    T: float
     drive: DriveParams | QubitDriveParams
 
 
 def _evolve(run: Run, check: bool) -> tuple[np.ndarray, Optional[ConvergenceReport]]:
-    """The run's final state and, if ``check``, its report: convergence_check makes that run."""
-    report = convergence_check(run.ham, run.psi0, run.grid) if check else None
-    return (report or integrate(run.ham, run.psi0, run.grid)).final, report
+    """The run's final state on the one-step grid [0, T] and, if ``check``, that run's report."""
+    grid = TimeGrid(0.0, run.T, run.T)
+    report = convergence_check(run.ham, run.psi0, grid) if check else None
+    return (report or integrate(run.ham, run.psi0, grid)).final, report
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +189,6 @@ def _cavity_point(point: ScenarioConfig):
     eps = complex(point.epsilon)
     T = point.pulse_length()
     cutoff = FockCutoff(cavity_cutoff(point.drive_amplitude(), point.n_max))
-    grid = TimeGrid(0.0, T, T)
     epsilon = abs(eps) * np.exp(1j * np.angle(eps))  # polar, as points() sets a swept |eps|
     runs = {}
     for branch, omega_d, psi0 in (
@@ -197,7 +197,7 @@ def _cavity_point(point: ScenarioConfig):
     ):
         drive = DriveParams(epsilon, omega_d, T)
         ham = lab_drive_hamiltonian(params, drive, cutoff, point.drive_form)
-        runs[branch] = Run(ham, psi0, grid, drive)
+        runs[branch] = Run(ham, psi0, T, drive)
     return params, runs
 
 
@@ -220,9 +220,8 @@ def _qubit_drive_point(point: ScenarioConfig):
     basis = dressed_basis(params, cutoff, "exact")
     drive = QubitDriveParams(eta_abs * np.exp(1j * point.eta_phase), omega, point.pulse_length())
     ham = qubit_drive_lab_hamiltonian(params, drive, cutoff)
-    grid = TimeGrid(0.0, drive.tau, drive.tau)
     return params, {
-        label: Run(ham, dressed_coherent_state("g", beta, basis), grid, drive)
+        label: Run(ham, dressed_coherent_state("g", beta, basis), drive.tau, drive)
         for label, beta in (("real", beta_abs + 0j), ("imag", 1j * beta_abs))
     }
 
@@ -235,11 +234,10 @@ def _readout_point(point: ScenarioConfig):
     params = point.system_params()
     drive = DriveParams(complex(point.epsilon), params.omega_c - params.chi, point.pulse_length())
     cutoff = FockCutoff(cavity_cutoff(point.drive_amplitude(), point.n_max))
-    grid = TimeGrid(0.0, drive.T, drive.T)
     ham = lab_drive_hamiltonian(params, drive, cutoff, point.drive_form)
     return params, {
-        "g": Run(ham, basis_state(cutoff, "g", 0), grid, drive),
-        "e": Run(ham, _excited_start(point, params, cutoff, "bare"), grid, drive),
+        "g": Run(ham, basis_state(cutoff, "g", 0), drive.T, drive),
+        "e": Run(ham, _excited_start(point, params, cutoff, "bare"), drive.T, drive),
     }
 
 
@@ -306,6 +304,7 @@ def _meta(config: ScenarioConfig, params: SystemParams, **extra) -> dict:
         "drive_form": config.drive_form,
         "phase_correction": "on" if config.phase_correction else "off",
         "basis": config.basis,
+        "check_convergence": "on" if config.check_convergence else "off",
     }
     meta.update({k: str(v) for k, v in extra.items()})
     return meta
@@ -324,12 +323,13 @@ _SWEEP_COLUMNS["custom"] = _SWEEP_COLUMNS["fig2a"]
 
 
 def _run_sweep(config: ScenarioConfig) -> ScenarioResult:
-    """One row per swept value; the metadata names alpha_sq where it is held fixed."""
+    """One row per swept value; the metadata names the start and alpha_sq where it is fixed."""
     axis = config.sweep_axis
     scored = _map_points(_fidelity_point, config.points(), config.workers)
     columns = (*_SWEEP_COLUMNS[config.scenario], "converged", "wall_time_s")
     data = (config.sweep_grid(), *(tuple(p[c] for p in scored) for c in columns))
     extra = {} if axis == "alpha_sq" else {"alpha_sq": f"{config.alpha_sq:g}"}
+    extra["initial"] = config.initial or "dressed"
     return ScenarioResult(
         config.scenario, (axis, *columns), data, _meta(config, config.system_params(), **extra)
     )
@@ -347,13 +347,12 @@ def _run_fig4(config: ScenarioConfig) -> ScenarioResult:
     params, runs = _POINTS[config.scenario](config)
     real = runs["real"]
     eta_abs = config.qubit_drive_strength()
-    tau = real.drive.tau
-    dt = min(dt_bound(params, real.ham.cutoff, 0.0, eta_abs), tau / config.time_points)
-    grid = TimeGrid.for_duration(tau, dt)
+    dt = min(dt_bound(params, real.ham.cutoff, 0.0, eta_abs), real.T / config.time_points)
+    grid = TimeGrid.for_duration(real.T, dt)
     store_every = max(1, grid.steps // config.time_points)
     times, pe_r = excited_trace(real.ham, real.psi0, grid, store_every)
     _, pe_i = excited_trace(runs["imag"].ham, runs["imag"].psi0, grid, store_every)
-    # an exact run's report depends on t0 and T alone, so the run's own grid serves
+    # an exact run's report depends on t0 and T alone, so _evolve's one-step grid serves
     converged = not config.check_convergence or _evolve(real, check=True)[1].passed
 
     abs_diff = np.abs(pe_r - pe_i)

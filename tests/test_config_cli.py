@@ -546,17 +546,17 @@ check_convergence=off
 
 _FIDELITY = "one_minus_F_D_g,one_minus_F_D_e,F_D_g,F_D_e"
 _FIG2A = f"alpha_sq,{_FIDELITY},gap_g,gap_e,P_e_g,P_e_e,n_g,n_e,entropy_g,entropy_e"
-_META = "g lambda omega_c omega_q chi epsilon drive_form phase_correction basis"
+_META = "g lambda omega_c omega_q chi epsilon drive_form phase_correction basis check_convergence"
 # scenario -> (fast config, CSV header, keys of the '# scenario=' line)
 SCHEMAS = {
-    "fig2a": ("sweep_values=1", f"{_FIG2A},converged,wall_time_s", _META),
+    "fig2a": ("sweep_values=1", f"{_FIG2A},converged,wall_time_s", f"{_META} initial"),
     "fig2b": ("sweep_values=1", "alpha_sq,F_D_g,F_g,gap_g,F_D_e,F_e,gap_e,converged,wall_time_s",
-              _META),
+              f"{_META} initial"),
     "fig2c": ("sweep_values=0.1\nalpha_sq=1", f"lambda,{_FIDELITY},converged,wall_time_s",
-              f"{_META} alpha_sq"),
+              f"{_META} alpha_sq initial"),
     "fig2d": ("sweep_values=0.1\nalpha_sq=1", f"epsilon_abs,{_FIDELITY},converged,wall_time_s",
-              f"{_META} alpha_sq"),
-    "custom": ("sweep_values=1", f"{_FIG2A},converged,wall_time_s", _META),
+              f"{_META} alpha_sq initial"),
+    "custom": ("sweep_values=1", f"{_FIG2A},converged,wall_time_s", f"{_META} initial"),
     "fig4": ("time_points=10", "t,P_e_beta_real,P_e_beta_imag,abs_diff,converged",
              f"{_META} beta_sq eta_abs omega_drive max_abs_diff wall_time_s"),
     "readout": ("", "alpha_g_abs_analytic,alpha_e_abs_analytic,n_g_sim,n_e_sim,"
@@ -577,6 +577,17 @@ class TestRunScenario:
         params = meta.split("params=", 1)[1].split(", ")
         assert [kv.split("=", 1)[0] for kv in params] == keys.split()
         assert columns == header
+
+    @pytest.mark.parametrize("text, check, initial", [
+        ("", "on", "dressed"),
+        ("check_convergence=off\ninitial=bare\n", "off", "bare"),
+    ])
+    def test_sweep_metadata_names_the_check_and_the_start(self, tmp_path, text, check, initial):
+        cfg = parse_config(f"scenario=fig2b\nsweep_values=1\n{text}")
+        path = tmp_path / "out.csv"
+        emit_csv(run_scenario(cfg), path)
+        params = path.read_text().splitlines()[0].split("params=", 1)[1].split(", ")
+        assert f"check_convergence={check}" in params and f"initial={initial}" in params
 
     def test_fig4_rows_when_the_pulse_is_short(self):
         # at eta_abs = 1e5 the pulse is about 65 dt_bound steps, fewer than

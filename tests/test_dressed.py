@@ -22,6 +22,7 @@ from jcdrive.hilbert import (
     expm_antihermitian,
     jc_hamiltonian,
     poisson_amplitudes,
+    required_cutoff,
 )
 from jcdrive.metrics import entanglement_entropy, excited_probability, reduced_qubit
 
@@ -187,6 +188,53 @@ class TestDressedCoherentState:
             "Poisson weight 1.56e-10 of |alpha|=3 lies beyond 34 levels; it must be below 1e-10"
         )
         assert "need n_max" not in str(info.value)
+
+
+# (lam, alpha^2) of the entanglement oracle: p/(lam^6 |alpha|^4) - 1 scales as lam^2
+ENTANGLEMENT_GRID = [(lam, a2) for lam in (0.025, 0.0125, 0.00625) for a2 in (1.0, 4.0, 16.0)]
+
+
+class TestDressedCoherentEntanglement:
+    """The paper's title claim: the dressed coherent state of the dispersive
+    regime is entangled, its reduced qubit's smaller eigenvalue p tending to
+    lam^6 |alpha|^4 as lam -> 0."""
+
+    @staticmethod
+    def state(lam, a2):
+        params = SystemParams.from_lambda(g=1.0, lam=lam, omega_c=100.0)
+        alpha = math.sqrt(a2)
+        basis = dressed_basis(params, FockCutoff(required_cutoff(alpha)), "exact")
+        return dressed_coherent_state("g", alpha, basis)
+
+    @staticmethod
+    def smaller_eigenvalue(psi):
+        """p of a normalized state, from R of a Householder QR of its two qubit branches.
+
+        det rho = (|R_00| |R_11|)^2, and the QR's columnwise backward error
+        keeps |R_11|, the excited branch's part orthogonal to the ground
+        branch, to its own relative precision, where an eigensolver's 1e-16
+        absolute error would swamp p.
+        """
+        n = psi.shape[0] // 2
+        r = np.linalg.qr(np.stack((psi[:n], psi[n:]), axis=1), mode="r")
+        det = (abs(r[0, 0]) * abs(r[1, 1])) ** 2
+        return 2.0 * det / (1.0 + math.sqrt(1.0 - 4.0 * det))
+
+    @pytest.mark.parametrize("lam, a2", ENTANGLEMENT_GRID)
+    def test_smaller_eigenvalue_tends_to_lam6_alpha4(self, lam, a2):
+        # (1 - p/(lam^6 |alpha|^4))/lam^2 tends to 29.0, 59.0 and 178.8 at
+        # alpha^2 = 1, 4, 16 as lam -> 0.003125: about 19 + 10 |alpha|^2
+        p = self.smaller_eigenvalue(self.state(lam, a2))
+        assert abs(p / (lam**6 * a2**2) - 1.0) <= 2.0 * (19.0 + 10.0 * a2) * lam**2
+
+    @pytest.mark.parametrize("lam, a2", ENTANGLEMENT_GRID)
+    def test_entropy_is_that_of_p(self, lam, a2):
+        # S(p) in bits; an eigensolver's p was off by 1.2e-4 relative at
+        # lam = 0.00625, alpha^2 = 1
+        psi = self.state(lam, a2)
+        p = self.smaller_eigenvalue(psi)
+        s = -(p * math.log2(p) + (1.0 - p) * math.log1p(-p) / math.log(2.0))
+        assert entanglement_entropy(psi) == pytest.approx(s, rel=1e-9, abs=0.0)
 
 
 class TestEffectiveQubit:

@@ -184,7 +184,7 @@ class TestIntegratorBasics:
     def test_pulse_then_free_run(self, params, form):
         # a pulse followed by free evolution is two runs: the drive on [0, T]
         # (exact or periodic path), then no drive from where the pulse ended.
-        # The free run keeps omega, which plays no part without a drive.  The
+        # The free run is given omega, which it stores as 0 with V = 0.  The
         # final states of 8 run lengths in each, one run each, against an
         # oracle that integrates one piecewise H(t) across both runs.
         cut = FockCutoff(8)
@@ -212,7 +212,8 @@ class TestIntegratorBasics:
     def test_rejects_unnormalized_state(self, params, cutoff12):
         ham = static_hamiltonian(params, cutoff12)
         grid = TimeGrid.for_duration(0.1, 1e-5)
-        # convergence_check makes a periodic run without integrate
+        # convergence_check makes its run on either path without integrate
+        checked = static_hamiltonian_with_remake(params, cutoff12)
         cosine = lab_drive_hamiltonian(params, DriveParams(0.05, params.omega_c, 0.1), cutoff12,
                                        "cosine")
         # a NaN norm must fail the check too, not slip past a "> tol" test
@@ -221,8 +222,9 @@ class TestIntegratorBasics:
             psi0[index] = value
             with pytest.raises(ValueError, match="normalized"):
                 integrate(ham, psi0, grid)
-            with pytest.raises(ValueError, match="normalized"):
-                convergence_check(cosine, psi0, grid)
+            for ham_checked in (checked, cosine):
+                with pytest.raises(ValueError, match="normalized"):
+                    convergence_check(ham_checked, psi0, grid)
 
 
 class TestHamiltonianForm:
@@ -401,6 +403,20 @@ class TestExactPath:
         assert not ham.exact
         psi0 = basis_state(cut, "g", 1)
         final = integrate(ham, psi0, TimeGrid(0.0, 0.3, 2e-5)).final
+        oracle = ode_final(lambda t: hamiltonian_at(ham, t), psi0, 0.3)
+        assert 1.0 - fid(final, oracle) < 1e-10
+
+    def test_no_drive_is_v_zero_omega_zero(self, params):
+        # a missing drive is stored as V = 0 and omega = 0, so an undriven
+        # H_0 that breaks C is solved in closed form even when given an omega
+        cut = FockCutoff(4)
+        ops = build_mode_operators(cut)
+        h0 = jc_hamiltonian(params, cut) + 0.1 * (ops.sp + ops.sm)
+        ham = TimeDependentHamiltonian(static_part=h0, cutoff=cut, omega=params.omega_c)
+        assert ham.omega == 0.0 and ham.drive.shape == h0.shape and not ham.drive.any()
+        assert ham.exact and ham.period is None
+        psi0 = basis_state(cut, "g", 1)
+        final = integrate(ham, psi0, TimeGrid(0.0, 0.3, 0.3)).final
         oracle = ode_final(lambda t: hamiltonian_at(ham, t), psi0, 0.3)
         assert 1.0 - fid(final, oracle) < 1e-10
 
@@ -604,10 +620,11 @@ class TestPeriodicPath:
         config = parse_config("scenario=custom\ndrive_form=cosine\nsweep_values=4\n")
         _, runs = scenarios._POINTS["custom"](config.points()[0])
         for run in runs.values():
-            thinned = convergence_check(run.ham, run.psi0, run.grid)
+            grid = TimeGrid(0.0, run.T, run.T)
+            thinned = convergence_check(run.ham, run.psi0, grid)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(dynamics, "TRUNCATION_SAMPLES", 10**6)
-                every = convergence_check(run.ham, run.psi0, run.grid)
+                every = convergence_check(run.ham, run.psi0, grid)
             assert thinned.passed and every.passed
             assert thinned.truncation_bound == pytest.approx(every.truncation_bound, rel=1e-4)
             assert np.max(np.abs(thinned.final - every.final)) <= 1e-13
@@ -1213,11 +1230,12 @@ class TestConvergence:
             assert np.array_equal(checked, scenarios._evolve(run, False)[0])
 
     def test_checked_run_ends_where_integrate_stores_last(self):
-        # a periodic run on a grid of 32 steps of about five drive periods
-        # each: the check's one final time ends in integrate's final state
+        # a periodic run of length 8, integrated on a grid of 32 steps of
+        # about five drive periods each: the check, on _evolve's one-step
+        # grid, ends in integrate's final state
         ham = _cosine_two_level(FockCutoff(2))
-        run = scenarios.Run(ham, basis_state(ham.cutoff, "g", 0), TimeGrid(0.0, 8.0, 0.25), None)
-        final = integrate(run.ham, run.psi0, run.grid).final
+        run = scenarios.Run(ham, basis_state(ham.cutoff, "g", 0), 8.0, None)
+        final = integrate(run.ham, run.psi0, TimeGrid(0.0, 8.0, 0.25)).final
         assert np.array_equal(scenarios._evolve(run, True)[0], final)
 
     def test_grid_step_over_many_drive_periods(self):
@@ -1271,8 +1289,9 @@ class TestTruncationBoundAgainstTheOracle:
     """
 
     def _pin(self, run):
-        report = convergence_check(run.ham, run.psi0, run.grid)
-        oracle = doubled_cutoff_infidelity(run.ham, run.psi0, run.grid, report.final)
+        grid = TimeGrid(0.0, run.T, run.T)
+        report = convergence_check(run.ham, run.psi0, grid)
+        oracle = doubled_cutoff_infidelity(run.ham, run.psi0, grid, report.final)
         assert report.truncation_bound**2 >= oracle, (report.truncation_bound, oracle)
         return report
 
@@ -1298,6 +1317,5 @@ class TestTruncationBoundAgainstTheOracle:
         omega_d = params.omega_c + (params.chi if branch == "e" else -params.chi)
         drive = DriveParams(0.05, omega_d, 2.0 / 0.05)
         ham = lab_drive_hamiltonian(params, drive, cut, "rwa")
-        run = scenarios.Run(ham, basis_state(cut, branch, 0), TimeGrid.for_duration(drive.T, 0.01),
-                            drive)
+        run = scenarios.Run(ham, basis_state(cut, branch, 0), drive.T, drive)
         assert self._pin(run).passed
