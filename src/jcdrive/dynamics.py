@@ -70,10 +70,12 @@ with the eigenbasis.  One kernel, _phase_blocks, makes those phases by
 angle addition and hands them out one column block of times at a time,
 in one reused buffer of about PHASE_BLOCK_BYTES, so memory never grows
 with eigenphases times times.  Its callers are the exact truncation
-bound's samples and excited_trace, fig4's P_e(t) at the stored steps of a
-grid (_stored_steps): it takes the eigenphases to the excited rows of vr
-alone, one real matrix product per block, and skips R(t) G, a phase per
-component, which changes no magnitude, so it stores no state.
+bound's samples and excited_trace, P_e(t) at the stored steps of a grid
+(_stored_steps) for a stack of starts of one Hamiltonian (fig4's two):
+each start's coefficients scale its own columns of the table, and each
+block meets the excited rows of vr alone, one real matrix product for all
+the starts; R(t) G, a phase per component, changes no magnitude and is
+skipped, so the trace stores no state.
 
 convergence_check makes a run and scores it on two axes.  The step: a
 periodic run's final state, its ladder's 2m stepping, against the
@@ -128,10 +130,12 @@ GAUSS_NODE = math.sqrt(3.0) / 6.0
 # the byte budget of one (k, d, d) stack of the periodic path's step matrices:
 # two steps at d = 32, one from d = 33 up
 STACK_BYTES = 1 << 15
-# the byte budget of one column block of phases (_phase_blocks), which holds
-# at least one row of its angle-addition lattice: fig4's 78 eigenphases by
-# 64 stored times, one row, 78 KiB.  Blocks of 64-128 KiB took the two cold
-# fig4 traces about 8 ms, 256-512 KiB about 9 ms, and 1 MiB 11 ms.
+# the byte budget of one column block of phases (_phase_blocks), all runs of
+# a stack together, which holds at least one row of its angle-addition
+# lattice: fig4's 78 eigenphases by 64 stored times by its two starts, one
+# row, 156 KiB.  On a 2-core Xeon with one OpenBLAS thread, fig4's cold
+# stacked trace took about 4.5 ms with a budget of 64-256 KiB (one row a
+# block), 5.1 ms with 512 KiB, 5.9 ms with 1 MiB and 9.3 ms with 4 MiB.
 PHASE_BLOCK_BYTES = 1 << 16
 
 
@@ -403,35 +407,46 @@ def excited_trace(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(times, P_e): the excited-branch population every ``store_every`` steps of the grid.
 
-    The times of _stored_steps (by default about 1000 over the run, and the
-    grid's end regardless), and at each the P_e of metrics.excited_probability,
-    without storing a state: the eigenphases of ``ham.static_frame``, with
-    the coefficients of (R(t_s) G)^dag psi0 folded in, meet only the excited
-    rows of vr, and R(t) G is left out, as a phase per component changes no
-    magnitude.  The eigenphases come in column blocks of stored times
-    (_phase_blocks), each block's squared amplitudes summed into P_e before
-    the next, so beyond P_e and the times the trace holds only
-    O(dim (sqrt(stored times) + block)) numbers.  With a real vr each block
-    is one real matrix product.  Exact Hamiltonians only; raises ValueError
-    on a periodic one, and on a ``store_every`` that is not a positive int.
+    ``psi0`` is one start, shape (dim,), or a stack of R starts, shape
+    (R, dim), one run from each; P_e then has shape (len(times),), or
+    (R, len(times)) with row r the run from start r.  The times of
+    _stored_steps (by default about 1000 over the run, and the grid's end
+    regardless), and at each the P_e of metrics.excited_probability, without
+    storing a state: the eigenphases of ``ham.static_frame``, with each
+    start's coefficients of (R(t_s) G)^dag psi0 folded in, meet only the
+    excited rows of vr, and R(t) G is left out, as a phase per component
+    changes no magnitude.  The eigenphases of all starts come in column
+    blocks of stored times (_phase_blocks), each block's squared amplitudes
+    summed into P_e before the next, so beyond P_e and the times the trace
+    holds only O(dim R (sqrt(stored times) + block)) numbers.  With a real
+    vr each block is one real matrix product for all R runs.  Exact
+    Hamiltonians only; raises ValueError on a periodic one, on a start that
+    is not a normalized state of the Hamiltonian's dimension, on an empty
+    stack, and on a ``store_every`` that is not a positive int.
     """
     if not ham.exact:
         raise ValueError("excited_trace needs an exact (static frame) Hamiltonian; "
                          "integrate a periodic one")
-    _check_start(ham, psi0)
+    starts = psi0 if psi0.ndim == 2 else psi0[None]
+    if not len(starts):
+        raise ValueError("excited_trace needs at least one start")
+    for start in starts:
+        _check_start(ham, start)
     stored, dt, stride = _stored_steps(grid, store_every)
     _, evals, _, vr = ham.static_frame
     n_max = ham.cutoff.n_max
-    c = _eigen_coefficients(ham, psi0, grid.t0)
-    p_e = np.empty(len(stored))
-    p_e[0] = np.sum(np.abs(psi0[n_max:]) ** 2)
-    later, excited = p_e[1:], vr[n_max:]
+    runs = len(starts)
+    c = np.stack([_eigen_coefficients(ham, start, grid.t0) for start in starts], axis=1)
+    p_e = np.empty((runs, len(stored)))
+    p_e[:, 0] = np.sum(np.abs(starts[:, n_max:]) ** 2, axis=1)
+    later, excited = p_e[:, 1:], vr[n_max:]
     for cols, block in _phase_blocks(evals, dt, stride, len(stored) - 2, stored[-1], c):
-        parts = _in_basis(excited, block).view(float)  # real and imaginary parts side by side
+        # real and imaginary parts side by side, the runs of a stored time adjacent
+        parts = _in_basis(excited, block).view(float)
         parts *= parts
-        sums = parts.sum(axis=0)
-        later[cols] = sums[0::2] + sums[1::2]
-    return grid.t0 + stored * dt, p_e
+        sums = parts.sum(axis=0).reshape(-1, runs, 2)
+        later[:, cols] = (sums[..., 0] + sums[..., 1]).T
+    return grid.t0 + stored * dt, p_e if psi0.ndim == 2 else p_e[0]
 
 
 def _check_start(ham, psi0):
@@ -487,22 +502,25 @@ def _in_basis(vr, table):
 
 
 def _phase_blocks(freq, dt, stride, count, last, coef=1.0):
-    """coef exp(-i f n dt), n = stride, 2 stride, ..., count stride, then last, in column blocks.
+    """c_r exp(-i f n dt), n = stride, 2 stride, ..., count stride, then last, in column blocks.
 
-    One row per f in ``freq``, ``coef`` scaling each row, and one column per
-    n, the columns of a row adjacent in memory, so that a row's real and
-    imaginary parts are one float row (_in_basis).  Yields (cols, block):
-    ``block`` holds the columns ``cols`` of that table, a slice of
-    range(count + 1), in order, and is a view of one buffer that the next
-    block overwrites, so a caller contracts each block before asking for the
-    next and the whole table never exists.  By angle addition, with
-    B = stride (floor(sqrt(count)) + 1), n = q B + r and
-    exp(-i f n dt) = exp(-i f q B dt) exp(-i f r dt): the lattice
-    n = 0, stride, 2 stride, ... is the product of a q-table and an r-table
-    of about sqrt(count) columns each, ``coef`` folded into the r-table, and
-    a block is the product for as many whole q's as PHASE_BLOCK_BYTES holds
-    (at least one), without its n = 0 column; the final entry is one more
-    column, ``last`` not preceding the lattice's end.
+    One row per f in ``freq`` and, for each n, one column per run r, the
+    columns of a row adjacent in memory, so that a row's real and imaginary
+    parts are one float row (_in_basis).  ``coef`` is a (len(freq), R)
+    stack, column r scaling run r's rows; a (len(freq),) vector or a scalar
+    is one run.  Yields (cols, block): ``block`` holds the table's entries
+    for the n of ``cols``, a slice of range(count + 1), in order, with
+    column j R + r the n of cols.start + j for run r; it is a view of one
+    buffer that the next block overwrites, so a caller contracts each block
+    before asking for the next and the whole table never exists.  By angle
+    addition, with B = stride (floor(sqrt(count)) + 1), n = q B + r' and
+    exp(-i f n dt) = exp(-i f q B dt) exp(-i f r' dt): the lattice
+    n = 0, stride, 2 stride, ... is the product of a q-table and an r'-table
+    of about sqrt(count) columns each, the runs' coefficients folded into
+    the r'-table, and a block is the product for as many whole q's as
+    PHASE_BLOCK_BYTES holds over all runs (at least one), without its n = 0
+    columns; the final entry is one more n, ``last`` not preceding the
+    lattice's end.
     """
     if count < 0 or last < count * stride:
         raise ValueError(f"final step {last} precedes the lattice end {count} * {stride}")
@@ -510,22 +528,27 @@ def _phase_blocks(freq, dt, stride, count, last, coef=1.0):
     span = stride * per_q
     # qs * per_q > count + 1: the lattice has a column for the final entry too
     qs = (count + 1) // per_q + 1
-    coef = np.reshape(coef, (-1, 1))
+    coef = np.asarray(coef)
+    if coef.ndim < 2:
+        coef = coef.reshape(-1, 1)
+    runs = coef.shape[1]
     q_table = np.exp(-1j * np.outer(freq, np.arange(qs) * span * dt))
-    r_table = coef * np.exp(-1j * np.outer(freq, np.arange(0, span, stride) * dt))
-    final = (coef * np.exp(-1j * np.outer(freq, last * dt)))[:, 0]
-    per_block = max(1, PHASE_BLOCK_BYTES // (16 * len(freq) * per_q))
-    buffer = np.empty((len(freq), per_block, per_q), dtype=complex)
+    r_steps = np.arange(0, span, stride) * dt
+    r_table = coef[:, None, :] * np.exp(-1j * np.outer(freq, r_steps))[:, :, None]
+    final = coef * np.exp(-1j * np.outer(freq, last * dt))
+    per_block = max(1, PHASE_BLOCK_BYTES // (16 * len(freq) * per_q * runs))
+    buffer = np.empty((len(freq), per_block, per_q, runs), dtype=complex)
     lattice = buffer.reshape(len(freq), -1)
     for q in range(0, qs, per_block):
         k = min(per_block, qs - q)
-        np.multiply(q_table[:, q : q + k, None], r_table[:, None, :], out=buffer[:, :k])
+        np.multiply(q_table[:, q : q + k, None, None], r_table[:, None], out=buffer[:, :k])
         start, stop = q * per_q, min((q + k) * per_q, count + 2)  # lattice columns n / stride
         if stop == count + 2:
-            lattice[:, stop - 1 - start] = final
+            lattice[:, (stop - 1 - start) * runs : (stop - start) * runs] = final
         first = max(start, 1)
         if stop > first:
-            yield slice(first - 1, stop - 1), lattice[:, first - start : stop - start]
+            yield (slice(first - 1, stop - 1),
+                   lattice[:, (first - start) * runs : (stop - start) * runs])
 
 
 def _taylor_order(bound):

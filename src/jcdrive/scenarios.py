@@ -16,12 +16,15 @@ table of CSV columns.
 No path is held to a step, so ``_evolve`` makes each run on the one-step
 grid [0, T] that it builds from the run's length; only fig4's two traces
 take a step grid, of the ``config.dt_bound`` step or tau/time_points where
-that is finer, for their stored times.  They take P_e straight from the
-run's eigenbasis (``dynamics.excited_trace``) and store no state.
+that is finer, for their stored times.  Both runs share one Hamiltonian,
+and one ``dynamics.excited_trace`` call on the stack of their two starts
+takes both P_e traces straight from its eigenbasis, in one pass over its
+eigenphases, storing no state.
 
 A runner returns a ScenarioResult, column-major: one sequence per CSV
 column, so fig4 hands over its time and P_e arrays as they are, and
-``emit_csv`` formats them without building a tuple per row.  ``rows`` is a
+``emit_csv`` formats and writes them CSV_BLOCK_ROWS rows at a time, without
+building a tuple per row or holding the whole table as text.  ``rows`` is a
 read-only row-major view, built only when it is read.
 
 The sweeps are embarrassingly parallel over points; every input a worker
@@ -96,26 +99,31 @@ def emit_csv(result: ScenarioResult, path) -> None:
     Floats print as %.12g: 12 significant digits, correctly rounded, so a
     read-back value is within 5e-12 relative of the float written, with no
     exponent where it is not needed and nan/inf as such; ints print whole
-    and bools as true/false.  A column's type is its dtype, or for a tuple
-    the type of its first cell.  The cells go column by column into one
-    flat row-major list, and the body is one %-format of it.
+    and bools as true/false.  A column's %-format is fixed once, from its
+    dtype, or for a tuple from the type of its first cell.  The rows go out
+    in blocks of CSV_BLOCK_ROWS: a block's cells go column by column into
+    one flat row-major list, and its text is one %-format of that list, so
+    only one block's cells are ever held as Python scalars and strings.
     """
     meta = ", ".join(f"{k}={v}" for k, v in result.meta.items())
-    lines = [f"# scenario={result.scenario}, params={meta}", ",".join(result.columns)]
-    width = len(result.data)
+    formats = [_column_format(col) for col in result.data]
+    width = len(formats)
     count = len(result.data[0]) if width else 0
-    if count:
-        cells: list = [None] * (count * width)
-        formats = []
-        for j, col in enumerate(result.data):
-            fmt, values = _column_cells(_as_list(col))
-            cells[j::width] = values
-            formats.append(fmt)
-        lines.append("\n".join([",".join(formats)] * count) % tuple(cells))
+    row = ",".join(formats)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# scenario={result.scenario}, params={meta}\n{','.join(result.columns)}\n")
+        for start in range(0, count, CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, count)
+            cells: list = [None] * ((stop - start) * width)
+            for j, (col, fmt) in enumerate(zip(result.data, formats)):
+                values = _as_list(col[start:stop])
+                if fmt == "%s":
+                    values = list(map(_BOOL_TEXT.__getitem__, values))
+                cells[j::width] = values
+            fh.write("\n".join([row] * (stop - start)) % tuple(cells) + "\n")
 
 
+CSV_BLOCK_ROWS = 512  # rows that emit_csv formats and writes at a time
 _BOOL_TEXT = {False: "false", True: "true"}  # NumPy bools hash and compare equal to these
 
 
@@ -124,14 +132,14 @@ def _as_list(col: Sequence) -> Sequence:
     return col.tolist() if isinstance(col, np.ndarray) else col
 
 
-def _column_cells(cells: Sequence) -> tuple[str, Sequence]:
-    """A non-empty column's %-format and its cells: bools become true/false under %s."""
-    first = cells[0]
-    if isinstance(first, (bool, np.bool_)):
-        return "%s", list(map(_BOOL_TEXT.__getitem__, cells))
-    if isinstance(first, (int, np.integer)):
-        return "%d", cells
-    return "%.12g", cells
+def _column_format(col: Sequence) -> str:
+    """A column's %-format, from its dtype or its first cell: %s for bools (as true/false)."""
+    first = _as_list(col[:1])
+    if len(first) and isinstance(first[0], (bool, np.bool_)):
+        return "%s"
+    if len(first) and isinstance(first[0], (int, np.integer)):
+        return "%d"
+    return "%.12g"
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
@@ -167,13 +175,21 @@ def _evolve(run: Run, check: bool) -> tuple[np.ndarray, Optional[ConvergenceRepo
 # a point and returns its system parameters and its runs by label;
 # convergence_probe checks the first run of the first point
 
-def _excited_start(point: ScenarioConfig, params: SystemParams, cutoff: FockCutoff,
-                   default: str) -> np.ndarray:
-    """The excited-branch start, per ``point.initial`` or the scenario's ``default``.
+# the excited-branch start of each scenario with one, where config.initial is unset
+_DEFAULT_INITIAL = {"readout": "bare", **dict.fromkeys(SWEEP_AXES, "dressed")}
+
+
+def _initial(point: ScenarioConfig) -> str:
+    """The point's excited-branch start: ``point.initial`` or its scenario's default."""
+    return point.initial or _DEFAULT_INITIAL[point.scenario]
+
+
+def _excited_start(point: ScenarioConfig, params: SystemParams, cutoff: FockCutoff) -> np.ndarray:
+    """The excited-branch start that _initial names.
 
     ``dressed`` is the dressed |e> of the exact basis, ``bare`` the bare |e,0>.
     """
-    if (point.initial or default) == "dressed":
+    if _initial(point) == "dressed":
         return dressed_state("e", 0, dressed_basis(params, cutoff, "exact"))
     return basis_state(cutoff, "e", 0)
 
@@ -182,8 +198,8 @@ def _cavity_point(point: ScenarioConfig):
     """Runs of one fidelity point: the ground branch, then the excited branch.
 
     Ground branch: start |g,0>, drive at omega_c - chi.  Excited branch: start
-    from the dressed (or bare, per config) excited state, drive at
-    omega_c + chi.  Both last ``point.pulse_length()``, |alpha| / |eps|.
+    from the excited state _initial names (_DEFAULT_INITIAL: dressed), drive
+    at omega_c + chi.  Both last ``point.pulse_length()``, |alpha| / |eps|.
     """
     params = point.system_params()
     eps = complex(point.epsilon)
@@ -193,7 +209,7 @@ def _cavity_point(point: ScenarioConfig):
     runs = {}
     for branch, omega_d, psi0 in (
         ("g", params.omega_c - params.chi, basis_state(cutoff, "g", 0)),
-        ("e", params.omega_c + params.chi, _excited_start(point, params, cutoff, "dressed")),
+        ("e", params.omega_c + params.chi, _excited_start(point, params, cutoff)),
     ):
         drive = DriveParams(epsilon, omega_d, T)
         ham = lab_drive_hamiltonian(params, drive, cutoff, point.drive_form)
@@ -204,6 +220,7 @@ def _cavity_point(point: ScenarioConfig):
 def _qubit_drive_point(point: ScenarioConfig):
     """fig4's runs: the dressed coherent state with beta real, then imaginary.
 
+    Both runs share one Hamiltonian, so _run_fig4 traces them in one pass.
     The initial cavity+qubit state is the dressed coherent state itself (the
     exact-basis construction), which pins the phase of beta exactly; the
     qubit drive then runs for one full period of its strength.
@@ -229,7 +246,7 @@ def _qubit_drive_point(point: ScenarioConfig):
 def _readout_point(point: ScenarioConfig):
     """Readout runs: drive at omega_c - chi for T = pi/|chi| from |g,0>, then from |e>.
 
-    The excited start is the bare |e,0> unless point.initial says dressed.
+    The excited start is the state _initial names (_DEFAULT_INITIAL: bare |e,0>).
     """
     params = point.system_params()
     drive = DriveParams(complex(point.epsilon), params.omega_c - params.chi, point.pulse_length())
@@ -237,7 +254,7 @@ def _readout_point(point: ScenarioConfig):
     ham = lab_drive_hamiltonian(params, drive, cutoff, point.drive_form)
     return params, {
         "g": Run(ham, basis_state(cutoff, "g", 0), drive.T, drive),
-        "e": Run(ham, _excited_start(point, params, cutoff, "bare"), drive.T, drive),
+        "e": Run(ham, _excited_start(point, params, cutoff), drive.T, drive),
     }
 
 
@@ -329,7 +346,7 @@ def _run_sweep(config: ScenarioConfig) -> ScenarioResult:
     columns = (*_SWEEP_COLUMNS[config.scenario], "converged", "wall_time_s")
     data = (config.sweep_grid(), *(tuple(p[c] for p in scored) for c in columns))
     extra = {} if axis == "alpha_sq" else {"alpha_sq": f"{config.alpha_sq:g}"}
-    extra["initial"] = config.initial or "dressed"
+    extra["initial"] = _initial(config)
     return ScenarioResult(
         config.scenario, (axis, *columns), data, _meta(config, config.system_params(), **extra)
     )
@@ -339,9 +356,10 @@ def _run_fig4(config: ScenarioConfig) -> ScenarioResult:
     """Excited-state probability vs time for real vs imaginary beta.
 
     The grid steps by dt_bound, or by tau/time_points where that is finer, so
-    that at least time_points + 1 times are stored; excited_trace gives P_e
-    there.  The converged column is the real-beta run's report, through
-    _evolve on the run's one-step grid as in sim check.
+    that at least time_points + 1 times are stored; one excited_trace call on
+    the two starts gives both runs' P_e there.  The converged column is the
+    real-beta run's report, through _evolve on the run's one-step grid as in
+    sim check.
     """
     t_start = time.perf_counter()
     params, runs = _POINTS[config.scenario](config)
@@ -350,8 +368,9 @@ def _run_fig4(config: ScenarioConfig) -> ScenarioResult:
     dt = min(dt_bound(params, real.ham.cutoff, 0.0, eta_abs), real.T / config.time_points)
     grid = TimeGrid.for_duration(real.T, dt)
     store_every = max(1, grid.steps // config.time_points)
-    times, pe_r = excited_trace(real.ham, real.psi0, grid, store_every)
-    _, pe_i = excited_trace(runs["imag"].ham, runs["imag"].psi0, grid, store_every)
+    # both starts of the one Hamiltonian in one pass over its eigenphases
+    starts = np.stack((real.psi0, runs["imag"].psi0))
+    times, (pe_r, pe_i) = excited_trace(real.ham, starts, grid, store_every)
     # an exact run's report depends on t0 and T alone, so _evolve's one-step grid serves
     converged = not config.check_convergence or _evolve(real, check=True)[1].passed
 
@@ -400,7 +419,7 @@ def _run_readout(config: ScenarioConfig) -> ScenarioResult:
            time.perf_counter() - t_start)
     meta = _meta(
         config, params, T=f"{drive.T:g}", omega_d=f"{drive.omega_d:g}",
-        initial=config.initial or "bare",
+        initial=_initial(config),
     )
     return ScenarioResult("readout", columns, tuple((v,) for v in row), meta)
 

@@ -16,10 +16,11 @@ from jcdrive.cli import main
 from jcdrive.config import (
     _KEYS, ConfigError, ScenarioConfig, cavity_cutoff, dt_bound, parse_config,
 )
+from jcdrive.dressed import dressed_basis, dressed_state
 from jcdrive.dynamics import TimeGrid, excited_trace
-from jcdrive.hilbert import FockCutoff
+from jcdrive.hilbert import FockCutoff, basis_state
 from jcdrive.scenarios import (
-    _POINTS, ScenarioResult, convergence_probe, emit_csv, run_scenario,
+    _POINTS, CSV_BLOCK_ROWS, ScenarioResult, convergence_probe, emit_csv, run_scenario,
 )
 
 
@@ -516,6 +517,40 @@ class TestEmitCsv:
                                                                 for row in zip(*data)]
         assert len(res.rows) == count
 
+    # emit_csv formats and writes CSV_BLOCK_ROWS rows at a time: tables that
+    # end on either side of a block edge
+    B = CSV_BLOCK_ROWS
+
+    @COLUMN_KINDS
+    @pytest.mark.parametrize("count", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+    def test_row_blocks_same_bytes_as_per_cell_formatting(self, tmp_path, as_column, count):
+        rng = np.random.default_rng(count)
+        data = (
+            as_column(rng.normal(size=count) * 10.0 ** rng.integers(-30, 31, size=count)),
+            as_column(rng.integers(-2**40, 2**40, size=count)),
+            as_column(rng.random(count) < 0.5),
+        )
+        res = ScenarioResult("custom", ("x", "n", "ok"), data, {"g": "1"})
+        path = tmp_path / "blocks.csv"
+        emit_csv(res, path)
+        head, columns, body = path.read_bytes().split(b"\n", 2)
+        assert head == b"# scenario=custom, params=g=1" and columns == b"x,n,ok"
+        expected = "".join(",".join(_cell(v) for v in row) + "\n" for row in zip(*data))
+        assert body == expected.encode("utf-8")
+
+    def test_tuple_format_from_its_first_cell_in_every_block(self, tmp_path):
+        # an int first cell makes the column %d: its later floats print whole
+        # in every block, where per-cell formatting would print their fractions
+        count = 2 * self.B + 1
+        floats = tuple(k + 0.25 for k in range(count))
+        whole = (7, *floats[1:])
+        res = ScenarioResult("custom", ("n", "x"), (whole, floats), {})
+        path = tmp_path / "first_cell.csv"
+        emit_csv(res, path)
+        lines = path.read_text().splitlines()[2:]
+        assert lines == [f"{int(n)},{_cell(x)}" for n, x in zip(whole, floats)]
+        assert all(line.split(",")[0] != _cell(x) for line, x in zip(lines[1:], floats[1:]))
+
     def test_columns_of_one_length_one_per_name(self):
         with pytest.raises(ValueError, match="unequal lengths"):
             ScenarioResult("custom", ("a", "b"), ((1.0, 2.0), (1.0,)), {})
@@ -589,6 +624,28 @@ class TestRunScenario:
         params = path.read_text().splitlines()[0].split("params=", 1)[1].split(", ")
         assert f"check_convergence={check}" in params and f"initial={initial}" in params
 
+    @pytest.mark.parametrize("initial", [None, "dressed", "bare"])
+    @pytest.mark.parametrize("scenario", ["fig2a", "fig2b", "fig2c", "fig2d", "custom",
+                                          "readout"])
+    def test_metadata_names_the_excited_start(self, tmp_path, scenario, initial):
+        # initial= on the metadata line is the state the e-run starts from:
+        # dressed |e> or bare |e,0>, by default dressed for the sweeps and
+        # bare for readout
+        text = f"scenario={scenario}\ncheck_convergence=off\n{SCHEMAS[scenario][0]}\n"
+        cfg = parse_config(text + (f"initial={initial}\n" if initial else ""))
+        path = tmp_path / "out.csv"
+        emit_csv(run_scenario(cfg), path)
+        params = path.read_text().splitlines()[0].split("params=", 1)[1].split(", ")
+        named = dict(kv.split("=", 1) for kv in params)["initial"]
+        assert named == initial or (initial is None
+                                    and named == ("bare" if scenario == "readout" else "dressed"))
+        system, runs = _POINTS[scenario](cfg.points()[0])
+        cutoff = runs["e"].ham.cutoff
+        starts = {"dressed": dressed_state("e", 0, dressed_basis(system, cutoff, "exact")),
+                  "bare": basis_state(cutoff, "e", 0)}
+        assert np.max(np.abs(starts["dressed"] - starts["bare"])) > 1e-3
+        np.testing.assert_array_equal(runs["e"].psi0, starts[named])
+
     def test_fig4_rows_when_the_pulse_is_short(self):
         # at eta_abs = 1e5 the pulse is about 65 dt_bound steps, fewer than
         # time_points: the grid steps by tau/time_points instead
@@ -596,8 +653,9 @@ class TestRunScenario:
         assert len(run_scenario(cfg).rows) >= 401
 
     def test_fig4_columns_are_the_traces(self, tmp_path):
-        # the P_e columns are excited_trace's arrays, on the grid the runner
-        # picks: the dt_bound step, or tau/time_points where that is finer
+        # the P_e columns are the rows of one excited_trace call on the stack
+        # of both starts, on the grid the runner picks: the dt_bound step, or
+        # tau/time_points where that is finer
         cfg = parse_config("scenario=fig4\nalpha_sq=1\ntime_points=10\ncheck_convergence=off\n")
         result = run_scenario(cfg)
         emit_csv(result, tmp_path / "fig4.csv")
@@ -609,8 +667,9 @@ class TestRunScenario:
                  tau / cfg.time_points)
         grid = TimeGrid.for_duration(tau, dt)
         every = max(1, grid.steps // cfg.time_points)
-        times, pe_r = excited_trace(real.ham, real.psi0, grid, every)
-        _, pe_i = excited_trace(runs["imag"].ham, runs["imag"].psi0, grid, every)
+        assert runs["imag"].ham is real.ham  # one Hamiltonian, one stacked trace
+        times, (pe_r, pe_i) = excited_trace(real.ham, np.stack((real.psi0, runs["imag"].psi0)),
+                                            grid, every)
         for name, want in (("t", times), ("P_e_beta_real", pe_r), ("P_e_beta_imag", pe_i),
                            ("abs_diff", np.abs(pe_r - pe_i))):
             np.testing.assert_array_equal(result.column(name), want)
@@ -835,16 +894,17 @@ class TestCli:
     def test_only_fig4_traces_take_a_step_grid(self, tmp_path, monkeypatch, text, trace):
         # sweep and readout runs are scored at T alone, so they take the
         # one-step grid [0, T], made once, by integrate or, when checked, by
-        # convergence_check; fig4's two traces take their P_e from
-        # excited_trace on the dt_bound grid, while its converged flag and
-        # sim check make the first run in one step
+        # convergence_check; fig4's two traces take their P_e from one
+        # excited_trace call on the stack of both starts, on the dt_bound
+        # grid, while its converged flag and sim check make the first run in
+        # one step
         import jcdrive.scenarios as scenarios
 
         grids = {"integrate": [], "convergence_check": [], "excited_trace": []}
         for name, calls in grids.items():
             def record(ham, psi0, grid, *args, _real=getattr(scenarios, name), _calls=calls,
                        **kwargs):
-                _calls.append((ham.cutoff, grid))
+                _calls.append((ham.cutoff, grid, np.shape(psi0)))
                 return _real(ham, psi0, grid, *args, **kwargs)
 
             monkeypatch.setattr(scenarios, name, record)
@@ -856,17 +916,19 @@ class TestCli:
             tau = config.pulse_length()
             dt = dt_bound(config.system_params(), traces[0][0], 0.0,
                           config.qubit_drive_strength())
-            assert [g for _, g in traces] == [TimeGrid.for_duration(tau, dt)] * 2
+            dim = traces[0][0].dim
+            assert [(g, shape) for _, g, shape in traces] == [
+                (TimeGrid.for_duration(tau, dt), (2, dim))]
             assert traces[0][1].steps > 1000
-            assert [g.steps for _, g in runs] == [1]
+            assert [g.steps for _, g, _ in runs] == [1]
         else:
             assert not traces
             assert len(runs) == 2 * len(config.points())
-            assert all(g.steps == 1 and g.t0 == 0.0 and g.t1 == g.dt for _, g in runs)
+            assert all(g.steps == 1 and g.t0 == 0.0 and g.t1 == g.dt for _, g, _ in runs)
         for calls in grids.values():
             calls.clear()
         assert main(["check", "--config", cfg]) == 0
-        assert [g.steps for _, g in grids["convergence_check"]] == [1]
+        assert [g.steps for _, g, _ in grids["convergence_check"]] == [1]
         assert not grids["integrate"] and not grids["excited_trace"]
 
     @pytest.mark.parametrize("scenario", list(SCHEMAS))

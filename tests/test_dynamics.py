@@ -511,22 +511,90 @@ class TestExcitedTrace:
 
     def test_memory_does_not_grow_with_eigenphases_times_stored_times(self):
         # fig4's 78 eigenphases at 200,001 stored times: a whole phase table
-        # would take 250 MB; the trace holds P_e, its times and a few MB
+        # would take 250 MB a start; the trace of one start, or of fig4's
+        # two stacked, holds P_e, its times and a few MB
         config = parse_config("scenario=fig4\nalpha_sq=9\neta_abs=1.1\n")
-        run = scenarios._POINTS["fig4"](config)[1]["real"]
-        assert run.ham.cutoff.dim == 78
+        runs = scenarios._POINTS["fig4"](config)[1]
+        ham = runs["real"].ham
+        assert ham.cutoff.dim == 78
         tau = config.pulse_length()
         grid = TimeGrid.for_duration(tau, tau / 200_000)
-        run.ham.static_frame  # the Hamiltonian's eigendecomposition, kept by it, not the trace's
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            times, p_e = excited_trace(run.ham, run.psi0, grid, 1)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        assert len(p_e) == len(times) == 200_001
-        assert peak - times.nbytes - p_e.nbytes < 4e6, peak
+        ham.static_frame  # the Hamiltonian's eigendecomposition, kept by it, not the trace's
+        stacked = np.stack((runs["real"].psi0, runs["imag"].psi0))
+        for psi0, limit in ((runs["real"].psi0, 4e6), (stacked, 6e6)):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                times, p_e = excited_trace(ham, psi0, grid, 1)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            assert p_e.shape == psi0.shape[:-1] + times.shape and len(times) == 200_001
+            assert peak - times.nbytes - p_e.nbytes < limit, peak
+
+
+class TestStackedTrace:
+    """excited_trace on a (R, dim) stack of starts: row r is start r's trace."""
+
+    @staticmethod
+    def _real_vr(params):
+        cut = FockCutoff(20)
+        ham = qubit_drive_lab_hamiltonian(params, QubitDriveParams(0.4j, params.omega_q, 2.0), cut)
+        basis = dressed_basis(params, cut, "exact")
+        starts = [dressed_coherent_state("g", beta, basis) for beta in (1.1, 1.1j, 0.7 - 0.4j)]
+        return ham, starts, TimeGrid(0.37, 2.37, 2e-3), 97
+
+    @staticmethod
+    def _complex_vr(params):
+        # the Hamiltonian of test_complex_gauge_falls_back_to_a_complex_eigenbasis
+        cut = FockCutoff(8)
+        ops = build_mode_operators(cut)
+        h0 = jc_hamiltonian(params, cut) + 0.2j * ops.a_dag @ ops.sm - 0.2j * ops.sp @ ops.a
+        ham = TimeDependentHamiltonian(static_part=h0, cutoff=cut, drive=(0.3 + 0.2j) * ops.a,
+                                       omega=params.omega_c - params.chi)
+        assert np.iscomplexobj(ham.static_frame[3])
+        rng = np.random.default_rng(8)
+        mixed = rng.normal(size=cut.dim) + 1j * rng.normal(size=cut.dim)
+        starts = [(basis_state(cut, "g", 1) + basis_state(cut, "e", 1)) / math.sqrt(2),
+                  basis_state(cut, "e", 2), mixed / np.linalg.norm(mixed)]
+        return ham, starts, TimeGrid(0.3, 0.8, 0.005), 10
+
+    @pytest.mark.parametrize("case", ["_real_vr", "_complex_vr"])
+    def test_rows_are_the_single_start_traces(self, params, case):
+        ham, starts, grid, store_every = getattr(self, case)(params)
+        times, p_e = excited_trace(ham, np.stack(starts), grid, store_every)
+        assert p_e.shape == (len(starts), len(times))
+        picks = np.unique(np.linspace(1, len(times) - 1, 25).round().astype(int))
+        for start, row in zip(starts, p_e):
+            single_times, single = excited_trace(ham, start, grid, store_every)
+            assert single.shape == times.shape
+            np.testing.assert_array_equal(single_times, times)
+            assert np.max(np.abs(row - single)) <= 1e-13
+            # and each row against integrate's final states, as in TestExcitedTrace
+            assert row[0] == pytest.approx(excited_probability(start), abs=1e-15)
+            finals = run_finals(ham, start, grid.t0, times[picks])
+            gap = np.max(np.abs(row[picks] - excited_probability(finals)))
+            assert gap <= phase_rounding(ham, times[-1] - grid.t0), gap
+
+    def test_a_stack_of_one_is_the_single_start(self, params):
+        ham, starts, grid, store_every = self._real_vr(params)
+        times, single = excited_trace(ham, starts[0], grid, store_every)
+        stack_times, stacked = excited_trace(ham, starts[0][None], grid, store_every)
+        np.testing.assert_array_equal(stack_times, times)
+        assert stacked.shape == (1, len(times)) and np.max(np.abs(stacked[0] - single)) <= 1e-13
+
+    def test_refuses_a_bad_stack(self, params):
+        ham, starts, grid, _ = self._real_vr(params)
+        psi = starts[0]
+        for stack, match in (
+            (np.stack((psi, 1.001 * psi)), "not normalized"),
+            (np.stack((psi, np.full_like(psi, np.nan))), "not normalized"),
+            (np.stack((psi, psi))[:, :-1], "does not match"),
+            (psi[None, None], "does not match"),
+            (np.empty((0, len(psi)), dtype=complex), "at least one start"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                excited_trace(ham, stack, grid)
 
 
 def assert_stepping_converges_at_second_order(ham, psi0, grid):
@@ -1037,6 +1105,37 @@ class TestPhaseBlocks:
         coef = rng.normal(size=78) + 1j * rng.normal(size=78)
         freq = self._freq(3e3, self.FIG4["last"])
         self._check(freq, **self.FIG4, atol=1e-13 * np.max(np.abs(coef)), coef=coef)
+
+    @pytest.mark.parametrize("block_bytes", [1 << 16, 5 * 78 * 64 * 3 * 16])
+    def test_coefficient_stack(self, monkeypatch, block_bytes):
+        # a (d, R) stack: column j R + r of a block is run r at the block's
+        # j-th step, scaled by coef[:, r]; a budget of one row, then of five,
+        # over all three runs
+        monkeypatch.setattr(dynamics, "PHASE_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(6)
+        coef = rng.normal(size=(78, 3)) + 1j * rng.normal(size=(78, 3))
+        freq = self._freq(3e3, self.FIG4["last"])
+        count, stride, last = self.FIG4["count"], self.FIG4["stride"], self.FIG4["last"]
+        steps = np.append(np.arange(1, count + 1) * stride, last)
+        # table[f, r, n]: the whole table, run by run
+        table = coef[:, :, None] * np.exp(-1j * np.outer(freq, steps * self.DT))[:, None, :]
+        widths = []
+        for cols, block in _phase_blocks(freq, self.DT, stride, count, last, coef):
+            assert cols.start == sum(widths) and cols.stop > cols.start
+            want = table[:, :, cols].transpose(0, 2, 1).reshape(78, -1)
+            assert block.shape == want.shape
+            assert np.max(np.abs(block - want)) <= 1e-13 * np.max(np.abs(coef))
+            widths.append(cols.stop - cols.start)
+        assert sum(widths) == count + 1
+        assert max(widths) == (5 if block_bytes > 1 << 16 else 1) * (math.isqrt(count) + 1)
+        # one column of a stack is the vector it holds, entry for entry
+        for (c1, b1), (c2, b2) in zip(
+            [(c, b.copy()) for c, b in _phase_blocks(freq, self.DT, stride, count, last,
+                                                     coef[:, :1])],
+            [(c, b.copy()) for c, b in _phase_blocks(freq, self.DT, stride, count, last,
+                                                     coef[:, 0])],
+        ):
+            assert c1 == c2 and np.array_equal(b1, b2)
 
     def test_final_entry_before_the_lattice_end_is_refused(self):
         # the rows are the lattice stride * (1..count) and then the final
