@@ -10,13 +10,17 @@ goes to ``--out``, else to SCENARIO.csv.  ``--opt=VALUE`` is ``--opt VALUE``, on
 ``--set`` repeats, options are never abbreviated, and ``-h``/``--help`` prints the usage.
 
 Exit codes: 0 success, 1 usage or configuration error (an unreadable or
-non-UTF-8 config too), 2 numerical failure.
+non-UTF-8 config too, and a CSV path in no existing directory or naming a
+directory, refused before the run), 2 numerical failure or a CSV that
+cannot be written after the run.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -70,6 +74,21 @@ def _load_config(path: str, entries: list[str]) -> "ScenarioConfig":
         raise ConfigError(f"--set {sets[exc.line - len(lines) - 1][0]}: {exc.reason}") from None
 
 
+def _out_fault(out: str) -> Optional[str]:
+    """Why ``sim run`` cannot write its CSV to ``out``, as far as it can tell before the run."""
+    if os.path.isdir(out):
+        return f"cannot write {out!r}: it is a directory"
+    folder = os.path.dirname(out) or "."
+    if not os.path.isdir(folder):
+        return f"cannot write {out!r}: no directory {folder!r}"
+    return None
+
+
+def _usage_error(message: str) -> int:
+    print(f"usage error: {message}\n{USAGE}", end="", file=sys.stderr)
+    return 1
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if "-h" in argv or "--help" in argv:
@@ -78,10 +97,12 @@ def main(argv=None) -> int:
     try:
         command, options = _parse_args(argv)
     except ValueError as exc:
-        print(f"usage error: {exc}\n{USAGE}", end="", file=sys.stderr)
-        return 1
+        return _usage_error(str(exc))
     try:
         config = _load_config(options["--config"], options["--set"])
+        out = options.get("--out") or f"{config.scenario}.csv"
+        if command == "run" and (fault := _out_fault(out)):
+            return _usage_error(f"run: {fault}")
         outcome = run_scenario(config) if command == "run" else convergence_probe(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -93,7 +114,6 @@ def main(argv=None) -> int:
     if command == "check":
         print(f"{config.scenario}: {outcome}")
         return 0 if outcome.passed else 2
-    out = options.get("--out") or f"{config.scenario}.csv"
     try:
         emit_csv(outcome, out)
     except OSError as exc:

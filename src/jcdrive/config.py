@@ -144,6 +144,10 @@ class ScenarioConfig:
             return abs(complex(self.epsilon)) * self.pulse_length()
         return math.sqrt(self.alpha_sq)
 
+    def cutoff(self) -> FockCutoff:
+        """The point's cavity truncation: ``n_max``, or the rule's at drive_amplitude()."""
+        return FockCutoff(cavity_cutoff(self.drive_amplitude(), self.n_max))
+
     def pulse_length(self) -> float:
         """How long the point is driven.
 
@@ -356,7 +360,7 @@ def parse_config(text: str) -> ScenarioConfig:
                 f"more than {MAX_PHASE:g} rad, beyond which rounding fails the convergence check",
                 line,
             )
-        cutoff = FockCutoff(cavity_cutoff(point.drive_amplitude(), point.n_max))
+        cutoff = point.cutoff()
         if cutoff.n_max > MAX_N_MAX:
             raise ConfigError(f"|alpha| = {point.drive_amplitude():.4g} needs a cutoff of "
                               f"{cutoff.n_max} levels, more than {MAX_N_MAX}", cutoff_line)

@@ -66,15 +66,19 @@ literal lab-frame midpoint stepper psi_{k+1} = exp(-i dt H(t_k + dt/2)) psi_k.
 
 The split and the period are read off the matrices when the Hamiltonian is
 built.  Many times of one exact run are its eigenphases exp(-i E n dt)
-with the eigenbasis.  One kernel, _phase_blocks, makes those phases by
-angle addition and hands them out one column block of times at a time,
-in one reused buffer of about PHASE_BLOCK_BYTES, so memory never grows
-with eigenphases times times.  Its callers are the exact truncation
-bound's samples and excited_trace, P_e(t) at the stored steps of a grid
-(_stored_steps) for a stack of starts of one Hamiltonian (fig4's two):
-each start's coefficients scale its own columns of the table, and each
-block meets the excited rows of vr alone, one real matrix product for all
-the starts; R(t) G, a phase per component, changes no magnitude and is
+with the eigenbasis.  One kernel, _phase_blocks, makes those phases on
+the lattice n = 0, stride, ..., count stride by angle addition and hands
+them out one column block of times at a time, in one reused buffer of
+about PHASE_BLOCK_BYTES (and at least one row of about sqrt(count)
+times), so memory never grows with eigenphases times times.  Its callers
+are the exact truncation bound's midpoint samples, the lattice with
+half a step's phase folded into the coefficients, and excited_trace,
+P_e(t) at the stored steps of a grid (_stored_steps) for a stack of
+starts of one Hamiltonian (fig4's two): the lattice holds every stored
+step but the grid's end, which the trace adds as one more column.  Each
+start's coefficients scale its own columns of the table, and each block
+meets the excited rows of vr alone, one real matrix product for all the
+starts; R(t) G, a phase per component, changes no magnitude and is
 skipped, so the trace stores no state.
 
 convergence_check makes a run and scores it on two axes.  The step: a
@@ -91,6 +95,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
@@ -131,11 +136,14 @@ GAUSS_NODE = math.sqrt(3.0) / 6.0
 # two steps at d = 32, one from d = 33 up
 STACK_BYTES = 1 << 15
 # the byte budget of one column block of phases (_phase_blocks), all runs of
-# a stack together, which holds at least one row of its angle-addition
-# lattice: fig4's 78 eigenphases by 64 stored times by its two starts, one
-# row, 156 KiB.  On a 2-core Xeon with one OpenBLAS thread, fig4's cold
-# stacked trace took about 4.5 ms with a budget of 64-256 KiB (one row a
-# block), 5.1 ms with 512 KiB, 5.9 ms with 1 MiB and 9.3 ms with 4 MiB.
+# a stack together.  It bounds no block: a block always holds at least one
+# whole row of the angle-addition lattice, floor(sqrt(count)) + 1 times
+# (floor(sqrt(N)) + 1 for N stored times) by d eigenphases by R runs, 16
+# bytes each.  For fig4's 78 eigenphases and two starts a row is 64 times,
+# 156 KiB, at 4,057 stored times and 448 times, 1.1 MB, at 200,001.  On a
+# 2-core Xeon with one OpenBLAS thread, fig4's cold stacked trace took
+# about 4.5 ms with a budget of 64-256 KiB (one row a block), 5.1 ms with
+# 512 KiB, 5.9 ms with 1 MiB and 9.3 ms with 4 MiB.
 PHASE_BLOCK_BYTES = 1 << 16
 
 
@@ -418,8 +426,15 @@ def excited_trace(
     changes no magnitude.  The eigenphases of all starts come in column
     blocks of stored times (_phase_blocks), each block's squared amplitudes
     summed into P_e before the next, so beyond P_e and the times the trace
-    holds only O(dim R (sqrt(stored times) + block)) numbers.  With a real
-    vr each block is one real matrix product for all R runs.  Exact
+    holds only O(dim R (sqrt(stored times) + block)) numbers.  A block is
+    about PHASE_BLOCK_BYTES but always at least one lattice row of
+    floor(sqrt(N)) + 1 stored times by dim by R complex numbers, for N
+    stored times: 1.1 MB for fig4's two starts at N = 200,001.  The
+    blocks cover the stored times from the first to the last but one, on
+    the stride; the grid's end, generally off the stride, is one more
+    column c exp(-i E steps dt), reduced like a block, and the first
+    stored time takes the starts' own P_e.  With a real vr each block is
+    one real matrix product for all R runs.  Exact
     Hamiltonians only; raises ValueError on a periodic one, on a start that
     is not a normalized state of the Hamiltonian's dimension, on an empty
     stack, and on a ``store_every`` that is not a positive int.
@@ -437,15 +452,18 @@ def excited_trace(
     n_max = ham.cutoff.n_max
     runs = len(starts)
     c = np.stack([_eigen_coefficients(ham, start, grid.t0) for start in starts], axis=1)
+    excited = vr[n_max:]
     p_e = np.empty((runs, len(stored)))
-    p_e[:, 0] = np.sum(np.abs(starts[:, n_max:]) ** 2, axis=1)
-    later, excited = p_e[:, 1:], vr[n_max:]
-    for cols, block in _phase_blocks(evals, dt, stride, len(stored) - 2, stored[-1], c):
+    # the lattice up to the last stored time but one, then the grid's end, off the stride
+    final = c * np.exp(-1j * np.outer(evals, stored[-1] * dt))
+    blocks = _phase_blocks(evals, dt, stride, len(stored) - 2, c)
+    for cols, block in chain(blocks, [(slice(-1, None), final)]):
         # real and imaginary parts side by side, the runs of a stored time adjacent
         parts = _in_basis(excited, block).view(float)
         parts *= parts
         sums = parts.sum(axis=0).reshape(-1, runs, 2)
-        later[:, cols] = (sums[..., 0] + sums[..., 1]).T
+        p_e[:, cols] = (sums[..., 0] + sums[..., 1]).T
+    p_e[:, 0] = np.sum(np.abs(starts[:, n_max:]) ** 2, axis=1)
     return grid.t0 + stored * dt, p_e if psi0.ndim == 2 else p_e[0]
 
 
@@ -501,54 +519,39 @@ def _in_basis(vr, table):
     return vr @ table
 
 
-def _phase_blocks(freq, dt, stride, count, last, coef=1.0):
-    """c_r exp(-i f n dt), n = stride, 2 stride, ..., count stride, then last, in column blocks.
+def _phase_blocks(freq, dt, stride, count, coef):
+    """c_r exp(-i f n dt), n = 0, stride, 2 stride, ..., count stride, in column blocks.
 
     One row per f in ``freq`` and, for each n, one column per run r, the
     columns of a row adjacent in memory, so that a row's real and imaginary
     parts are one float row (_in_basis).  ``coef`` is a (len(freq), R)
-    stack, column r scaling run r's rows; a (len(freq),) vector or a scalar
-    is one run.  Yields (cols, block): ``block`` holds the table's entries
-    for the n of ``cols``, a slice of range(count + 1), in order, with
-    column j R + r the n of cols.start + j for run r; it is a view of one
-    buffer that the next block overwrites, so a caller contracts each block
-    before asking for the next and the whole table never exists.  By angle
-    addition, with B = stride (floor(sqrt(count)) + 1), n = q B + r' and
-    exp(-i f n dt) = exp(-i f q B dt) exp(-i f r' dt): the lattice
-    n = 0, stride, 2 stride, ... is the product of a q-table and an r'-table
-    of about sqrt(count) columns each, the runs' coefficients folded into
-    the r'-table, and a block is the product for as many whole q's as
-    PHASE_BLOCK_BYTES holds over all runs (at least one), without its n = 0
-    columns; the final entry is one more n, ``last`` not preceding the
-    lattice's end.
+    stack, column r scaling run r's rows.  Yields (cols, block): ``block``
+    holds the table's entries for the n of ``cols``, a slice of
+    range(count + 1), in order, with column j R + r the n of cols.start + j
+    for run r; it is a view of one buffer that the next block overwrites,
+    so a caller contracts each block before asking for the next and the
+    whole table never exists.  By angle addition, with
+    B = stride (floor(sqrt(count)) + 1), n = q B + r' and
+    exp(-i f n dt) = exp(-i f q B dt) exp(-i f r' dt): the lattice is the
+    product of a q-table and an r'-table of about sqrt(count) columns each,
+    the runs' coefficients folded into the r'-table.  A row of the lattice
+    is one q, floor(sqrt(count)) + 1 columns, and a block holds as many
+    whole rows as PHASE_BLOCK_BYTES holds over all runs, and at least one.
+    A caller's times off the lattice, such as a grid's end, are its own.
     """
-    if count < 0 or last < count * stride:
-        raise ValueError(f"final step {last} precedes the lattice end {count} * {stride}")
     per_q = math.isqrt(count) + 1
-    span = stride * per_q
-    # qs * per_q > count + 1: the lattice has a column for the final entry too
-    qs = (count + 1) // per_q + 1
-    coef = np.asarray(coef)
-    if coef.ndim < 2:
-        coef = coef.reshape(-1, 1)
-    runs = coef.shape[1]
+    qs, span = count // per_q + 1, stride * per_q
     q_table = np.exp(-1j * np.outer(freq, np.arange(qs) * span * dt))
     r_steps = np.arange(0, span, stride) * dt
     r_table = coef[:, None, :] * np.exp(-1j * np.outer(freq, r_steps))[:, :, None]
-    final = coef * np.exp(-1j * np.outer(freq, last * dt))
-    per_block = max(1, PHASE_BLOCK_BYTES // (16 * len(freq) * per_q * runs))
-    buffer = np.empty((len(freq), per_block, per_q, runs), dtype=complex)
+    per_block = max(1, PHASE_BLOCK_BYTES // (16 * r_table.size))
+    buffer = np.empty((len(freq), per_block, *r_table.shape[1:]), dtype=complex)
     lattice = buffer.reshape(len(freq), -1)
     for q in range(0, qs, per_block):
         k = min(per_block, qs - q)
         np.multiply(q_table[:, q : q + k, None, None], r_table[:, None], out=buffer[:, :k])
-        start, stop = q * per_q, min((q + k) * per_q, count + 2)  # lattice columns n / stride
-        if stop == count + 2:
-            lattice[:, (stop - 1 - start) * runs : (stop - start) * runs] = final
-        first = max(start, 1)
-        if stop > first:
-            yield (slice(first - 1, stop - 1),
-                   lattice[:, (first - start) * runs : (stop - start) * runs])
+        cols = slice(q * per_q, min((q + k) * per_q, count + 1))
+        yield cols, lattice[:, : (cols.stop - cols.start) * coef.shape[1]]
 
 
 def _taylor_order(bound):
@@ -868,10 +871,10 @@ def convergence_check(ham: TimeDependentHamiltonian, psi0: np.ndarray,
         _, evals, _, vr = ham.static_frame
         h = duration / TRUNCATION_SAMPLES
         c = _eigen_coefficients(ham, psi0, grid.t0)
-        # samples at (k - 1/2) h, k = 1..K: the lattice k h with exp(+i E h/2) folded in
+        # samples at (k + 1/2) h, k = 0..K-1: the lattice k h with exp(-i E h/2) folded in
         flux = np.empty(TRUNCATION_SAMPLES)
-        for cols, block in _phase_blocks(evals, h, 1, TRUNCATION_SAMPLES - 1, TRUNCATION_SAMPLES,
-                                         c * np.exp(0.5j * h * evals)):
+        midpoint = (c * np.exp(-0.5j * h * evals))[:, None]
+        for cols, block in _phase_blocks(evals, h, 1, TRUNCATION_SAMPLES - 1, midpoint):
             flux[cols] = np.linalg.norm(coupling @ np.abs(_in_basis(vr[watch], block)), axis=0)
         integral = h * float(np.sum(flux))
     else:

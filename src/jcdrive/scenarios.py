@@ -44,7 +44,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import metrics
-from .config import SWEEP_AXES, ScenarioConfig, cavity_cutoff, dt_bound
+from .config import SWEEP_AXES, ScenarioConfig, dt_bound
 from .dressed import dressed_basis, dressed_coherent_state, dressed_state
 from .dynamics import (
     ConvergenceReport,
@@ -204,7 +204,7 @@ def _cavity_point(point: ScenarioConfig):
     params = point.system_params()
     eps = complex(point.epsilon)
     T = point.pulse_length()
-    cutoff = FockCutoff(cavity_cutoff(point.drive_amplitude(), point.n_max))
+    cutoff = point.cutoff()
     epsilon = abs(eps) * np.exp(1j * np.angle(eps))  # polar, as points() sets a swept |eps|
     runs = {}
     for branch, omega_d, psi0 in (
@@ -233,7 +233,7 @@ def _qubit_drive_point(point: ScenarioConfig):
         if point.omega_drive is not None
         else params.omega_q + params.chi * (2.0 * point.alpha_sq + 2.0)
     )
-    cutoff = FockCutoff(cavity_cutoff(beta_abs, point.n_max))
+    cutoff = point.cutoff()
     basis = dressed_basis(params, cutoff, "exact")
     drive = QubitDriveParams(eta_abs * np.exp(1j * point.eta_phase), omega, point.pulse_length())
     ham = qubit_drive_lab_hamiltonian(params, drive, cutoff)
@@ -250,7 +250,7 @@ def _readout_point(point: ScenarioConfig):
     """
     params = point.system_params()
     drive = DriveParams(complex(point.epsilon), params.omega_c - params.chi, point.pulse_length())
-    cutoff = FockCutoff(cavity_cutoff(point.drive_amplitude(), point.n_max))
+    cutoff = point.cutoff()
     ham = lab_drive_hamiltonian(params, drive, cutoff, point.drive_form)
     return params, {
         "g": Run(ham, basis_state(cutoff, "g", 0), drive.T, drive),

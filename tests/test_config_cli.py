@@ -813,6 +813,35 @@ class TestCli:
         assert main(["run", "--config", cfg]) == 2
         assert "numerical failure: eigenvalues did not converge" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out", ["missing/dir/x.csv", "missing/", "folder", "folder/", None])
+    def test_unwritable_out_is_refused_before_the_run(self, tmp_path, capsys, monkeypatch, out):
+        # an --out in no existing directory, or naming a directory (here the
+        # default fig2b.csv too), is a usage error: exit 1, before any
+        # compute, and nothing is written
+        def run(config):
+            raise AssertionError("run_scenario called")
+
+        monkeypatch.setattr("jcdrive.cli.run_scenario", run)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "folder").mkdir()
+        (tmp_path / "fig2b.csv").mkdir()
+        cfg = self._write(tmp_path, FAST_SCENARIO)
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["run", "--config", cfg] + ([] if out is None else ["--out", out])) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: run: cannot write ") and captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_write_fault_after_the_run_is_a_failure(self, tmp_path, capsys, monkeypatch):
+        # a fault that shows only at write time stays exit 2
+        def refuse(result, path):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr("jcdrive.cli.emit_csv", refuse)
+        cfg = self._write(tmp_path, FAST_SCENARIO)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith("cannot write ")
+
     @pytest.mark.parametrize("text", ["scenario=fig4\nalpha_sq=300\n",
                                       "scenario=fig2b\nsweep_values=140\n"])
     def test_rule_cutoff_passes_the_leak_checks(self, tmp_path, capsys, text):

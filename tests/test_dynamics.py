@@ -442,7 +442,7 @@ class TestExcitedTrace:
         so the oracle shares no phase table with the trace's _phase_blocks.
         """
         times, p_e = excited_trace(ham, psi0, grid, store_every)
-        assert times[0] == grid.t0 and p_e[0] == pytest.approx(excited_probability(psi0), abs=1e-15)
+        assert times[0] == grid.t0 and p_e[0] == excited_probability(psi0)
         picks = np.unique(np.linspace(1, len(times) - 1, samples).round().astype(int))
         finals = run_finals(ham, psi0, grid.t0, times[picks])
         gap = np.max(np.abs(p_e[picks] - excited_probability(finals)))
@@ -494,6 +494,24 @@ class TestExcitedTrace:
         assert grid.steps % 97 != 0
         times = self.assert_matches_integrate(ham, psi0, grid, store_every)
         assert times[0] == 0.37 and times[-1] == pytest.approx(2.37)
+
+    @pytest.mark.parametrize("steps", [55 * 20, 55 * 20 + 17])
+    def test_first_and_last_stored_times(self, params, steps):
+        # t0 is the starts' own excited populations, bit for bit; the grid's
+        # end is the trace's last column, on the stride lattice and 17 steps
+        # past its last point
+        cut = FockCutoff(20)
+        ham = qubit_drive_lab_hamiltonian(params, QubitDriveParams(0.4j, params.omega_q, 2.0), cut)
+        basis = dressed_basis(params, cut, "exact")
+        starts = np.stack([dressed_coherent_state("g", beta, basis) for beta in (1.1, 0.7 - 0.4j)])
+        grid = TimeGrid(0.37, 0.37 + steps * 2e-3, 2e-3)
+        assert grid.steps == steps
+        times, p_e = excited_trace(ham, starts, grid, 55)
+        assert len(times) == 21 + (steps % 55 > 0) and times[-1] == pytest.approx(grid.t1)
+        assert np.array_equal(p_e[:, 0], excited_probability(starts))
+        finals = np.array([integrate(ham, start, grid).final for start in starts])
+        gap = np.max(np.abs(p_e[:, -1] - excited_probability(finals)))
+        assert gap <= phase_rounding(ham, grid.t1 - grid.t0), gap
 
     @pytest.mark.parametrize("store_every", [0, -3, 2.5])
     def test_refuses_a_stride_that_is_not_a_positive_int(self, params, store_every):
@@ -571,7 +589,7 @@ class TestStackedTrace:
             np.testing.assert_array_equal(single_times, times)
             assert np.max(np.abs(row - single)) <= 1e-13
             # and each row against integrate's final states, as in TestExcitedTrace
-            assert row[0] == pytest.approx(excited_probability(start), abs=1e-15)
+            assert row[0] == excited_probability(start)
             finals = run_finals(ham, start, grid.t0, times[picks])
             gap = np.max(np.abs(row[picks] - excited_probability(finals)))
             assert gap <= phase_rounding(ham, times[-1] - grid.t0), gap
@@ -1072,17 +1090,23 @@ class TestPhaseBlocks:
 
     DT = 2.0**-6
 
-    def _check(self, freq, count, stride, last, dt=DT, atol=1e-13, coef=1.0):
+    @staticmethod
+    def _table(freq, count, stride, dt, coef):
+        """The whole table from n = 0: column n R + r is run r at step n stride."""
+        phases = np.exp(-1j * np.outer(freq, np.arange(count + 1) * stride * dt))
+        return (coef[:, None, :] * phases[:, :, None]).reshape(len(freq), -1)
+
+    def _check(self, freq, count, stride, dt=DT, atol=1e-13, coef=None):
         """Each block against its columns of the whole table; returns the block widths."""
-        steps = np.append(np.arange(1, count + 1) * stride, last)
-        # one row per frequency, one column per step
-        expected = (coef * np.exp(-1j * np.outer(steps * dt, freq))).T
+        coef = np.ones((len(freq), 1)) if coef is None else coef
+        runs = coef.shape[1]
+        expected = self._table(freq, count, stride, dt, coef)
         widths = []
-        for cols, block in _phase_blocks(freq, dt, stride, count, last, coef):
+        for cols, block in _phase_blocks(freq, dt, stride, count, coef):
             assert cols.start == sum(widths) and cols.stop > cols.start  # in order, none empty
-            assert block.shape == (len(freq), cols.stop - cols.start)
-            assert np.max(np.abs(block - expected[:, cols])) <= atol
-            widths.append(block.shape[1])
+            assert block.shape == (len(freq), (cols.stop - cols.start) * runs)
+            assert np.max(np.abs(block - expected[:, cols.start * runs : cols.stop * runs])) <= atol
+            widths.append(cols.stop - cols.start)
         assert sum(widths) == count + 1
         return widths
 
@@ -1092,18 +1116,19 @@ class TestPhaseBlocks:
         f *= max_phase / (n_max * self.DT) / np.max(np.abs(f))
         return np.round(f * 2.0**24) / 2.0**24 if dyadic else f
 
-    # what excited_trace asks for on a fig4 run: the stored steps after 0,
-    # stride, 2 stride, ..., 4055 stride, then the final step, off the stride
-    FIG4 = dict(count=4055, stride=55, last=55 * 4055 + 17)
+    # what excited_trace asks for on a fig4 run: the stored steps 0, stride,
+    # 2 stride, ..., 4055 stride; the final step, off the stride, is its own
+    FIG4 = dict(count=4055, stride=55)
+    FIG4_END = 55 * 4055
 
     def test_fig4_shape(self):
-        widths = self._check(self._freq(3e3, self.FIG4["last"]), **self.FIG4)
+        widths = self._check(self._freq(3e3, self.FIG4_END), **self.FIG4)
         assert len(widths) > 1 and max(widths) < self.FIG4["count"] // 4
 
     def test_coefficients_fold_into_every_row(self):
         rng = np.random.default_rng(4)
-        coef = rng.normal(size=78) + 1j * rng.normal(size=78)
-        freq = self._freq(3e3, self.FIG4["last"])
+        coef = rng.normal(size=(78, 1)) + 1j * rng.normal(size=(78, 1))
+        freq = self._freq(3e3, self.FIG4_END)
         self._check(freq, **self.FIG4, atol=1e-13 * np.max(np.abs(coef)), coef=coef)
 
     @pytest.mark.parametrize("block_bytes", [1 << 16, 5 * 78 * 64 * 3 * 16])
@@ -1114,44 +1139,31 @@ class TestPhaseBlocks:
         monkeypatch.setattr(dynamics, "PHASE_BLOCK_BYTES", block_bytes)
         rng = np.random.default_rng(6)
         coef = rng.normal(size=(78, 3)) + 1j * rng.normal(size=(78, 3))
-        freq = self._freq(3e3, self.FIG4["last"])
-        count, stride, last = self.FIG4["count"], self.FIG4["stride"], self.FIG4["last"]
-        steps = np.append(np.arange(1, count + 1) * stride, last)
-        # table[f, r, n]: the whole table, run by run
-        table = coef[:, :, None] * np.exp(-1j * np.outer(freq, steps * self.DT))[:, None, :]
-        widths = []
-        for cols, block in _phase_blocks(freq, self.DT, stride, count, last, coef):
-            assert cols.start == sum(widths) and cols.stop > cols.start
-            want = table[:, :, cols].transpose(0, 2, 1).reshape(78, -1)
-            assert block.shape == want.shape
-            assert np.max(np.abs(block - want)) <= 1e-13 * np.max(np.abs(coef))
-            widths.append(cols.stop - cols.start)
-        assert sum(widths) == count + 1
-        assert max(widths) == (5 if block_bytes > 1 << 16 else 1) * (math.isqrt(count) + 1)
-        # one column of a stack is the vector it holds, entry for entry
-        for (c1, b1), (c2, b2) in zip(
-            [(c, b.copy()) for c, b in _phase_blocks(freq, self.DT, stride, count, last,
-                                                     coef[:, :1])],
-            [(c, b.copy()) for c, b in _phase_blocks(freq, self.DT, stride, count, last,
-                                                     coef[:, 0])],
-        ):
-            assert c1 == c2 and np.array_equal(b1, b2)
+        freq = self._freq(3e3, self.FIG4_END)
+        widths = self._check(freq, **self.FIG4, atol=1e-13 * np.max(np.abs(coef)), coef=coef)
+        assert max(widths) == (5 if block_bytes > 1 << 16 else 1) * (math.isqrt(4055) + 1)
+        # each run of a stack is that run alone, entry for entry
+        def whole(c):
+            return np.concatenate([block.copy() for _, block in
+                                   _phase_blocks(freq, self.DT, 55, 4055, c)], axis=1)
+        stacked = whole(coef)
+        for r in range(3):
+            assert np.array_equal(stacked[:, r::3], whole(coef[:, r : r + 1]))
 
-    def test_final_entry_before_the_lattice_end_is_refused(self):
-        # the rows are the lattice stride * (1..count) and then the final
-        # entry: a final entry inside the lattice has no row order to follow
-        freq = self._freq(1.0, 1, size=4)
-        with pytest.raises(ValueError, match="precedes the lattice end"):
-            next(_phase_blocks(freq, self.DT, 55, 400, 55 * 400 - 1))
-        self._check(freq, 400, 55, 55 * 400)  # on the end itself is allowed
-
-    @pytest.mark.parametrize("last", [0, 7, 123456])
-    def test_single_entry(self, last):
-        assert self._check(self._freq(50.0, max(last, 1), size=5, seed=2), 0, 1, last) == [1]
+    @pytest.mark.parametrize("block_bytes", [1, 1 << 16])
+    def test_count_zero_is_the_coefficients(self, monkeypatch, block_bytes):
+        # n = 0 alone: one block, the coefficients themselves
+        monkeypatch.setattr(dynamics, "PHASE_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(2)
+        coef = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
+        blocks = [(cols, block.copy()) for cols, block in
+                  _phase_blocks(self._freq(50.0, 7, size=5, seed=2), self.DT, 7, 0, coef)]
+        assert len(blocks) == 1 and blocks[0][0] == slice(0, 1)
+        assert np.array_equal(blocks[0][1], coef)
 
     def test_zero_steps_give_ones(self):
         blocks = [(cols, block.copy()) for cols, block in
-                  _phase_blocks(self._freq(1.0, 1, size=4), 0.1, 3, 0, 0)]
+                  _phase_blocks(self._freq(1.0, 1, size=4), 0.1, 3, 0, np.ones((4, 1)))]
         assert len(blocks) == 1 and blocks[0][0] == slice(0, 1)
         assert np.array_equal(blocks[0][1], np.ones((4, 1), dtype=complex))
 
@@ -1160,44 +1172,40 @@ class TestPhaseBlocks:
         count = 2000
         freq = self._freq(1e4, count * stride, size=40, seed=3)
         assert np.max(np.abs(freq)) * count * stride * self.DT == pytest.approx(1e4, rel=1e-3)
-        self._check(freq, count - 1, stride, count * stride)
+        self._check(freq, count, stride)
 
     def test_general_frequencies_round_like_np_exp(self):
-        freq = self._freq(1e4, self.FIG4["last"], dyadic=False)
+        freq = self._freq(1e4, self.FIG4_END, dyadic=False)
         self._check(freq, **self.FIG4, dt=0.0137, atol=8 * 2.0**-53 * 1e4)
 
     def test_tables_stay_small(self, monkeypatch):
-        # about 2 sqrt(len) table columns (steps) of np.exp, not one per
-        # entry, and none per block
-        freq = self._freq(3e3, self.FIG4["last"])
+        # 2 (isqrt(count) + 1) table columns (steps) of np.exp at most, not
+        # one per entry, and none per block
+        freq = self._freq(3e3, self.FIG4_END)
         exp, columns = np.exp, []
         monkeypatch.setattr(np, "exp", lambda x: columns.append(x.shape[-1]) or exp(x))
-        for _ in _phase_blocks(freq, self.DT, **self.FIG4):
+        for _ in _phase_blocks(freq, self.DT, **self.FIG4, coef=np.ones((78, 1))):
             pass
         monkeypatch.undo()
-        assert sum(columns) <= 2 * (math.isqrt(self.FIG4["count"] + 1) + 2)
+        assert sum(columns) <= 2 * (math.isqrt(self.FIG4["count"]) + 1)
 
-    # The lattice n / stride = 0, 1, ..., count + 1 (its last column the final
-    # entry) is cut into blocks of whole rows of isqrt(count) + 1 columns, at
-    # least one row to a block, and its n = 0 column is dropped.  A row of
-    # 10 columns and 4 frequencies is ROW bytes; with two rows to a block the
-    # first block yields 19 columns and each later one 20.
+    # The lattice n / stride = 0, 1, ..., count is cut into blocks of whole
+    # rows of isqrt(count) + 1 columns, at least one row to a block.  A row
+    # of 10 columns and 4 frequencies is ROW bytes.
     ROW = 10 * 4 * 16
 
     @pytest.mark.parametrize("count, block_bytes, widths", [
-        (98, 2 * ROW, [19, 20, 20, 20, 20]),  # the lattice is a whole number of blocks
-        (99, 2 * ROW, [19, 20, 20, 20, 20, 1]),  # count + 1 = 100 columns, 5 blocks' worth,
-                                                 # and the last block only the final entry
-        (97, 2 * ROW, [19, 20, 20, 20, 19]),  # a short last block
-        (99, 3 * ROW, [29, 30, 30, 11]),
-        (99, 1, [9] + [10] * 9 + [1]),  # a budget below one row: one row to a block
-        (0, 1, [1]),  # count = 0: n = 0 alone yields nothing, then the final entry
-        (0, 1 << 16, [1]),  # count = 0: n = 0 and the final entry in one block
+        (98, 2 * ROW, [20, 20, 20, 20, 19]),  # a short last row
+        (99, 2 * ROW, [20, 20, 20, 20, 20]),  # count + 1 = 100 columns, 5 blocks' worth
+        (97, 2 * ROW, [20, 20, 20, 20, 18]),
+        (99, 3 * ROW, [30, 30, 30, 10]),  # a short last block
+        (99, 1, [10] * 10),  # a budget below one row: one row to a block
+        (0, 1, [1]),  # count = 0: n = 0 alone
+        (0, 1 << 16, [1]),
     ])
     def test_block_edges(self, monkeypatch, count, block_bytes, widths):
         monkeypatch.setattr(dynamics, "PHASE_BLOCK_BYTES", block_bytes)
-        last = 7 * count + 3
-        assert self._check(self._freq(3e2, last, size=4, seed=5), count, 7, last) == widths
+        assert self._check(self._freq(3e2, 7 * count + 3, size=4, seed=5), count, 7) == widths
 
 
 class TestRwaVersusCosine:
