@@ -22,8 +22,8 @@ from typing import Any, Callable, Optional
 from .hilbert import MAX_POISSON_ALPHA_SQ, FockCutoff, SystemParams, required_cutoff
 
 __all__ = [
-    "ConfigError", "ScenarioConfig", "parse_config", "cavity_cutoff", "dt_bound", "SCENARIOS",
-    "SWEEP_AXES",
+    "ConfigError", "ScenarioConfig", "parse_config", "cavity_cutoff", "dt_bound", "trace_steps",
+    "SCENARIOS", "SWEEP_AXES",
 ]
 
 SCENARIOS = ("fig2a", "fig2b", "fig2c", "fig2d", "fig4", "readout", "custom")
@@ -46,8 +46,10 @@ _DEFAULT_GRIDS = {
 # even 1e12 rad (epsilon = 1e-11) leaves 1 - F at rounding level.
 MAX_PHASE = 1e10
 # The largest lab-frame phase rho T of a point, rho being dt_bound's bound on
-# max|eig H|: at 8.9e14 rad doubles are 0.125 rad apart, and fig4's dt_bound
-# grid stays within 2**53 steps, where step counts and indices are exact floats.
+# max|eig H| (fig4's with |omega_drive| n_max added, where the eigenvalues of
+# H_F = H_0 + V + V^dag - omega C reach): at 8.9e14 rad doubles are 0.125 rad
+# apart, and fig4's trace grid (trace_steps) stays within 2**53 steps, where
+# step counts and indices are exact floats.
 MAX_LAB_PHASE = 0.099 * 2**53
 # The largest cavity truncation, given or rule-chosen: at dimension 4096 one
 # dense complex matrix is 256 MiB, and one eigh of it takes about two minutes
@@ -57,10 +59,10 @@ MAX_LAB_PHASE = 0.099 * 2**53
 # targets leave float range and the point is refused, needs 1668, and the
 # rule reaches 2048 at |alpha|^2 of about 1769, which only a readout
 # amplitude |epsilon| pi/|chi| can drive to; an amplitude whose rule
-# cutoff leaves float range is refused with them.  Each fig4 trace stores at
-# least time_points + 1 rows: two P_e arrays, their times, and a CSV row
-# apiece.  Each row costs a pass over the cutoff's dimension, so the rows
-# times the dimension are held to the entries of that same dense matrix.
+# cutoff leaves float range is refused with them.  Each fig4 trace stores the
+# rows of trace_steps, at least time_points + 1: two P_e arrays, their times,
+# and a CSV row apiece.  Each row costs a pass over the cutoff's dimension, so
+# the rows times the dimension are held to the entries of that same dense matrix.
 MAX_N_MAX = 2048
 
 
@@ -252,11 +254,11 @@ def parse_config(text: str) -> ScenarioConfig:
     |lambda| >= 1), inconsistent derived quantities (an omega_q that contradicts the given
     lambda), an n_max below the truncation rule at the largest amplitude
     the scenario drives to, a point whose cutoff exceeds MAX_N_MAX levels
-    or leaves float range (or whose fig4 traces would store more rows than
-    a dense matrix at MAX_N_MAX has entries, over the cutoff's dimension),
-    a cavity-drive or fig4 point whose alpha_sq exceeds
-    MAX_POISSON_ALPHA_SQ, and a point whose detuning phase |Delta| T or
-    lab-frame phase rho T exceeds MAX_PHASE or MAX_LAB_PHASE are errors
+    or leaves float range, a cavity-drive or fig4 point whose alpha_sq
+    exceeds MAX_POISSON_ALPHA_SQ, a point whose detuning phase |Delta| T or
+    lab-frame phase rho T exceeds MAX_PHASE or MAX_LAB_PHASE, and a fig4
+    point whose traces would store more rows (trace_steps) than a dense
+    matrix at MAX_N_MAX has entries, over the cutoff's dimension, are errors
     carrying the line number.  An empty file yields all defaults.
     """
     values: dict = {}
@@ -368,17 +370,22 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"alpha_sq={point.alpha_sq:g} puts the Poisson weights of the "
                               f"target beyond float range, above |alpha|^2 = "
                               f"{MAX_POISSON_ALPHA_SQ:.6g}", cutoff_line)
-        rows = (2 * MAX_N_MAX) ** 2 // cutoff.dim
-        if fig4 and point.time_points + 1 > rows:
-            raise ConfigError(f"time_points={point.time_points} gives each fig4 trace "
-                              f"{point.time_points + 1} stored rows, more than the {rows} that "
-                              f"dimension {cutoff.dim} allows: rows times dimension may not exceed "
-                              f"a dense matrix at n_max={MAX_N_MAX}", seen.get("time_points"))
         rho = 0.099 / dt_bound(params, cutoff, 0.0 if fig4 else abs(complex(point.epsilon)),
                                point.qubit_drive_strength() if fig4 else 0.0)
-        if not rho * T <= MAX_LAB_PHASE:
-            raise ConfigError(f"lab-frame phase rho T = {rho:.3g} * {T:.3g} rad over the pulse, "
-                              f"more than 0.099 * 2**53 = {MAX_LAB_PHASE:.3g} rad", lab_line)
+        drive = abs(point.omega_drive or 0.0) * cutoff.n_max if fig4 else 0.0
+        if not (rho + drive) * T <= MAX_LAB_PHASE:
+            # where rho alone is in range, the drive frequency put the phase beyond it
+            line = seen["omega_drive"] if rho * T <= MAX_LAB_PHASE else lab_line
+            raise ConfigError(f"lab-frame phase rho T = {rho + drive:.3g} * {T:.3g} rad over the "
+                              f"pulse, more than 0.099 * 2**53 = {MAX_LAB_PHASE:.3g} rad", line)
+        if fig4:
+            steps, stride = trace_steps(point)
+            stored, rows = (steps - 1) // stride + 2, (2 * MAX_N_MAX) ** 2 // cutoff.dim
+            if stored > rows:
+                raise ConfigError(f"time_points={point.time_points} gives each fig4 trace "
+                                  f"{stored} stored rows, more than the {rows} that dimension "
+                                  f"{cutoff.dim} allows: rows times dimension may not exceed "
+                                  f"a dense matrix at n_max={MAX_N_MAX}", seen.get("time_points"))
     return cfg
 
 
@@ -399,21 +406,36 @@ def dt_bound(params: SystemParams, cutoff: FockCutoff, eps_abs: float,
              eta_abs: float = 0.0) -> float:
     """Largest step satisfying dt * max|eig(H)| < 0.1, from a spectral-radius bound rho.
 
-    parse_config holds rho T to MAX_LAB_PHASE.  Of the scenario runs only
-    fig4's traces take this step (or tau/time_points, where that is finer),
+    rho sums the magnitudes of the Hamiltonian's terms, so either sign of
+    each parameter bounds it.  parse_config holds rho T to MAX_LAB_PHASE.
+    Of the scenario runs only fig4's traces take this step (trace_steps),
     which sets their stored times; the test suite's literal midpoint oracle
     steps by it, as it needs dt * rho small.
     """
     n = cutoff.n_max
     rho = (
-        params.omega_c * (n - 1)
+        abs(params.omega_c) * (n - 1)
         + 0.5 * abs(params.omega_q)
         + abs(params.chi) * n
-        + params.g * math.sqrt(n)
+        + abs(params.g) * math.sqrt(n)
         + 2.0 * eps_abs * math.sqrt(n)
         + eta_abs
     )
     return 0.099 / rho
+
+
+def trace_steps(point: ScenarioConfig) -> tuple[int, int]:
+    """(steps, stride) of fig4's traces: [0, T] in steps of T/steps, stored every stride steps.
+
+    The step is dt_bound's, or T/time_points where that is finer, and the
+    traces store the steps 0, stride, 2 stride, ... below steps, then steps
+    itself: (steps - 1) // stride + 2 rows, at least time_points + 1.
+    """
+    T = point.pulse_length()
+    dt = min(dt_bound(point.system_params(), point.cutoff(), 0.0, point.qubit_drive_strength()),
+             T / point.time_points)
+    steps = math.ceil(T / dt)
+    return steps, max(1, steps // point.time_points)
 
 
 def _sweep_fault(point: ScenarioConfig, axis: str, value: float) -> Optional[str]:

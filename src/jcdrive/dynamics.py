@@ -68,18 +68,17 @@ The split and the period are read off the matrices when the Hamiltonian is
 built.  Many times of one exact run are its eigenphases exp(-i E n dt)
 with the eigenbasis.  One kernel, _phase_blocks, makes those phases on
 the lattice n = 0, stride, ..., count stride by angle addition and hands
-them out one column block of times at a time, in one reused buffer of
-about PHASE_BLOCK_BYTES (and at least one row of about sqrt(count)
-times), so memory never grows with eigenphases times times.  Its callers
-are the exact truncation bound's midpoint samples, the lattice with
-half a step's phase folded into the coefficients, and excited_trace,
-P_e(t) at the stored steps of a grid (_stored_steps) for a stack of
-starts of one Hamiltonian (fig4's two): the lattice holds every stored
-step but the grid's end, which the trace adds as one more column.  Each
-start's coefficients scale its own columns of the table, and each block
-meets the excited rows of vr alone, one real matrix product for all the
-starts; R(t) G, a phase per component, changes no magnitude and is
-skipped, so the trace stores no state.
+them out one lattice row of times at a time, in one reused buffer, so
+memory never grows with eigenphases times times.  Its callers are the
+exact truncation bound's midpoint samples, the lattice with half a
+step's phase folded into the coefficients, and excited_trace, P_e(t) at
+every stride-th step of a grid and at its end for a stack of starts of
+one Hamiltonian (fig4's two): the lattice holds every stored step but the
+grid's end, which the trace adds as one more column.  Each start's
+coefficients scale its own columns of the table, and each row meets the
+excited rows of vr alone, one real matrix product for all the starts;
+R(t) G, a phase per component, changes no magnitude and is skipped, so
+the trace stores no state.
 
 convergence_check makes a run and scores it on two axes.  The step: a
 periodic run's final state, its ladder's 2m stepping, against the
@@ -135,15 +134,14 @@ GAUSS_NODE = math.sqrt(3.0) / 6.0
 # the byte budget of one (k, d, d) stack of the periodic path's step matrices:
 # two steps at d = 32, one from d = 33 up
 STACK_BYTES = 1 << 15
-# the byte budget of one column block of phases (_phase_blocks), all runs of
-# a stack together.  It bounds no block: a block always holds at least one
-# whole row of the angle-addition lattice, floor(sqrt(count)) + 1 times
-# (floor(sqrt(N)) + 1 for N stored times) by d eigenphases by R runs, 16
-# bytes each.  For fig4's 78 eigenphases and two starts a row is 64 times,
-# 156 KiB, at 4,057 stored times and 448 times, 1.1 MB, at 200,001.  On a
+# the bytes of d eigenphases at the times of one row of the angle-addition
+# lattice (_phase_blocks) for one run: a row holds as many times as this
+# budget does, or floor(sqrt(count)) + 1 where that is more, and is R times
+# as large for R runs.  For fig4's 78 eigenphases a row is 64 times at 4,057
+# stored times (156 KiB for two starts) and 448 at 200,001 (1.1 MB).  On a
 # 2-core Xeon with one OpenBLAS thread, fig4's cold stacked trace took
-# about 4.5 ms with a budget of 64-256 KiB (one row a block), 5.1 ms with
-# 512 KiB, 5.9 ms with 1 MiB and 9.3 ms with 4 MiB.
+# about 4.5 ms with blocks of 64-256 KiB, 5.1 ms with 512 KiB, 5.9 ms with
+# 1 MiB and 9.3 ms with 4 MiB.
 PHASE_BLOCK_BYTES = 1 << 16
 
 
@@ -409,45 +407,44 @@ def integrate(ham: TimeDependentHamiltonian, psi0: np.ndarray, grid: TimeGrid) -
 
 def excited_trace(
     ham: TimeDependentHamiltonian,
-    psi0: np.ndarray,
+    starts: np.ndarray,
     grid: TimeGrid,
-    store_every: Optional[int] = None,
+    stride: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(times, P_e): the excited-branch population every ``store_every`` steps of the grid.
+    """(times, P_e): the excited-branch population of R runs every ``stride`` steps of the grid.
 
-    ``psi0`` is one start, shape (dim,), or a stack of R starts, shape
-    (R, dim), one run from each; P_e then has shape (len(times),), or
-    (R, len(times)) with row r the run from start r.  The times of
-    _stored_steps (by default about 1000 over the run, and the grid's end
-    regardless), and at each the P_e of metrics.excited_probability, without
-    storing a state: the eigenphases of ``ham.static_frame``, with each
-    start's coefficients of (R(t_s) G)^dag psi0 folded in, meet only the
-    excited rows of vr, and R(t) G is left out, as a phase per component
-    changes no magnitude.  The eigenphases of all starts come in column
-    blocks of stored times (_phase_blocks), each block's squared amplitudes
-    summed into P_e before the next, so beyond P_e and the times the trace
-    holds only O(dim R (sqrt(stored times) + block)) numbers.  A block is
-    about PHASE_BLOCK_BYTES but always at least one lattice row of
-    floor(sqrt(N)) + 1 stored times by dim by R complex numbers, for N
-    stored times: 1.1 MB for fig4's two starts at N = 200,001.  The
-    blocks cover the stored times from the first to the last but one, on
-    the stride; the grid's end, generally off the stride, is one more
-    column c exp(-i E steps dt), reduced like a block, and the first
-    stored time takes the starts' own P_e.  With a real vr each block is
-    one real matrix product for all R runs.  Exact
-    Hamiltonians only; raises ValueError on a periodic one, on a start that
-    is not a normalized state of the Hamiltonian's dimension, on an empty
-    stack, and on a ``store_every`` that is not a positive int.
+    ``starts`` is a (R, dim) stack of starts, one run from each, and P_e
+    has shape (R, len(times)), row r the run from start r.  The times are
+    the steps n = 0, stride, 2 stride, ... strictly below grid.steps, then
+    grid.steps itself, and at each the P_e of metrics.excited_probability,
+    without storing a state: the eigenphases of ``ham.static_frame``, with
+    each start's coefficients of (R(t_s) G)^dag psi0 folded in, meet only
+    the excited rows of vr, and R(t) G is left out, as a phase per
+    component changes no magnitude.  The eigenphases of all starts come one lattice row of stored times at a
+    time (_phase_blocks), each row's squared amplitudes summed into P_e
+    before the next, so beyond P_e and the times the trace holds only
+    O(dim R sqrt(stored times)) numbers: 1.1 MB for fig4's two starts at
+    200,001 stored times.  The rows cover the stored times from the first
+    to the last but one, on the stride; the grid's end, generally off the
+    stride, is one more column c exp(-i E steps dt), reduced like a row,
+    and the first stored time takes the starts' own P_e.  With a real vr
+    each row is one real matrix product for all R runs.  Exact
+    Hamiltonians only; raises ValueError on a periodic one, on anything but
+    a nonempty (R, dim) stack of normalized states of the Hamiltonian's
+    dimension, and on a ``stride`` that is not a positive int.
     """
     if not ham.exact:
         raise ValueError("excited_trace needs an exact (static frame) Hamiltonian; "
                          "integrate a periodic one")
-    starts = psi0 if psi0.ndim == 2 else psi0[None]
-    if not len(starts):
-        raise ValueError("excited_trace needs at least one start")
+    if starts.ndim != 2 or not len(starts):
+        raise ValueError(f"excited_trace needs a (R, dim) stack of starts, got {starts.shape}")
     for start in starts:
         _check_start(ham, start)
-    stored, dt, stride = _stored_steps(grid, store_every)
+    if not (isinstance(stride, (int, np.integer)) and stride > 0):
+        raise ValueError(f"stride must be a positive int, got {stride!r}")
+    steps = grid.steps
+    stored = np.append(np.arange((steps - 1) // stride + 1) * stride, steps)
+    dt = (grid.t1 - grid.t0) / steps
     _, evals, _, vr = ham.static_frame
     n_max = ham.cutoff.n_max
     runs = len(starts)
@@ -464,7 +461,7 @@ def excited_trace(
         sums = parts.sum(axis=0).reshape(-1, runs, 2)
         p_e[:, cols] = (sums[..., 0] + sums[..., 1]).T
     p_e[:, 0] = np.sum(np.abs(starts[:, n_max:]) ** 2, axis=1)
-    return grid.t0 + stored * dt, p_e if psi0.ndim == 2 else p_e[0]
+    return grid.t0 + stored * dt, p_e
 
 
 def _check_start(ham, psi0):
@@ -474,22 +471,6 @@ def _check_start(ham, psi0):
         raise ValueError(f"state dimension {psi0.shape} does not match Hamiltonian {dim}")
     if not abs(np.linalg.norm(psi0) - 1.0) <= 1e-10:  # NaN fails too
         raise ValueError("initial state is not normalized")
-
-
-def _stored_steps(grid, store_every):
-    """(n, dt, stride): the steps n of dt at which excited_trace samples a run on ``grid``.
-
-    n = 0, stride, 2 stride, ... strictly below grid.steps, then grid.steps
-    itself; the stride is ``store_every``, by default about 1000 samples
-    over the run, and otherwise must be a positive int.
-    """
-    if store_every is not None and not (isinstance(store_every, (int, np.integer))
-                                        and store_every > 0):
-        raise ValueError(f"store_every must be a positive int, got {store_every!r}")
-    steps = grid.steps
-    stride = store_every if store_every is not None else max(1, math.ceil(steps / 1000))
-    stored = np.append(np.arange((steps - 1) // stride + 1) * stride, steps)
-    return stored, (grid.t1 - grid.t0) / steps, stride
 
 
 def _eigen_coefficients(ham, psi, t_start):
@@ -520,7 +501,7 @@ def _in_basis(vr, table):
 
 
 def _phase_blocks(freq, dt, stride, count, coef):
-    """c_r exp(-i f n dt), n = 0, stride, 2 stride, ..., count stride, in column blocks.
+    """c_r exp(-i f n dt), n = 0, stride, 2 stride, ..., count stride, one lattice row at a time.
 
     One row per f in ``freq`` and, for each n, one column per run r, the
     columns of a row adjacent in memory, so that a row's real and imaginary
@@ -530,27 +511,25 @@ def _phase_blocks(freq, dt, stride, count, coef):
     range(count + 1), in order, with column j R + r the n of cols.start + j
     for run r; it is a view of one buffer that the next block overwrites,
     so a caller contracts each block before asking for the next and the
-    whole table never exists.  By angle addition, with
-    B = stride (floor(sqrt(count)) + 1), n = q B + r' and
-    exp(-i f n dt) = exp(-i f q B dt) exp(-i f r' dt): the lattice is the
-    product of a q-table and an r'-table of about sqrt(count) columns each,
-    the runs' coefficients folded into the r'-table.  A row of the lattice
-    is one q, floor(sqrt(count)) + 1 columns, and a block holds as many
-    whole rows as PHASE_BLOCK_BYTES holds over all runs, and at least one.
-    A caller's times off the lattice, such as a grid's end, are its own.
+    whole table never exists.  By angle addition, with B = stride L,
+    n = q B + r' and exp(-i f n dt) = exp(-i f q B dt) exp(-i f r' dt): the
+    lattice is the product of a q-table and an r'-table, the runs'
+    coefficients folded into the r'-table, and a block is one q, one row
+    of L columns, the last row cut at count.  L is floor(sqrt(count)) + 1,
+    or as many times as PHASE_BLOCK_BYTES holds for one run where that is
+    more, and at most count + 1; it does not depend on R.  A caller's times
+    off the lattice, such as a grid's end, are its own.
     """
-    per_q = math.isqrt(count) + 1
+    per_q = min(max(math.isqrt(count) + 1, PHASE_BLOCK_BYTES // (16 * len(freq))), count + 1)
     qs, span = count // per_q + 1, stride * per_q
     q_table = np.exp(-1j * np.outer(freq, np.arange(qs) * span * dt))
     r_steps = np.arange(0, span, stride) * dt
     r_table = coef[:, None, :] * np.exp(-1j * np.outer(freq, r_steps))[:, :, None]
-    per_block = max(1, PHASE_BLOCK_BYTES // (16 * r_table.size))
-    buffer = np.empty((len(freq), per_block, *r_table.shape[1:]), dtype=complex)
-    lattice = buffer.reshape(len(freq), -1)
-    for q in range(0, qs, per_block):
-        k = min(per_block, qs - q)
-        np.multiply(q_table[:, q : q + k, None, None], r_table[:, None], out=buffer[:, :k])
-        cols = slice(q * per_q, min((q + k) * per_q, count + 1))
+    row = np.empty_like(r_table)
+    lattice = row.reshape(len(freq), -1)
+    for q in range(qs):
+        np.multiply(q_table[:, q, None, None], r_table, out=row)
+        cols = slice(q * per_q, min((q + 1) * per_q, count + 1))
         yield cols, lattice[:, : (cols.stop - cols.start) * coef.shape[1]]
 
 

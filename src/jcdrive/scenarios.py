@@ -7,19 +7,19 @@ value, or the config itself for fig4 and readout).  There are three kinds
 of point, each with one builder that returns its runs (Hamiltonian,
 initial state, length, drive): a cavity-drive fidelity point (fig2a-d,
 custom), the fig4 qubit-drive point and the readout point; ``_POINTS``
-maps each scenario to its builder.  ``sim run`` scores every run of every
-point; ``sim check`` (``convergence_probe``) builds the first point through
-the same table and checks its first run.  The five sweep scenarios share
+maps each scenario to its builder.  ``sim run`` checks every run of every
+point but fig4's, where the real-beta run's check stands for both; ``sim
+check`` (``convergence_probe``) builds the first point through the same
+table and checks its first run.  The five sweep scenarios share
 one runner, driven by the swept quantity (``config.SWEEP_AXES``) and a
 table of CSV columns.
 
 No path is held to a step, so ``_evolve`` makes each run on the one-step
 grid [0, T] that it builds from the run's length; only fig4's two traces
-take a step grid, of the ``config.dt_bound`` step or tau/time_points where
-that is finer, for their stored times.  Both runs share one Hamiltonian,
-and one ``dynamics.excited_trace`` call on the stack of their two starts
-takes both P_e traces straight from its eigenbasis, in one pass over its
-eigenphases, storing no state.
+take a step grid, of ``config.trace_steps``, for their stored times.  Both
+runs share one Hamiltonian, and one ``dynamics.excited_trace`` call on the
+stack of their two starts takes both P_e traces straight from its
+eigenbasis, in one pass over its eigenphases, storing no state.
 
 A runner returns a ScenarioResult, column-major: one sequence per CSV
 column, so fig4 hands over its time and P_e arrays as they are, and
@@ -44,7 +44,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import metrics
-from .config import SWEEP_AXES, ScenarioConfig, dt_bound
+from .config import SWEEP_AXES, ScenarioConfig, trace_steps
 from .dressed import dressed_basis, dressed_coherent_state, dressed_state
 from .dynamics import (
     ConvergenceReport,
@@ -355,23 +355,21 @@ def _run_sweep(config: ScenarioConfig) -> ScenarioResult:
 def _run_fig4(config: ScenarioConfig) -> ScenarioResult:
     """Excited-state probability vs time for real vs imaginary beta.
 
-    The grid steps by dt_bound, or by tau/time_points where that is finer, so
-    that at least time_points + 1 times are stored; one excited_trace call on
-    the two starts gives both runs' P_e there.  The converged column is the
-    real-beta run's report, through _evolve on the run's one-step grid as in
-    sim check.
+    The grid and stride are config.trace_steps', which stores at least
+    time_points + 1 times; one excited_trace call on the two starts gives
+    both runs' P_e there.  The converged column is the real-beta run's
+    report alone, through _evolve on the run's one-step grid as in sim
+    check; the imaginary-beta run is not checked, and its truncation bound
+    differs.
     """
     t_start = time.perf_counter()
     params, runs = _POINTS[config.scenario](config)
     real = runs["real"]
-    eta_abs = config.qubit_drive_strength()
-    dt = min(dt_bound(params, real.ham.cutoff, 0.0, eta_abs), real.T / config.time_points)
-    grid = TimeGrid.for_duration(real.T, dt)
-    store_every = max(1, grid.steps // config.time_points)
+    steps, stride = trace_steps(config)
+    grid = TimeGrid(0.0, real.T, real.T / steps)
     # both starts of the one Hamiltonian in one pass over its eigenphases
     starts = np.stack((real.psi0, runs["imag"].psi0))
-    times, (pe_r, pe_i) = excited_trace(real.ham, starts, grid, store_every)
-    # an exact run's report depends on t0 and T alone, so _evolve's one-step grid serves
+    times, (pe_r, pe_i) = excited_trace(real.ham, starts, grid, stride)
     converged = not config.check_convergence or _evolve(real, check=True)[1].passed
 
     abs_diff = np.abs(pe_r - pe_i)
@@ -379,7 +377,7 @@ def _run_fig4(config: ScenarioConfig) -> ScenarioResult:
     data = (times, pe_r, pe_i, abs_diff, np.full(times.shape, converged))
     meta = _meta(
         config, params,
-        beta_sq=f"{config.alpha_sq:g}", eta_abs=f"{eta_abs:g}",
+        beta_sq=f"{config.alpha_sq:g}", eta_abs=f"{config.qubit_drive_strength():g}",
         omega_drive=f"{real.drive.omega:g}",
         max_abs_diff=f"{float(np.max(abs_diff)):.6f}",
         wall_time_s=f"{time.perf_counter() - t_start:.3f}",

@@ -14,11 +14,11 @@ import pytest
 
 from jcdrive.cli import main
 from jcdrive.config import (
-    _KEYS, ConfigError, ScenarioConfig, cavity_cutoff, dt_bound, parse_config,
+    _KEYS, ConfigError, ScenarioConfig, cavity_cutoff, dt_bound, parse_config, trace_steps,
 )
 from jcdrive.dressed import dressed_basis, dressed_state
 from jcdrive.dynamics import TimeGrid, excited_trace
-from jcdrive.hilbert import FockCutoff, basis_state
+from jcdrive.hilbert import FockCutoff, SystemParams, basis_state
 from jcdrive.scenarios import (
     _POINTS, CSV_BLOCK_ROWS, ScenarioResult, convergence_probe, emit_csv, run_scenario,
 )
@@ -255,7 +255,10 @@ class TestConfigFaults:
     @pytest.mark.parametrize("text, line", [
         ("epsilon=1e-300\n", 1),
         ("omega_c=1e17\n", 1),
+        ("omega_c=-1e17\n", 1),  # rho bounds magnitudes: either sign of omega_c
         ("scenario=fig4\neta_abs=1e-300\n", 2),
+        ("scenario=fig4\nomega_drive=1e14\n", 2),  # H_F's eigenvalues reach |omega| n_max
+        ("scenario=fig4\nomega_drive=1e14\neta_abs=1e-300\n", 3),  # rho alone is beyond
     ])
     def test_step_count_beyond_exact_arithmetic(self, tmp_path, capsys, command, text, line):
         # a lab-frame phase rho T beyond 0.099 * 2**53 rad is refused on a line
@@ -331,6 +334,17 @@ class TestConfigFaults:
                                               "dimension 54 allows"):
             parse_config("scenario=fig4\ntime_points=310689\n")
 
+    def test_fig4_trace_guard_counts_the_stored_rows(self):
+        # at eta_abs = 0.4225 the dt_bound grid has 1.2 M steps, stored every
+        # 3: 400,076 rows, not time_points + 1
+        text = "scenario=fig4\neta_abs=0.4225\ntime_points=300000\n"
+        steps, stride = trace_steps(ScenarioConfig(scenario="fig4", eta_abs=0.4225,
+                                                   time_points=300000))
+        assert (steps - 1) // stride + 2 == 400076
+        with pytest.raises(ConfigError, match="^line 3: time_points=300000 gives each fig4 trace "
+                                              "400076 stored rows, more than the 310689"):
+            parse_config(text)
+
     def test_cosine_pulse_of_any_length(self, tmp_path, capsys):
         # pulses of 3.2e8, 3.2e7 (the swept |epsilon| = 1e-6) and 1e11 drive
         # periods parse: the periodic path squares its period propagator, so
@@ -368,6 +382,18 @@ class TestConfigFaults:
         err = capsys.readouterr().err
         assert err.startswith("config error: line 2: |alpha| = ")
         assert "needs a cutoff beyond float range, more than 2048 levels" in err
+
+    def test_dt_bound_sums_magnitudes(self):
+        # rho bounds max|eig H| at either sign of each parameter: the mirror
+        # system (omega_c, omega_q, g) -> -(omega_c, omega_q, g) has the
+        # negated spectrum, and g -> -g with lambda -> -lambda is the same
+        # system, so fig4 stores the same times
+        cut = FockCutoff(27)
+        bound = dt_bound(SystemParams(100.0, 110.0, 1.0), cut, 0.05, 0.3)
+        for params in (SystemParams(-100.0, -110.0, -1.0), SystemParams(100.0, 110.0, -1.0)):
+            assert dt_bound(params, cut, 0.05, 0.3) == bound
+        fig4 = ScenarioConfig(scenario="fig4")
+        assert trace_steps(ScenarioConfig(scenario="fig4", g=-1.0, lam=-0.1)) == trace_steps(fig4)
 
     @pytest.mark.parametrize("factor, accepted", [(0.999, True), (1.001, False)])
     def test_lab_phase_edge(self, factor, accepted):
@@ -652,6 +678,15 @@ class TestRunScenario:
         cfg = parse_config("scenario=fig4\neta_abs=1e5\ncheck_convergence=off\n")
         assert len(run_scenario(cfg).rows) >= 401
 
+    def test_fig4_below_a_negative_omega_c(self, tmp_path, capsys):
+        # omega_c = -100 (omega_q = -90): dt_bound sums magnitudes, so its
+        # step is positive and the traces store at least time_points + 1 rows
+        cfg, out = tmp_path / "cfg.txt", tmp_path / "out.csv"
+        cfg.write_text("scenario=fig4\nomega_c=-100\neta_abs=1\n")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[2:]
+        assert len(rows) >= 401 and all(row.endswith(",true") for row in rows)
+
     def test_fig4_columns_are_the_traces(self, tmp_path):
         # the P_e columns are the rows of one excited_trace call on the stack
         # of both starts, on the grid the runner picks: the dt_bound step, or
@@ -667,6 +702,7 @@ class TestRunScenario:
                  tau / cfg.time_points)
         grid = TimeGrid.for_duration(tau, dt)
         every = max(1, grid.steps // cfg.time_points)
+        assert trace_steps(cfg) == (grid.steps, every)
         assert runs["imag"].ham is real.ham  # one Hamiltonian, one stacked trace
         times, (pe_r, pe_i) = excited_trace(real.ham, np.stack((real.psi0, runs["imag"].psi0)),
                                             grid, every)
@@ -675,7 +711,7 @@ class TestRunScenario:
             np.testing.assert_array_equal(result.column(name), want)
         assert result.column("converged").tolist() == [True] * len(times)
         assert result.rows == tuple(zip(*result.data))
-        assert len(result.rows) == len(times) >= 11
+        assert len(result.rows) == len(times) == (grid.steps - 1) // every + 2 >= 11
 
     def test_fig4_converged_column_is_the_check(self, tmp_path, monkeypatch):
         # a failed check flags every row, and the CSV writes each flag as false

@@ -42,7 +42,7 @@ from jcdrive.hilbert import (
 )
 from jcdrive.propagators import DriveParams, QubitDriveParams, alpha_ge
 from jcdrive import scenarios
-from jcdrive.config import dt_bound, parse_config
+from jcdrive.config import dt_bound, parse_config, trace_steps
 
 from conftest import (
     doubled_cutoff_infidelity,
@@ -355,7 +355,7 @@ class TestExactPath:
         assert ham.exact and np.iscomplexobj(ham.static_frame[3])
         psi0 = (basis_state(cut, "g", 1) + basis_state(cut, "e", 1)) / math.sqrt(2)
         grid = TimeGrid(0.3, 0.8, 0.005)
-        times, p_e = excited_trace(ham, psi0, grid, store_every=10)
+        times, (p_e,) = excited_trace(ham, psi0[None], grid, 10)
         assert len(times) == 11 and times[0] == 0.3
         oracle = ode_states(lambda t: hamiltonian_at(ham, 0.3 + t), psi0, times - 0.3)
         finals = run_finals(ham, psi0, 0.3, times[1:])
@@ -435,13 +435,13 @@ class TestExcitedTrace:
     """P_e straight from the eigenbasis against excited_probability of integrate's final states."""
 
     @staticmethod
-    def assert_matches_integrate(ham, psi0, grid, store_every, samples=25):
+    def assert_matches_integrate(ham, psi0, grid, stride, samples=25):
         """At about ``samples`` stored times spread over the run, one integrate call each.
 
         integrate's closed form takes exp(-i E t) from one np.exp per phase,
         so the oracle shares no phase table with the trace's _phase_blocks.
         """
-        times, p_e = excited_trace(ham, psi0, grid, store_every)
+        times, (p_e,) = excited_trace(ham, psi0[None], grid, stride)
         assert times[0] == grid.t0 and p_e[0] == excited_probability(psi0)
         picks = np.unique(np.linspace(1, len(times) - 1, samples).round().astype(int))
         finals = run_finals(ham, psi0, grid.t0, times[picks])
@@ -450,8 +450,8 @@ class TestExcitedTrace:
         return times
 
     def test_runtime_independent_of_step_count(self, params):
-        # 5 M midpoint steps: the trace costs one eigendecomposition and
-        # ~1000 stored times, not per-step Python work
+        # 5 M midpoint steps stored every 5000: the trace costs one
+        # eigendecomposition and 1001 stored times, not per-step Python work
         cut = FockCutoff(4)
         qd = QubitDriveParams(0.3, params.omega_q + 0.5, 1000.0)
         ham = qubit_drive_lab_hamiltonian(params, qd, cut)
@@ -459,7 +459,7 @@ class TestExcitedTrace:
         assert grid.steps == 5_000_000
         psi0 = basis_state(cut, "g", 1)
         start = time.perf_counter()
-        times, p_e = excited_trace(ham, psi0, grid)
+        times, (p_e,) = excited_trace(ham, psi0[None], grid, 5000)
         elapsed = time.perf_counter() - start
         assert elapsed < 3.0, f"{grid.steps} steps took {elapsed:.2f} s"
         assert len(times) == 1001 and times[-1] == pytest.approx(1000.0)
@@ -474,17 +474,16 @@ class TestExcitedTrace:
         # at eta_phase = 1 the gauge is not the identity
         config = parse_config("scenario=fig4\nalpha_sq=9\neta_abs=1.1\ntime_points=4000\n"
                               f"eta_phase={eta_phase}\n")
-        params, runs = scenarios._POINTS["fig4"](config)
+        runs = scenarios._POINTS["fig4"](config)[1]
         tau = config.pulse_length()
-        dt = min(dt_bound(params, runs["real"].ham.cutoff, 0.0, 1.1), tau / config.time_points)
-        grid = TimeGrid.for_duration(tau, dt)
-        store_every = grid.steps // config.time_points
-        assert store_every == 55
+        steps, stride = trace_steps(config)
+        assert stride == 55 and (steps - 1) // stride + 2 == 4057
+        grid = TimeGrid(0.0, tau, tau / steps)
         for run in runs.values():
-            assert len(self.assert_matches_integrate(run.ham, run.psi0, grid, store_every)) == 4057
+            assert len(self.assert_matches_integrate(run.ham, run.psi0, grid, stride)) == 4057
 
-    @pytest.mark.parametrize("store_every", [None, 97])
-    def test_grid_starting_inside_the_pulse(self, params, store_every):
+    @pytest.mark.parametrize("stride", [1, 97])
+    def test_grid_starting_inside_the_pulse(self, params, stride):
         # t0 != 0: the frame R(t_s) at the start folds into the coefficients;
         # 1000 steps, so a stride of 97 does not divide them
         cut = FockCutoff(20)
@@ -492,7 +491,7 @@ class TestExcitedTrace:
         psi0 = dressed_coherent_state("g", 1.1 - 0.3j, dressed_basis(params, cut, "exact"))
         grid = TimeGrid(0.37, 2.37, 2e-3)
         assert grid.steps % 97 != 0
-        times = self.assert_matches_integrate(ham, psi0, grid, store_every)
+        times = self.assert_matches_integrate(ham, psi0, grid, stride)
         assert times[0] == 0.37 and times[-1] == pytest.approx(2.37)
 
     @pytest.mark.parametrize("steps", [55 * 20, 55 * 20 + 17])
@@ -513,19 +512,19 @@ class TestExcitedTrace:
         gap = np.max(np.abs(p_e[:, -1] - excited_probability(finals)))
         assert gap <= phase_rounding(ham, grid.t1 - grid.t0), gap
 
-    @pytest.mark.parametrize("store_every", [0, -3, 2.5])
-    def test_refuses_a_stride_that_is_not_a_positive_int(self, params, store_every):
+    @pytest.mark.parametrize("stride", [0, -3, 2.5, None])
+    def test_refuses_a_stride_that_is_not_a_positive_int(self, params, stride):
         cut = FockCutoff(4)
         ham = qubit_drive_lab_hamiltonian(params, QubitDriveParams(0.3, params.omega_q, 1.0), cut)
-        with pytest.raises(ValueError, match="store_every must be a positive int"):
-            excited_trace(ham, basis_state(cut, "g", 1), TimeGrid(0.0, 1.0, 0.01), store_every)
+        with pytest.raises(ValueError, match="stride must be a positive int"):
+            excited_trace(ham, basis_state(cut, "g", 1)[None], TimeGrid(0.0, 1.0, 0.01), stride)
 
     def test_refuses_a_periodic_hamiltonian(self, params):
         cut = FockCutoff(6)
         ham = lab_drive_hamiltonian(params, DriveParams(0.05, params.omega_c, 1.0), cut, "cosine")
         assert not ham.exact
         with pytest.raises(ValueError, match="exact"):
-            excited_trace(ham, basis_state(cut, "g", 0), TimeGrid(0.0, 1.0, 0.01))
+            excited_trace(ham, basis_state(cut, "g", 0)[None], TimeGrid(0.0, 1.0, 0.01), 1)
 
     def test_memory_does_not_grow_with_eigenphases_times_stored_times(self):
         # fig4's 78 eigenphases at 200,001 stored times: a whole phase table
@@ -539,7 +538,7 @@ class TestExcitedTrace:
         grid = TimeGrid.for_duration(tau, tau / 200_000)
         ham.static_frame  # the Hamiltonian's eigendecomposition, kept by it, not the trace's
         stacked = np.stack((runs["real"].psi0, runs["imag"].psi0))
-        for psi0, limit in ((runs["real"].psi0, 4e6), (stacked, 6e6)):
+        for psi0, limit in ((runs["real"].psi0[None], 4e6), (stacked, 6e6)):
             tracemalloc.start()
             try:
                 start = tracemalloc.get_traced_memory()[0]
@@ -584,7 +583,7 @@ class TestStackedTrace:
         assert p_e.shape == (len(starts), len(times))
         picks = np.unique(np.linspace(1, len(times) - 1, 25).round().astype(int))
         for start, row in zip(starts, p_e):
-            single_times, single = excited_trace(ham, start, grid, store_every)
+            single_times, (single,) = excited_trace(ham, start[None], grid, store_every)
             assert single.shape == times.shape
             np.testing.assert_array_equal(single_times, times)
             assert np.max(np.abs(row - single)) <= 1e-13
@@ -594,25 +593,20 @@ class TestStackedTrace:
             gap = np.max(np.abs(row[picks] - excited_probability(finals)))
             assert gap <= phase_rounding(ham, times[-1] - grid.t0), gap
 
-    def test_a_stack_of_one_is_the_single_start(self, params):
-        ham, starts, grid, store_every = self._real_vr(params)
-        times, single = excited_trace(ham, starts[0], grid, store_every)
-        stack_times, stacked = excited_trace(ham, starts[0][None], grid, store_every)
-        np.testing.assert_array_equal(stack_times, times)
-        assert stacked.shape == (1, len(times)) and np.max(np.abs(stacked[0] - single)) <= 1e-13
-
     def test_refuses_a_bad_stack(self, params):
-        ham, starts, grid, _ = self._real_vr(params)
+        # a single (dim,) start is no stack either
+        ham, starts, grid, stride = self._real_vr(params)
         psi = starts[0]
         for stack, match in (
             (np.stack((psi, 1.001 * psi)), "not normalized"),
             (np.stack((psi, np.full_like(psi, np.nan))), "not normalized"),
             (np.stack((psi, psi))[:, :-1], "does not match"),
-            (psi[None, None], "does not match"),
-            (np.empty((0, len(psi)), dtype=complex), "at least one start"),
+            (psi, r"needs a \(R, dim\) stack of starts, got \(40,\)"),
+            (psi[None, None], r"needs a \(R, dim\) stack of starts, got \(1, 1, 40\)"),
+            (np.empty((0, len(psi)), dtype=complex), r"stack of starts, got \(0, 40\)"),
         ):
             with pytest.raises(ValueError, match=match):
-                excited_trace(ham, stack, grid)
+                excited_trace(ham, stack, grid, stride)
 
 
 def assert_stepping_converges_at_second_order(ham, psi0, grid):
@@ -1134,18 +1128,21 @@ class TestPhaseBlocks:
     @pytest.mark.parametrize("block_bytes", [1 << 16, 5 * 78 * 64 * 3 * 16])
     def test_coefficient_stack(self, monkeypatch, block_bytes):
         # a (d, R) stack: column j R + r of a block is run r at the block's
-        # j-th step, scaled by coef[:, r]; a budget of one row, then of five,
-        # over all three runs
+        # j-th step, scaled by coef[:, r]; a row of isqrt(count) + 1 = 64
+        # times, then of the 960 times the budget holds for one run, for
+        # three runs as for one
         monkeypatch.setattr(dynamics, "PHASE_BLOCK_BYTES", block_bytes)
         rng = np.random.default_rng(6)
         coef = rng.normal(size=(78, 3)) + 1j * rng.normal(size=(78, 3))
         freq = self._freq(3e3, self.FIG4_END)
         widths = self._check(freq, **self.FIG4, atol=1e-13 * np.max(np.abs(coef)), coef=coef)
-        assert max(widths) == (5 if block_bytes > 1 << 16 else 1) * (math.isqrt(4055) + 1)
-        # each run of a stack is that run alone, entry for entry
+        assert max(widths) == (960 if block_bytes > 1 << 16 else math.isqrt(4055) + 1)
+        # each run of a stack is that run alone, entry for entry, on the same rows
         def whole(c):
-            return np.concatenate([block.copy() for _, block in
-                                   _phase_blocks(freq, self.DT, 55, 4055, c)], axis=1)
+            blocks = [(cols.stop - cols.start, block.copy())
+                      for cols, block in _phase_blocks(freq, self.DT, 55, 4055, c)]
+            assert [width for width, _ in blocks] == widths
+            return np.concatenate([block for _, block in blocks], axis=1)
         stacked = whole(coef)
         for r in range(3):
             assert np.array_equal(stacked[:, r::3], whole(coef[:, r : r + 1]))
@@ -1180,26 +1177,33 @@ class TestPhaseBlocks:
 
     def test_tables_stay_small(self, monkeypatch):
         # 2 (isqrt(count) + 1) table columns (steps) of np.exp at most, not
-        # one per entry, and none per block
-        freq = self._freq(3e3, self.FIG4_END)
+        # one per entry, and none per block; where the budget holds more
+        # than the lattice, one row of count + 1 columns and one q-column
         exp, columns = np.exp, []
         monkeypatch.setattr(np, "exp", lambda x: columns.append(x.shape[-1]) or exp(x))
-        for _ in _phase_blocks(freq, self.DT, **self.FIG4, coef=np.ones((78, 1))):
-            pass
-        monkeypatch.undo()
-        assert sum(columns) <= 2 * (math.isqrt(self.FIG4["count"]) + 1)
+        for freq, count, stride, limit in (
+            (self._freq(3e3, self.FIG4_END), self.FIG4["count"], self.FIG4["stride"],
+             2 * (math.isqrt(self.FIG4["count"]) + 1)),
+            (self._freq(3e2, 7 * 99, size=4), 99, 7, 101),
+        ):
+            columns.clear()
+            for _ in _phase_blocks(freq, self.DT, stride, count, np.ones((len(freq), 1))):
+                pass
+            assert sum(columns) <= limit, (count, columns)
 
-    # The lattice n / stride = 0, 1, ..., count is cut into blocks of whole
-    # rows of isqrt(count) + 1 columns, at least one row to a block.  A row
-    # of 10 columns and 4 frequencies is ROW bytes.
+    # The lattice n / stride = 0, 1, ..., count is cut into rows, one to a
+    # block, of as many columns as the budget holds for 4 frequencies, or
+    # isqrt(count) + 1 where that is more, and at most count + 1.  ROW bytes
+    # hold 10 columns.
     ROW = 10 * 4 * 16
 
     @pytest.mark.parametrize("count, block_bytes, widths", [
         (98, 2 * ROW, [20, 20, 20, 20, 19]),  # a short last row
-        (99, 2 * ROW, [20, 20, 20, 20, 20]),  # count + 1 = 100 columns, 5 blocks' worth
+        (99, 2 * ROW, [20, 20, 20, 20, 20]),  # count + 1 = 100 columns, 5 rows' worth
         (97, 2 * ROW, [20, 20, 20, 20, 18]),
-        (99, 3 * ROW, [30, 30, 30, 10]),  # a short last block
-        (99, 1, [10] * 10),  # a budget below one row: one row to a block
+        (99, 3 * ROW, [30, 30, 30, 10]),
+        (99, 1, [10] * 10),  # a budget below isqrt(count) + 1 columns
+        (99, 1 << 16, [100]),  # a budget beyond the lattice: one row of all of it
         (0, 1, [1]),  # count = 0: n = 0 alone
         (0, 1 << 16, [1]),
     ])
